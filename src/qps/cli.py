@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite != "all" and suite not in verify.SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {('all',) + verify.SUITES}")
-    checks = verify.run_suite(suite, args.d, args.n, args.seeds, args.jobs)
+    checks = verify.run_suite(suite, args.d, args.n, args.seeds, args.jobs, args.seed)
     passed = all(c.passed for c in checks)
     report = {
         "suite": suite,
@@ -311,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol_one", None):
+    if args.tol_one is not None:
         tolconf.tol_one = args.tol_one
-    if getattr(args, "tol_supp", None):
+    if args.tol_supp is not None:
         tolconf.tol_supp = args.tol_supp
     try:
         return args.fn(args)

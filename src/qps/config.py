@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import TooLargeError
+from .errors import ConfigError, TooLargeError
 
 
 @dataclass
@@ -29,7 +29,7 @@ class Tolerances:
     weyl_coeff_zero: float = 1e-8
     # residual allowed when rounding a phase to a d-th root of unity.
     phase_residual: float = 1e-6
-    # dense characteristic/Wigner tables: d^{2n} cap.
+    # dense characteristic/Wigner tables: d^{2n} cap (QPS_MAX_DIM lowers it).
     max_table: int = 4_000_000
     # materialized phase-space subgroups: d^{2n} cap.
     max_group: int = 10_000_000
@@ -39,17 +39,27 @@ class Tolerances:
 
 config = Tolerances()
 
-_env_cap = os.environ.get("QPS_MAX_DIM")
-if _env_cap:
-    config.max_table = min(config.max_table, int(_env_cap))
+
+def table_cap() -> int:
+    """The dense-table cap: config.max_table, lowered by QPS_MAX_DIM if set.
+
+    The variable is read when a cap is needed, not at import, so a value
+    that is not an integer surfaces as a ConfigError the CLI reports.
+    """
+    raw = os.environ.get("QPS_MAX_DIM")
+    if not raw:
+        return config.max_table
+    try:
+        return min(config.max_table, int(raw))
+    except ValueError:
+        raise ConfigError(f"QPS_MAX_DIM must be an integer, got {raw!r}") from None
 
 
 def ensure_table_size(d: int, n: int) -> None:
     """Raise TooLargeError when a dense d^{2n} table would bust the cap."""
-    if d ** (2 * n) > config.max_table:
-        raise TooLargeError(
-            f"d^2n = {d}^{2 * n} exceeds the dense-table cap {config.max_table}"
-        )
+    cap = table_cap()
+    if d ** (2 * n) > cap:
+        raise TooLargeError(f"d^2n = {d}^{2 * n} exceeds the dense-table cap {cap}")
 
 
 def snapshot() -> dict:
@@ -60,5 +70,5 @@ def snapshot() -> dict:
         "tol_spec": config.tol_spec,
         "tol_state": config.tol_state,
         "phase_residual": config.phase_residual,
-        "max_table": config.max_table,
+        "max_table": table_cap(),
     }

@@ -1,11 +1,14 @@
 """The parameterized convolution rho ⊠ sigma and its named families.
 
 G is a 2x2 invertible matrix over Z_d.  The convolution is
-Tr_B[U (rho ⊗ sigma) U^dag] with U the key unitary; because U permutes
-basis states, the partial trace is evaluated by index gathering without
-materializing the d^{2n}-dimensional conjugation.  The characteristic
-route (convolution-multiplication duality) is an independent fast path
-and is never silently substituted for the operator route.
+Tr_B[U (rho ⊗ sigma) U^dag] with U the key unitary.  ``convolve``
+computes it through the convolution-multiplication duality
+Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q): two
+Weyl-coefficient transforms, a gather and a pointwise product, O(D^2 log D)
+for D = d^n.  The operator route, which evaluates the partial trace by
+index gathering because U permutes basis states (O(D^3)), is kept as
+``_convolve_mats``: the independent oracle that ``qps verify`` and the
+tests compare the production route against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     UnsupportedGError,
 )
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import CharTable, State, WignerTable, make_state
+from .states import CharTable, State, WignerTable, char_function, from_char, make_state
 from .weyl import digit_table, encode_digits
 
 
@@ -140,6 +143,7 @@ def _gather_indices(pm: ParamMatrix, d: int, n: int):
 
 
 def _convolve_mats(rho: np.ndarray, sigma: np.ndarray, pm: ParamMatrix, d: int, n: int) -> np.ndarray:
+    """Operator-route rho ⊠ sigma on raw matrices: the oracle for ``convolve``."""
     D = d**n
     A, B = _gather_indices(pm, d, n)
     out = np.zeros((D, D), dtype=complex)
@@ -150,14 +154,19 @@ def _convolve_mats(rho: np.ndarray, sigma: np.ndarray, pm: ParamMatrix, d: int, 
 
 
 def convolve(rho: State, sigma: State, params) -> State:
-    """rho ⊠ sigma = Tr_B[U (rho ⊗ sigma) U^dag], operator route."""
+    """rho ⊠ sigma = Tr_B[U (rho ⊗ sigma) U^dag], by the duality route.
+
+    Both characteristic tables are dense d^{2n} arrays, so this raises
+    TooLargeError when d^{2n} exceeds the ``max_table`` cap (see
+    ``config``).  The result is validated by ``make_state``.
+    """
     if (rho.d, rho.n) != (sigma.d, sigma.n):
         raise IncompatibleError(
             f"states live on (d, n) = ({rho.d}, {rho.n}) and ({sigma.d}, {sigma.n})"
         )
-    d, n = rho.d, rho.n
-    pm = as_param_matrix(params, d)
-    return make_state(_convolve_mats(rho.mat, sigma.mat, pm, d, n), d, n)
+    pm = as_param_matrix(params, rho.d)
+    out = convolve_char(char_function(rho), char_function(sigma), pm)
+    return make_state(from_char(out), rho.d, rho.n)
 
 
 def convolve_char(tr: CharTable, ts: CharTable, params) -> CharTable:

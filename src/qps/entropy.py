@@ -43,7 +43,7 @@ LOG2 = math.log(2.0)
 def clean_spectrum(state_or_values) -> np.ndarray:
     """Eigenvalues sorted descending, clipped at 0 and renormalized to 1."""
     if isinstance(state_or_values, State):
-        vals = np.linalg.eigvalsh(state_or_values.mat)
+        vals = state_or_values.eigvals
     else:
         vals = np.asarray(state_or_values, dtype=float)
     if vals.min() < -config.tol_state:
@@ -105,7 +105,7 @@ def renyi_relative(rho: State, sigma: State, alpha) -> float:
     if alpha >= 1 and deficit > config.tol_spec * rho.dim:
         return math.inf
     if alpha == 1:
-        rvals, rvecs = np.linalg.eigh(rho.mat)
+        rvals = rho.eigvals
         pos = rvals > config.tol_spec
         tr_rlogr = float((rvals[pos] * np.log2(rvals[pos])).sum())
         logsig = (vb * np.log2(lb)) @ vb.conj().T

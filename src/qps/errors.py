@@ -17,6 +17,10 @@ class IncompatibleError(QpsError):
     """Operands live on mismatched (d, n) systems."""
 
 
+class ConfigError(QpsError):
+    """A configuration value (flag or environment variable) is malformed."""
+
+
 class TooLargeError(QpsError):
     """Requested computation exceeds a desk-scale cap."""
 

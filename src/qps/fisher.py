@@ -168,7 +168,7 @@ def de_bruijn_check(state: State, h: float = 1e-4) -> tuple[float, float]:
     """
     from .entropy import renyi_entropy
 
-    vals = np.linalg.eigvalsh(state.mat)
+    vals = state.eigvals
     if vals.min() <= config.tol_spec:
         raise SingularStateError("de Bruijn check needs a full-rank state; smooth() it")
     table = char_function(state)

@@ -7,7 +7,7 @@ V^n, shape (d,)*2n with the p coordinates on the first n axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -36,15 +36,30 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class State:
-    """A validated n-qudit density operator."""
+    """A validated n-qudit density operator.
+
+    The spectrum is computed at most once per State: ``eigvals`` holds the
+    eigenvalues that ``make_state`` found while validating, or computes
+    them on first access for States built without validation.
+    """
 
     d: int
     n: int
     mat: np.ndarray
+    _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.d**self.n
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        """Eigenvalues of mat in ascending order (read-only, cached)."""
+        if self._eigvals is None:
+            vals = np.linalg.eigvalsh(self.mat)
+            vals.setflags(write=False)
+            object.__setattr__(self, "_eigvals", vals)
+        return self._eigvals
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
@@ -66,6 +81,7 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> Stat
     if mat.shape != (d**n, d**n):
         raise IncompatibleError(f"matrix shape {mat.shape} is not ({d**n}, {d**n})")
     tol = config.tol_state
+    vals = None
     if validate:
         if np.abs(mat - mat.conj().T).max() > tol:
             raise NotStateError("matrix is not Hermitian within tolerance")
@@ -73,14 +89,16 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> Stat
         tr = np.trace(mat).real
         if abs(tr - 1.0) > tol:
             raise NotStateError(f"trace {tr} is not 1 within tolerance")
-        lo = np.linalg.eigvalsh(mat)[0]
+        vals = np.linalg.eigvalsh(mat)
+        lo = vals[0]
         if lo < -tol:
             raise NotStateError(f"negative eigenvalue {lo}")
+        vals.setflags(write=False)
     else:
         mat = hermitize(mat)
     mat = mat.copy()
     mat.setflags(write=False)
-    return State(d=d, n=int(n), mat=mat)
+    return State(d=d, n=int(n), mat=mat, _eigvals=vals)
 
 
 def maximally_mixed(d: int, n: int) -> State:

@@ -43,12 +43,14 @@ def _result(name: str, slack: float, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=bool(slack >= 0), slack=float(slack), detail=detail)
 
 
-def _map_tasks(fn, seeds, jobs: int):
+def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int):
+    """Run fn on (d, n, s) for the task indices s = seed .. seed + seeds - 1."""
+    tasks = [(d, n, s) for s in range(seed, seed + seeds)]
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(fn, seeds))
+            chunks = list(pool.map(fn, tasks))
     else:
-        chunks = [fn(s) for s in seeds]
+        chunks = [fn(t) for t in tasks]
     return [r for chunk in chunks for r in chunk]
 
 
@@ -84,7 +86,7 @@ def _positive_params(d: int):
 
 # --- weyl ---
 
-def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1):
+def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
     out = []
     # commutation relation, exhaustive at n = 1
     worst = 0.0
@@ -162,15 +164,15 @@ def _duality_task(args):
         if d == 2 and klass == "positive":
             continue
         pm = sample_parity_matrix(rng, d, klass)
-        left = st.char_function(cv.convolve(rho, sig, pm))
+        left = st.char_function(st.make_state(cv._convolve_mats(rho.mat, sig.mat, pm, d, n), d, n))
         right = cv.convolve_char(tr, ts, pm)
         gap = float(np.abs(left.values - right.values).max())
         out.append(_result(f"duality.{klass}.seed{seed}", 1e-10 - gap, f"d={d} n={n}"))
     return out
 
 
-def suite_duality(d: int, n: int, seeds: int, jobs: int = 1):
-    return _map_tasks(_duality_task, [(d, n, s) for s in range(seeds)], jobs)
+def suite_duality(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    return _map_tasks(_duality_task, d, n, seeds, jobs, seed)
 
 
 # --- majorization ---
@@ -207,8 +209,8 @@ def _majorization_task(args):
     return out
 
 
-def suite_majorization(d: int, n: int, seeds: int, jobs: int = 1):
-    return _map_tasks(_majorization_task, [(d, n, s) for s in range(seeds)], jobs)
+def suite_majorization(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    return _map_tasks(_majorization_task, d, n, seeds, jobs, seed)
 
 
 # --- entropy ---
@@ -255,8 +257,8 @@ def _entropy_task(args):
     return out
 
 
-def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1):
-    out = _map_tasks(_entropy_task, [(d, n, s) for s in range(seeds)], jobs)
+def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    out = _map_tasks(_entropy_task, d, n, seeds, jobs, seed)
     ce = ent.second_law_counterexample(d, n)
     out.append(
         _result(
@@ -305,8 +307,8 @@ def _fisher_task(args):
     return out
 
 
-def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1):
-    out = _map_tasks(_fisher_task, [(d, n, s) for s in range(seeds)], jobs)
+def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    out = _map_tasks(_fisher_task, d, n, seeds, jobs, seed)
     rng = np.random.default_rng(77)
     D = d**n
     a = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
@@ -321,7 +323,7 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1):
 
 # --- hudson ---
 
-def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1):
+def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
     out = []
     worst = 0.0
     for state, _ in st.enumerate_pure_stabilizers(1, d):
@@ -329,7 +331,7 @@ def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1):
     out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
     trials = max(seeds, 100)
     negative = 0
-    for s in range(trials):
+    for s in range(seed, seed + trials):
         psi = st.random_pure(1, d, seed=s)
         if st.wigner(psi).values.min() < -1e-10:
             negative += 1
@@ -374,8 +376,8 @@ def _channels_task(args):
     return out
 
 
-def suite_channels(d: int, n: int, seeds: int, jobs: int = 1):
-    out = _map_tasks(_channels_task, [(d, n, s) for s in range(seeds)], jobs)
+def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    out = _map_tasks(_channels_task, d, n, seeds, jobs, seed)
     wch = chn.weyl_conjugation_channel((1,) * n + (0,) * n, d, n)
     vals = chn.weyl_image_char_values(wch)
     in_01 = all(
@@ -397,13 +399,18 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1):
-    """Run one suite (or 'all'); returns an ordered list of CheckResults."""
+def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    """Run one suite (or 'all'); returns an ordered list of CheckResults.
+
+    seed offsets the per-seed task indices: the tasks run at seed .. seed +
+    seeds - 1 and name their checks after them.  Inputs drawn outside the
+    per-seed tasks are fixed.
+    """
     if name == "all":
         out = []
         for key in SUITES:
             if key == "hudson" and d == 2:
                 continue
-            out.extend(_SUITE_FNS[key](d, n, seeds, jobs))
+            out.extend(_SUITE_FNS[key](d, n, seeds, jobs, seed))
         return out
-    return _SUITE_FNS[name](d, n, seeds, jobs)
+    return _SUITE_FNS[name](d, n, seeds, jobs, seed)

@@ -165,6 +165,21 @@ def weyl_phase_grid(d: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _stripe_index(d: int, n: int, sign: int) -> np.ndarray:
+    """(d^n, d^n) flat indices of the digit rows x + sign * y (mod d).
+
+    Built one digit at a time, so no (d^n, d^n, n) intermediate exists.
+    """
+    D = d**n
+    dig = digit_table(d, n)
+    out = np.zeros((D, D), dtype=np.int64)
+    for k, r in enumerate(_radix(d, n)):
+        out += ((dig[:, None, k] + sign * dig[None, :, k]) % d) * r
+    out.setflags(write=False)
+    return out
+
+
 def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
     """Tr[mat * w(-x)] for every x in V^n, as an array of shape (d,)*2n.
 
@@ -172,10 +187,8 @@ def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
     """
     ensure_table_size(d, n)
     D = d**n
-    dig = digit_table(d, n)
     # stripes[k, q] = mat[(k + q) mod d, k]
-    row = encode_digits((dig[:, None, :] + dig[None, :, :]) % d, d)
-    stripes = mat[row, np.arange(D)[:, None]]
+    stripes = mat[_stripe_index(d, n, 1), np.arange(D)[:, None]]
     stripes = stripes.reshape((d,) * (2 * n))
     f = np.fft.fftn(stripes, axes=tuple(range(n)))
     return weyl_phase_grid(d, n) * f
@@ -186,9 +199,7 @@ def matrix_from_weyl_table(table: np.ndarray, d: int, n: int) -> np.ndarray:
     D = d**n
     a = np.asarray(table, dtype=complex) * weyl_phase_grid(d, n)
     b = (D * np.fft.ifftn(a, axes=tuple(range(n)))).reshape(D, D)
-    dig = digit_table(d, n)
-    qidx = encode_digits((dig[:, None, :] - dig[None, :, :]) % d, d)
-    return b[np.arange(D)[:, None], qidx] / D
+    return b[np.arange(D)[:, None], _stripe_index(d, n, -1)] / D
 
 
 def parity_operator(d: int, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from qps import convolution as cv
 from qps import mean_magic as mm
 from qps import states, weyl
-from qps.errors import IncompatibleError, SingularGError, UnsupportedGError
+from qps.errors import IncompatibleError, SingularGError, TooLargeError, UnsupportedGError
 from qps.phase_space import make_point
 
 
@@ -58,7 +58,7 @@ def test_convolve_matches_dense_oracle(d, n):
 
 def test_convolve_char_duality():
     rng = np.random.default_rng(0)
-    for d, n in [(3, 1), (5, 1), (3, 2)]:
+    for d, n in [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2)]:
         rho = states.random_state(n, d, seed=1)
         sig = states.random_state(n, d, seed=2)
         tr, ts = states.char_function(rho), states.char_function(sig)
@@ -67,9 +67,23 @@ def test_convolve_char_duality():
                 G = rng.integers(0, d, (2, 2))
                 if (G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) % d:
                     break
-            fast = cv.convolve_char(tr, ts, G)
-            slow = states.char_function(cv.convolve(rho, sig, G))
+            pm = cv.classify(G, d)
+            fast = cv.convolve_char(tr, ts, pm)
+            slow = states.char_function(
+                states.make_state(cv._convolve_mats(rho.mat, sig.mat, pm, d, n), d, n)
+            )
             assert np.abs(fast.values - slow.values).max() < 1e-10
+
+
+def test_convolve_respects_table_cap(monkeypatch):
+    from qps.config import config
+
+    rho = states.random_state(2, 3, seed=1)
+    monkeypatch.setattr(config, "max_table", 3**4 - 1)
+    with pytest.raises(TooLargeError):
+        cv.convolve(rho, rho, cv.hadamard_params(3))
+    monkeypatch.setattr(config, "max_table", 3**4)
+    cv.convolve(rho, rho, cv.hadamard_params(3))
 
 
 def test_identity_absorption_and_fixed_point():

@@ -164,6 +164,40 @@ def test_env_dimension_cap(tmp_path):
     assert "TooLarge" in r.stderr
 
 
+def test_env_dimension_cap_not_integer():
+    import os
+
+    env = dict(os.environ, QPS_MAX_DIM="abc")
+    r = subprocess.run(
+        [sys.executable, "-m", "qps.cli", "params", "--d", "3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "QPS_MAX_DIM" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_zero_tolerances_reach_report():
+    r = run_cli("params", "--d", "3", "--tol-one", "0", "--tol-supp", "0")
+    assert r.returncode == 0, r.stderr
+    tol = json.loads(r.stdout)["tolerances"]
+    assert tol["tol_one"] == 0.0 and tol["tol_supp"] == 0.0
+
+
+def test_cli_verify_seed(tmp_path):
+    base = ["verify", "--suite", "duality", "--d", "3", "--seeds", "2"]
+    paths = {}
+    for tag, extra in (("default", []), ("zero", ["--seed", "0"]), ("seven", ["--seed", "7"])):
+        paths[tag] = tmp_path / f"{tag}.json"
+        assert main(base + extra + ["--out", str(paths[tag])]) == 0
+    assert paths["zero"].read_bytes() == paths["default"].read_bytes()
+    r0 = json.loads(paths["zero"].read_text())
+    r7 = json.loads(paths["seven"].read_text())
+    assert r7["pass"]
+    assert {c["name"].rsplit(".", 1)[1] for c in r7["checks"]} == {"seed7", "seed8"}
+    assert [c["slack"] for c in r7["checks"]] != [c["slack"] for c in r0["checks"]]
+
+
 def test_cli_verify_jobs(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"
