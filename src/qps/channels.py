@@ -2,9 +2,10 @@
 
 Channels are stored Choi-first: J = (id ⊗ Λ)|Φ><Φ| on 2n qudits with
 Tr_{A'}[J] = I/d^n.  Channel convolution is state convolution of Choi
-states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is the independent
-cross-check.  Channel Renyi entropy is evaluated on the Choi proxy
-H_alpha(J) - n log d.
+states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
+``_convolve_channels_exact``, the independent oracle that
+``convolution_route_gap``, ``qps verify`` and the tests compare against.
+Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
 """
 
 from __future__ import annotations
@@ -119,34 +120,22 @@ def _apply_pair_to_joint_mat(ch1: Channel, ch2: Channel, joint: np.ndarray) -> n
     t1 = ch1.choi.mat.reshape(D, D, D, D)
     t2 = ch2.choi.mat.reshape(D, D, D, D)
     rho = joint.reshape(D, D, D, D)  # (a, b | a', b') row/col pairs
-    out = D * D * np.einsum("abAB,aoAO,bpBP->opOP", rho, t1, t2)
+    out = D * D * np.einsum("abAB,aoAO,bpBP->opOP", rho, t1, t2, optimize=True)
     return out.reshape(D * D, D * D)
 
 
-def convolve_channels(ch1: Channel, ch2: Channel, params, cross_check: bool = True) -> Channel:
-    """Channel convolution: Choi route, cross-checked by the exact formula.
+def convolve_channels(ch1: Channel, ch2: Channel, params) -> Channel:
+    """Channel convolution Λ1 ⊠ Λ2 by the Choi route.
 
-    The Choi of Λ1 ⊠ Λ2 is J1 ⊠ J2 (state convolution on 2n qudits); the
-    exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is recomputed independently and
-    the two must agree to 1e-9.  G must be nontrivial so the result is
-    again a Choi state.
+    The Choi state of Λ1 ⊠ Λ2 is J1 ⊠ J2 (state convolution on 2n
+    qudits).  G must be nontrivial so the result is again a Choi state.
     """
     if (ch1.d, ch1.n) != (ch2.d, ch2.n):
         raise IncompatibleError("channels live on different systems")
-    d, n = ch1.d, ch1.n
-    pm = as_param_matrix(params, d)
+    pm = as_param_matrix(params, ch1.d)
     if not pm.nontrivial:
         raise UnsupportedGError("channel convolution needs a nontrivial G")
-    choi = convolve(ch1.choi, ch2.choi, pm)
-    out = channel_from_choi(choi)
-    if cross_check:
-        exact = _convolve_channels_exact(ch1, ch2, pm)
-        gap = np.abs(exact.choi.mat - choi.mat).max()
-        if gap > 1e-9:
-            raise InternalInconsistencyError(
-                f"Choi and exact-formula routes disagree by {gap:.2e}"
-            )
-    return out
+    return channel_from_choi(convolve(ch1.choi, ch2.choi, pm))
 
 
 def _convolve_channels_exact(ch1: Channel, ch2: Channel, pm) -> Channel:

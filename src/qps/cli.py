@@ -70,7 +70,7 @@ def _parse_alphas(text: str):
 
 
 def _resolve_params(args, d: int):
-    """Pick the convolution parameters from --st / --g / --family."""
+    """Pick the convolution parameters from --st / --g / --family, else the default G."""
     chosen = [k for k in ("st", "g", "family") if getattr(args, k, None)]
     if len(chosen) > 1:
         raise UsageError("give only one of --st, --g, --family")
@@ -79,7 +79,9 @@ def _resolve_params(args, d: int):
         return cv.beam_splitter_params(s, t, d)
     if getattr(args, "g", None):
         return cv.classify(_parse_g(args.g), d)
-    family = getattr(args, "family", None) or "beam-splitter"
+    family = getattr(args, "family", None)
+    if family is None:
+        return cv.default_params(d)
     if family == "beam-splitter":
         classes = cv.solve_params(d, "circle")
         if not classes:

@@ -322,6 +322,17 @@ def solve_params(d: int, family: str) -> list[SolutionClass]:
     return classes
 
 
+def default_params(d: int) -> ConvParams:
+    """The G used when none is chosen: the first beam-splitter class, else
+    Hadamard for odd d (both positive), else the even-parity ``cnot_family(1)``.
+    """
+    classes = solve_params(d, "circle")
+    if classes:
+        s, t = classes[0].representative
+        return beam_splitter_params(s, t, d)
+    return cnot_family(1) if d == 2 else hadamard_params(d)
+
+
 def transformed_stabilizer_group(group: PhaseSubgroup, params) -> PhaseSubgroup:
     """{(-g10^{-1} g11 p, g01^{-1} g00 q) : (p, q) in S}; needs odd-parity G."""
     d = group.d

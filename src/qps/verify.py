@@ -75,15 +75,6 @@ def sample_parity_matrix(rng, d: int, klass: str):
             return pm
 
 
-def _positive_params(d: int):
-    """A canonical positive G: the beam splitter when it exists, else Hadamard."""
-    classes = cv.solve_params(d, "circle")
-    if classes:
-        s, t = classes[0].representative
-        return cv.beam_splitter_params(s, t, d)
-    return cv.hadamard_params(d)
-
-
 # --- weyl ---
 
 def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
@@ -267,10 +258,11 @@ def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
             "H(rho ⊠ sigma) < H(sigma) when G is not odd-parity positive",
         )
     )
-    rep = ent.check_second_law(st.random_state(n, d, seed=99), _positive_params(d), 8, (0.5, 1, 2))
+    params = cv.default_params(d)
+    rep = ent.check_second_law(st.random_state(n, d, seed=99), params, 8, (0.5, 1, 2))
     out.append(_result("entropy.second_law", 0.0 if rep.ok else -1.0))
-    if d ** (2 * n) <= 100:
-        eq = ent.check_equality_case(st.basis_state(0, d, n), _positive_params(d), 2, seed=3)
+    if d ** (2 * n) <= 100 and params.matrix.positive:  # the equality case is stated for positive G
+        eq = ent.check_equality_case(st.basis_state(0, d, n), params, 2, seed=3)
         out.append(_result("entropy.equality_case", 0.0 if eq["ok"] else -1.0))
     return out
 
@@ -284,7 +276,7 @@ def _fisher_task(args):
     rho = fi.smooth(st.random_state(n, d, seed=rng.integers(2**31)), eta)
     sig = fi.smooth(st.random_state(n, d, seed=rng.integers(2**31)), eta)
     out = []
-    params = _positive_params(d) if d != 2 else cv.cnot_family(1)
+    params = cv.default_params(d)
     rep = fi.check_fisher_convolution(rho, sig, params)
     out.append(_result(f"fisher.convolution.seed{seed}", rep.slack + 1e-7, f"eta={eta}"))
     lhs, rhs = fi.de_bruijn_check(rho)
@@ -298,10 +290,9 @@ def _fisher_task(args):
         worst = max(worst, float(np.abs(left.mat - right.mat).max()))
     out.append(_result(f"fisher.dephase_commutes.seed{seed}", 1e-10 - worst))
     if d != 2:
-        pm = _positive_params(d)
         ta, tb = 0.3, 0.7
-        left = cv.convolve(fi.heat_semigroup(rho, ta), fi.heat_semigroup(sig, tb), pm)
-        right = fi.heat_semigroup(cv.convolve(rho, sig, pm), ta + tb)
+        left = cv.convolve(fi.heat_semigroup(rho, ta), fi.heat_semigroup(sig, tb), params)
+        right = fi.heat_semigroup(cv.convolve(rho, sig, params), ta + tb)
         gap = float(np.abs(left.mat - right.mat).max())
         out.append(_result(f"fisher.semigroup_intertwines.seed{seed}", 1e-9 - gap))
     return out
@@ -355,15 +346,18 @@ def _channels_task(args):
     out = []
     for klass in ("even_only", "odd_only") + (() if d == 2 else ("positive",)):
         pm = sample_parity_matrix(rng, d, klass)
-        try:
+        try:  # channel_from_choi rejects a result that is not a Choi state
             conv = chn.convolve_channels(c1, c2, pm)
-            gap = 0.0
-        except QpsError as exc:  # route disagreement
+            exact = chn._convolve_channels_exact(c1, c2, pm)
+        except QpsError as exc:
             out.append(_result(f"channels.routes.{klass}.seed{seed}", -1.0, str(exc)))
             continue
         D = d**n
         marg = np.einsum("ajbj->ab", conv.choi.mat.reshape(D, D, D, D))
-        gap = float(np.abs(marg - np.eye(D) / D).max())
+        gap = max(
+            float(np.abs(marg - np.eye(D) / D).max()),
+            float(np.abs(conv.choi.mat - exact.choi.mat).max()),
+        )
         out.append(_result(f"channels.routes_marginal.{klass}.seed{seed}", 1e-9 - gap))
     pm = sample_parity_matrix(rng, d, "odd_only")
     absorbed = chn.convolve_channels(c1, chn.depolarizing_channel(d, n), pm)

@@ -35,17 +35,29 @@ def test_channel_apply():
 
 
 def test_convolve_channels_routes_agree():
-    # internal cross-check raises on any disagreement beyond 1e-9
+    # the Choi route agrees with the exact-formula oracle to 1e-9
     for seed in range(4):
         c1 = ch.random_channel(1, 3, seed=seed)
         c2 = ch.random_channel(1, 3, seed=50 + seed)
         for G in ([[1, 1], [1, 2]], [[0, 1], [1, 1]], [[1, 0], [1, 1]]):
+            assert ch.convolution_route_gap(c1, c2, G) <= 1e-9
             out = ch.convolve_channels(c1, c2, G)
             D = 3
             marg = np.einsum("ajbj->ab", out.choi.mat.reshape(D, D, D, D))
             assert np.abs(marg - np.eye(D) / D).max() < 1e-9
     with pytest.raises(UnsupportedGError):
         ch.convolve_channels(c1, c2, [[1, 0], [0, 1]])
+
+
+def test_convolve_channels_runs_no_oracle(monkeypatch):
+    def oracle(*args):
+        raise AssertionError("the exact-formula oracle ran in production")
+
+    monkeypatch.setattr(ch, "_convolve_channels_exact", oracle)
+    c1 = ch.random_channel(1, 3, seed=1)
+    c2 = ch.random_channel(1, 3, seed=2)
+    out = ch.convolve_channels(c1, c2, cv.hadamard_params(3))
+    assert (out.d, out.n) == (3, 1)
 
 
 def test_depolarizing_absorbs():
@@ -73,7 +85,7 @@ def test_weyl_channels_compose():
 def test_identity_convolution_reproduces_state_example():
     # id ⊠ id applied to |0><0| at d = 7, (s,t) = (2,2) gives back |0><0|
     ident = ch.identity_channel(7, 1)
-    out = ch.convolve_channels(ident, ident, cv.beam_splitter_params(2, 2, 7), cross_check=False)
+    out = ch.convolve_channels(ident, ident, cv.beam_splitter_params(2, 2, 7))
     s0 = states.basis_state(0, 7)
     assert np.abs(ch.channel_apply(out, s0).mat - s0.mat).max() < 1e-10
 

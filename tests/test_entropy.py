@@ -27,22 +27,13 @@ def test_renyi_special_values():
     assert abs(ent.renyi_entropy(rank2, 0) - 1.0) < 1e-12
 
 
-def test_one_eigendecomposition_per_state(monkeypatch):
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, **kwargs):
-            calls.append(_real)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_one_eigendecomposition_per_state(eig_calls):
     mat = states.random_state(2, 3, seed=4).mat
-    calls.clear()
+    eig_calls.clear()
     s = states.make_state(mat, 3, 2)
     for a in (0.5, 1, 2, math.inf):
         ent.renyi_entropy(s, a)
-    assert len(calls) == 1
+    assert len(eig_calls) == 1
     assert not s.eigvals.flags.writeable
 
 

@@ -52,15 +52,28 @@ def test_fisher_single_finite_difference_oracle():
 
 
 def test_fisher_total_routes_and_monotone_smoothing():
-    rho = states.random_state(1, 3, seed=5)
-    prev = None
-    for eta in (1e-3, 1e-2, 0.1, 0.5):
-        j = fi.fisher_total(fi.smooth(rho, eta))
-        assert np.isfinite(j) and j >= -1e-12
-        if prev is not None:
-            assert j < prev
-        prev = j
+    # the eigenbasis route agrees with the dephasing oracle to 1e-8 relative
+    for d, n, seed in ((3, 1, 5), (2, 1, 6), (2, 2, 7), (3, 2, 8)):
+        rho = states.random_state(n, d, seed=seed)
+        prev = None
+        for eta in (1e-3, 1e-2, 0.1, 0.5):
+            smoothed = fi.smooth(rho, eta)
+            j = fi.fisher_total(smoothed)
+            assert np.isfinite(j) and j >= -1e-12
+            assert abs(j - fi._fisher_total_dephasing(smoothed)) <= 1e-8 * max(1.0, abs(j))
+            if prev is not None:
+                assert j < prev
+            prev = j
     assert abs(fi.fisher_total(states.maximally_mixed(3, 2))) < 1e-9
+    with pytest.raises(SingularStateError):
+        fi.fisher_total(states.basis_state(0, 3))
+
+
+def test_fisher_total_one_eigendecomposition(eig_calls):
+    rho = fi.smooth(states.random_state(2, 3, seed=9), 1e-3)
+    eig_calls.clear()
+    fi.fisher_total(rho)
+    assert len(eig_calls) == 1
 
 
 def test_heat_semigroup():

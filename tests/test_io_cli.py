@@ -79,6 +79,35 @@ def test_cli_clt_and_determinism():
     assert "no (s,t) classes for d=5" in r.stderr
 
 
+def test_cli_default_params(tmp_path):
+    # d = 3 and d = 5 have no beam-splitter class; the default G is Hadamard
+    for cmd in ("clt", "entropy-sweep"):
+        for d in ("3", "5"):
+            r = run_cli(cmd, "--d", d, "--N", "3")
+            assert r.returncode == 0, (cmd, d, r.stderr)
+    assert run_cli("clt").returncode == 0
+    # at d = 7 the default is the beam splitter of the first class, (2, 2)
+    r_default = run_cli("clt", "--d", "7", "--seed", "1", "--N", "3")
+    r_st = run_cli("clt", "--d", "7", "--st", "2,2", "--seed", "1", "--N", "3")
+    assert r_default.returncode == 0 and r_default.stdout == r_st.stdout
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    qio.write_state(states.random_state(1, 3, seed=1), a)
+    qio.write_state(states.random_state(1, 3, seed=2), b)
+    assert main(["conv", str(a), str(b), "--out", str(tmp_path / "c.json")]) == 0
+
+
+def test_cli_verify_qubits(tmp_path):
+    out = tmp_path / "verify.json"
+    for n in ("1", "2"):
+        code = main(["verify", "--suite", "all", "--d", "2", "--n", n, "--seeds", "2",
+                     "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["pass"]
+        names = {c["name"] for c in rep["checks"]}
+        assert "entropy.second_law" in names and "entropy.equality_case" not in names
+
+
 def test_cli_gap(tmp_path, t_state):
     path = tmp_path / "t.json"
     qio.write_state(t_state, path)
