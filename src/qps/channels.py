@@ -6,6 +6,7 @@ states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
 ``_convolve_channels_exact``, the independent oracle that
 ``convolution_route_gap``, ``qps verify`` and the tests compare against.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
+The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state.
 """
 
 from __future__ import annotations
@@ -15,22 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config
-from .convolution import (
-    as_param_matrix,
-    beam_splitter_params,
-    conv_channel_apply,
-    conv_channel_inverse,
-    convolve,
-)
+from .convolution import as_param_matrix, clt_trajectory, convolve
 from .errors import (
     IncompatibleError,
-    InternalInconsistencyError,
     NotTracePreservingError,
     UnsupportedGError,
 )
 from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
-from .states import State, char_function, make_state, maximally_mixed
+from .states import State, make_state, maximally_mixed
 from .weyl import WeylLabel, weyl_operator
 
 
@@ -225,51 +218,30 @@ class ChannelCltReport:
     rows: tuple
     magic_gap: float
     shifted: bool
-    shift_label: WeylLabel | None
+    shift_label: WeylLabel
     ok: bool
 
 
-def channel_clt(channel: Channel, st, N: int) -> ChannelCltReport:
+def channel_clt(channel: Channel, params, N: int) -> ChannelCltReport:
     """Choi 2-norm trajectory of ⊠^N Λ against the (1 - MG)^N bound.
 
-    st is a beam-splitter pair (s, t) over Z_d; non-zero-mean channels
-    are Weyl-shifted first (reported).  Each step asserts
-    distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
+    params is the G of the convolution.  The channel is Weyl-shifted to
+    zero mean first (``shifted`` says whether the shift is non-zero); the
+    rows are ``convolution.clt_trajectory`` of its Choi state.  Each step
+    asserts distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
     """
     d, n = channel.d, channel.n
-    s, t = st
-    params = beam_splitter_params(s, t, d)
-    shifted = False
-    label = None
-    work = channel
-    if not is_zero_mean_channel(channel):
-        label, work = zero_mean_channel_shift(channel)
-        shifted = True
-        if not is_zero_mean_channel(work):
-            raise InternalInconsistencyError("channel failed to shift to zero mean")
-    j0 = work.choi
-    mean = mean_state(j0).mean
-    mg = magic_gap(j0).gap
-    base = float(np.linalg.norm(j0.mat - mean.mat))
-    rows = []
-    ok = True
-    current = j0
-    for step in range(N + 1):
-        dist = float(np.linalg.norm(current.mat - mean.mat))
-        bound = (1.0 - mg) ** step * base
-        rows.append(
-            ChannelCltRow(
-                step=step,
-                distance=dist,
-                bound=bound,
-                diamond_bound=d ** (2 * n) * bound,
-            )
-        )
-        ok = ok and dist <= bound + 1e-9
-        if step < N:
-            current = convolve(current, j0, params)
+    label, work = zero_mean_channel_shift(channel)
+    rows = tuple(
+        ChannelCltRow(step=k, distance=dist, bound=bound, diamond_bound=d ** (2 * n) * bound)
+        for k, (_, dist, bound) in enumerate(clt_trajectory(work.choi, params, N))
+    )
     return ChannelCltReport(
-        rows=tuple(rows), magic_gap=mg, shifted=shifted, shift_label=label, ok=ok
+        rows=rows,
+        magic_gap=magic_gap(work.choi).gap,
+        shifted=bool(label.point.vec().any()),
+        shift_label=label,
+        ok=all(row.distance <= row.bound + 1e-9 for row in rows),
     )
 
 

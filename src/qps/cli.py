@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import channels as chn
 from . import convolution as cv
 from . import entropy as ent
@@ -100,40 +98,24 @@ def _resolve_params(args, d: int):
 
 
 def cmd_clt(args) -> int:
-    d, n = args.d, args.n
-    params = _resolve_params(args, d)
-    rho = st.random_state(n, d, seed=args.seed)
+    params = _resolve_params(args, args.d)
+    rho = st.random_state(args.n, args.d, seed=args.seed)
     _, rho = mm.zero_mean_shift(rho)
-    rep = mm.mean_state(rho)
-    mg = mm.magic_gap(rho).gap
-    base = float(np.linalg.norm(rho.mat - rep.mean.mat))
     lines = ["N,l2_distance,paper_bound," + ",".join(f"H_{a}" for a in _ALPHAS)]
     ok = True
-    current = rho
-    for step in range(args.N + 1):
-        dist = float(np.linalg.norm(current.mat - rep.mean.mat))
-        bound = (1 - mg) ** step * base
+    for step, (state, dist, bound) in enumerate(cv.clt_trajectory(rho, params, args.N)):
         ok = ok and dist <= bound + 1e-9
-        hs = [ent.renyi_entropy(current, a) for a in _ALPHAS]
+        hs = [ent.renyi_entropy(state, a) for a in _ALPHAS]
         lines.append(
             ",".join([str(step), _fmt(dist), _fmt(bound)] + [_fmt(h) for h in hs])
         )
-        if step < args.N:
-            current = cv.convolve(current, rho, params)
     _write_text("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 
 
 def cmd_channel_clt(args) -> int:
     channel = qio.read_channel(args.channel)
-    if args.st:
-        s, t = _parse_pair(args.st)
-    else:
-        classes = cv.solve_params(channel.d, "circle")
-        if not classes:
-            raise UsageError(f"no (s,t) classes for d={channel.d}")
-        s, t = classes[0].representative
-    rep = chn.channel_clt(channel, (s, t), args.N)
+    rep = chn.channel_clt(channel, _resolve_params(args, channel.d), args.N)
     label = rep.shift_label
     sp = ".".join(str(v) for v in label.point.p) if rep.shifted else ""
     sq = ".".join(str(v) for v in label.point.q) if rep.shifted else ""
@@ -249,14 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=1):
-        p.add_argument("--d", type=int, default=3, help="prime local dimension")
-        p.add_argument("--n", type=int, default=n_default, help="number of qudits")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (mandatory for randomized runs)")
+    def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel fan-out over seeds")
         p.add_argument("--tol-one", type=float, default=None, help="override |Xi|=1 threshold")
         p.add_argument("--tol-supp", type=float, default=None, help="override support threshold")
+
+    def system(p):
+        p.add_argument("--d", type=int, default=3, help="prime local dimension")
+        p.add_argument("--n", type=int, default=1, help="number of qudits")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (mandatory for randomized runs)")
 
     def conv_flags(p):
         p.add_argument("--st", default=None, help="beam-splitter pair 's,t'")
@@ -266,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt", help="state central-limit trajectory and magic-gap bound")
     common(p)
+    system(p)
     conv_flags(p)
     p.add_argument("--N", type=int, default=20)
     p.set_defaults(fn=cmd_clt)
@@ -273,12 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel-clt", help="channel CLT trajectory from a Choi file")
     common(p)
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--st", default=None, help="beam-splitter pair 's,t'")
+    p.add_argument("--st", default=None, help="beam-splitter pair 's,t' (default: the first "
+                   "(s,t) class, else Hadamard for odd d, else CNOT for d=2)")
     p.add_argument("--N", type=int, default=12)
     p.set_defaults(fn=cmd_channel_clt)
 
     p = sub.add_parser("params", help="(s,t) and (l,m) class counts for a prime d")
     common(p)
+    p.add_argument("--d", type=int, default=3, help="prime local dimension")
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("gap", help="magic-gap report for a state file")
@@ -288,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy-sweep", help="Renyi entropies along iterated convolution")
     common(p)
+    system(p)
     conv_flags(p)
     p.add_argument("--N", type=int, default=15)
     p.add_argument("--alphas", default="0.5,1,2,inf")
@@ -303,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem-check suite")
     common(p)
+    system(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel fan-out over seeds")
     p.add_argument("--suite", default="all")
     p.add_argument("--seeds", type=int, default=10)
     p.set_defaults(fn=cmd_verify)

@@ -8,7 +8,9 @@ Weyl-coefficient transforms, a gather and a pointwise product, O(D^2 log D)
 for D = d^n.  The operator route, which evaluates the partial trace by
 index gathering because U permutes basis states (O(D^3)), is kept as
 ``_convolve_mats``: the independent oracle that ``qps verify`` and the
-tests compare the production route against.
+tests compare the production route against.  ``iterate`` is the one loop
+over the powers ⊠^k rho; ``clt_trajectory``, which the state and channel
+CLTs share, adds their distance to M(rho) and the (1 - MG)^k bound.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     TooLargeError,
     UnsupportedGError,
 )
+from .mean_magic import magic_gap, mean_state
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
 from .states import CharTable, State, WignerTable, char_function, from_char, make_state
 from .weyl import digit_table, encode_digits
@@ -169,20 +172,21 @@ def convolve(rho: State, sigma: State, params) -> State:
     return make_state(from_char(out), rho.d, rho.n)
 
 
+def _scale_axes(values: np.ndarray, cp: int, cq: int) -> np.ndarray:
+    """The table x -> values[cp x_p, cq x_q] on the (d,)*2n grid (p axes first)."""
+    d, n = values.shape[0], values.ndim // 2
+    idx = np.arange(d)
+    return values[np.ix_(*([(cp * idx) % d] * n + [(cq * idx) % d] * n))]
+
+
 def convolve_char(tr: CharTable, ts: CharTable, params) -> CharTable:
     """Duality route: Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q)."""
     if (tr.d, tr.n) != (ts.d, ts.n):
         raise IncompatibleError("characteristic tables have mismatched (d, n)")
     d, n = tr.d, tr.n
     pm = as_param_matrix(params, d)
-    idx = np.arange(d)
-
-    def remap(table, cp, cq):
-        axes = [(cp * idx) % d] * n + [(cq * idx) % d] * n
-        return table[np.ix_(*axes)]
-
-    left = remap(tr.values, (pm.n_inv * pm.g11) % d, pm.g00)
-    right = remap(ts.values, (-pm.n_inv * pm.g10) % d, pm.g01)
+    left = _scale_axes(tr.values, pm.n_inv * pm.g11, pm.g00)
+    right = _scale_axes(ts.values, -pm.n_inv * pm.g10, pm.g01)
     vals = left * right
     vals.setflags(write=False)
     return CharTable(d=d, n=n, values=vals)
@@ -230,39 +234,31 @@ def conv_channel_inverse(rho: State, params) -> State:
 
 
 def convolve_wigner(wr: WignerTable, ws: WignerTable, params) -> WignerTable:
-    """Wigner-function convolution; needs a positive G (all entries invertible)."""
+    """Wigner-function convolution; needs a positive G (all entries invertible).
+
+    W_out(u, v) = sum_{u', v'} W_rho(g00^{-1} u', (N g11)^{-1} v')
+    W_sigma(g01^{-1} (u - u'), -(N g10)^{-1} (v - v')): a cyclic
+    convolution of the two rescaled tables on Z_d^{2n}, taken by FFT.
+    """
     if (wr.d, wr.n) != (ws.d, ws.n):
         raise IncompatibleError("Wigner tables have mismatched (d, n)")
     d, n = wr.d, wr.n
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the Wigner convolution formula needs positive G")
-    if d ** (4 * n) > 2 * 10**8:
-        raise TooLargeError("Wigner convolution is quadratic in the table size")
-    i00 = field_inv(pm.g00, d)
-    i01 = field_inv(pm.g01, d)
-    i11 = field_inv((pm.n_inv * pm.g11) % d, d)
-    i10 = field_inv((pm.n_inv * pm.g10) % d, d)
-    grid = np.indices((d,) * (2 * n))  # output (u, v)
-    out = np.zeros((d,) * (2 * n), dtype=float)
-    for flat in range(d ** (2 * n)):
-        uv1 = np.unravel_index(flat, (d,) * (2 * n))
-        u1 = np.array(uv1[:n])
-        v1 = np.array(uv1[n:])
-        wrho = wr.values[tuple((i00 * u1) % d) + tuple((i11 * v1) % d)]
-        # W_sigma(g01^{-1}(u - u1), (N g10)^{-1}(v1 - v)) over the whole (u, v) grid
-        su = [(i01 * (grid[k] - u1[k])) % d for k in range(n)]
-        sv = [(i10 * (v1[k] - grid[n + k])) % d for k in range(n)]
-        out += wrho * ws.values[tuple(su) + tuple(sv)]
+    a = _scale_axes(wr.values, field_inv(pm.g00, d), field_inv((pm.n_inv * pm.g11) % d, d))
+    b = _scale_axes(ws.values, field_inv(pm.g01, d), -field_inv((pm.n_inv * pm.g10) % d, d))
+    out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real
     out.setflags(write=False)
     return WignerTable(d=d, n=n, values=out)
 
 
-def iterate(rho: State, params, N: int) -> list[State]:
-    """The trajectory [⊠^0 rho, ..., ⊠^N rho] with ⊠^{k+1} = (⊠^k) ⊠ rho.
+def iterate(rho: State, params, N: int):
+    """An iterator over ⊠^0 rho, ..., ⊠^N rho with ⊠^{k+1} = (⊠^k) ⊠ rho.
 
     params may be a single parameter set or a per-step sequence of length
-    at least N.
+    at least N.  The arguments are checked at the call; the powers are
+    computed as the iterator advances, and only the current one is held.
     """
     if N < 0:
         raise IncompatibleError("N must be >= 0")
@@ -272,10 +268,30 @@ def iterate(rho: State, params, N: int) -> list[State]:
         seq = list(params)
     if len(seq) < N:
         raise IncompatibleError(f"need {N} parameter sets, got {len(seq)}")
-    out = [rho]
-    for k in range(N):
-        out.append(convolve(out[-1], rho, seq[k]))
-    return out
+
+    def powers():
+        current = rho
+        yield current
+        for step_params in seq[:N]:
+            current = convolve(current, rho, step_params)
+            yield current
+
+    return powers()
+
+
+def clt_trajectory(rho: State, params, N: int):
+    """The quantum CLT: an iterator over (⊠^k rho, ||⊠^k rho - M(rho)||_2,
+    (1 - MG(rho))^k ||rho - M(rho)||_2) for k = 0..N along ``iterate``.
+
+    rho should have zero mean (see ``mean_magic.zero_mean_shift``).
+    """
+    mean = mean_state(rho).mean
+    mg = magic_gap(rho).gap
+    base = float(np.linalg.norm(rho.mat - mean.mat))
+    return (
+        (state, float(np.linalg.norm(state.mat - mean.mat)), (1 - mg) ** k * base)
+        for k, state in enumerate(iterate(rho, params, N))
+    )
 
 
 @dataclass(frozen=True)

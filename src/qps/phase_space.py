@@ -86,12 +86,6 @@ def symplectic_inner(x: PhasePoint, y: PhasePoint, d: int) -> int:
     return total % d
 
 
-def symplectic_inner_int(xv: np.ndarray, yv: np.ndarray) -> int:
-    """Integer (unreduced) symplectic product of flattened [p|q] vectors."""
-    n = xv.size // 2
-    return int(np.dot(xv[:n], yv[n:]) - np.dot(xv[n:], yv[:n]))
-
-
 def rref_mod(A: np.ndarray, d: int):
     """Row-reduce A over Z_d.
 

@@ -40,13 +40,15 @@ class State:
 
     The spectrum is computed at most once per State: ``eigvals`` holds the
     eigenvalues that ``make_state`` found while validating, or computes
-    them on first access for States built without validation.
+    them on first access for States built without validation.  The
+    characteristic table is likewise computed once, by ``char_function``.
     """
 
     d: int
     n: int
     mat: np.ndarray
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _char: CharTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -155,7 +157,9 @@ class WignerTable:
 
 
 def char_function(state: State) -> CharTable:
-    """Xi_rho(x) = Tr[rho w(-x)] over all of V^n."""
+    """Xi_rho(x) = Tr[rho w(-x)] over all of V^n (read-only, cached on the State)."""
+    if state._char is not None:
+        return state._char
     vals = weyl_coefficient_table(state.mat, state.d, state.n)
     origin = abs(vals[(0,) * (2 * state.n)] - 1.0)
     if origin > 1e-9:
@@ -163,7 +167,9 @@ def char_function(state: State) -> CharTable:
     if np.abs(vals).max() > 1 + 1e-9:
         raise NotStateError("characteristic value exceeds unit modulus")
     vals.setflags(write=False)
-    return CharTable(d=state.d, n=state.n, values=vals)
+    table = CharTable(d=state.d, n=state.n, values=vals)
+    object.__setattr__(state, "_char", table)
+    return table
 
 
 def char_table_of(mat: np.ndarray, d: int, n: int) -> CharTable:

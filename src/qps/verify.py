@@ -22,6 +22,7 @@ from . import fisher as fi
 from . import mean_magic as mm
 from . import states as st
 from . import weyl
+from .config import config
 from .errors import QpsError
 from .phase_space import PhasePoint, make_point
 
@@ -43,11 +44,18 @@ def _result(name: str, slack: float, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=bool(slack >= 0), slack=float(slack), detail=detail)
 
 
+def _load_config(values: dict) -> None:
+    """Worker initializer: adopt the parent's tolerances, whatever the start method."""
+    vars(config).update(values)
+
+
 def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int):
     """Run fn on (d, n, s) for the task indices s = seed .. seed + seeds - 1."""
     tasks = [(d, n, s) for s in range(seed, seed + seeds)]
     if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_load_config, initargs=(dict(vars(config)),)
+        ) as pool:
             chunks = list(pool.map(fn, tasks))
     else:
         chunks = [fn(t) for t in tasks]

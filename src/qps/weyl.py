@@ -227,10 +227,6 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
     return np.abs(mat.conj().T @ mat - np.eye(D)).max() < tol
 
 
-def is_hermitian(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    return np.abs(mat - mat.conj().T).max() < tol
-
-
 def is_weyl_up_to_phase(
     A: np.ndarray, d: int, n: int, one_tol: float | None = None, zero_tol: float | None = None
 ):

@@ -226,7 +226,7 @@ def test_11_channel_clt():
     count_ok = 0
     for seed in range(10):
         lam = chn.random_mixed_unitary_channel(1, 7, seed=1100 + seed, terms=3)
-        rep = chn.channel_clt(lam, (2, 2), 12)
+        rep = chn.channel_clt(lam, cv.beam_splitter_params(2, 2, 7), 12)
         assert all(r.distance <= r.bound + 1e-9 for r in rep.rows), f"seed {seed}"
         count_ok += rep.ok
     assert count_ok == 10

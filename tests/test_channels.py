@@ -160,11 +160,11 @@ def test_zero_mean_channel_and_corollary(t_state):
 def test_channel_clt():
     # stabilizer channel: distance identically zero
     cl = ch.unitary_channel(weyl.random_clifford(1, 7, 6, seed=1), 7, 1)
-    rep = ch.channel_clt(cl, (2, 2), 4)
+    rep = ch.channel_clt(cl, cv.beam_splitter_params(2, 2, 7), 4)
     assert rep.ok and all(row.distance < 1e-9 for row in rep.rows)
     # random zero-mean channel: geometric decay within the bound
     lam = ch.random_mixed_unitary_channel(1, 7, seed=11)
-    rep = ch.channel_clt(lam, (2, 2), 6)
+    rep = ch.channel_clt(lam, cv.beam_splitter_params(2, 2, 7), 6)
     assert rep.ok
     assert rep.rows[-1].distance <= rep.rows[-1].bound + 1e-9
     assert rep.rows[-1].diamond_bound == pytest.approx(49 * rep.rows[-1].bound)

@@ -167,13 +167,15 @@ def test_conv_channel_inverse():
 
 
 def test_wigner_convolution():
+    for d, n in ((3, 1), (5, 2)):
+        h = cv.hadamard_params(d)
+        for seed in range(4):
+            a = states.random_state(n, d, seed=seed)
+            b = states.random_state(n, d, seed=50 + seed)
+            fast = cv.convolve_wigner(states.wigner(a), states.wigner(b), h)
+            slow = states.wigner(cv.convolve(a, b, h))
+            assert np.abs(fast.values - slow.values).max() < 1e-10
     h = cv.hadamard_params(3)
-    for seed in range(4):
-        a = states.random_state(1, 3, seed=seed)
-        b = states.random_state(1, 3, seed=50 + seed)
-        fast = cv.convolve_wigner(states.wigner(a), states.wigner(b), h)
-        slow = states.wigner(cv.convolve(a, b, h))
-        assert np.abs(fast.values - slow.values).max() < 1e-10
     # s = t beam splitter outputs are pointwise nonnegative
     bs = cv.beam_splitter_params(2, 2, 7)
     a = states.random_state(1, 7, seed=9)
@@ -220,14 +222,59 @@ def test_mean_state_compatibility():
 def test_iterate():
     bs = cv.beam_splitter_params(2, 2, 7)
     s0 = states.basis_state(0, 7)
-    traj = cv.iterate(s0, bs, 3)
+    traj = list(cv.iterate(s0, bs, 3))
     assert len(traj) == 4
     assert np.abs(traj[-1].mat - s0.mat).max() < 1e-12
-    per_step = cv.iterate(s0, [bs, bs, bs], 3)
+    per_step = list(cv.iterate(s0, [bs, bs, bs], 3))
     assert np.abs(per_step[-1].mat - traj[-1].mat).max() == 0
-    assert len(cv.iterate(s0, bs, 0)) == 1
+    assert len(list(cv.iterate(s0, bs, 0))) == 1
     with pytest.raises(IncompatibleError):
-        cv.iterate(s0, [bs], 3)
+        list(cv.iterate(s0, [bs], 3))
+
+
+def test_iterate_checks_arguments_at_the_call():
+    bs = cv.beam_splitter_params(2, 2, 7)
+    s0 = states.basis_state(0, 7)
+    for params, N in (([bs], 3), (bs, -1)):
+        with pytest.raises(IncompatibleError):
+            cv.iterate(s0, params, N)
+        with pytest.raises(IncompatibleError):
+            cv.clt_trajectory(s0, params, N)
+
+
+def test_clt_trajectory_matches_iterate():
+    h = cv.hadamard_params(3)
+    _, rho = mm.zero_mean_shift(states.random_state(2, 3, seed=4))
+    mean = mm.mean_state(rho).mean
+    mg = mm.magic_gap(rho).gap
+    base = np.linalg.norm(rho.mat - mean.mat)
+    rows = list(cv.clt_trajectory(rho, h, 4))
+    assert len(rows) == 5
+    for k, ((state, dist, bound), ref) in enumerate(zip(rows, cv.iterate(rho, h, 4))):
+        assert np.array_equal(state.mat, ref.mat)
+        assert dist == np.linalg.norm(ref.mat - mean.mat)
+        assert bound == (1 - mg) ** k * base
+        assert dist <= bound + 1e-9
+
+
+def test_convolve_computes_each_char_table_once(monkeypatch):
+    seen = []
+    real = states.weyl_coefficient_table
+
+    def counted(mat, d, n):
+        seen.append(mat)
+        return real(mat, d, n)
+
+    monkeypatch.setattr(states, "weyl_coefficient_table", counted)
+    h = cv.hadamard_params(3)
+    rho = states.random_state(2, 3, seed=1)
+    sigma = states.random_state(2, 3, seed=2)
+    first = cv.convolve(rho, sigma, h)
+    second = cv.convolve(first, sigma, h)
+    assert sum(m is sigma.mat for m in seen) == 1
+    assert sum(m is rho.mat for m in seen) == 1
+    assert len(seen) == 3
+    assert states.char_function(second) is states.char_function(second)
 
 
 def test_solve_params_counts_and_reps():

@@ -1,4 +1,6 @@
+import functools
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -7,8 +9,9 @@ import pytest
 
 from qps import channels as ch
 from qps import io as qio
-from qps import states
+from qps import states, verify
 from qps.cli import main
+from qps.config import config
 
 
 def run_cli(*args):
@@ -153,6 +156,33 @@ def test_cli_channel_clt(tmp_path):
     assert all(row.split(",")[4] == "1" for row in rows)
 
 
+def test_cli_channel_clt_default_params(tmp_path):
+    # d = 3 and d = 5 have no beam-splitter class; the default G serves them
+    for d in (3, 5):
+        path = tmp_path / f"chan{d}.json"
+        qio.write_channel(ch.random_mixed_unitary_channel(1, d, seed=1), path)
+        r = run_cli("channel-clt", str(path), "--N", "3")
+        assert r.returncode == 0, (d, r.stderr)
+        assert len(r.stdout.strip().split("\n")) == 5
+    # at d = 7 the default is the beam splitter of the first class, (2, 2)
+    path = tmp_path / "chan7.json"
+    qio.write_channel(ch.random_mixed_unitary_channel(1, 7, seed=2), path)
+    r_default = run_cli("channel-clt", str(path), "--N", "3")
+    r_st = run_cli("channel-clt", str(path), "--st", "2,2", "--N", "3")
+    assert r_default.returncode == 0 and r_default.stdout == r_st.stdout
+
+
+def test_cli_rejects_flags_a_command_does_not_read(tmp_path):
+    path = tmp_path / "rho.json"
+    qio.write_state(states.random_state(1, 3, seed=1), path)
+    assert run_cli("gap", str(path)).returncode == 0
+    for extra in (["--jobs", "2"], ["--d", "3"], ["--seed", "1"]):
+        r = run_cli("gap", *extra, str(path))
+        assert r.returncode == 2 and "unrecognized arguments" in r.stderr
+    assert run_cli("params", "--n", "2").returncode == 2
+    assert run_cli("clt", "--jobs", "2", "--N", "1").returncode == 2
+
+
 def test_cli_entropy_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([
@@ -238,3 +268,17 @@ def test_cli_verify_jobs(tmp_path):
     r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     assert r1["checks"] == r2["checks"]
     assert r1["pass"] and r2["pass"]
+
+
+def _tol_one_task(args):
+    return [config.tol_one]
+
+
+def test_tolerance_overrides_reach_spawned_workers(monkeypatch):
+    # spawn (and forkserver) workers re-import qps instead of inheriting its state
+    spawn = functools.partial(
+        verify.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    )
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(config, "tol_one", 0.25)
+    assert verify._map_tasks(_tol_one_task, 3, 1, 2, 2, 0) == [0.25, 0.25]
