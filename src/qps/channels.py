@@ -26,6 +26,9 @@ from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
 from .states import State, make_state, maximally_mixed
 from .weyl import WeylLabel, weyl_operator
 
+# Entries gathered at once by ``_convolve_channels_exact``: all D^5 per k up to D = 16.
+_EXACT_BLOCK = 2**20
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -107,16 +110,6 @@ def channel_apply(channel: Channel, rho: State) -> State:
     return make_state(out, channel.d, channel.n)
 
 
-def _apply_pair_to_joint_mat(ch1: Channel, ch2: Channel, joint: np.ndarray) -> np.ndarray:
-    """(Λ1 ⊗ Λ2) on a joint 2n-qudit matrix, via the Choi tensors."""
-    D = ch1.dim
-    t1 = ch1.choi.mat.reshape(D, D, D, D)
-    t2 = ch2.choi.mat.reshape(D, D, D, D)
-    rho = joint.reshape(D, D, D, D)  # (a, b | a', b') row/col pairs
-    out = D * D * np.einsum("abAB,aoAO,bpBP->opOP", rho, t1, t2, optimize=True)
-    return out.reshape(D * D, D * D)
-
-
 def convolve_channels(ch1: Channel, ch2: Channel, params) -> Channel:
     """Channel convolution Λ1 ⊠ Λ2 by the Choi route.
 
@@ -132,19 +125,42 @@ def convolve_channels(ch1: Channel, ch2: Channel, params) -> Channel:
 
 
 def _convolve_channels_exact(ch1: Channel, ch2: Channel, pm) -> Channel:
-    """Choi state of E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} built column by column."""
-    from .convolution import _e_apply_mat, _e_inverse_mat
+    """Choi state of E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1}, from the key unitary's index map alone.
+
+    U^dag sends |i>|m> to |A[i, m]>|B[i, m]> with A, B from
+    ``_gather_indices``, so E^{-1}(|i><j|) = (1/D) sum_m |A_im B_im><A_jm B_jm|
+    and E is the partial trace over the same map.  With the Choi tensors
+    t[a, o, a', o'], the Choi matrix of the convolution is
+
+        J[i, x, j, y] = sum_{k, m} t1[A_im, A_xk, A_jm, A_yk] t2[B_im, B_xk, B_jm, B_yk],
+
+    one gather-and-sum over D^5 entries per k (in blocks of i when D^5 is
+    large).  The factors 1/D of E^{-1}, D^2 of the two Choi actions and
+    1/D of the Choi normalization are applied in that order.  No
+    characteristic table is used, so this stays independent of the duality
+    route that ``convolve_channels`` takes.
+    """
+    from .convolution import _gather_indices
 
     d, n = ch1.d, ch1.n
     D = d**n
-    J = np.zeros((D * D, D * D), dtype=complex)
-    for i in range(D):
-        for j in range(D):
-            unit = np.zeros((D, D), dtype=complex)
-            unit[i, j] = 1.0
-            mid = _apply_pair_to_joint_mat(ch1, ch2, _e_inverse_mat(unit, pm, d, n))
-            J[i * D : (i + 1) * D, j * D : (j + 1) * D] = _e_apply_mat(mid, pm, d, n) / D
-    choi = make_state(J, d, 2 * n)
+    A, B = _gather_indices(pm, d, n)
+    t1 = ch1.choi.mat.reshape(-1)
+    t2 = ch2.choi.mat.reshape(-1)
+    # flat offset of t[a, o, a', o'] is a D^3 + o D^2 + a' D + o'
+    in1 = (A[:, None, :] * D**3 + A[None, :, :] * D)[:, None, :, None, :]
+    in2 = (B[:, None, :] * D**3 + B[None, :, :] * D)[:, None, :, None, :]
+    step = max(1, _EXACT_BLOCK // D**4)
+    J = np.zeros((D, D, D, D), dtype=complex)
+    for k in range(D):
+        out1 = (A[:, None, k] * D**2 + A[None, :, k])[None, :, None, :, None]
+        out2 = (B[:, None, k] * D**2 + B[None, :, k])[None, :, None, :, None]
+        for lo in range(0, D, step):
+            rows = slice(lo, lo + step)
+            g1 = t1[in1[rows] + out1] / D
+            g2 = t2[in2[rows] + out2]
+            J[rows] += D * D * (g1 * g2).sum(axis=-1)
+    choi = make_state((J / D).reshape(D * D, D * D), d, 2 * n)
     return channel_from_choi(choi)
 
 

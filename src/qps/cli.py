@@ -20,7 +20,7 @@ from . import io as qio
 from . import mean_magic as mm
 from . import states as st
 from . import verify
-from .errors import QpsError
+from .errors import QpsError, UnsupportedGError
 
 _ALPHAS = (0.5, 1.0, 2.0, math.inf)
 
@@ -97,8 +97,20 @@ def _resolve_params(args, d: int):
     raise UsageError(f"unknown family {family!r}")
 
 
+def _clt_params(args, d: int):
+    """The resolved G, refused unless positive: the (1 - MG)^N bound is stated for positive G."""
+    params = _resolve_params(args, d)
+    pm = cv.as_param_matrix(params, d)
+    if not pm.positive:
+        none = " (none exists for d=2)" if d == 2 else ""
+        raise UnsupportedGError(
+            f"the CLT bound needs a positive G; {pm.as_array().tolist()} is not{none}"
+        )
+    return params
+
+
 def cmd_clt(args) -> int:
-    params = _resolve_params(args, args.d)
+    params = _clt_params(args, args.d)
     rho = st.random_state(args.n, args.d, seed=args.seed)
     _, rho = mm.zero_mean_shift(rho)
     lines = ["N,l2_distance,paper_bound," + ",".join(f"H_{a}" for a in _ALPHAS)]
@@ -115,7 +127,7 @@ def cmd_clt(args) -> int:
 
 def cmd_channel_clt(args) -> int:
     channel = qio.read_channel(args.channel)
-    rep = chn.channel_clt(channel, _resolve_params(args, channel.d), args.N)
+    rep = chn.channel_clt(channel, _clt_params(args, channel.d), args.N)
     label = rep.shift_label
     sp = ".".join(str(v) for v in label.point.p) if rep.shifted else ""
     sq = ".".join(str(v) for v in label.point.q) if rep.shifted else ""
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--st", default=None, help="beam-splitter pair 's,t' (default: the first "
-                   "(s,t) class, else Hadamard for odd d, else CNOT for d=2)")
+                   "(s,t) class, else Hadamard; d=2 has no positive G and is refused)")
     p.add_argument("--N", type=int, default=12)
     p.set_defaults(fn=cmd_channel_clt)
 

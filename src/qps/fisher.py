@@ -24,7 +24,7 @@ from .errors import (
     SingularStateError,
 )
 from .states import CharTable, State, char_function, from_char, make_state, maximally_mixed
-from .weyl import fourier_gate
+from .weyl import embed_one_site, fourier_gate
 
 LN2 = math.log(2.0)
 
@@ -47,23 +47,34 @@ def _site_basis(axis: str, d: int) -> np.ndarray:
 
 def dephasing_projector(axis: str, site: int, j: int, d: int, n: int) -> np.ndarray:
     """H_j^R = |j><j|_R on the chosen site, embedded in the register."""
-    from .weyl import embed_one_site
-
     col = _site_basis(axis, d)[:, j]
     return embed_one_site(np.outer(col, col.conj()), site, n, d)
 
 
-def _dephase_mat(mat: np.ndarray, d: int, n: int, axis: str, site: int) -> np.ndarray:
-    basis = _site_basis(axis, d)
-    from .weyl import embed_one_site
+def _rotate_site_axis(t: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the d x d gate along one axis of t (a register reshaped site-first)."""
+    return np.moveaxis(np.tensordot(gate, t, axes=(1, axis)), 0, axis)
 
-    u = embed_one_site(basis, site, n, d)
-    rotated = u.conj().T @ mat @ u
+
+def _site_shape(d: int, n: int, site: int) -> tuple:
+    """The register index split as (sites before, this site, sites after)."""
+    return (d**site, d, d ** (n - site - 1))
+
+
+def _dephase_mat(mat: np.ndarray, d: int, n: int, axis: str, site: int) -> np.ndarray:
+    """sum_j P_j mat P_j for the site projectors P_j of ``_site_basis(axis)``.
+
+    Both indices of mat are rotated into the site basis along the site
+    axis only (rows by B^dag, columns by B), the off-diagonal site blocks
+    are zeroed, and the rotation is undone; no D x D embedding is built.
+    """
+    basis = _site_basis(axis, d)
     D = d**n
-    t = rotated.reshape((d ** site, d, d ** (n - site - 1), d ** site, d, d ** (n - site - 1)))
-    mask = np.eye(d)[None, :, None, None, :, None]
-    t = t * mask
-    return u @ t.reshape(D, D) @ u.conj().T
+    t = mat.reshape(_site_shape(d, n, site) * 2)
+    t = _rotate_site_axis(_rotate_site_axis(t, basis.conj().T, 1), basis.T, 4)
+    t = t * np.eye(d)[None, :, None, None, :, None]
+    t = _rotate_site_axis(_rotate_site_axis(t, basis, 1), basis.conj(), 4)
+    return t.reshape(D, D)
 
 
 def dephase(state: State, axis: str, site: int = 0) -> State:
@@ -116,17 +127,23 @@ def fisher_total(state: State) -> float:
 
     With rho = V diag(lam) V^dag from one eigendecomposition,
     J(rho; H) = sum_ij |(V^dag H V)_ij|^2 (lam_i - lam_j)(log2 lam_i - log2 lam_j),
-    a sum of nonnegative terms.
+    a sum of nonnegative terms.  For the projector H = |b_j><b_j| on one
+    site, V^dag H V = W_j^dag W_j, where W_j is the slice at site digit j
+    of V rotated into the site basis {b_j} along that site's axis.
     """
     vals, vecs = _spectrum(state)
     logs = np.log2(vals)
     weight = np.subtract.outer(vals, vals) * np.subtract.outer(logs, logs)
     d, n = state.d, state.n
+    D = d**n
     total = 0.0
     for site in range(n):
+        v = vecs.reshape(_site_shape(d, n, site) + (D,))
         for axis in ("X", "Z"):
+            w = _rotate_site_axis(v, _site_basis(axis, d).conj().T, 1)
             for j in range(d):
-                h = vecs.conj().T @ dephasing_projector(axis, site, j, d, n) @ vecs
+                wj = w[:, j].reshape(-1, D)
+                h = wj.conj().T @ wj
                 total += float(np.sum((h.real**2 + h.imag**2) * weight))
     return total
 

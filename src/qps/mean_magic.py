@@ -30,7 +30,6 @@ from .weyl import (
     embed_one_site,
     embed_two_site,
     fourier_gate,
-    is_weyl_up_to_phase,
     phase_gate,
     t_gate,
     weyl_operator,

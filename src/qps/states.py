@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import config, ensure_table_size
+from .config import config
 from .errors import (
     IncompatibleError,
     NotStateError,
@@ -258,8 +258,6 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
     """
     if d ** (2 * n) > config.max_enumeration:
         raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
-    from .weyl import digit_table
-
     all_vecs = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
     nonzero = [v for v in all_vecs if v.any()]
     trivial = subgroup_generators([], d, n)

@@ -6,10 +6,12 @@ multi-site operators are tensor products.  The qubit convention is taken
 literally: phases of products are governed by integer exponents of i
 (see ``weyl_literal`` and ``commutation_phase``).
 
-Dense matrices throughout; Weyl operators are built from explicit shift
-and clock factors, never matrix exponentials.  The Weyl-coefficient
-transform (matrix -> table of Tr[M w(-x)]) runs through one FFT per
-diagonal stripe, which is exact up to float rounding.
+Operators are returned as dense matrices.  A Weyl operator is monomial
+(one nonzero entry per column), so ``weyl_operator`` builds its row
+indices and values site by site from explicit shift and clock factors
+and scatters them once: no matrix exponentials, no Kronecker chains.
+The Weyl-coefficient transform (matrix -> table of Tr[M w(-x)]) runs
+through one FFT per diagonal stripe, which is exact up to float rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     SingularGError,
     UnsupportedDimensionError,
 )
-from .phase_space import PhasePoint, check_prime, field_inv, make_point, symplectic_inner
+from .phase_space import PhasePoint, check_prime, field_inv, symplectic_inner
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,37 @@ def _site_weyl_table(d: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _site_monomials(d: int):
+    """Column form of every single-site Weyl matrix: (rows, vals).
+
+    Column k of the site matrix (p, q) holds its one entry vals[p, q, k]
+    at row rows[q, k] = (k + q) mod d.
+    """
+    k = np.arange(d)
+    rows = (k[None, :] + k[:, None]) % d
+    vals = _site_weyl_table(d)[k[:, None, None], k[None, :, None], rows, k]
+    rows.setflags(write=False)
+    vals.setflags(write=False)
+    return rows, vals
+
+
 def weyl_operator(point: PhasePoint, d: int) -> np.ndarray:
-    """The unitary w(p, q) on d^n dimensions."""
-    table = _site_weyl_table(d)
-    out = np.array([[1.0 + 0j]])
+    """The unitary w(p, q) on d^n dimensions.
+
+    w(p, q) is monomial: column c holds one entry, vals[c] at row rows[c].
+    Both are built site by site (site 0 most significant) and scattered
+    once; the site values multiply left to right, as a Kronecker product
+    of the site matrices would.
+    """
+    site_rows, site_vals = _site_monomials(d)
+    rows = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
     for pk, qk in zip(point.p, point.q):
-        out = np.kron(out, table[pk % d, qk % d])
+        rows = (rows[:, None] * d + site_rows[qk % d]).reshape(-1)
+        vals = (vals[:, None] * site_vals[pk % d, qk % d]).reshape(-1)
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = vals
     return out
 
 

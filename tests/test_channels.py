@@ -6,7 +6,7 @@ import pytest
 from qps import channels as ch
 from qps import convolution as cv
 from qps import mean_magic as mm
-from qps import states, weyl
+from qps import states, verify, weyl
 from qps.errors import NotTracePreservingError, UnsupportedGError
 
 
@@ -58,6 +58,39 @@ def test_convolve_channels_runs_no_oracle(monkeypatch):
     c2 = ch.random_channel(1, 3, seed=2)
     out = ch.convolve_channels(c1, c2, cv.hadamard_params(3))
     assert (out.d, out.n) == (3, 1)
+
+
+def _convolve_channels_column_loop(ch1, ch2, pm):
+    """Reference E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1}, one unit matrix |i><j| at a time."""
+    d, n = ch1.d, ch1.n
+    D = d**n
+    t1 = ch1.choi.mat.reshape(D, D, D, D)
+    t2 = ch2.choi.mat.reshape(D, D, D, D)
+    J = np.zeros((D * D, D * D), dtype=complex)
+    for i in range(D):
+        for j in range(D):
+            unit = np.zeros((D, D), dtype=complex)
+            unit[i, j] = 1.0
+            joint = cv._e_inverse_mat(unit, pm, d, n).reshape(D, D, D, D)
+            mid = D * D * np.einsum("abAB,aoAO,bpBP->opOP", joint, t1, t2, optimize=True)
+            J[i * D : (i + 1) * D, j * D : (j + 1) * D] = (
+                cv._e_apply_mat(mid.reshape(D * D, D * D), pm, d, n) / D
+            )
+    return J
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_exact_oracle_matches_column_loop(d, n, monkeypatch):
+    rng = np.random.default_rng(10 * d + n)
+    c1 = ch.random_channel(n, d, seed=d + n)
+    c2 = ch.random_channel(n, d, seed=100 + d + n)
+    for klass in ("trivial", "even_only", "odd_only") + (() if d == 2 else ("positive",)):
+        pm = verify.sample_parity_matrix(rng, d, klass)
+        batched = ch._convolve_channels_exact(c1, c2, pm).choi.mat
+        assert np.abs(batched - _convolve_channels_column_loop(c1, c2, pm)).max() <= 1e-12
+        with monkeypatch.context() as m:  # one row of i per block, as at large D
+            m.setattr(ch, "_EXACT_BLOCK", 1)
+            assert (ch._convolve_channels_exact(c1, c2, pm).choi.mat == batched).all()
 
 
 def test_depolarizing_absorbs():

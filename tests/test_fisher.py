@@ -76,6 +76,20 @@ def test_fisher_total_one_eigendecomposition(eig_calls):
     assert len(eig_calls) == 1
 
 
+def test_fisher_total_and_dephase_build_no_kron(monkeypatch):
+    # both act on one site axis at a time; no register-sized embedding is built
+    rho = fi.smooth(states.random_state(3, 3, seed=4), 1e-3)
+    want_j = fi.fisher_total(rho)
+    want_x = fi.dephase(rho, "X", 1).mat
+
+    def kron(*args):
+        raise AssertionError("a dense Kronecker embedding was built")
+
+    monkeypatch.setattr(np, "kron", kron)
+    assert fi.fisher_total(rho) == want_j
+    assert (fi.dephase(rho, "X", 1).mat == want_x).all()
+
+
 def test_heat_semigroup():
     rho = states.random_state(1, 3, seed=6)
     assert np.abs(fi.heat_semigroup(rho, 0.0).mat - rho.mat).max() < 1e-12

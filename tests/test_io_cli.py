@@ -172,6 +172,24 @@ def test_cli_channel_clt_default_params(tmp_path):
     assert r_default.returncode == 0 and r_default.stdout == r_st.stdout
 
 
+def test_cli_clt_refuses_non_positive_g(capsys):
+    # d = 2 has no positive G; an explicit non-positive G is refused the same way
+    for argv in (["--d", "2", "--n", "2", "--N", "6"], ["--d", "3", "--g", "1,0,1,1", "--N", "2"]):
+        assert main(["clt", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UnsupportedGError") and "positive G" in err
+
+
+def test_cli_channel_clt_refuses_non_positive_g(tmp_path, capsys):
+    path = tmp_path / "chan2.json"
+    qio.write_channel(ch.random_mixed_unitary_channel(1, 2, seed=1), path)
+    out = tmp_path / "traj.csv"
+    assert main(["channel-clt", str(path), "--N", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnsupportedGError") and "d=2" in err
+    assert not out.exists()
+
+
 def test_cli_rejects_flags_a_command_does_not_read(tmp_path):
     path = tmp_path / "rho.json"
     qio.write_state(states.random_state(1, 3, seed=1), path)

@@ -1,0 +1,69 @@
+"""Property tests: production routes against their oracles at drawn (d, n, point, seed).
+
+Each property keeps the tolerance of the matching fixed-case test.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as hs  # noqa: E402
+
+from qps import channels as ch  # noqa: E402
+from qps import fisher as fi  # noqa: E402
+from qps import states, verify, weyl  # noqa: E402
+from qps.phase_space import PhasePoint, make_point  # noqa: E402
+
+PROFILE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+# (d, n) with D = d^n small enough for dense oracles on every draw
+SYSTEMS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+seeds = hs.integers(0, 2**31 - 1)
+
+
+@hs.composite
+def point_pairs(draw):
+    d, n = draw(hs.sampled_from(SYSTEMS))
+    coords = hs.lists(hs.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    return d, PhasePoint.from_vec(draw(coords)), PhasePoint.from_vec(draw(coords))
+
+
+@PROFILE
+@given(point_pairs())
+def test_commutation_relation(case):
+    # w(x) w(y) = c w(x + y); for d = 2 the sum label is read unreduced
+    d, x, y = case
+    lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
+    ps = np.array(x.p) + np.array(y.p)
+    qs = np.array(x.q) + np.array(y.q)
+    if d == 2:
+        total = weyl.weyl_literal(ps, qs, d)
+    else:
+        total = weyl.weyl_operator(make_point(ps, qs, d), d)
+    assert np.abs(lhs - weyl.commutation_phase(x, y, d) * total).max() < 1e-12
+
+
+@PROFILE
+@given(hs.sampled_from(SYSTEMS), seeds, hs.sampled_from([1e-3, 1e-2, 0.1, 0.5]))
+def test_fisher_total_matches_dephasing_oracle(system, seed, eta):
+    d, n = system
+    rho = fi.smooth(states.random_state(n, d, seed=seed), eta)
+    j = fi.fisher_total(rho)
+    assert abs(j - fi._fisher_total_dephasing(rho)) <= 1e-8 * max(1.0, abs(j))
+
+
+@PROFILE
+@given(
+    hs.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]),
+    seeds,
+    hs.sampled_from(["even_only", "odd_only", "positive"]),
+)
+def test_channel_routes_agree(system, seed, klass):
+    d, n = system
+    if d == 2 and klass == "positive":
+        klass = "even_only"
+    rng = np.random.default_rng(seed)
+    pm = verify.sample_parity_matrix(rng, d, klass)
+    c1 = ch.random_channel(n, d, seed=rng.integers(2**31))
+    c2 = ch.random_channel(n, d, seed=rng.integers(2**31))
+    assert ch.convolution_route_gap(c1, c2, pm) <= 1e-9

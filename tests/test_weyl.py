@@ -16,6 +16,29 @@ def test_weyl_operator_basics():
     assert np.abs(y - np.array([[0, -1j], [1j, 0]])).max() < 1e-12
 
 
+def _weyl_operator_kron(point, d):
+    """Reference w(p, q): the chained Kronecker product of the site matrices."""
+    table = weyl._site_weyl_table(d)
+    out = np.array([[1.0 + 0j]])
+    for pk, qk in zip(point.p, point.q):
+        out = np.kron(out, table[pk % d, qk % d])
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_weyl_operator_matches_kron_chain(d):
+    # the monomial scatter reproduces the Kronecker chain entry for entry
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3):
+        if d ** (2 * n) <= 729:
+            vecs = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+        else:
+            vecs = rng.integers(0, d, size=(60, 2 * n))
+        for v in vecs:
+            point = PhasePoint.from_vec(v)
+            assert (weyl.weyl_operator(point, d) == _weyl_operator_kron(point, d)).all()
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_commutation_odd(d):
     rng = np.random.default_rng(d)
