@@ -12,15 +12,15 @@ import json
 import math
 import sys
 
-from . import channels as chn
 from . import convolution as cv
 from . import entropy as ent
 from .config import config as tolconf, snapshot
-from . import io as qio
 from . import mean_magic as mm
 from . import states as st
-from . import verify
 from .errors import QpsError, UnsupportedGError
+
+# `channels`, `io` and `verify` (with its process pool) are imported by the
+# commands that use them, so the other commands never load them.
 
 _ALPHAS = (0.5, 1.0, 2.0, math.inf)
 
@@ -126,6 +126,9 @@ def cmd_clt(args) -> int:
 
 
 def cmd_channel_clt(args) -> int:
+    from . import channels as chn
+    from . import io as qio
+
     channel = qio.read_channel(args.channel)
     rep = chn.channel_clt(channel, _clt_params(args, channel.d), args.N)
     label = rep.shift_label
@@ -170,6 +173,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    from . import io as qio
+
     state = qio.read_state(args.state)
     gap = mm.magic_gap(state)
     rep = mm.mean_state(state)
@@ -203,6 +208,8 @@ def cmd_entropy_sweep(args) -> int:
 
 
 def cmd_conv(args) -> int:
+    from . import io as qio
+
     rho = qio.read_state(args.rho)
     sigma = qio.read_state(args.sigma)
     params = _resolve_params(args, rho.d)
@@ -215,6 +222,8 @@ def cmd_conv(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     suite = args.suite
     if suite != "all" and suite not in verify.SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {('all',) + verify.SUITES}")

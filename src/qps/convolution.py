@@ -16,6 +16,7 @@ CLTs share, adds their distance to M(rho) and the (1 - MG)^k bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,15 @@ from .errors import (
 )
 from .mean_magic import magic_gap, mean_state
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import CharTable, State, WignerTable, char_function, from_char, make_state
+from .states import (
+    CharTable,
+    State,
+    WignerTable,
+    _cache_char,
+    char_function,
+    from_char,
+    make_state,
+)
 from .weyl import digit_table, encode_digits
 
 
@@ -161,7 +170,10 @@ def convolve(rho: State, sigma: State, params) -> State:
 
     Both characteristic tables are dense d^{2n} arrays, so this raises
     TooLargeError when d^{2n} exceeds the ``max_table`` cap (see
-    ``config``).  The result is validated by ``make_state``.
+    ``config``).  The result is validated by ``make_state``, and the
+    product table Xi_out it was built from is handed to it as its
+    characteristic table, so ``char_function`` on the result (the next
+    step of ``iterate``) transforms nothing.
     """
     if (rho.d, rho.n) != (sigma.d, sigma.n):
         raise IncompatibleError(
@@ -169,14 +181,31 @@ def convolve(rho: State, sigma: State, params) -> State:
         )
     pm = as_param_matrix(params, rho.d)
     out = convolve_char(char_function(rho), char_function(sigma), pm)
-    return make_state(from_char(out), rho.d, rho.n)
+    state = make_state(from_char(out), rho.d, rho.n)
+    _cache_char(state, out.values)
+    return state
+
+
+@lru_cache(maxsize=None)
+def _register_scaling(d: int, n: int, c: int) -> np.ndarray:
+    """pi_c: the register index of the digits c * digits(k) mod d, for each k < d^n."""
+    perm = encode_digits((c * digit_table(d, n)) % d, d)
+    perm.setflags(write=False)
+    return perm
 
 
 def _scale_axes(values: np.ndarray, cp: int, cq: int) -> np.ndarray:
-    """The table x -> values[cp x_p, cq x_q] on the (d,)*2n grid (p axes first)."""
+    """The table x -> values[cp x_p, cq x_q] on the (d,)*2n grid (p axes first).
+
+    Scaling every p digit by cp maps the p register index k to
+    pi_cp[k] (see ``_register_scaling``), so the table is one gather of
+    the (d^n, d^n) view by two index vectors of length d^n.
+    """
     d, n = values.shape[0], values.ndim // 2
-    idx = np.arange(d)
-    return values[np.ix_(*([(cp * idx) % d] * n + [(cq * idx) % d] * n))]
+    D = d**n
+    rows = _register_scaling(d, n, cp % d)
+    cols = _register_scaling(d, n, cq % d)
+    return values.reshape(D, D)[np.ix_(rows, cols)].reshape(values.shape)
 
 
 def convolve_char(tr: CharTable, ts: CharTable, params) -> CharTable:

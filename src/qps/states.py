@@ -33,6 +33,9 @@ from .weyl import (
     weyl_operator,
 )
 
+# Absolute slack of the checks Xi(0) = 1 and |Xi| <= 1 on every cached table.
+XI_CHECK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class State:
@@ -41,7 +44,9 @@ class State:
     The spectrum is computed at most once per State: ``eigvals`` holds the
     eigenvalues that ``make_state`` found while validating, or computes
     them on first access for States built without validation.  The
-    characteristic table is likewise computed once, by ``char_function``.
+    characteristic table is likewise held once: ``char_function`` computes
+    it on first use, unless ``convolution.convolve`` handed over the table
+    it built the State from (checked as ``char_function`` checks its own).
     """
 
     d: int
@@ -158,18 +163,26 @@ class WignerTable:
 
 def char_function(state: State) -> CharTable:
     """Xi_rho(x) = Tr[rho w(-x)] over all of V^n (read-only, cached on the State)."""
-    if state._char is not None:
-        return state._char
-    vals = weyl_coefficient_table(state.mat, state.d, state.n)
+    if state._char is None:
+        _cache_char(state, weyl_coefficient_table(state.mat, state.d, state.n))
+    return state._char
+
+
+def _cache_char(state: State, vals: np.ndarray) -> None:
+    """Cache vals as the State's characteristic table once it passes the Xi checks.
+
+    Xi(0) = 1 and |Xi| <= 1 must hold to within XI_CHECK_TOL.  The values
+    are made read-only in place.  ``char_function`` caches the table it
+    computes here, and ``convolution.convolve`` the table it built its
+    result from.
+    """
     origin = abs(vals[(0,) * (2 * state.n)] - 1.0)
-    if origin > 1e-9:
+    if origin > XI_CHECK_TOL:
         raise NotStateError(f"Xi(0) = 1 violated by {origin:.2e}")
-    if np.abs(vals).max() > 1 + 1e-9:
+    if np.abs(vals).max() > 1 + XI_CHECK_TOL:
         raise NotStateError("characteristic value exceeds unit modulus")
     vals.setflags(write=False)
-    table = CharTable(d=state.d, n=state.n, values=vals)
-    object.__setattr__(state, "_char", table)
-    return table
+    object.__setattr__(state, "_char", CharTable(d=state.d, n=state.n, values=vals))
 
 
 def char_table_of(mat: np.ndarray, d: int, n: int) -> CharTable:

@@ -11,7 +11,8 @@ Operators are returned as dense matrices.  A Weyl operator is monomial
 indices and values site by site from explicit shift and clock factors
 and scatters them once: no matrix exponentials, no Kronecker chains.
 The Weyl-coefficient transform (matrix -> table of Tr[M w(-x)]) runs
-through one FFT per diagonal stripe, which is exact up to float rounding.
+through one d-point DFT per diagonal stripe and register digit, which is
+exact up to float rounding.
 """
 
 from __future__ import annotations
@@ -207,25 +208,50 @@ def _stripe_index(d: int, n: int, sign: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _dft_matrix(d: int, sign: int) -> np.ndarray:
+    """The unnormalized d-point DFT matrix [k, j] -> chi(sign * j k)."""
+    j = np.arange(d)
+    out = omega_table(d)[(sign * np.outer(j, j)) % d]
+    out.setflags(write=False)
+    return out
+
+
+def _dft_p_axes(a: np.ndarray, d: int, n: int, sign: int) -> np.ndarray:
+    """sum_j a[j, q] chi(sign * j . k) over the n leading (p) axes of a (d,)*2n array.
+
+    sign = -1 is ``np.fft.fftn`` over those axes and sign = +1 is d^n
+    times ``np.fft.ifftn``.  Each axis is one ``matmul`` of the d x d DFT
+    matrix into a (d^k, d, -1) view, which for axes this short costs less
+    than ``np.fft`` does.
+    """
+    F = _dft_matrix(d, sign)
+    out = a
+    for k in range(n):
+        out = np.matmul(F, out.reshape(d**k, d, -1))
+    return out.reshape((d,) * (2 * n))
+
+
 def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
     """Tr[mat * w(-x)] for every x in V^n, as an array of shape (d,)*2n.
 
-    Dividing by d^n gives the coefficients of mat in the Weyl basis.
+    Dividing by d^n gives the coefficients of mat in the Weyl basis.  The
+    stripes mat[k + q, k] are gathered for each shift q, transformed over
+    the register digits k by the d x d DFT along each p axis, and
+    multiplied by the phase grid of w.
     """
     ensure_table_size(d, n)
     D = d**n
     # stripes[k, q] = mat[(k + q) mod d, k]
     stripes = mat[_stripe_index(d, n, 1), np.arange(D)[:, None]]
-    stripes = stripes.reshape((d,) * (2 * n))
-    f = np.fft.fftn(stripes, axes=tuple(range(n)))
-    return weyl_phase_grid(d, n) * f
+    return weyl_phase_grid(d, n) * _dft_p_axes(stripes, d, n, -1)
 
 
 def matrix_from_weyl_table(table: np.ndarray, d: int, n: int) -> np.ndarray:
     """Inverse of weyl_coefficient_table: (1/d^n) sum_x table[x] w(x)."""
     D = d**n
     a = np.asarray(table, dtype=complex) * weyl_phase_grid(d, n)
-    b = (D * np.fft.ifftn(a, axes=tuple(range(n)))).reshape(D, D)
+    b = _dft_p_axes(a, d, n, 1).reshape(D, D)
     return b[np.arange(D)[:, None], _stripe_index(d, n, -1)] / D
 
 

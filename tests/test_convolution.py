@@ -6,7 +6,13 @@ import pytest
 from qps import convolution as cv
 from qps import mean_magic as mm
 from qps import states, weyl
-from qps.errors import IncompatibleError, SingularGError, TooLargeError, UnsupportedGError
+from qps.errors import (
+    IncompatibleError,
+    NotStateError,
+    SingularGError,
+    TooLargeError,
+    UnsupportedGError,
+)
 from qps.phase_space import make_point
 
 
@@ -273,8 +279,51 @@ def test_convolve_computes_each_char_table_once(monkeypatch):
     second = cv.convolve(first, sigma, h)
     assert sum(m is sigma.mat for m in seen) == 1
     assert sum(m is rho.mat for m in seen) == 1
-    assert len(seen) == 3
+    assert len(seen) == 2
     assert states.char_function(second) is states.char_function(second)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (5, 1), (7, 1)])
+def test_convolve_hands_over_its_char_table(d, n):
+    rho = states.random_state(n, d, seed=3)
+    sigma = states.random_state(n, d, seed=4)
+    out = cv.convolve(rho, sigma, cv.default_params(d))
+    handed = out._char
+    assert handed is not None and not handed.values.flags.writeable
+    assert states.char_function(out) is handed
+    recomputed = weyl.weyl_coefficient_table(out.mat, d, n)
+    assert np.abs(handed.values - recomputed).max() < 1e-12
+
+
+def test_handed_char_table_is_checked():
+    rho = states.random_state(1, 3, seed=1)
+    bad = states.char_function(rho).values.copy()
+    bad[0, 0] = 0.99
+    with pytest.raises(NotStateError):
+        states._cache_char(states.make_state(rho.mat, 3, 1), bad)
+    big = states.char_function(rho).values.copy()
+    big[1, 1] = 1.1
+    with pytest.raises(NotStateError):
+        states._cache_char(states.make_state(rho.mat, 3, 1), big)
+
+
+def _scale_axes_by_digit_axes(values, cp, cq):
+    """Reference rescaling: one index vector per digit axis, 2n axes in all."""
+    d, n = values.shape[0], values.ndim // 2
+    idx = np.arange(d)
+    return values[np.ix_(*([(cp * idx) % d] * n + [(cq * idx) % d] * n))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_scale_axes_matches_digit_axis_gather(d):
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3):
+        shape = (d,) * (2 * n)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for cp in range(-d, d):
+            for cq in range(-d, d):
+                got = cv._scale_axes(values, cp, cq)
+                assert (got == _scale_axes_by_digit_axes(values, cp, cq)).all()
 
 
 def test_solve_params_counts_and_reps():

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import multiprocessing
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qps
 from qps import channels as ch
 from qps import io as qio
 from qps import states, verify
@@ -300,3 +302,26 @@ def test_tolerance_overrides_reach_spawned_workers(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", spawn)
     monkeypatch.setattr(config, "tol_one", 0.25)
     assert verify._map_tasks(_tol_one_task, 3, 1, 2, 2, 0) == [0.25, 0.25]
+
+
+def test_public_names_resolve_to_their_modules():
+    for name in qps.__all__:
+        module = importlib.import_module(f"qps.{qps._EXPORTS[name]}")
+        assert getattr(qps, name) is getattr(module, name)
+    namespace = {}
+    exec("from qps import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(qps.__all__)
+    with pytest.raises(AttributeError):
+        qps.no_such_name
+
+
+def test_cli_import_loads_no_verify_stack():
+    probe = (
+        "import sys, qps.cli\n"
+        "heavy = ('qps.verify', 'qps.channels', 'qps.fisher', 'qps.io',\n"
+        "         'multiprocessing', 'concurrent.futures')\n"
+        "print(','.join(m for m in heavy if m in sys.modules))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""

@@ -1,4 +1,4 @@
-"""Property tests: production routes against their oracles at drawn (d, n, point, seed).
+"""Property tests: production routes against their oracles at drawn (d, n, point, G, seed).
 
 Each property keeps the tolerance of the matching fixed-case test.
 """
@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as hs  # noqa: E402
 
 from qps import channels as ch  # noqa: E402
+from qps import convolution as cv  # noqa: E402
 from qps import fisher as fi  # noqa: E402
 from qps import states, verify, weyl  # noqa: E402
 from qps.phase_space import PhasePoint, make_point  # noqa: E402
@@ -41,6 +42,31 @@ def test_commutation_relation(case):
     else:
         total = weyl.weyl_operator(make_point(ps, qs, d), d)
     assert np.abs(lhs - weyl.commutation_phase(x, y, d) * total).max() < 1e-12
+
+
+@hs.composite
+def duality_cases(draw):
+    d, n = draw(hs.sampled_from(SYSTEMS))
+    entries = hs.lists(hs.integers(0, d - 1), min_size=4, max_size=4).filter(
+        lambda g: (g[0] * g[3] - g[1] * g[2]) % d != 0
+    )
+    g00, g01, g10, g11 = draw(entries)
+    return d, n, [[g00, g01], [g10, g11]], draw(seeds), draw(seeds)
+
+
+@PROFILE
+@given(duality_cases())
+def test_convolve_matches_operator_oracle(case):
+    # duality route against the operator route, and the handed Xi against
+    # a fresh transform of the result
+    d, n, G, seed_rho, seed_sigma = case
+    rho = states.random_state(n, d, seed=seed_rho)
+    sigma = states.random_state(n, d, seed=seed_sigma)
+    out = cv.convolve(rho, sigma, G)
+    oracle = cv._convolve_mats(rho.mat, sigma.mat, cv.classify(G, d), d, n)
+    assert np.abs(out.mat - oracle).max() < 1e-10
+    fresh = weyl.weyl_coefficient_table(out.mat, d, n)
+    assert np.abs(states.char_function(out).values - fresh).max() < 1e-12
 
 
 @PROFILE

@@ -39,6 +39,20 @@ def test_weyl_operator_matches_kron_chain(d):
             assert (weyl.weyl_operator(point, d) == _weyl_operator_kron(point, d)).all()
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (3, 3), (5, 2), (7, 1), (7, 2)])
+def test_dft_kernel_matches_fft(d, n):
+    rng = np.random.default_rng(d * 10 + n)
+    shape = (d,) * (2 * n)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    paxes = tuple(range(n))
+    assert np.abs(weyl._dft_p_axes(a, d, n, -1) - np.fft.fftn(a, axes=paxes)).max() < 1e-12
+    inverse = d**n * np.fft.ifftn(a, axes=paxes)
+    assert np.abs(weyl._dft_p_axes(a, d, n, 1) - inverse).max() < 1e-12
+    mat = a.reshape(d**n, d**n)
+    table = weyl.weyl_coefficient_table(mat, d, n)
+    assert np.abs(weyl.matrix_from_weyl_table(table, d, n) - mat).max() < 1e-12
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_commutation_odd(d):
     rng = np.random.default_rng(d)
