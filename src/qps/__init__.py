@@ -35,7 +35,7 @@ _MODULES = {
     "entropy": (
         "check_equality_case", "check_min_output_entropy", "check_second_law",
         "clean_spectrum", "holevo_bounds", "majorizes", "renyi_entropy",
-        "renyi_relative", "second_law_counterexample", "subentropy", "von_neumann",
+        "renyi_relative", "second_law_counterexample", "subentropy",
     ),
     "fisher": (
         "check_fisher_convolution", "de_bruijn_check", "dephase", "fisher_single",

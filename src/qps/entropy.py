@@ -79,10 +79,6 @@ def renyi_entropy(state: State, alpha) -> float:
     return renyi_entropy_spectrum(clean_spectrum(state), alpha)
 
 
-def von_neumann(state: State) -> float:
-    return renyi_entropy(state, 1)
-
-
 def _support_projector(vals, vecs):
     mask = vals > config.tol_spec
     return vecs[:, mask], vals[mask]

@@ -3,13 +3,13 @@
 Every check returns a CheckResult with a signed slack: the margin left
 before the stated tolerance is violated (negative = failure).  Suites
 fan out over independent seeds; results merge by seed index so reports
-are byte-stable for a fixed configuration.
+are byte-stable for a fixed configuration.  A process pool starts, and
+its modules load, only when more than one job is asked for.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,8 +22,8 @@ from . import mean_magic as mm
 from . import states as st
 from . import weyl
 from .config import config
-from .errors import QpsError
-from .phase_space import PhasePoint, make_point
+from .errors import QpsError, UnsupportedGError
+from .phase_space import PhasePoint, check_prime, field_inv, make_point
 
 SUITES = ("weyl", "duality", "majorization", "entropy", "fisher", "hudson", "channels")
 
@@ -49,9 +49,14 @@ def _load_config(values: dict) -> None:
 
 
 def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int):
-    """Run fn on (d, n, s) for the task indices s = seed .. seed + seeds - 1."""
+    """Run fn on (d, n, s) for the task indices s = seed .. seed + seeds - 1.
+
+    Only jobs > 1 imports `concurrent.futures` and starts a process pool.
+    """
     tasks = [(d, n, s) for s in range(seed, seed + seeds)]
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_load_config, initargs=(dict(vars(config)),)
         ) as pool:
@@ -64,51 +69,77 @@ def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int):
 _PARITY_CLASSES = ("trivial", "even_only", "odd_only", "positive")
 
 
+def _parity_class(g00: int, g01: int, g10: int, g11: int) -> str:
+    """The parity class of G from its zero pattern, as `cv.classify` flags it."""
+    if (g00 == 0) + (g01 == 0) + (g10 == 0) + (g11 == 0) >= 2:
+        return "trivial"
+    if g01 and g10:
+        return "positive" if g00 and g11 else "odd_only"
+    return "even_only"
+
+
 def sample_parity_matrix(rng, d: int, klass: str):
-    """A seeded random invertible G in the requested parity class."""
+    """A seeded random invertible G in the requested parity class.
+
+    G is drawn as 2 x 2 integers in [0, d) until one is invertible mod d
+    and in `klass`; only the accepted draw is classified.  A non-prime d,
+    an unknown class and "positive" at d = 2 (no such G exists) raise.
+    """
+    check_prime(d)
+    if klass not in _PARITY_CLASSES:
+        raise UnsupportedGError(f"unknown parity class {klass!r}; choose from {_PARITY_CLASSES}")
+    if d == 2 and klass == "positive":
+        raise UnsupportedGError("no invertible G mod 2 is positive")
     while True:
         g = rng.integers(0, d, size=(2, 2))
-        try:
-            pm = cv.classify(g, d)
-        except QpsError:
-            continue
-        if klass == "trivial" and not pm.nontrivial:
-            return pm
-        if klass == "even_only" and pm.even_parity_positive and not pm.odd_parity_positive:
-            return pm
-        if klass == "odd_only" and pm.odd_parity_positive and not pm.even_parity_positive:
-            return pm
-        if klass == "positive" and pm.positive:
-            return pm
+        g00, g01, g10, g11 = g.ravel().tolist()
+        if (g00 * g11 - g01 * g10) % d and _parity_class(g00, g01, g10, g11) == klass:
+            return cv.classify(g, d)
 
 
 # --- weyl ---
 
+def _weyl_stack(d: int, n: int) -> np.ndarray:
+    """Every w(x), x in V^n, stacked in np.ndindex order over (p, q): (d^2n, D, D)."""
+    return np.stack([weyl.weyl_operator(PhasePoint.from_vec(v), d)
+                     for v in np.ndindex((d,) * (2 * n))])
+
+
+def _commutation_worst(stack: np.ndarray, d: int) -> float:
+    """max |w(x) w(y) - c(x, y) w(x + y)| over all x, y in V^1, as in `commutation_phase`.
+
+    stack is `_weyl_stack(d, 1)` (x = (p, q) at p * d + q); d = 2 reads
+    w(x + y) literally at the unreduced label.  The arrays hold d^6 entries.
+    """
+    p, q = np.divmod(np.arange(d * d), d)
+    s_int = p[:, None] * q[None, :] - q[:, None] * p[None, :]
+    p_sum, q_sum = p[:, None] + p[None, :], q[:, None] + q[None, :]
+    if d == 2:
+        phase = np.array([1, 1j, -1, -1j])[s_int % 4]
+        literal = np.stack([weyl.weyl_literal([a], [b], 2) for a, b in np.ndindex(3, 3)])
+        rhs = literal[p_sum * 3 + q_sum]
+    else:
+        phase = weyl.chi(field_inv(2, d) * s_int, d)
+        rhs = stack[(p_sum % d) * d + q_sum % d]
+    rhs *= phase[:, :, None, None]
+    diff = np.matmul(stack[:, None], stack[None, :])
+    diff -= rhs
+    return float(np.abs(diff).max())
+
+
 def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+    """Weyl-algebra checks at (d, n).
+
+    The exhaustive ones are batched array operations on one stack of the
+    Weyl operators of V^1 (and of V^n for orthonormality).
+    """
     out = []
-    # commutation relation, exhaustive at n = 1
-    worst = 0.0
-    for pv in np.ndindex(d, d):
-        for qv in np.ndindex(d, d):
-            x = make_point(pv[0], qv[0], d)
-            y = make_point(pv[1], qv[1], d)
-            lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
-            if d == 2:
-                rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_literal(
-                    [x.p[0] + y.p[0]], [x.q[0] + y.q[0]], d
-                )
-            else:
-                rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_operator(
-                    make_point(x.p[0] + y.p[0], x.q[0] + y.q[0], d), d
-                )
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    w1 = _weyl_stack(d, 1)
+    worst = _commutation_worst(w1, d)
     out.append(_result("weyl.commutation_exhaustive_n1", 1e-12 - worst, f"d={d}"))
     # orthonormality of the full basis at (d, n)
     D = d**n
-    mats = np.stack(
-        [weyl.weyl_operator(PhasePoint.from_vec(v), d).reshape(-1)
-         for v in np.indices((d,) * (2 * n)).reshape(2 * n, -1).T]
-    )
+    mats = (w1 if n == 1 else _weyl_stack(d, n)).reshape(d ** (2 * n), -1)
     gram = (mats.conj() @ mats.T) / D
     worst = float(np.abs(gram - np.eye(d ** (2 * n))).max())
     out.append(_result("weyl.orthonormality", 1e-10 - worst, f"d={d} n={n}"))
@@ -129,11 +160,8 @@ def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
             worst = max(worst, float(np.abs(U @ a @ U.conj().T - b).max()))
     out.append(_result("weyl.key_unitary_generators", 1e-12 - worst))
     if d != 2:
-        t0 = weyl.parity_operator(d, 1)
-        acc = sum(
-            weyl.weyl_operator(make_point(p, q, d), d) for p in range(d) for q in range(d)
-        ) / d
-        out.append(_result("weyl.parity_sum", 1e-12 - float(np.abs(acc - t0).max())))
+        gap = float(np.abs(w1.sum(axis=0) / d - weyl.parity_operator(d, 1)).max())
+        out.append(_result("weyl.parity_sum", 1e-12 - gap))
         worst = 0.0
         for p in range(d):
             for q in range(d):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import importlib
 import json
@@ -297,9 +298,9 @@ def _tol_one_task(args):
 def test_tolerance_overrides_reach_spawned_workers(monkeypatch):
     # spawn (and forkserver) workers re-import qps instead of inheriting its state
     spawn = functools.partial(
-        verify.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
     )
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
     monkeypatch.setattr(config, "tol_one", 0.25)
     assert verify._map_tasks(_tol_one_task, 3, 1, 2, 2, 0) == [0.25, 0.25]
 
@@ -321,6 +322,17 @@ def test_cli_import_loads_no_verify_stack():
         "heavy = ('qps.verify', 'qps.channels', 'qps.fisher', 'qps.io',\n"
         "         'multiprocessing', 'concurrent.futures')\n"
         "print(','.join(m for m in heavy if m in sys.modules))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""
+
+
+def test_verify_import_loads_no_process_pool():
+    probe = (
+        "import sys, qps.verify\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "print(','.join(m for m in pool if m in sys.modules))\n"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

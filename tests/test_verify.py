@@ -1,0 +1,111 @@
+"""The `qps verify` Weyl suite and parity sampler against their loop forms."""
+
+import numpy as np
+import pytest
+
+from qps import convolution as cv
+from qps import verify, weyl
+from qps.errors import NotPrimeError, SingularGError, UnsupportedGError
+from qps.phase_space import make_point
+
+
+def _commutation_worst_loop(d):
+    """Reference: the per-pair commutation check, one dense build per point."""
+    worst = 0.0
+    for pv in np.ndindex(d, d):
+        for qv in np.ndindex(d, d):
+            x = make_point(pv[0], qv[0], d)
+            y = make_point(pv[1], qv[1], d)
+            lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
+            if d == 2:
+                rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_literal(
+                    [x.p[0] + y.p[0]], [x.q[0] + y.q[0]], d
+                )
+            else:
+                rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_operator(
+                    make_point(x.p[0] + y.p[0], x.q[0] + y.q[0], d), d
+                )
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def _parity_gap_loop(d):
+    """Reference: the parity sum accumulated point by point."""
+    acc = sum(weyl.weyl_operator(make_point(p, q, d), d) for p in range(d) for q in range(d)) / d
+    return float(np.abs(acc - weyl.parity_operator(d, 1)).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_batched_weyl_checks_match_loops(d):
+    stack = verify._weyl_stack(d, 1)
+    ref = _commutation_worst_loop(d)
+    assert abs(verify._commutation_worst(stack, d) - ref) <= 1e-15
+    checks = verify.suite_weyl(d, 1, 10)
+    names = ["weyl.commutation_exhaustive_n1", "weyl.orthonormality", "weyl.key_unitary_generators"]
+    if d != 2:
+        names += ["weyl.parity_sum", "weyl.phase_point_hermitian"]
+    names.append("weyl.random_clifford_closes")
+    assert [c.name for c in checks] == names
+    assert all(c.passed for c in checks)
+    slack = {c.name: c.slack for c in checks}
+    assert abs(slack["weyl.commutation_exhaustive_n1"] - (1e-12 - ref)) <= 1e-15
+    if d != 2:
+        assert abs(slack["weyl.parity_sum"] - (1e-12 - _parity_gap_loop(d))) <= 1e-15
+
+
+def _sample_parity_matrix_loop(rng, d, klass):
+    """Reference: classify every draw until one falls in the class."""
+    while True:
+        g = rng.integers(0, d, size=(2, 2))
+        try:
+            pm = cv.classify(g, d)
+        except SingularGError:
+            continue
+        if klass == "trivial" and not pm.nontrivial:
+            return pm
+        if klass == "even_only" and pm.even_parity_positive and not pm.odd_parity_positive:
+            return pm
+        if klass == "odd_only" and pm.odd_parity_positive and not pm.even_parity_positive:
+            return pm
+        if klass == "positive" and pm.positive:
+            return pm
+
+
+class _BoundedRng:
+    """A seeded generator that raises instead of drawing forever."""
+
+    def __init__(self, seed=0, limit=10_000):
+        self.rng, self.left = np.random.default_rng(seed), limit
+        self.bit_generator = self.rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("sampler kept drawing")
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_sampler_matches_classifying_loop(d):
+    classes = [k for k in verify._PARITY_CLASSES if not (d == 2 and k == "positive")]
+    for seed in range(20):
+        old, new = np.random.default_rng(seed), _BoundedRng(seed)
+        for klass in classes * 3:
+            assert verify.sample_parity_matrix(new, d, klass) == _sample_parity_matrix_loop(
+                old, d, klass
+            )
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "d,klass,error",
+    [
+        (1, "trivial", NotPrimeError),
+        (4, "positive", NotPrimeError),
+        (5, "bogus", UnsupportedGError),
+        (2, "positive", UnsupportedGError),
+    ],
+)
+def test_sampler_refuses_impossible_requests(d, klass, error):
+    with pytest.raises(error):
+        verify.sample_parity_matrix(_BoundedRng(), d, klass)
