@@ -93,7 +93,7 @@ def renyi_relative(rho: State, sigma: State, alpha) -> float:
     """
     if alpha < 0.5:
         raise UnsupportedAlphaError("sandwiched divergence needs alpha >= 1/2")
-    svals, svecs = np.linalg.eigh(sigma.mat)
+    svals, svecs = sigma.eigh
     vb, lb = _support_projector(svals, svecs)
     # rho compressed onto supp(sigma); support violation = trace deficit
     r_in = vb.conj().T @ rho.mat @ vb

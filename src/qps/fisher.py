@@ -2,8 +2,10 @@
 
 J(rho; H) = Tr[rho [H, [H, log rho]]] with base-2 logarithms, so the de
 Bruijn identity dH/dt = J/4 holds with the package-wide entropy
-convention.  ``fisher_total`` works in rho's eigenbasis; the dephasing
-route ``_fisher_total_dephasing`` is the oracle the tests compare it with.
+convention.  ``fisher_total`` evaluates the trace form
+J(rho; P) = 2 Tr[P rho L] - 2 Tr[P rho P L] (L = log2 rho) over the site
+projectors P from rho's cached eigendecomposition; the dephasing route
+``_fisher_total_dephasing`` is the oracle the tests compare it with.
 Rank-deficient states are rejected rather than silently regularized
 (use smooth()).
 """
@@ -84,8 +86,8 @@ def dephase(state: State, axis: str, site: int = 0) -> State:
 
 
 def _spectrum(state: State):
-    """(eigenvalues, eigenvectors) of rho; errors below the spectrum floor."""
-    vals, vecs = np.linalg.eigh(state.mat)
+    """(eigenvalues, eigenvectors) of rho, cached on the State; errors below the spectrum floor."""
+    vals, vecs = state.eigh
     if vals.min() <= config.tol_spec:
         raise SingularStateError(
             f"state has eigenvalue {vals.min():.2e} at/below the floor; smooth() it first"
@@ -94,7 +96,7 @@ def _spectrum(state: State):
 
 
 def _log_state(state: State) -> np.ndarray:
-    """log2(rho) via eigendecomposition; errors below the spectrum floor."""
+    """log2(rho) from the cached eigendecomposition; errors below the spectrum floor."""
     vals, vecs = _spectrum(state)
     return (vecs * np.log2(vals)) @ vecs.conj().T
 
@@ -122,29 +124,53 @@ def _fisher_total_dephasing(state: State) -> float:
     return total
 
 
-def fisher_total(state: State) -> float:
-    """Total Fisher information: J(rho; H) summed over the 2 n d site projectors.
+def _site_digit_pairs(mat: np.ndarray, d: int, n: int, site: int) -> np.ndarray:
+    """mat as a (d^2, D^2/d^2) array whose rows are its (row, column) digit pairs at the site."""
+    t = mat.reshape(_site_shape(d, n, site) * 2)
+    return t.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, -1)
 
-    With rho = V diag(lam) V^dag from one eigendecomposition,
-    J(rho; H) = sum_ij |(V^dag H V)_ij|^2 (lam_i - lam_j)(log2 lam_i - log2 lam_j),
-    a sum of nonnegative terms.  For the projector H = |b_j><b_j| on one
-    site, V^dag H V = W_j^dag W_j, where W_j is the slice at site digit j
-    of V rotated into the site basis {b_j} along that site's axis.
+
+@lru_cache(maxsize=None)
+def _site_pair_rotation(d: int) -> np.ndarray:
+    """R[(axis, m, m'), (j, j')] = conj(b_m[j]) b_m'[j'] for the X, then the Z, site basis {b_m}."""
+    blocks = []
+    for axis in ("X", "Z"):
+        basis = _site_basis(axis, d)
+        blocks.append(np.einsum("jm,kn->mnjk", basis.conj(), basis).reshape(d * d, d * d))
+    rot = np.concatenate(blocks)
+    rot.setflags(write=False)
+    return rot
+
+
+def fisher_total(state: State) -> float:
+    """Total Fisher information: J(rho; P) summed over the 2 n d site projectors.
+
+    For a projector P, [rho, L] = 0 with L = log2(rho) gives
+    J(rho; P) = 2 Tr[P rho L] - 2 Tr[P rho P L].  The d projectors of one
+    site and axis sum to I, so their total is 2 (Tr[rho L] - Tr[Delta(rho) L])
+    with Delta the dephasing of that site in that basis: twice the sum of
+    rho'_ik conj(L'_ik) over the index pairs (i, k) whose site digits
+    differ, where ' denotes rotation into the site basis along the site
+    axis.  Per site, the sums over the other digits,
+    K[(j, j'), (k, k')] = sum rho[.j., .j'.] conj(L[.k., .k'.]), are one
+    (d^2, D^2/d^2) product, and the rotation into both bases acts on K's
+    d^2 x d^2 indices (``_site_pair_rotation``).  L costs one D^3 product
+    on the cached eigendecomposition, and each site O(d^2 D^2).  Since
+    Tr[rho - Delta(rho)] = 0, L may be shifted by any multiple of I; it
+    is shifted by the mean of log2(lam), which keeps the sums from
+    cancelling when rho is close to maximally mixed.
     """
     vals, vecs = _spectrum(state)
     logs = np.log2(vals)
-    weight = np.subtract.outer(vals, vals) * np.subtract.outer(logs, logs)
+    L = (vecs * (logs - logs.mean())) @ vecs.conj().T
     d, n = state.d, state.n
-    D = d**n
+    rot = _site_pair_rotation(d)
+    off_site = np.tile((1.0 - np.eye(d)).ravel(), 2)
     total = 0.0
     for site in range(n):
-        v = vecs.reshape(_site_shape(d, n, site) + (D,))
-        for axis in ("X", "Z"):
-            w = _rotate_site_axis(v, _site_basis(axis, d).conj().T, 1)
-            for j in range(d):
-                wj = w[:, j].reshape(-1, D)
-                h = wj.conj().T @ wj
-                total += float(np.sum((h.real**2 + h.imag**2) * weight))
+        k = _site_digit_pairs(state.mat, d, n, site) @ _site_digit_pairs(L, d, n, site).conj().T
+        rotated = ((rot @ k) * rot.conj()).sum(axis=1)
+        total += 2.0 * float(rotated.real @ off_site)
     return total
 
 
@@ -187,9 +213,7 @@ def de_bruijn_check(state: State, h: float = 1e-4) -> tuple[float, float]:
     """
     from .entropy import renyi_entropy
 
-    vals = state.eigvals
-    if vals.min() <= config.tol_spec:
-        raise SingularStateError("de Bruijn check needs a full-rank state; smooth() it")
+    rhs = fisher_total(state) / 4.0  # SingularStateError unless rho has full rank
     table = char_function(state)
 
     def entropy_at(t):
@@ -197,7 +221,6 @@ def de_bruijn_check(state: State, h: float = 1e-4) -> tuple[float, float]:
         return renyi_entropy(make_state(mat, state.d, state.n), 1)
 
     lhs = (entropy_at(+h) - entropy_at(-h)) / (2 * h)
-    rhs = fisher_total(state) / 4.0
     return float(lhs), float(rhs)
 
 

@@ -41,18 +41,21 @@ XI_CHECK_TOL = 1e-9
 class State:
     """A validated n-qudit density operator.
 
-    The spectrum is computed at most once per State: ``eigvals`` holds the
-    eigenvalues that ``make_state`` found while validating, or computes
-    them on first access for States built without validation.  The
-    characteristic table is likewise held once: ``char_function`` computes
-    it on first use, unless ``convolution.convolve`` handed over the table
-    it built the State from (checked as ``char_function`` checks its own).
+    Spectra are computed only when read, and each at most once per State:
+    ``eigh`` caches one read-only eigendecomposition, and ``eigvals``
+    returns its eigenvalues when it exists, else runs ``eigvalsh`` once
+    (``make_state`` fills ``eigvals`` only when its positivity test needed
+    them).  The characteristic table is likewise held once:
+    ``char_function`` computes it on first use, unless
+    ``convolution.convolve`` handed over the table it built the State from
+    (checked as ``char_function`` checks its own).
     """
 
     d: int
     n: int
     mat: np.ndarray
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _eigh: tuple | None = field(default=None, repr=False, compare=False)
     _char: CharTable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -63,10 +66,23 @@ class State:
     def eigvals(self) -> np.ndarray:
         """Eigenvalues of mat in ascending order (read-only, cached)."""
         if self._eigvals is None:
-            vals = np.linalg.eigvalsh(self.mat)
-            vals.setflags(write=False)
+            if self._eigh is not None:
+                vals = self._eigh[0]
+            else:
+                vals = np.linalg.eigvalsh(self.mat)
+                vals.setflags(write=False)
             object.__setattr__(self, "_eigvals", vals)
         return self._eigvals
+
+    @property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues ascending, eigenvectors as columns) of mat (read-only, cached)."""
+        if self._eigh is None:
+            vals, vecs = np.linalg.eigh(self.mat)
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            object.__setattr__(self, "_eigh", (vals, vecs))
+        return self._eigh
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
@@ -79,7 +95,12 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> State:
     """Wrap a matrix as a State, re-Hermitizing and checking the invariants.
 
-    Hermiticity to 1e-10, eigenvalues >= -1e-10, unit trace to 1e-10.
+    With t = ``config.tol_state``: every entry finite, Hermitian to t,
+    unit trace to t, and every eigenvalue >= -t.  Positivity is tested by
+    a Cholesky factorization of the Hermitized matrix, which succeeds only
+    when its smallest eigenvalue is at least -O(D eps), far above -t.  Only
+    when the factorization fails does ``eigvalsh`` run and decide; its
+    eigenvalues are then kept as the State's ``eigvals``.
     """
     check_prime(d)
     mat = np.asarray(mat, dtype=complex)
@@ -90,20 +111,24 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> Stat
     tol = config.tol_state
     vals = None
     if validate:
+        if not np.isfinite(mat).all():
+            raise NotStateError("matrix has a non-finite entry")
         if np.abs(mat - mat.conj().T).max() > tol:
             raise NotStateError("matrix is not Hermitian within tolerance")
         mat = hermitize(mat)
         tr = np.trace(mat).real
         if abs(tr - 1.0) > tol:
             raise NotStateError(f"trace {tr} is not 1 within tolerance")
-        vals = np.linalg.eigvalsh(mat)
-        lo = vals[0]
-        if lo < -tol:
-            raise NotStateError(f"negative eigenvalue {lo}")
-        vals.setflags(write=False)
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            vals = np.linalg.eigvalsh(mat)
+            lo = vals[0]
+            if lo < -tol:
+                raise NotStateError(f"negative eigenvalue {lo}") from None
+            vals.setflags(write=False)
     else:
         mat = hermitize(mat)
-    mat = mat.copy()
     mat.setflags(write=False)
     return State(d=d, n=int(n), mat=mat, _eigvals=vals)
 

@@ -433,8 +433,11 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
 
     seed offsets the per-seed task indices: the tasks run at seed .. seed +
     seeds - 1 and name their checks after them.  Inputs drawn outside the
-    per-seed tasks are fixed.
+    per-seed tasks are fixed.  A channels run (alone or within 'all') past
+    the exact channel oracle's size cap is refused before any suite runs.
     """
+    if name in ("all", "channels"):
+        chn._check_exact_dim(d, n)
     if name == "all":
         out = []
         for key in SUITES:

@@ -7,7 +7,7 @@ from qps import channels as ch
 from qps import convolution as cv
 from qps import mean_magic as mm
 from qps import states, verify, weyl
-from qps.errors import NotTracePreservingError, UnsupportedGError
+from qps.errors import NotTracePreservingError, TooLargeError, UnsupportedGError
 
 
 def test_choi_constructions():
@@ -91,6 +91,17 @@ def test_exact_oracle_matches_column_loop(d, n, monkeypatch):
         with monkeypatch.context() as m:  # one row of i per block, as at large D
             m.setattr(ch, "_EXACT_BLOCK", 1)
             assert (ch._convolve_channels_exact(c1, c2, pm).choi.mat == batched).all()
+
+
+def test_exact_oracle_size_cap():
+    for d, n in ((5, 1), (7, 1), (3, 2), (2, 4)):
+        ch._check_exact_dim(d, n)
+    for d, n in ((5, 2), (2, 5), (17, 1)):
+        with pytest.raises(TooLargeError):
+            ch._check_exact_dim(d, n)
+    big = ch.depolarizing_channel(5, 2)
+    with pytest.raises(TooLargeError):
+        ch._convolve_channels_exact(big, big, cv.hadamard_params(5))
 
 
 def test_depolarizing_absorbs():

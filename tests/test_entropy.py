@@ -67,6 +67,15 @@ def test_renyi_relative():
         ent.renyi_relative(rho, rho, 0.3)
 
 
+def test_renyi_relative_one_eigh_per_sigma(eig_calls):
+    sigma = states.random_state(2, 3, seed=5)
+    rhos = [states.random_state(2, 3, seed=6 + k) for k in range(3)]
+    eig_calls.clear()
+    for rho, a in zip(rhos, (0.5, 2, math.inf)):
+        ent.renyi_relative(rho, sigma, a)
+    assert [call.__name__ for call in eig_calls].count("eigh") == 1
+
+
 def test_relative_monotone_under_convolution():
     # D_a(rho1 ⊠ sigma || rho2 ⊠ sigma) <= D_a(rho1 || rho2)
     d = 3

@@ -76,6 +76,19 @@ def test_fisher_total_one_eigendecomposition(eig_calls):
     assert len(eig_calls) == 1
 
 
+def test_fisher_checks_share_one_eigh_per_state(eig_calls):
+    rho = fi.smooth(states.random_state(2, 3, seed=10), 1e-3)
+    sig = fi.smooth(states.random_state(2, 3, seed=11), 1e-3)
+    eig_calls.clear()
+    fi.check_fisher_convolution(rho, sig, cv.hadamard_params(3))
+    names = [call.__name__ for call in eig_calls]
+    assert names == ["eigh"] * 3  # rho, sigma and their convolution
+    fi.de_bruijn_check(rho)
+    names = [call.__name__ for call in eig_calls]
+    assert names.count("eigh") == 3  # J(rho) reuses rho's eigh
+    assert names.count("eigvalsh") == 2  # the entropies at t = +-h
+
+
 def test_fisher_total_and_dephase_build_no_kron(monkeypatch):
     # both act on one site axis at a time; no register-sized embedding is built
     rho = fi.smooth(states.random_state(3, 3, seed=4), 1e-3)

@@ -231,6 +231,17 @@ def test_cli_verify(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["channels", "all"])
+def test_cli_verify_refuses_oversized_channel_oracle(suite, monkeypatch, capsys):
+    # refused before any suite runs: every suite function would fail the test
+    def never(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "_SUITE_FNS", {key: never for key in verify._SUITE_FNS})
+    assert main(["verify", "--suite", suite, "--d", "5", "--n", "2"]) == 2
+    assert "TooLargeError" in capsys.readouterr().err
+
+
 def test_env_dimension_cap(tmp_path):
     import os
     import subprocess

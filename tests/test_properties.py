@@ -78,6 +78,39 @@ def test_fisher_total_matches_dephasing_oracle(system, seed, eta):
     assert abs(j - fi._fisher_total_dephasing(rho)) <= 1e-8 * max(1.0, abs(j))
 
 
+def _fisher_total_eigenbasis(state):
+    """Sum over the site projectors P of |(V^dag P V)_ij|^2 (l_i - l_j)(log2 l_i - log2 l_j)."""
+    vals, vecs = np.linalg.eigh(state.mat)
+    logs = np.log2(vals)
+    weight = np.subtract.outer(vals, vals) * np.subtract.outer(logs, logs)
+    d, n = state.d, state.n
+    D = d**n
+    total = 0.0
+    for site in range(n):
+        v = vecs.reshape(fi._site_shape(d, n, site) + (D,))
+        for axis in ("X", "Z"):
+            w = fi._rotate_site_axis(v, fi._site_basis(axis, d).conj().T, 1)
+            for j in range(d):
+                wj = w[:, j].reshape(-1, D)
+                h = wj.conj().T @ wj
+                total += float(np.sum((h.real**2 + h.imag**2) * weight))
+    return total
+
+
+@PROFILE
+@given(
+    hs.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]),
+    seeds,
+    hs.floats(1e-3, 0.9),
+)
+def test_fisher_total_matches_eigenbasis_sum(system, seed, eta):
+    # the trace form against the closed form in rho's eigenbasis
+    d, n = system
+    rho = fi.smooth(states.random_state(n, d, seed=seed), eta)
+    ref = _fisher_total_eigenbasis(rho)
+    assert abs(fi.fisher_total(rho) - ref) <= 1e-12 * abs(ref)
+
+
 @PROFILE
 @given(
     hs.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qps import states, weyl
+from qps.config import config
 from qps.errors import NotStateError, TooLargeError, UnsupportedDimensionError
 from qps.mean_magic import is_msps
 from qps.phase_space import make_point
@@ -14,6 +15,68 @@ def test_make_state_validation():
         states.make_state(np.diag([0.9, 0.3]), 2)  # trace != 1
     with pytest.raises(NotStateError):
         states.make_state(np.diag([1.5, -0.5]), 2)  # negative eigenvalue
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_state_refuses_non_finite(where, bad):
+    mat = np.eye(3, dtype=complex) / 3
+    mat[where] = bad
+    mat[where[::-1]] = bad
+    with pytest.raises(NotStateError, match="non-finite"):
+        states.make_state(mat, 3)
+
+
+def _with_min_eigenvalue(lam: float) -> np.ndarray:
+    """A dense 4 x 4 unit-trace Hermitian matrix with smallest eigenvalue lam."""
+    vals = np.array([lam, 0.2, 0.3, 0.5 - lam])
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return (q * vals) @ q.conj().T
+
+
+@pytest.mark.parametrize(
+    "factor, accepted, eigs",
+    [(-2.0, False, 1), (-0.5, True, 1), (0.0, True, None), (1.0, True, 0)],
+)
+def test_make_state_positivity_table(factor, accepted, eigs, eig_calls):
+    # the Cholesky test accepts outright; eigvalsh decides only when it fails
+    # (at lam = 0 either may happen, decided by rounding)
+    mat = _with_min_eigenvalue(factor * config.tol_state)
+    eig_calls.clear()
+    if accepted:
+        state = states.make_state(mat, 2, 2)
+        assert eigs is None or len(eig_calls) == eigs
+        assert abs(state.eigvals[0] - factor * config.tol_state) < 1e-15
+    else:
+        lo = np.linalg.eigvalsh(states.hermitize(mat))[0]
+        eig_calls.clear()
+        with pytest.raises(NotStateError) as info:
+            states.make_state(mat, 2, 2)
+        assert str(info.value) == f"negative eigenvalue {lo}"
+        assert len(eig_calls) == eigs
+
+
+def test_validation_eigendecompositions(eig_calls):
+    full = states.random_state(2, 3, seed=1).mat
+    pure = states.random_pure(2, 3, seed=1).mat
+    eig_calls.clear()
+    states.make_state(full, 3, 2)
+    assert len(eig_calls) == 0
+    state = states.make_state(pure, 3, 2)
+    assert len(eig_calls) == 1  # the eigvalsh fallback, kept as the State's eigvals
+    state.eigvals
+    assert len(eig_calls) == 1
+
+
+def test_one_eigh_per_state(eig_calls):
+    state = states.random_state(2, 3, seed=2)
+    eig_calls.clear()
+    vals, vecs = state.eigh
+    assert state.eigh[1] is vecs and state.eigvals is vals
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert len(eig_calls) == 1
+    assert np.abs((vecs * vals) @ vecs.conj().T - state.mat).max() < 1e-14
 
 
 def test_char_examples():
