@@ -24,9 +24,6 @@ class Tolerances:
     tol_spec: float = 1e-12
     # density-operator validation (hermiticity, trace, eigenvalue dips).
     tol_state: float = 1e-10
-    # Weyl-expansion thresholds for is_weyl_up_to_phase.
-    weyl_coeff_one: float = 1e-8
-    weyl_coeff_zero: float = 1e-8
     # residual allowed when rounding a phase to a d-th root of unity.
     phase_residual: float = 1e-6
     # dense characteristic/Wigner tables: d^{2n} cap (QPS_MAX_DIM lowers it).

@@ -26,7 +26,7 @@ from .errors import (
     SingularStateError,
 )
 from .states import CharTable, State, char_function, from_char, make_state, maximally_mixed
-from .weyl import embed_one_site, fourier_gate
+from .weyl import apply_site_gate, conjugate_site_gate, fourier_gate
 
 LN2 = math.log(2.0)
 
@@ -50,12 +50,7 @@ def _site_basis(axis: str, d: int) -> np.ndarray:
 def dephasing_projector(axis: str, site: int, j: int, d: int, n: int) -> np.ndarray:
     """H_j^R = |j><j|_R on the chosen site, embedded in the register."""
     col = _site_basis(axis, d)[:, j]
-    return embed_one_site(np.outer(col, col.conj()), site, n, d)
-
-
-def _rotate_site_axis(t: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the d x d gate along one axis of t (a register reshaped site-first)."""
-    return np.moveaxis(np.tensordot(gate, t, axes=(1, axis)), 0, axis)
+    return apply_site_gate(np.eye(d**n, dtype=complex), np.outer(col, col.conj()), [site], d, n)
 
 
 def _site_shape(d: int, n: int, site: int) -> tuple:
@@ -66,17 +61,15 @@ def _site_shape(d: int, n: int, site: int) -> tuple:
 def _dephase_mat(mat: np.ndarray, d: int, n: int, axis: str, site: int) -> np.ndarray:
     """sum_j P_j mat P_j for the site projectors P_j of ``_site_basis(axis)``.
 
-    Both indices of mat are rotated into the site basis along the site
-    axis only (rows by B^dag, columns by B), the off-diagonal site blocks
-    are zeroed, and the rotation is undone; no D x D embedding is built.
+    mat is conjugated into the site basis B at that site (B^dag mat B by
+    ``conjugate_site_gate``), the entries whose row and column digits
+    differ at the site are zeroed, and the conjugation by B^dag is undone
+    by one by B; no D x D embedding is built.
     """
     basis = _site_basis(axis, d)
-    D = d**n
-    t = mat.reshape(_site_shape(d, n, site) * 2)
-    t = _rotate_site_axis(_rotate_site_axis(t, basis.conj().T, 1), basis.T, 4)
-    t = t * np.eye(d)[None, :, None, None, :, None]
-    t = _rotate_site_axis(_rotate_site_axis(t, basis, 1), basis.conj(), 4)
-    return t.reshape(D, D)
+    t = conjugate_site_gate(mat, basis.conj().T, [site], d, n)
+    t = t.reshape(_site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
+    return conjugate_site_gate(t.reshape(mat.shape), basis, [site], d, n)
 
 
 def dephase(state: State, axis: str, site: int = 0) -> State:

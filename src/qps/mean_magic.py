@@ -27,12 +27,13 @@ from .phase_space import (
 from .states import CharTable, State, char_function, from_char, make_state, pauli_rank
 from .weyl import (
     chi,
-    embed_one_site,
-    embed_two_site,
+    conjugate_site_gate,
     fourier_gate,
     phase_gate,
     t_gate,
     weyl_operator,
+    xmat,
+    zmat,
 )
 
 
@@ -218,32 +219,20 @@ def apply_qubit_word(state: State, word) -> State:
     """
     if state.d != 2:
         raise UnsupportedDimensionError("gate words are defined for d = 2")
-    n = state.n
+    gates = {
+        "H": fourier_gate(2),
+        "S": phase_gate(2),
+        "T": t_gate(),
+        "X": xmat(2),
+        "Z": zmat(2),
+        "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],  # control on the first site
+    }
     mat = state.mat
-    singles = {"H": fourier_gate(2), "S": phase_gate(2), "T": t_gate()}
-    from .phase_space import make_point
-
-    for token in word:
-        name = token[0]
-        if name == "CNOT":
-            _, c, t = token
-            g = np.zeros((4, 4), dtype=complex)
-            for i in range(2):  # control bit on the first slot
-                for j in range(2):
-                    g[2 * i + (i + j) % 2, 2 * i + j] = 1.0
-            full = embed_two_site(g, c, t, n, 2)
-        elif name in singles:
-            full = embed_one_site(singles[name], token[1], n, 2)
-        elif name == "X":
-            full = weyl_operator(make_point([1 if k == token[1] else 0 for k in range(n)],
-                                            [0] * n, 2), 2)
-        elif name == "Z":
-            full = weyl_operator(make_point([0] * n,
-                                            [1 if k == token[1] else 0 for k in range(n)], 2), 2)
-        else:
+    for name, *sites in word:
+        if name not in gates:
             raise ValueError(f"unknown gate {name}")
-        mat = full @ mat @ full.conj().T
-    return make_state(mat, 2, n)
+        mat = conjugate_site_gate(mat, gates[name], sites, 2, state.n)
+    return make_state(mat, 2, state.n)
 
 
 def random_clifford_t_word(n: int, length: int, seed) -> list:

@@ -30,7 +30,6 @@ from .weyl import (
     chi,
     matrix_from_weyl_table,
     weyl_coefficient_table,
-    weyl_operator,
 )
 
 # Absolute slack of the checks Xi(0) = 1 and |Xi| <= 1 on every cached table.
@@ -325,25 +324,26 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
 def msps_from_group(group: PhaseSubgroup, chars, d: int | None = None) -> State:
     """The MSPS fixed by a subgroup and one character tuple.
 
-    chars[i] selects the chi(chars[i]) eigenspace of w(generator_i); the
-    state is the product of the averaged eigenprojectors, normalized.
+    chars[i] selects the chi(chars[i]) eigenspace of w(x_i) for generator
+    x_i; the state is the product of the eigenprojectors
+    (1/d) sum_{m<d} chi(-k m) w(m x), normalized.  w(x)^m = w(m x) because
+    <x, x>_s = 0, so no operator power is taken: each projector is the
+    inverse Weyl transform of a table holding d^{n-1} chi(-k m) at the d
+    distinct points m x.
     """
     d = group.d if d is None else d
-    D = d**group.n
+    n = group.n
+    D = d**n
+    m = np.arange(d)
     P = np.eye(D, dtype=complex)
     for gen, k in zip(group.generators, chars):
-        w = weyl_operator(gen, d)
-        a = complex(chi(-int(k), d)) * w
-        acc = np.eye(D, dtype=complex)
-        cur = np.eye(D, dtype=complex)
-        for _ in range(d - 1):
-            cur = cur @ a
-            acc = acc + cur
-        P = P @ (acc / d)
+        table = np.zeros((d,) * (2 * n), dtype=complex)
+        table[tuple((m[:, None] * gen.vec() % d).T)] = chi(-int(k) * m, d) * (D / d)
+        P = P @ matrix_from_weyl_table(table, d, n)
     tr = np.trace(P).real
     if tr < 0.5:  # independent generators always leave dim d^{n-r} >= 1
         raise IncompatibleError("character tuple annihilates the projector")
-    return make_state(hermitize(P) / tr, d, group.n, validate=False)
+    return make_state(hermitize(P) / tr, d, n, validate=False)
 
 
 def iter_msps(n: int, d: int):

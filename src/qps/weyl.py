@@ -6,10 +6,14 @@ multi-site operators are tensor products.  The qubit convention is taken
 literally: phases of products are governed by integer exponents of i
 (see ``weyl_literal`` and ``commutation_phase``).
 
-Operators are returned as dense matrices.  A Weyl operator is monomial
-(one nonzero entry per column), so ``weyl_operator`` builds its row
-indices and values site by site from explicit shift and clock factors
-and scatters them once: no matrix exponentials, no Kronecker chains.
+Register operators are returned as dense matrices.  A Weyl operator is
+monomial (one nonzero entry per column), so ``weyl_operator`` builds its
+row indices and values site by site from explicit shift and clock factors
+and scatters them once: no matrix exponentials, no Kronecker chains.  A
+one- or two-site gate is never lifted to the register: ``apply_site_gate``
+contracts it along its site axes, and ``conjugate_site_gate`` applies
+g M g^dag the same way.
+
 The Weyl-coefficient transform (matrix -> table of Tr[M w(-x)]) runs
 through one d-point DFT per diagonal stripe and register digit, which is
 exact up to float rounding.
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import config, ensure_table_size
+from .config import ensure_table_size
 from .errors import (
     IncompatibleError,
     NotUnitaryError,
@@ -30,6 +34,9 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .phase_space import PhasePoint, check_prime, field_inv, symplectic_inner
+
+# Modulus slack of is_weyl_up_to_phase: one Weyl coefficient >= 1 - tol, all others <= tol.
+WEYL_COEFF_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -280,25 +287,21 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
     return np.abs(mat.conj().T @ mat - np.eye(D)).max() < tol
 
 
-def is_weyl_up_to_phase(
-    A: np.ndarray, d: int, n: int, one_tol: float | None = None, zero_tol: float | None = None
-):
+def is_weyl_up_to_phase(A: np.ndarray, d: int, n: int):
     """The WeylLabel of A when A is a Weyl operator up to phase, else None.
 
     A is expanded in the Weyl basis; the label is accepted only when
-    exactly one coefficient has modulus >= 1 - one_tol and every other
-    coefficient has modulus <= zero_tol.
+    exactly one coefficient has modulus >= 1 - WEYL_COEFF_TOL and every
+    other coefficient has modulus <= WEYL_COEFF_TOL.
     """
-    one_tol = config.weyl_coeff_one if one_tol is None else one_tol
-    zero_tol = config.weyl_coeff_zero if zero_tol is None else zero_tol
     coeffs = weyl_coefficient_table(A, d, n) / d**n
     mags = np.abs(coeffs)
-    hits = np.argwhere(mags >= 1 - one_tol)
+    hits = np.argwhere(mags >= 1 - WEYL_COEFF_TOL)
     if len(hits) != 1:
         return None
     rest = mags.copy()
     rest[tuple(hits[0])] = 0.0
-    if rest.max() > zero_tol:
+    if rest.max() > WEYL_COEFF_TOL:
         return None
     idx = tuple(int(v) for v in hits[0])
     point = PhasePoint(idx[:n], idx[n:])
@@ -306,31 +309,30 @@ def is_weyl_up_to_phase(
     return WeylLabel(point=point, phase=c / abs(c))
 
 
-def embed_one_site(gate: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
-    """Single-site gate lifted to the n-qudit register."""
-    left = np.eye(d**site, dtype=complex)
-    right = np.eye(d ** (n - site - 1), dtype=complex)
-    return np.kron(np.kron(left, gate), right)
+def apply_site_gate(mat: np.ndarray, gate: np.ndarray, sites, d: int, n: int) -> np.ndarray:
+    """gate @ mat with the k-site gate (on d^k dims) acting on the listed sites.
+
+    The gate's tensor factors act on sites[0], sites[1], ... in that order,
+    so the order of ``sites`` may differ from the register order.  The gate
+    is contracted into the row index of mat (shape (D,) or (D, m)) along
+    those site axes only; no D x D embedding is built.
+    """
+    sites = [int(s) for s in sites]
+    k = len(sites)
+    if len(set(sites)) != k or not all(0 <= s < n for s in sites):
+        raise IncompatibleError(f"a site gate needs distinct sites in 0..{n - 1}, got {sites}")
+    t = mat.reshape((d,) * n + (-1,))
+    out = np.tensordot(gate.reshape((d,) * (2 * k)), t, axes=(range(k, 2 * k), sites))
+    return np.moveaxis(out, range(k), sites).reshape(mat.shape)
 
 
-def _site_permutation(d: int, n: int, order) -> np.ndarray:
-    """Permutation matrix moving site order[k] of the input to slot k."""
-    D = d**n
-    dig = digit_table(d, n)
-    newidx = encode_digits(dig[:, list(order)], d)
-    P = np.zeros((D, D), dtype=complex)
-    P[newidx, np.arange(D)] = 1.0
-    return P
+def conjugate_site_gate(mat: np.ndarray, gate: np.ndarray, sites, d: int, n: int) -> np.ndarray:
+    """g mat g^dag for the register gate g that ``apply_site_gate`` applies.
 
-
-def embed_two_site(gate: np.ndarray, site_a: int, site_b: int, n: int, d: int) -> np.ndarray:
-    """Two-site gate (on d^2 dims) lifted to act on sites (site_a, site_b)."""
-    if site_a == site_b:
-        raise IncompatibleError("two-site gate needs distinct sites")
-    order = [site_a, site_b] + [k for k in range(n) if k not in (site_a, site_b)]
-    P = _site_permutation(d, n, order)
-    full = np.kron(gate, np.eye(d ** (n - 2), dtype=complex))
-    return P.conj().T @ full @ P
+    The right factor is applied as (conj(g) (g mat)^T)^T = g mat g^dag.
+    """
+    left = apply_site_gate(mat, gate, sites, d, n)
+    return apply_site_gate(left.T, gate.conj(), sites, d, n).T
 
 
 def fourier_gate(d: int) -> np.ndarray:
@@ -399,10 +401,12 @@ def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
     if not is_unitary(U):
         raise NotUnitaryError("is_clifford requires a unitary input")
     Udag = U.conj().T
+    zero = (0,) * n
     for site in range(n):
-        for gate in (xmat(d), zmat(d)):
-            g = embed_one_site(gate, site, n, d)
-            if is_weyl_up_to_phase(U @ g @ Udag, d, n) is None:
+        unit = tuple(int(k == site) for k in range(n))
+        # X on the site is w(0, e_site) and Z is w(e_site, 0), both with phase 1
+        for point in (PhasePoint(zero, unit), PhasePoint(unit, zero)):
+            if is_weyl_up_to_phase(U @ weyl_operator(point, d) @ Udag, d, n) is None:
                 return False
     return True
 
@@ -425,17 +429,15 @@ def random_clifford(n: int, d: int, word_length: int, seed) -> np.ndarray:
     for _ in range(word_length):
         kind = kinds[rng.integers(len(kinds))]
         if kind == "fourier":
-            g = embed_one_site(fourier_gate(d), int(rng.integers(n)), n, d)
+            U = apply_site_gate(U, fourier_gate(d), [rng.integers(n)], d, n)
         elif kind == "phase":
-            g = embed_one_site(phase_gate(d), int(rng.integers(n)), n, d)
+            U = apply_site_gate(U, phase_gate(d), [rng.integers(n)], d, n)
         elif kind == "mult":
             a = int(rng.integers(2, d))
-            g = embed_one_site(multiplier_gate(a, d), int(rng.integers(n)), n, d)
+            U = apply_site_gate(U, multiplier_gate(a, d), [rng.integers(n)], d, n)
         elif kind == "weyl":
             vec = rng.integers(0, d, size=2 * n)
-            g = weyl_operator(PhasePoint.from_vec(vec), d)
+            U = weyl_operator(PhasePoint.from_vec(vec), d) @ U
         else:
-            a, b = rng.choice(n, size=2, replace=False)
-            g = embed_two_site(cnot_gate(d), int(a), int(b), n, d)
-        U = g @ U
+            U = apply_site_gate(U, cnot_gate(d), rng.choice(n, size=2, replace=False), d, n)
     return U

@@ -80,7 +80,7 @@ def _convolve_channels_column_loop(ch1, ch2, pm):
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
-def test_exact_oracle_matches_column_loop(d, n, monkeypatch):
+def test_exact_oracle_matches_column_loop(d, n):
     rng = np.random.default_rng(10 * d + n)
     c1 = ch.random_channel(n, d, seed=d + n)
     c2 = ch.random_channel(n, d, seed=100 + d + n)
@@ -88,9 +88,6 @@ def test_exact_oracle_matches_column_loop(d, n, monkeypatch):
         pm = verify.sample_parity_matrix(rng, d, klass)
         batched = ch._convolve_channels_exact(c1, c2, pm).choi.mat
         assert np.abs(batched - _convolve_channels_column_loop(c1, c2, pm)).max() <= 1e-12
-        with monkeypatch.context() as m:  # one row of i per block, as at large D
-            m.setattr(ch, "_EXACT_BLOCK", 1)
-            assert (ch._convolve_channels_exact(c1, c2, pm).choi.mat == batched).all()
 
 
 def test_exact_oracle_size_cap():

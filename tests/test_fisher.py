@@ -24,6 +24,17 @@ def test_dephase():
             for j, b in enumerate(ps):
                 want = a if i == j else 0
                 assert np.abs(a @ b - want).max() < 1e-12
+    # at n = 2 each projector acts on its own site, and dephase is sum_j P_j rho P_j
+    r2 = states.random_state(2, 3, seed=1)
+    for axis in ("X", "Z"):
+        col = fi._site_basis(axis, 3)[:, 1]
+        for site in range(2):
+            factors = [np.eye(3), np.eye(3)]
+            factors[site] = np.outer(col, col.conj())
+            assert np.abs(fi.dephasing_projector(axis, site, 1, 3, 2) - np.kron(*factors)).max() < 1e-12
+            ps = [fi.dephasing_projector(axis, site, j, 3, 2) for j in range(3)]
+            want = sum(p @ r2.mat @ p for p in ps)
+            assert np.abs(fi.dephase(r2, axis, site).mat - want).max() < 1e-12
 
 
 def test_fisher_single():

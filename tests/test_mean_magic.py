@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -166,3 +167,40 @@ def test_lmg_t_count(t_state):
         assert lhs <= rhs + 1e-9
     with pytest.raises(UnsupportedDimensionError):
         mm.lmg_t_count_check(states.basis_state(0, 3), [])
+
+
+def _qubit_word_dense(word, n):
+    """Reference register unitary of a qubit word: each gate lifted with np.kron."""
+    one = {"H": weyl.fourier_gate(2), "S": weyl.phase_gate(2), "T": weyl.t_gate(),
+           "X": weyl.xmat(2), "Z": weyl.zmat(2)}
+    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    U = np.eye(2**n, dtype=complex)
+    for name, *sites in word:
+        if name == "CNOT":
+            c, t = sites
+            terms = [[np.eye(2)] * n, [np.eye(2)] * n]
+            terms[0][c], terms[1][c], terms[1][t] = P0, P1, weyl.xmat(2)
+            g = sum(reduce(np.kron, factors) for factors in terms)
+        else:
+            factors = [np.eye(2)] * n
+            factors[sites[0]] = one[name]
+            g = reduce(np.kron, factors)
+        U = g @ U
+    return U
+
+
+def test_apply_qubit_word_gates():
+    zero, one = states.basis_state(0, 2), states.basis_state(1, 2)
+    out = mm.apply_qubit_word(zero, [("X", 0)])
+    assert np.abs(out.mat - one.mat).max() < 1e-12
+    out = mm.apply_qubit_word(zero, [("H", 0), ("Z", 0), ("H", 0)])
+    assert np.abs(out.mat - one.mat).max() < 1e-12
+    for seed in range(6):
+        word = mm.random_clifford_t_word(2, 12, seed=seed)
+        rho = states.random_state(2, 2, seed=seed)
+        U = _qubit_word_dense(word, 2)
+        out = mm.apply_qubit_word(rho, word)
+        assert np.abs(out.mat - U @ rho.mat @ U.conj().T).max() < 1e-12
+    # control on the first listed site, on a non-adjacent pair: |100> -> |101>
+    out = mm.apply_qubit_word(states.basis_state(4, 2, n=3), [("CNOT", 0, 2)])
+    assert np.abs(out.mat - states.basis_state(5, 2, n=3).mat).max() < 1e-12

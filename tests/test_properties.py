@@ -87,9 +87,9 @@ def _fisher_total_eigenbasis(state):
     D = d**n
     total = 0.0
     for site in range(n):
-        v = vecs.reshape(fi._site_shape(d, n, site) + (D,))
         for axis in ("X", "Z"):
-            w = fi._rotate_site_axis(v, fi._site_basis(axis, d).conj().T, 1)
+            w = weyl.apply_site_gate(vecs, fi._site_basis(axis, d).conj().T, [site], d, n)
+            w = w.reshape(fi._site_shape(d, n, site) + (D,))
             for j in range(d):
                 wj = w[:, j].reshape(-1, D)
                 h = wj.conj().T @ wj

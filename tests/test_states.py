@@ -177,6 +177,27 @@ def test_enumerated_msps_are_msps():
         assert grp.is_isotropic()
 
 
+def _msps_power_loop(group, chars, d):
+    """Reference MSPS: eigenprojectors as averaged operator powers (chi(-k) w(x))^m."""
+    D = d**group.n
+    P = np.eye(D, dtype=complex)
+    for gen, k in zip(group.generators, chars):
+        a = complex(weyl.chi(-int(k), d)) * weyl.weyl_operator(gen, d)
+        acc = np.eye(D, dtype=complex)
+        cur = np.eye(D, dtype=complex)
+        for _ in range(d - 1):
+            cur = cur @ a
+            acc = acc + cur
+        P = P @ (acc / d)
+    return P / np.trace(P).real
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_msps_from_group_matches_power_loop(d, n):
+    for state, group, chars in states.iter_msps(n, d):
+        assert np.abs(state.mat - _msps_power_loop(group, chars, d)).max() <= 1e-12
+
+
 def test_random_state_contracts():
     pure = states.random_state(1, 5, seed=0, rank=1)
     assert abs(pure.purity() - 1) < 1e-10

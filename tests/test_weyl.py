@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from qps import weyl
-from qps.errors import NotUnitaryError, SingularGError, UnsupportedDimensionError
+from qps.errors import (
+    IncompatibleError,
+    NotUnitaryError,
+    SingularGError,
+    UnsupportedDimensionError,
+)
 from qps.phase_space import PhasePoint, make_point
 
 
@@ -165,6 +170,9 @@ def test_is_clifford():
     assert weyl.is_clifford(weyl.weyl_operator(make_point(1, 2, 3), 3), 3, 1)
     assert weyl.is_clifford(weyl.key_unitary([[1, 1], [1, 2]], 1, 3), 3, 2)
     assert not weyl.is_clifford(weyl.t_gate(), 2, 1)
+    # H T H^dag fixes X, so only its image of Z shows that it is not Clifford
+    h = weyl.fourier_gate(2)
+    assert not weyl.is_clifford(h @ weyl.t_gate() @ h.conj().T, 2, 1)
     for d in (2, 3, 5):
         assert weyl.is_clifford(weyl.fourier_gate(d), d, 1)
         assert weyl.is_clifford(weyl.phase_gate(d), d, 1)
@@ -185,12 +193,100 @@ def test_random_clifford():
 
 def test_embed_two_site_matches_kron():
     g = weyl.cnot_gate(2)
-    full = weyl.embed_two_site(g, 0, 1, 2, 2)
+    full = weyl.apply_site_gate(np.eye(4, dtype=complex), g, [0, 1], 2, 2)
     assert np.abs(full - g).max() < 1e-12
     # swapping the sites conjugates by SWAP
-    swapped = weyl.embed_two_site(g, 1, 0, 2, 2)
+    swapped = weyl.apply_site_gate(np.eye(4, dtype=complex), g, [1, 0], 2, 2)
     S = np.zeros((4, 4), complex)
     for i in range(2):
         for j in range(2):
             S[j * 2 + i, i * 2 + j] = 1
     assert np.abs(swapped - S @ g @ S).max() < 1e-12
+
+
+def _embed_one_site(gate, site, n, d):
+    """Reference lift of a one-site gate: I (x) gate (x) I."""
+    left = np.eye(d**site, dtype=complex)
+    right = np.eye(d ** (n - site - 1), dtype=complex)
+    return np.kron(np.kron(left, gate), right)
+
+
+def _embed_two_site(gate, site_a, site_b, n, d):
+    """Reference lift of a two-site gate: gate (x) I conjugated by a site permutation."""
+    D = d**n
+    order = [site_a, site_b] + [k for k in range(n) if k not in (site_a, site_b)]
+    newidx = weyl.encode_digits(weyl.digit_table(d, n)[:, order], d)
+    P = np.zeros((D, D), dtype=complex)
+    P[newidx, np.arange(D)] = 1.0
+    full = np.kron(gate, np.eye(d ** (n - 2), dtype=complex))
+    return P.conj().T @ full @ P
+
+
+def _random_gate(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_apply_site_gate_matches_dense_embedding(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    D = d**n
+    for cols in (D, 3):
+        mat = rng.normal(size=(D, cols)) + 1j * rng.normal(size=(D, cols))
+        for site in range(n):
+            g = _random_gate(rng, d)
+            out = weyl.apply_site_gate(mat, g, [site], d, n)
+            assert out.shape == mat.shape
+            assert np.abs(out - _embed_one_site(g, site, n, d) @ mat).max() < 1e-12
+        # every ordered pair: adjacent, reversed and non-adjacent
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                g = _random_gate(rng, d * d)
+                out = weyl.apply_site_gate(mat, g, [a, b], d, n)
+                assert np.abs(out - _embed_two_site(g, a, b, n, d) @ mat).max() < 1e-12
+    mat = rng.normal(size=(D, D)) + 0j
+    g = _random_gate(rng, d)
+    full = _embed_one_site(g, n - 1, n, d)
+    out = weyl.conjugate_site_gate(mat, g, [n - 1], d, n)
+    assert np.abs(out - full @ mat @ full.conj().T).max() < 1e-12
+
+
+def test_apply_site_gate_refuses_repeated_or_missing_sites():
+    with pytest.raises(IncompatibleError):
+        weyl.apply_site_gate(np.eye(9, dtype=complex), np.eye(9), [1, 1], 3, 2)
+    with pytest.raises(IncompatibleError):
+        weyl.conjugate_site_gate(np.eye(8, dtype=complex), np.eye(4), [2, 2], 2, 3)
+    for sites in ([-1], [2], [0, 3]):
+        with pytest.raises(IncompatibleError):
+            weyl.apply_site_gate(np.eye(9, dtype=complex), np.eye(3 ** len(sites)), sites, 3, 2)
+
+
+def _random_clifford_dense(n, d, word_length, seed):
+    """The dense-product reference: each generator lifted to the register, then multiplied."""
+    rng = np.random.default_rng(seed)
+    U = np.eye(d**n, dtype=complex)
+    kinds = ["fourier", "phase", "weyl"] + (["mult"] if d > 2 else []) + (["cnot"] if n >= 2 else [])
+    for _ in range(word_length):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "fourier":
+            g = _embed_one_site(weyl.fourier_gate(d), int(rng.integers(n)), n, d)
+        elif kind == "phase":
+            g = _embed_one_site(weyl.phase_gate(d), int(rng.integers(n)), n, d)
+        elif kind == "mult":
+            a = int(rng.integers(2, d))
+            g = _embed_one_site(weyl.multiplier_gate(a, d), int(rng.integers(n)), n, d)
+        elif kind == "weyl":
+            g = weyl.weyl_operator(PhasePoint.from_vec(rng.integers(0, d, size=2 * n)), d)
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            g = _embed_two_site(weyl.cnot_gate(d), int(a), int(b), n, d)
+        U = g @ U
+    return U
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3)])
+def test_random_clifford_matches_dense_product(n, d):
+    for seed in range(4):
+        U = weyl.random_clifford(n, d, 10, seed=seed)
+        assert np.abs(U - _random_clifford_dense(n, d, 10, seed)).max() <= 1e-13
