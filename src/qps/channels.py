@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT, Tolerances
 from .convolution import as_param_matrix, clt_trajectory, convolve
 from .errors import (
     IncompatibleError,
@@ -92,14 +93,12 @@ def unitary_channel(U: np.ndarray, d: int, n: int) -> Channel:
     return choi_from_kraus([U], d, n)
 
 
-def weyl_conjugation_channel(point, d: int, n: int | None = None) -> Channel:
+def weyl_conjugation_channel(point, d: int) -> Channel:
     from .phase_space import PhasePoint
 
     if not isinstance(point, PhasePoint):
         point = PhasePoint.from_vec(point)
-    if n is None:
-        n = point.n
-    return unitary_channel(weyl_operator(point, d), d, n)
+    return unitary_channel(weyl_operator(point, d), d, point.n)
 
 
 def channel_apply(channel: Channel, rho: State) -> State:
@@ -181,9 +180,9 @@ def convolution_route_gap(ch1: Channel, ch2: Channel, params) -> float:
     return float(np.abs(choi.mat - exact.choi.mat).max())
 
 
-def mean_channel(channel: Channel) -> Channel:
+def mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> Channel:
     """The channel whose Choi state is M(J); always a stabilizer channel."""
-    mean = mean_state(channel.choi).mean
+    mean = mean_state(channel.choi, tol).mean
     return channel_from_choi(mean)
 
 
@@ -194,17 +193,17 @@ def channel_entropy(channel: Channel, alpha) -> float:
     return renyi_entropy(channel.choi, alpha) - channel.n * math.log2(channel.d)
 
 
-def is_zero_mean_channel(channel: Channel) -> bool:
-    return is_zero_mean(channel.choi)
+def is_zero_mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> bool:
+    return is_zero_mean(channel.choi, tol)
 
 
-def channel_magic_gap(channel: Channel) -> float:
-    return magic_gap(channel.choi).gap
+def channel_magic_gap(channel: Channel, tol: Tolerances = DEFAULT) -> float:
+    return magic_gap(channel.choi, tol).gap
 
 
-def zero_mean_channel_shift(channel: Channel):
+def zero_mean_channel_shift(channel: Channel, tol: Tolerances = DEFAULT):
     """Weyl label and shifted channel whose Choi state has zero mean."""
-    label, shifted = zero_mean_shift(channel.choi)
+    label, shifted = zero_mean_shift(channel.choi, tol)
     return label, channel_from_choi(shifted)
 
 
@@ -246,7 +245,7 @@ class ChannelCltReport:
     ok: bool
 
 
-def channel_clt(channel: Channel, params, N: int) -> ChannelCltReport:
+def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> ChannelCltReport:
     """Choi 2-norm trajectory of ⊠^N Λ against the (1 - MG)^N bound.
 
     params is the G of the convolution.  The channel is Weyl-shifted to
@@ -255,14 +254,14 @@ def channel_clt(channel: Channel, params, N: int) -> ChannelCltReport:
     asserts distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
     """
     d, n = channel.d, channel.n
-    label, work = zero_mean_channel_shift(channel)
+    label, work = zero_mean_channel_shift(channel, tol)
     rows = tuple(
         ChannelCltRow(step=k, distance=dist, bound=bound, diamond_bound=d ** (2 * n) * bound)
-        for k, (_, dist, bound) in enumerate(clt_trajectory(work.choi, params, N))
+        for k, (_, dist, bound) in enumerate(clt_trajectory(work.choi, params, N, tol))
     )
     return ChannelCltReport(
         rows=rows,
-        magic_gap=magic_gap(work.choi).gap,
+        magic_gap=magic_gap(work.choi, tol).gap,
         shifted=bool(label.point.vec().any()),
         shift_label=label,
         ok=all(row.distance <= row.bound + 1e-9 for row in rows),
@@ -295,7 +294,7 @@ def check_unitary_min_entropy(params, d: int, n: int = 1, seed=0, pairs: int = 5
         pt1 = rng.integers(0, d, 2 * n)
         pt2 = rng.integers(0, d, 2 * n)
         ch = convolve_channels(
-            weyl_conjugation_channel(pt1, d, n), weyl_conjugation_channel(pt2, d, n), pm
+            weyl_conjugation_channel(pt1, d), weyl_conjugation_channel(pt2, d), pm
         )
         matched_max = max(matched_max, channel_entropy(ch, 1))
         u1, _ = np.linalg.qr(rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n)))
@@ -303,7 +302,7 @@ def check_unitary_min_entropy(params, d: int, n: int = 1, seed=0, pairs: int = 5
         ch = convolve_channels(unitary_channel(u1, d, n), unitary_channel(u2, d, n), pm)
         generic_min = min(generic_min, channel_entropy(ch, 1))
     r = depolarizing_channel(d, n)
-    some = weyl_conjugation_channel(rng.integers(0, d, 2 * n), d, n)
+    some = weyl_conjugation_channel(rng.integers(0, d, 2 * n), d)
     if pm.odd_parity_positive:
         absorbed = convolve_channels(some, r, pm)
     else:

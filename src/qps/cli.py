@@ -14,7 +14,7 @@ import sys
 
 from . import convolution as cv
 from . import entropy as ent
-from .config import config as tolconf, snapshot
+from .config import Tolerances, snapshot
 from . import mean_magic as mm
 from . import states as st
 from .errors import QpsError, UnsupportedGError
@@ -109,13 +109,13 @@ def _clt_params(args, d: int):
     return params
 
 
-def cmd_clt(args) -> int:
+def cmd_clt(args, tol: Tolerances) -> int:
     params = _clt_params(args, args.d)
     rho = st.random_state(args.n, args.d, seed=args.seed)
-    _, rho = mm.zero_mean_shift(rho)
+    _, rho = mm.zero_mean_shift(rho, tol)
     lines = ["N,l2_distance,paper_bound," + ",".join(f"H_{a}" for a in _ALPHAS)]
     ok = True
-    for step, (state, dist, bound) in enumerate(cv.clt_trajectory(rho, params, args.N)):
+    for step, (state, dist, bound) in enumerate(cv.clt_trajectory(rho, params, args.N, tol)):
         ok = ok and dist <= bound + 1e-9
         hs = [ent.renyi_entropy(state, a) for a in _ALPHAS]
         lines.append(
@@ -125,12 +125,12 @@ def cmd_clt(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_channel_clt(args) -> int:
+def cmd_channel_clt(args, tol: Tolerances) -> int:
     from . import channels as chn
     from . import io as qio
 
     channel = qio.read_channel(args.channel)
-    rep = chn.channel_clt(channel, _clt_params(args, channel.d), args.N)
+    rep = chn.channel_clt(channel, _clt_params(args, channel.d), args.N, tol)
     label = rep.shift_label
     sp = ".".join(str(v) for v in label.point.p) if rep.shifted else ""
     sq = ".".join(str(v) for v in label.point.q) if rep.shifted else ""
@@ -153,9 +153,9 @@ def cmd_channel_clt(args) -> int:
     return 0 if rep.ok else 1
 
 
-def cmd_params(args) -> int:
+def cmd_params(args, tol: Tolerances) -> int:
     d = args.d
-    report = {"d": d, "tolerances": snapshot()}
+    report = {"d": d, "tolerances": snapshot(tol)}
     for family, formula in (("circle", (d + 1) // 8), ("hyperbola", (d - 3) // 4 if d >= 3 else 0)):
         classes = cv.solve_params(d, family)
         report[family] = {
@@ -172,12 +172,12 @@ def cmd_params(args) -> int:
     return 0
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args, tol: Tolerances) -> int:
     from . import io as qio
 
     state = qio.read_state(args.state)
-    gap = mm.magic_gap(state)
-    rep = mm.mean_state(state)
+    gap = mm.magic_gap(state, tol)
+    rep = mm.mean_state(state, tol)
     out = {
         "d": state.d,
         "n": state.n,
@@ -187,14 +187,14 @@ def cmd_gap(args) -> int:
         "support_size": gap.support_size,
         "group_size": rep.group.size,
         "mean_value_vector": [int(k) for k in rep.phases],
-        "zero_mean": mm.is_zero_mean(state),
-        "tolerances": snapshot(),
+        "zero_mean": mm.is_zero_mean(state, tol),
+        "tolerances": snapshot(tol),
     }
     _json_dump(out, args.out)
     return 0
 
 
-def cmd_entropy_sweep(args) -> int:
+def cmd_entropy_sweep(args, tol: Tolerances) -> int:
     d, n = args.d, args.n
     params = _resolve_params(args, d)
     alphas = _parse_alphas(args.alphas)
@@ -207,7 +207,7 @@ def cmd_entropy_sweep(args) -> int:
     return 0 if rep.ok else 1
 
 
-def cmd_conv(args) -> int:
+def cmd_conv(args, tol: Tolerances) -> int:
     from . import io as qio
 
     rho = qio.read_state(args.rho)
@@ -215,19 +215,19 @@ def cmd_conv(args) -> int:
     params = _resolve_params(args, rho.d)
     out = cv.convolve(rho, sigma, params)
     if args.out:
-        qio.write_state(out, args.out, form=args.form)
+        qio.write_state(out, args.out, form=args.form, tol=tol)
     else:
-        _json_dump(qio.state_to_json(out, form=args.form), None)
+        _json_dump(qio.state_to_json(out, form=args.form, tol=tol), None)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, tol: Tolerances) -> int:
     from . import verify
 
     suite = args.suite
     if suite != "all" and suite not in verify.SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {('all',) + verify.SUITES}")
-    checks = verify.run_suite(suite, args.d, args.n, args.seeds, args.jobs, args.seed)
+    checks = verify.run_suite(suite, args.d, args.n, args.seeds, args.jobs, args.seed, tol)
     passed = all(c.passed for c in checks)
     report = {
         "suite": suite,
@@ -236,7 +236,7 @@ def cmd_verify(args) -> int:
             "n": args.n,
             "seeds": args.seeds,
             "jobs": args.jobs,
-            "tolerances": snapshot(),
+            "tolerances": snapshot(tol),
         },
         "checks": [c.to_json() for c in checks],
         "pass": passed,
@@ -323,12 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol_one is not None:
-        tolconf.tol_one = args.tol_one
-    if args.tol_supp is not None:
-        tolconf.tol_supp = args.tol_supp
+    flags = {"tol_one": args.tol_one, "tol_supp": args.tol_supp}
+    tol = Tolerances(**{k: v for k, v in flags.items() if v is not None})  # 0 is an override
     try:
-        return args.fn(args)
+        return args.fn(args, tol)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

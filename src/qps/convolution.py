@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import DEFAULT, Tolerances
 from .errors import (
     IncompatibleError,
     SingularGError,
@@ -169,9 +170,9 @@ def convolve(rho: State, sigma: State, params) -> State:
     """rho ⊠ sigma = Tr_B[U (rho ⊗ sigma) U^dag], by the duality route.
 
     Both characteristic tables are dense d^{2n} arrays, so this raises
-    TooLargeError when d^{2n} exceeds the ``max_table`` cap (see
-    ``config``).  The result is validated by ``make_state``, and the
-    product table Xi_out it was built from is handed to it as its
+    TooLargeError when d^{2n} exceeds ``config.table_cap()`` (``MAX_TABLE``,
+    lowered by QPS_MAX_DIM).  The result is validated by ``make_state``, and
+    the product table Xi_out it was built from is handed to it as its
     characteristic table, so ``char_function`` on the result (the next
     step of ``iterate``) transforms nothing.
     """
@@ -308,14 +309,14 @@ def iterate(rho: State, params, N: int):
     return powers()
 
 
-def clt_trajectory(rho: State, params, N: int):
+def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
     """The quantum CLT: an iterator over (⊠^k rho, ||⊠^k rho - M(rho)||_2,
     (1 - MG(rho))^k ||rho - M(rho)||_2) for k = 0..N along ``iterate``.
 
     rho should have zero mean (see ``mean_magic.zero_mean_shift``).
     """
-    mean = mean_state(rho).mean
-    mg = magic_gap(rho).gap
+    mean = mean_state(rho, tol).mean
+    mg = magic_gap(rho, tol).gap
     base = float(np.linalg.norm(rho.mat - mean.mat))
     return (
         (state, float(np.linalg.norm(state.mat - mean.mat)), (1 - mg) ** k * base)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config
+from .config import DEFAULT, TOL_SPEC, TOL_STATE, Tolerances
 from .convolution import (
     as_param_matrix,
     convolve,
@@ -46,7 +46,7 @@ def clean_spectrum(state_or_values) -> np.ndarray:
         vals = state_or_values.eigvals
     else:
         vals = np.asarray(state_or_values, dtype=float)
-    if vals.min() < -config.tol_state:
+    if vals.min() < -TOL_STATE:
         raise NotComparableError(f"eigenvalue {vals.min()} below the state floor")
     vals = np.clip(vals, 0.0, None)
     vals = np.sort(vals)[::-1]
@@ -56,7 +56,7 @@ def clean_spectrum(state_or_values) -> np.ndarray:
 def renyi_entropy_spectrum(spec: np.ndarray, alpha) -> float:
     """Generalized Renyi entropy of a cleaned spectrum, base-2 logs."""
     spec = np.asarray(spec, dtype=float)
-    pos = spec[spec > config.tol_spec]
+    pos = spec[spec > TOL_SPEC]
     if alpha == 1:
         return float(-(pos * np.log2(pos)).sum())
     if alpha == 0:
@@ -80,7 +80,7 @@ def renyi_entropy(state: State, alpha) -> float:
 
 
 def _support_projector(vals, vecs):
-    mask = vals > config.tol_spec
+    mask = vals > TOL_SPEC
     return vecs[:, mask], vals[mask]
 
 
@@ -98,11 +98,11 @@ def renyi_relative(rho: State, sigma: State, alpha) -> float:
     # rho compressed onto supp(sigma); support violation = trace deficit
     r_in = vb.conj().T @ rho.mat @ vb
     deficit = 1.0 - np.trace(r_in).real
-    if alpha >= 1 and deficit > config.tol_spec * rho.dim:
+    if alpha >= 1 and deficit > TOL_SPEC * rho.dim:
         return math.inf
     if alpha == 1:
         rvals = rho.eigvals
-        pos = rvals > config.tol_spec
+        pos = rvals > TOL_SPEC
         tr_rlogr = float((rvals[pos] * np.log2(rvals[pos])).sum())
         logsig = (vb * np.log2(lb)) @ vb.conj().T
         return tr_rlogr - float(np.trace(rho.mat @ logsig).real)
@@ -115,7 +115,7 @@ def renyi_relative(rho: State, sigma: State, alpha) -> float:
     m = half @ rho.mat @ half
     mvals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     total = float((mvals[mvals > 0] ** alpha).sum())
-    if total <= config.tol_spec:
+    if total <= TOL_SPEC:
         return math.inf
     return float(np.log2(total) / (alpha - 1))
 
@@ -218,7 +218,7 @@ def second_law_counterexample(d: int, n: int = 1, alpha=1):
     }
 
 
-def check_equality_case(sigma: State, params, alpha, seed=0) -> dict:
+def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = DEFAULT) -> dict:
     """Equality H_alpha(rho ⊠ sigma) = H_alpha(rho) on the fixed algebra.
 
     sigma must be an MSPS; rho is drawn as a random convex mixture of the
@@ -229,9 +229,9 @@ def check_equality_case(sigma: State, params, alpha, seed=0) -> dict:
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the equality case is stated for positive G")
-    if not is_msps(sigma):
+    if not is_msps(sigma, tol):
         raise NotComparableError("sigma must be an MSPS")
-    group = mean_state(sigma).group
+    group = mean_state(sigma, tol).group
     s_trans = transformed_stabilizer_group(group, pm)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(d**s_trans.rank)) if s_trans.rank else np.array([1.0])
@@ -255,7 +255,7 @@ def check_equality_case(sigma: State, params, alpha, seed=0) -> dict:
     }
 
 
-def holevo_bounds(sigma: State, params) -> tuple[float, float]:
+def holevo_bounds(sigma: State, params, tol: Tolerances = DEFAULT) -> tuple[float, float]:
     """Bounds on the Holevo capacity of the convolution channel E_sigma.
 
     Positive G: (n log d - H(M(sigma)), n log d - H(sigma)); the two
@@ -266,7 +266,7 @@ def holevo_bounds(sigma: State, params) -> tuple[float, float]:
     pm = as_param_matrix(params, d)
     full = n * math.log2(d)
     if pm.positive:
-        lower = full - renyi_entropy(mean_state(sigma).mean, 1)
+        lower = full - renyi_entropy(mean_state(sigma, tol).mean, 1)
         upper = full - renyi_entropy(sigma, 1)
         return lower, upper
     if pm.odd_parity_positive:

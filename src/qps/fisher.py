@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import config
+from .config import TOL_SPEC
 from .convolution import as_param_matrix, convolve
 from .errors import (
     IncompatibleError,
@@ -61,15 +61,17 @@ def _site_shape(d: int, n: int, site: int) -> tuple:
 def _dephase_mat(mat: np.ndarray, d: int, n: int, axis: str, site: int) -> np.ndarray:
     """sum_j P_j mat P_j for the site projectors P_j of ``_site_basis(axis)``.
 
-    mat is conjugated into the site basis B at that site (B^dag mat B by
-    ``conjugate_site_gate``), the entries whose row and column digits
-    differ at the site are zeroed, and the conjugation by B^dag is undone
-    by one by B; no D x D embedding is built.
+    In the site basis B the entries whose row and column digits differ at
+    the site are zeroed.  On axis Z, B is the identity and this mask is the
+    whole map; on axis X, mat is conjugated into B first (B^dag mat B by
+    ``conjugate_site_gate``) and back by B after.  No D x D embedding is built.
     """
     basis = _site_basis(axis, d)
-    t = conjugate_site_gate(mat, basis.conj().T, [site], d, n)
-    t = t.reshape(_site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
-    return conjugate_site_gate(t.reshape(mat.shape), basis, [site], d, n)
+    if axis == "X":
+        mat = conjugate_site_gate(mat, basis.conj().T, [site], d, n)
+    t = mat.reshape(_site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
+    t = t.reshape(mat.shape)
+    return conjugate_site_gate(t, basis, [site], d, n) if axis == "X" else t
 
 
 def dephase(state: State, axis: str, site: int = 0) -> State:
@@ -81,7 +83,7 @@ def dephase(state: State, axis: str, site: int = 0) -> State:
 def _spectrum(state: State):
     """(eigenvalues, eigenvectors) of rho, cached on the State; errors below the spectrum floor."""
     vals, vecs = state.eigh
-    if vals.min() <= config.tol_spec:
+    if vals.min() <= TOL_SPEC:
         raise SingularStateError(
             f"state has eigenvalue {vals.min():.2e} at/below the floor; smooth() it first"
         )

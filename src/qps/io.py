@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .channels import Channel, channel_from_choi
-from .config import config
+from .config import DEFAULT, Tolerances
 from .errors import IncompatibleError
 from .states import CharTable, State, char_function, from_char, make_state
 
@@ -28,11 +28,11 @@ def _matrix_from_json(obj: dict) -> np.ndarray:
     return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
 
 
-def _char_entries(state: State) -> list:
+def _char_entries(state: State, tol: Tolerances) -> list:
     table = char_function(state)
     n = state.n
     entries = []
-    for idx in np.argwhere(np.abs(table.values) > config.tol_supp):
+    for idx in np.argwhere(np.abs(table.values) > tol.tol_supp):
         v = table.values[tuple(idx)]
         entries.append(
             {
@@ -45,11 +45,11 @@ def _char_entries(state: State) -> list:
     return entries
 
 
-def state_to_json(state: State, form: str = "dense") -> dict:
+def state_to_json(state: State, form: str = "dense", tol: Tolerances = DEFAULT) -> dict:
     if form == "dense":
         return {"d": state.d, "n": state.n, "matrix": _matrix_to_json(state.mat)}
     if form == "char":
-        return {"d": state.d, "n": state.n, "char": _char_entries(state)}
+        return {"d": state.d, "n": state.n, "char": _char_entries(state, tol)}
     raise IncompatibleError(f"unknown state form {form!r}")
 
 
@@ -66,9 +66,9 @@ def state_from_json(obj: dict) -> State:
     raise IncompatibleError("state JSON needs a 'matrix' or 'char' field")
 
 
-def write_state(state: State, path: str, form: str = "dense") -> None:
+def write_state(state: State, path: str, form: str = "dense", tol: Tolerances = DEFAULT) -> None:
     with open(path, "w") as fh:
-        json.dump(state_to_json(state, form), fh, sort_keys=True)
+        json.dump(state_to_json(state, form, tol), fh, sort_keys=True)
         fh.write("\n")
 
 
@@ -77,8 +77,8 @@ def read_state(path: str) -> State:
         return state_from_json(json.load(fh))
 
 
-def channel_to_json(channel: Channel, form: str = "dense") -> dict:
-    obj = state_to_json(channel.choi, form)
+def channel_to_json(channel: Channel, form: str = "dense", tol: Tolerances = DEFAULT) -> dict:
+    obj = state_to_json(channel.choi, form, tol)
     return {
         "kind": "choi",
         "d": channel.d,
@@ -100,9 +100,10 @@ def channel_from_json(obj: dict) -> Channel:
     return channel_from_choi(choi)
 
 
-def write_channel(channel: Channel, path: str, form: str = "dense") -> None:
+def write_channel(channel: Channel, path: str, form: str = "dense",
+                  tol: Tolerances = DEFAULT) -> None:
     with open(path, "w") as fh:
-        json.dump(channel_to_json(channel, form), fh, sort_keys=True)
+        json.dump(channel_to_json(channel, form, tol), fh, sort_keys=True)
         fh.write("\n")
 
 

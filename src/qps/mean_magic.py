@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config
+from .config import DEFAULT, PHASE_RESIDUAL, Tolerances
 from .errors import (
     InternalInconsistencyError,
     PhaseNotRootOfUnityError,
@@ -63,19 +63,19 @@ def _phase_exponent(value: complex, d: int) -> int:
     """Round a unit-modulus value to chi(k); error if the residual is large."""
     k = int(np.round(d * np.angle(value) / (2 * np.pi))) % d
     residual = abs(value - complex(chi(k, d)))
-    if residual > config.phase_residual:
+    if residual > PHASE_RESIDUAL:
         raise PhaseNotRootOfUnityError(
             f"characteristic value {value} is {residual:.2e} from any d-th root of unity"
         )
     return k
 
 
-def mean_state(state: State) -> MeanStateReport:
+def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
     d, n = state.d, state.n
     table = char_function(state)
     mags = np.abs(table.values)
-    on = mags >= 1 - config.tol_one
+    on = mags >= 1 - tol.tol_one
     vecs = np.argwhere(on)
     group = subgroup_generators(list(vecs), d, n)
     if group.size != len(vecs):
@@ -92,32 +92,29 @@ def mean_state(state: State) -> MeanStateReport:
     return MeanStateReport(mean=mean, group=group, generators=group.generators, phases=phases)
 
 
-def is_msps(state: State) -> bool:
+def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
     """True iff every |Xi| is 0 or 1 (within tolerance) and rho = M(rho)."""
     mags = np.abs(char_function(state).values)
-    mid = (mags > config.tol_supp) & (mags < 1 - config.tol_one)
+    mid = (mags > tol.tol_supp) & (mags < 1 - tol.tol_one)
     if mid.any():
         return False
-    report = mean_state(state)
+    report = mean_state(state, tol)
     return np.abs(report.mean.mat - state.mat).max() <= 1e-9
 
 
-def mean_value_vector(state: State) -> np.ndarray:
+def mean_value_vector(state: State, tol: Tolerances = DEFAULT) -> np.ndarray:
     """(k_1, ..., k_r) with Xi(x_i) = chi(k_i) on the computed generators."""
-    return np.array(mean_state(state).phases, dtype=np.int64)
+    return np.array(mean_state(state, tol).phases, dtype=np.int64)
 
 
-def is_zero_mean(state: State) -> bool:
+def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
     """True iff Xi takes the value 1 on the whole mean-state group."""
-    report = mean_state(state)
-    table = char_function(state)
-    return all(
-        abs(table.values[tuple(v)] - 1.0) < config.phase_residual
-        for v in report.group.elements
-    )
+    elements = mean_state(state, tol).group.elements
+    values = char_function(state).values[tuple(elements.T)]
+    return bool((np.abs(values - 1) < PHASE_RESIDUAL).all())
 
 
-def zero_mean_shift(state: State):
+def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
     """A Weyl label (a, b) and the zero-mean conjugate w rho w^dag.
 
     Solves <(a,b), (p_i,q_i)>_s = -k_i over Z_d; the lexicographically
@@ -127,7 +124,7 @@ def zero_mean_shift(state: State):
     from .weyl import WeylLabel
 
     d, n = state.d, state.n
-    report = mean_state(state)
+    report = mean_state(state, tol)
     if not report.generators:
         label = WeylLabel(point=PhasePoint((0,) * n, (0,) * n), phase=1.0 + 0j)
         return label, state
@@ -143,16 +140,16 @@ def zero_mean_shift(state: State):
     point = PhasePoint.from_vec(sol)
     w = weyl_operator(point, d)
     shifted = make_state(w @ state.mat @ w.conj().T, d, n)
-    if not is_zero_mean(shifted):
+    if not is_zero_mean(shifted, tol):
         raise InternalInconsistencyError("shifted state failed the zero-mean check")
     return WeylLabel(point=point, phase=1.0 + 0j), shifted
 
 
-def magic_gap(state: State) -> MagicGapReport:
+def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:
     """Gap between 1 and the second-largest |Xi| on the support."""
     mags = np.abs(char_function(state).values)
-    support = mags > config.tol_supp
-    below = support & (mags < 1 - config.tol_one)
+    support = mags > tol.tol_supp
+    below = support & (mags < 1 - tol.tol_one)
     if below.any():
         second = float(mags[below].max())
         gap = 1.0 - second
@@ -167,18 +164,18 @@ def magic_gap(state: State) -> MagicGapReport:
     )
 
 
-def magic_gap_upper_bound(state: State):
+def magic_gap_upper_bound(state: State, tol: Tolerances = DEFAULT):
     """The Pauli-rank bound 1 - sqrt((d^n Tr rho^2 - d^k)/(R_P - d^k)).
 
     Defined for k < n where d^k is the unit-modulus set size; returns
     None at k = n (the bound degenerates there; the gap is 0 anyway).
     """
     d, n = state.d, state.n
-    report = mean_state(state)
+    report = mean_state(state, tol)
     k = report.rank
     if k >= n:
         return None
-    rp = pauli_rank(state)
+    rp = pauli_rank(state, tol)
     num = d**n * state.purity() - d**k
     den = rp - d**k
     if den <= 0:
@@ -249,12 +246,12 @@ def random_clifford_t_word(n: int, length: int, seed) -> list:
     return word
 
 
-def lmg_t_count_check(state: State, word):
+def lmg_t_count_check(state: State, word, tol: Tolerances = DEFAULT):
     """(LMG of the circuit output, LMG(rho) + T-count/2), base-2 logs."""
     if state.d != 2:
         raise UnsupportedDimensionError("the T-count bound is a qubit statement")
     out = apply_qubit_word(state, word)
     n_t = sum(1 for token in word if token[0] == "T")
-    lhs = magic_gap(out).log_gap
-    rhs = magic_gap(state).log_gap + n_t / 2.0
+    lhs = magic_gap(out, tol).log_gap
+    rhs = magic_gap(state, tol).log_gap + n_t / 2.0
     return lhs, rhs

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config
+from .config import MAX_GROUP
 from .errors import IncompatibleError, NotInvertibleError, NotPrimeError, TooLargeError
 
 # Desk-scale cap on the prime modulus.
@@ -241,8 +241,8 @@ def subgroup_generators(points, d: int, n: int | None = None) -> PhaseSubgroup:
     R, pivots = rref_mod(np.array(vecs), d)
     basis = R[: len(pivots)]
     r = len(pivots)
-    if d**r > config.max_group:
-        raise TooLargeError(f"subgroup of size {d}^{r} exceeds the cap {config.max_group}")
+    if d**r > MAX_GROUP:
+        raise TooLargeError(f"subgroup of size {d}^{r} exceeds the cap {MAX_GROUP}")
     # span: elements indexed by coefficient tuples t in Z_d^r
     coeffs = np.indices((d,) * r).reshape(r, -1).T  # (d^r, r)
     elements = (coeffs @ basis) % d

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import config
+from .config import DEFAULT, MAX_ENUMERATION, TOL_STATE, Tolerances
 from .errors import (
     IncompatibleError,
     NotStateError,
@@ -94,7 +94,7 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> State:
     """Wrap a matrix as a State, re-Hermitizing and checking the invariants.
 
-    With t = ``config.tol_state``: every entry finite, Hermitian to t,
+    With t = ``config.TOL_STATE``: every entry finite, Hermitian to t,
     unit trace to t, and every eigenvalue >= -t.  Positivity is tested by
     a Cholesky factorization of the Hermitized matrix, which succeeds only
     when its smallest eigenvalue is at least -O(D eps), far above -t.  Only
@@ -107,7 +107,7 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> Stat
         n = round(np.log(mat.shape[0]) / np.log(d))
     if mat.shape != (d**n, d**n):
         raise IncompatibleError(f"matrix shape {mat.shape} is not ({d**n}, {d**n})")
-    tol = config.tol_state
+    tol = TOL_STATE
     vals = None
     if validate:
         if not np.isfinite(mat).all():
@@ -264,10 +264,10 @@ def state_from_wigner(wt: WignerTable) -> np.ndarray:
     return from_char(char_from_wigner(wt))
 
 
-def pauli_rank(state: State) -> int:
+def pauli_rank(state: State, tol: Tolerances = DEFAULT) -> int:
     """Number of phase-space points where |Xi| exceeds the support threshold."""
     table = char_function(state)
-    return int(np.count_nonzero(np.abs(table.values) > config.tol_supp))
+    return int(np.count_nonzero(np.abs(table.values) > tol.tol_supp))
 
 
 def random_state(n: int, d: int, seed, rank: int | None = None) -> State:
@@ -291,9 +291,9 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
     """All isotropic (abelian-Weyl) subgroups of V^n, deterministically ordered.
 
     Breadth-first closure over the subgroup lattice; capped at
-    d^{2n} <= max_enumeration.
+    d^{2n} <= ``config.MAX_ENUMERATION``.
     """
-    if d ** (2 * n) > config.max_enumeration:
+    if d ** (2 * n) > MAX_ENUMERATION:
         raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
     all_vecs = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
     nonzero = [v for v in all_vecs if v.any()]
@@ -321,7 +321,7 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
     return groups
 
 
-def msps_from_group(group: PhaseSubgroup, chars, d: int | None = None) -> State:
+def msps_from_group(group: PhaseSubgroup, chars) -> State:
     """The MSPS fixed by a subgroup and one character tuple.
 
     chars[i] selects the chi(chars[i]) eigenspace of w(x_i) for generator
@@ -331,8 +331,7 @@ def msps_from_group(group: PhaseSubgroup, chars, d: int | None = None) -> State:
     inverse Weyl transform of a table holding d^{n-1} chi(-k m) at the d
     distinct points m x.
     """
-    d = group.d if d is None else d
-    n = group.n
+    d, n = group.d, group.n
     D = d**n
     m = np.arange(d)
     P = np.eye(D, dtype=complex)

@@ -21,7 +21,7 @@ from . import fisher as fi
 from . import mean_magic as mm
 from . import states as st
 from . import weyl
-from .config import config
+from .config import DEFAULT, Tolerances
 from .errors import QpsError, UnsupportedGError
 from .phase_space import PhasePoint, check_prime, field_inv, make_point
 
@@ -43,23 +43,16 @@ def _result(name: str, slack: float, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=bool(slack >= 0), slack=float(slack), detail=detail)
 
 
-def _load_config(values: dict) -> None:
-    """Worker initializer: adopt the parent's tolerances, whatever the start method."""
-    vars(config).update(values)
-
-
-def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int):
-    """Run fn on (d, n, s) for the task indices s = seed .. seed + seeds - 1.
+def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int, tol: Tolerances):
+    """Run fn on (d, n, s, tol) for the task indices s = seed .. seed + seeds - 1.
 
     Only jobs > 1 imports `concurrent.futures` and starts a process pool.
     """
-    tasks = [(d, n, s) for s in range(seed, seed + seeds)]
+    tasks = [(d, n, s, tol) for s in range(seed, seed + seeds)]
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_load_config, initargs=(dict(vars(config)),)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(fn, tasks))
     else:
         chunks = [fn(t) for t in tasks]
@@ -127,7 +120,8 @@ def _commutation_worst(stack: np.ndarray, d: int) -> float:
     return float(np.abs(diff).max())
 
 
-def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+               tol: Tolerances = DEFAULT):
     """Weyl-algebra checks at (d, n).
 
     The exhaustive ones are batched array operations on one stack of the
@@ -180,7 +174,7 @@ def _pow(mat, k, d):
 # --- duality ---
 
 def _duality_task(args):
-    d, n, seed = args
+    d, n, seed, _ = args
     rng = np.random.default_rng(seed)
     rho = st.random_state(n, d, seed=rng.integers(2**31))
     sig = st.random_state(n, d, seed=rng.integers(2**31))
@@ -197,14 +191,15 @@ def _duality_task(args):
     return out
 
 
-def suite_duality(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
-    return _map_tasks(_duality_task, d, n, seeds, jobs, seed)
+def suite_duality(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+                  tol: Tolerances = DEFAULT):
+    return _map_tasks(_duality_task, d, n, seeds, jobs, seed, tol)
 
 
 # --- majorization ---
 
 def _majorization_task(args):
-    d, n, seed = args
+    d, n, seed, tol = args
     rng = np.random.default_rng(1000 + seed)
     rho = st.random_state(n, d, seed=rng.integers(2**31))
     sig = st.random_state(n, d, seed=rng.integers(2**31))
@@ -227,7 +222,7 @@ def _majorization_task(args):
                 _result(f"majorization.{klass}.{tag}.seed{seed}", slack + 1e-9, f"d={d}")
             )
     # generalized extremality: spec(M(rho)) ≺ spec(rho)
-    rep = mm.mean_state(rho)
+    rep = mm.mean_state(rho, tol)
     a = ent.clean_spectrum(rep.mean)
     b = ent.clean_spectrum(rho)
     slack = float(np.min(np.cumsum(np.sort(b)[::-1]) - np.cumsum(np.sort(a)[::-1])))
@@ -235,14 +230,15 @@ def _majorization_task(args):
     return out
 
 
-def suite_majorization(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
-    return _map_tasks(_majorization_task, d, n, seeds, jobs, seed)
+def suite_majorization(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+                       tol: Tolerances = DEFAULT):
+    return _map_tasks(_majorization_task, d, n, seeds, jobs, seed, tol)
 
 
 # --- entropy ---
 
 def _entropy_task(args):
-    d, n, seed = args
+    d, n, seed, tol = args
     rng = np.random.default_rng(2000 + seed)
     rho = st.random_state(n, d, seed=rng.integers(2**31))
     sig = st.random_state(n, d, seed=rng.integers(2**31))
@@ -263,7 +259,7 @@ def _entropy_task(args):
             slack = h_out - max(bounds)
             out.append(_result(f"entropy.increase.{klass}.a{a}.seed{seed}", slack + 1e-8))
     # extremality restatement H_a(M) = H_a + D_a(rho || M)
-    rep = mm.mean_state(rho)
+    rep = mm.mean_state(rho, tol)
     for a in (1.0, 2.0, math.inf):
         lhs = ent.renyi_entropy(rep.mean, a)
         rhs = ent.renyi_entropy(rho, a) + ent.renyi_relative(rho, rep.mean, a)
@@ -283,8 +279,9 @@ def _entropy_task(args):
     return out
 
 
-def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
-    out = _map_tasks(_entropy_task, d, n, seeds, jobs, seed)
+def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+                  tol: Tolerances = DEFAULT):
+    out = _map_tasks(_entropy_task, d, n, seeds, jobs, seed, tol)
     ce = ent.second_law_counterexample(d, n)
     out.append(
         _result(
@@ -297,7 +294,7 @@ def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
     rep = ent.check_second_law(st.random_state(n, d, seed=99), params, 8, (0.5, 1, 2))
     out.append(_result("entropy.second_law", 0.0 if rep.ok else -1.0))
     if d ** (2 * n) <= 100 and params.matrix.positive:  # the equality case is stated for positive G
-        eq = ent.check_equality_case(st.basis_state(0, d, n), params, 2, seed=3)
+        eq = ent.check_equality_case(st.basis_state(0, d, n), params, 2, seed=3, tol=tol)
         out.append(_result("entropy.equality_case", 0.0 if eq["ok"] else -1.0))
     return out
 
@@ -305,7 +302,7 @@ def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
 # --- fisher ---
 
 def _fisher_task(args):
-    d, n, seed = args
+    d, n, seed, _ = args
     rng = np.random.default_rng(3000 + seed)
     eta = 1e-3
     rho = fi.smooth(st.random_state(n, d, seed=rng.integers(2**31)), eta)
@@ -333,8 +330,9 @@ def _fisher_task(args):
     return out
 
 
-def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
-    out = _map_tasks(_fisher_task, d, n, seeds, jobs, seed)
+def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+                 tol: Tolerances = DEFAULT):
+    out = _map_tasks(_fisher_task, d, n, seeds, jobs, seed, tol)
     rng = np.random.default_rng(77)
     D = d**n
     a = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
@@ -349,7 +347,8 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
 
 # --- hudson ---
 
-def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+                 tol: Tolerances = DEFAULT):
     out = []
     worst = 0.0
     for state, _ in st.enumerate_pure_stabilizers(1, d):
@@ -374,7 +373,7 @@ def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
 # --- channels ---
 
 def _channels_task(args):
-    d, n, seed = args
+    d, n, seed, tol = args
     rng = np.random.default_rng(4000 + seed)
     c1 = chn.random_channel(n, d, seed=rng.integers(2**31))
     c2 = chn.random_channel(n, d, seed=rng.integers(2**31))
@@ -398,21 +397,22 @@ def _channels_task(args):
     absorbed = chn.convolve_channels(c1, chn.depolarizing_channel(d, n), pm)
     gap = float(np.abs(absorbed.choi.mat - np.eye(d ** (2 * n)) / d ** (2 * n)).max())
     out.append(_result(f"channels.absorb.seed{seed}", 1e-10 - gap))
-    mean = chn.mean_channel(c1)
+    mean = chn.mean_channel(c1, tol)
     for a in (0.5, 1.0, 2.0, math.inf):
         slack = chn.channel_entropy(mean, a) - chn.channel_entropy(c1, a)
         out.append(_result(f"channels.mean_extremality.a{a}.seed{seed}", slack + 1e-9))
     return out
 
 
-def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
-    out = _map_tasks(_channels_task, d, n, seeds, jobs, seed)
-    wch = chn.weyl_conjugation_channel((1,) * n + (0,) * n, d, n)
+def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+                   tol: Tolerances = DEFAULT):
+    out = _map_tasks(_channels_task, d, n, seeds, jobs, seed, tol)
+    wch = chn.weyl_conjugation_channel((1,) * n + (0,) * n, d)
     vals = chn.weyl_image_char_values(wch)
     in_01 = all(
         (abs(v) < 1e-8 or abs(v - 1) < 1e-6) for tab in vals.values() for v in np.ravel(tab)
     )
-    agrees = in_01 == chn.is_zero_mean_channel(wch)
+    agrees = in_01 == chn.is_zero_mean_channel(wch, tol)
     out.append(_result("channels.zero_mean_corollary", 0.0 if agrees else -1.0))
     return out
 
@@ -428,7 +428,8 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0):
+def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
+              tol: Tolerances = DEFAULT):
     """Run one suite (or 'all'); returns an ordered list of CheckResults.
 
     seed offsets the per-seed task indices: the tasks run at seed .. seed +
@@ -443,6 +444,6 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
         for key in SUITES:
             if key == "hudson" and d == 2:
                 continue
-            out.extend(_SUITE_FNS[key](d, n, seeds, jobs, seed))
+            out.extend(_SUITE_FNS[key](d, n, seeds, jobs, seed, tol))
         return out
-    return _SUITE_FNS[name](d, n, seeds, jobs, seed)
+    return _SUITE_FNS[name](d, n, seeds, jobs, seed, tol)

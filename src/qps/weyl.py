@@ -37,6 +37,8 @@ from .phase_space import PhasePoint, check_prime, field_inv, symplectic_inner
 
 # Modulus slack of is_weyl_up_to_phase: one Weyl coefficient >= 1 - tol, all others <= tol.
 WEYL_COEFF_TOL = 1e-8
+# Largest entry of U^dag U - I that is_unitary accepts.
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -271,20 +273,18 @@ def parity_operator(d: int, n: int) -> np.ndarray:
     return P
 
 
-def phase_point_operator(point: PhasePoint, d: int, n: int | None = None) -> np.ndarray:
+def phase_point_operator(point: PhasePoint, d: int) -> np.ndarray:
     """T(x) = w(x) T(0,0) w(x)^dag; Hermitian, defined for odd prime d."""
     if d == 2:
         raise UnsupportedDimensionError("phase-space point operators need odd d")
     check_prime(d)
-    if n is None:
-        n = point.n
     w = weyl_operator(point, d)
-    return w @ parity_operator(d, n) @ w.conj().T
+    return w @ parity_operator(d, point.n) @ w.conj().T
 
 
-def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
     D = mat.shape[0]
-    return np.abs(mat.conj().T @ mat - np.eye(D)).max() < tol
+    return np.abs(mat.conj().T @ mat - np.eye(D)).max() < UNITARY_TOL
 
 
 def is_weyl_up_to_phase(A: np.ndarray, d: int, n: int):

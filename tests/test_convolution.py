@@ -82,13 +82,11 @@ def test_convolve_char_duality():
 
 
 def test_convolve_respects_table_cap(monkeypatch):
-    from qps.config import config
-
     rho = states.random_state(2, 3, seed=1)
-    monkeypatch.setattr(config, "max_table", 3**4 - 1)
+    monkeypatch.setenv("QPS_MAX_DIM", str(3**4 - 1))
     with pytest.raises(TooLargeError):
         cv.convolve(rho, rho, cv.hadamard_params(3))
-    monkeypatch.setattr(config, "max_table", 3**4)
+    monkeypatch.setenv("QPS_MAX_DIM", str(3**4))
     cv.convolve(rho, rho, cv.hadamard_params(3))
 
 

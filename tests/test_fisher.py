@@ -5,7 +5,7 @@ from qps import convolution as cv
 from qps import entropy as ent
 from qps import fisher as fi
 from qps import states, weyl
-from qps.errors import NegativeTimeError, SingularStateError
+from qps.errors import IncompatibleError, NegativeTimeError, SingularStateError
 from qps.phase_space import make_point
 
 
@@ -35,6 +35,24 @@ def test_dephase():
             ps = [fi.dephasing_projector(axis, site, j, 3, 2) for j in range(3)]
             want = sum(p @ r2.mat @ p for p in ps)
             assert np.abs(fi.dephase(r2, axis, site).mat - want).max() < 1e-12
+
+
+def _dephase_by_conjugation(mat, d, n, axis, site):
+    """Dephasing that conjugates into the site basis and back on both axes."""
+    basis = fi._site_basis(axis, d)
+    t = weyl.conjugate_site_gate(mat, basis.conj().T, [site], d, n)
+    t = t.reshape(fi._site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
+    return weyl.conjugate_site_gate(t.reshape(mat.shape), basis, [site], d, n)
+
+
+def test_dephase_z_is_the_digit_mask_alone():
+    mat = states.random_state(3, 3, seed=2).mat
+    for site in range(3):
+        for axis in ("X", "Z"):
+            want = _dephase_by_conjugation(mat, 3, 3, axis, site)
+            assert np.array_equal(fi._dephase_mat(mat, 3, 3, axis, site), want)
+    with pytest.raises(IncompatibleError):
+        fi._dephase_mat(mat, 3, 3, "Y", 0)
 
 
 def test_fisher_single():

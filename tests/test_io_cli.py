@@ -11,10 +11,11 @@ import pytest
 
 import qps
 from qps import channels as ch
+from qps import fisher as fi
 from qps import io as qio
 from qps import states, verify
 from qps.cli import main
-from qps.config import config
+from qps.config import Tolerances
 
 
 def run_cli(*args):
@@ -127,6 +128,20 @@ def test_cli_gap(tmp_path, t_state):
     bad.write_text('{"d": 2,\n "n": ???}')
     r = run_cli("gap", str(bad))
     assert r.returncode == 2 and "line 2" in r.stderr
+
+
+def test_cli_tolerance_override_ends_with_its_run(tmp_path):
+    # three runs in one process: the second run's override must not reach the third
+    path = tmp_path / "eta.json"
+    qio.write_state(fi.smooth(states.basis_state(0, 3), 1e-7), path)
+    reports = []
+    for k, extra in enumerate(([], ["--tol-one", "1e-6"], [])):
+        out = tmp_path / f"gap{k}.json"
+        assert main(["gap", str(path), *extra, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[2] == reports[0]
+    assert json.loads(reports[0])["group_size"] == 1
+    assert json.loads(reports[1])["group_size"] == 3
 
 
 def test_cli_conv(tmp_path):
@@ -303,7 +318,7 @@ def test_cli_verify_jobs(tmp_path):
 
 
 def _tol_one_task(args):
-    return [config.tol_one]
+    return [args[3].tol_one]
 
 
 def test_tolerance_overrides_reach_spawned_workers(monkeypatch):
@@ -312,8 +327,22 @@ def test_tolerance_overrides_reach_spawned_workers(monkeypatch):
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
     )
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
-    monkeypatch.setattr(config, "tol_one", 0.25)
-    assert verify._map_tasks(_tol_one_task, 3, 1, 2, 2, 0) == [0.25, 0.25]
+    tol = Tolerances(tol_one=0.25)
+    assert verify._map_tasks(_tol_one_task, 3, 1, 2, 2, 0, tol) == [0.25, 0.25]
+
+
+def test_cli_verify_tolerance_override_with_jobs(tmp_path):
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"v{jobs}.json"
+        assert main([
+            "verify", "--suite", "majorization", "--d", "3", "--seeds", "4", "--jobs", jobs,
+            "--tol-one", "1e-6", "--out", str(out),
+        ]) == 0
+        reports.append(out.read_text())
+    assert json.loads(reports[0])["config"]["tolerances"]["tol_one"] == 1e-6
+    # the reports differ only in the jobs field they echo
+    assert reports[1].replace('"jobs": 2', '"jobs": 1') == reports[0]
 
 
 def test_public_names_resolve_to_their_modules():

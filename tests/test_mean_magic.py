@@ -7,6 +7,7 @@ import pytest
 from qps import entropy as ent
 from qps import mean_magic as mm
 from qps import states, weyl
+from qps.config import PHASE_RESIDUAL
 from qps.errors import UnsupportedDimensionError
 from qps.phase_space import make_point
 
@@ -68,6 +69,31 @@ def test_mean_value_vector_and_zero_mean():
     assert mm.is_zero_mean(states.basis_state(0, 3))
     assert not mm.is_zero_mean(states.basis_state(1, 3))
     assert mm.is_zero_mean(states.maximally_mixed(3, 1))
+
+
+def _is_zero_mean_loop(state):
+    """is_zero_mean one group element at a time."""
+    table = states.char_function(state)
+    return all(
+        abs(table.values[tuple(v)] - 1.0) < PHASE_RESIDUAL
+        for v in mm.mean_state(state).group.elements
+    )
+
+
+def test_is_zero_mean_gather_matches_loop():
+    decisions = []
+    for seed in range(30):
+        rho = states.random_state(2, 3, seed=seed)
+        for state in (
+            rho,
+            mm.zero_mean_shift(rho)[1],
+            states.basis_state(seed % 9, 3, 2),
+            states.maximally_mixed(3, 2),
+        ):
+            want = _is_zero_mean_loop(state)
+            assert mm.is_zero_mean(state) is want
+            decisions.append(want)
+    assert len(decisions) == 120 and decisions.count(False) > 0
 
 
 def test_zero_mean_shift_matches_exhaustive_oracle():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qps import states, weyl
-from qps.config import config
+from qps.config import TOL_STATE
 from qps.errors import NotStateError, TooLargeError, UnsupportedDimensionError
 from qps.mean_magic import is_msps
 from qps.phase_space import make_point
@@ -42,12 +42,12 @@ def _with_min_eigenvalue(lam: float) -> np.ndarray:
 def test_make_state_positivity_table(factor, accepted, eigs, eig_calls):
     # the Cholesky test accepts outright; eigvalsh decides only when it fails
     # (at lam = 0 either may happen, decided by rounding)
-    mat = _with_min_eigenvalue(factor * config.tol_state)
+    mat = _with_min_eigenvalue(factor * TOL_STATE)
     eig_calls.clear()
     if accepted:
         state = states.make_state(mat, 2, 2)
         assert eigs is None or len(eig_calls) == eigs
-        assert abs(state.eigvals[0] - factor * config.tol_state) < 1e-15
+        assert abs(state.eigvals[0] - factor * TOL_STATE) < 1e-15
     else:
         lo = np.linalg.eigvalsh(states.hermitize(mat))[0]
         eig_calls.clear()
