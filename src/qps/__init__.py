@@ -27,10 +27,10 @@ _MODULES = {
         "zero_mean_channel_shift",
     ),
     "convolution": (
-        "ConvParams", "ParamMatrix", "amplifier_params", "beam_splitter_params",
+        "ParamMatrix", "amplifier_params", "beam_splitter_params", "bounding_inputs",
         "classify", "cnot_family", "conv_channel_apply", "conv_channel_inverse",
         "convolve", "convolve_char", "convolve_wigner", "hadamard_params", "iterate",
-        "solve_params", "transformed_stabilizer_group",
+        "parity_class", "solve_params", "transformed_stabilizer_group",
     ),
     "entropy": (
         "check_equality_case", "check_min_output_entropy", "check_second_law",

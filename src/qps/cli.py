@@ -99,14 +99,13 @@ def _resolve_params(args, d: int):
 
 def _clt_params(args, d: int):
     """The resolved G, refused unless positive: the (1 - MG)^N bound is stated for positive G."""
-    params = _resolve_params(args, d)
-    pm = cv.as_param_matrix(params, d)
+    pm = _resolve_params(args, d)
     if not pm.positive:
         none = " (none exists for d=2)" if d == 2 else ""
         raise UnsupportedGError(
             f"the CLT bound needs a positive G; {pm.as_array().tolist()} is not{none}"
         )
-    return params
+    return pm
 
 
 def cmd_clt(args, tol: Tolerances) -> int:
@@ -252,10 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol_one=True, tol_supp=True):
+        """--out, and the tolerance flags the command reads."""
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol-one", type=float, default=None, help="override |Xi|=1 threshold")
-        p.add_argument("--tol-supp", type=float, default=None, help="override support threshold")
+        if tol_one:
+            p.add_argument("--tol-one", type=float, help="override |Xi|=1 threshold")
+        if tol_supp:
+            p.add_argument("--tol-supp", type=float, help="override support threshold")
 
     def system(p):
         p.add_argument("--d", type=int, default=3, help="prime local dimension")
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("entropy-sweep", help="Renyi entropies along iterated convolution")
-    common(p)
+    common(p, tol_one=False, tol_supp=False)
     system(p)
     conv_flags(p)
     p.add_argument("--N", type=int, default=15)
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_entropy_sweep)
 
     p = sub.add_parser("conv", help="convolve two state files")
-    common(p)
+    common(p, tol_one=False)
     conv_flags(p)
     p.add_argument("rho")
     p.add_argument("sigma")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flags = {"tol_one": args.tol_one, "tol_supp": args.tol_supp}
+    flags = {k: getattr(args, k, None) for k in ("tol_one", "tol_supp")}
     tol = Tolerances(**{k: v for k, v in flags.items() if v is not None})  # 0 is an override
     try:
         return args.fn(args, tol)

@@ -8,9 +8,12 @@ Weyl-coefficient transforms, a gather and a pointwise product, O(D^2 log D)
 for D = d^n.  The operator route, which evaluates the partial trace by
 index gathering because U permutes basis states (O(D^3)), is kept as
 ``_convolve_mats``: the independent oracle that ``qps verify`` and the
-tests compare the production route against.  ``iterate`` is the one loop
-over the powers ⊠^k rho; ``clt_trajectory``, which the state and channel
-CLTs share, adds their distance to M(rho) and the (1 - MG)^k bound.
+tests compare the production route against.  G is a ParamMatrix
+everywhere; its parity class (``parity_class``) and the inputs that
+bound ⊠ (``bounding_inputs``) are decided here only.  ``iterate`` is
+the one loop over the powers ⊠^k rho; ``clt_trajectory``, which the
+state and channel CLTs share, adds their distance to M(rho) and the
+(1 - MG)^k bound.
 """
 
 from __future__ import annotations
@@ -61,20 +64,30 @@ class ParamMatrix:
         return np.array([[self.g00, self.g01], [self.g10, self.g11]], dtype=np.int64)
 
 
+PARITY_CLASSES = ("trivial", "even_only", "odd_only", "positive")
+
+
+def parity_class(g00: int, g01: int, g10: int, g11: int) -> str:
+    """G's class in ``PARITY_CLASSES`` from its zero pattern: trivial with two or more
+    zeros, else odd-parity positive if g01 g10 != 0, even if g00 g11 != 0, or both."""
+    if (g00 == 0) + (g01 == 0) + (g10 == 0) + (g11 == 0) >= 2:
+        return "trivial"
+    if g01 and g10:
+        return "positive" if g00 and g11 else "odd_only"
+    return "even_only"
+
+
 def classify(G, d: int) -> ParamMatrix:
     """Classify a 2x2 parameter matrix; raises SingularGError when det = 0."""
     check_prime(d)
-    g = np.array(G, dtype=np.int64) % d
-    if g.shape != (2, 2):
+    if np.shape(G) != (2, 2):
         raise IncompatibleError("G must be 2x2")
+    g = np.array(G, dtype=np.int64) % d
     g00, g01, g10, g11 = int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1])
     det = (g00 * g11 - g01 * g10) % d
     if det == 0:
         raise SingularGError(f"G = {g.tolist()} is singular mod {d}")
-    zeros = sum(1 for v in (g00, g01, g10, g11) if v == 0)
-    nontrivial = zeros <= 1
-    odd = nontrivial and g01 != 0 and g10 != 0
-    even = nontrivial and g00 != 0 and g11 != 0
+    klass = parity_class(g00, g01, g10, g11)
     return ParamMatrix(
         d=d,
         g00=g00,
@@ -83,43 +96,47 @@ def classify(G, d: int) -> ParamMatrix:
         g11=g11,
         det=det,
         n_inv=field_inv(det, d),
-        nontrivial=nontrivial,
-        odd_parity_positive=odd,
-        even_parity_positive=even,
-        positive=odd and even,
+        nontrivial=klass != "trivial",
+        odd_parity_positive=klass in ("odd_only", "positive"),
+        even_parity_positive=klass in ("even_only", "positive"),
+        positive=klass == "positive",
     )
 
 
-@dataclass(frozen=True)
-class ConvParams:
-    """A parameter matrix tagged with the family it came from."""
+def bounding_inputs(pm: ParamMatrix) -> tuple:
+    """The inputs that bound rho ⊠ sigma: rho for even-parity, sigma for odd-parity
+    and both for positive G.  A trivial G passes one input through up to a
+    unitary: rho when g00 != 0, else sigma."""
+    if pm.positive:
+        return ("rho", "sigma")
+    if pm.even_parity_positive:
+        return ("rho",)
+    if pm.odd_parity_positive:
+        return ("sigma",)
+    return ("rho",) if pm.g00 != 0 else ("sigma",)
 
-    family: str
-    matrix: ParamMatrix
-    params: tuple = ()
 
-
-def hadamard_params(d: int) -> ConvParams:
+def hadamard_params(d: int) -> ParamMatrix:
     """G = [[1, 1], [1, -1]]; positive for every odd prime d."""
     if d == 2:
         raise UnsupportedGError("the Hadamard convolution needs odd d")
-    return ConvParams("hadamard", classify([[1, 1], [1, d - 1]], d))
+    return classify([[1, 1], [1, d - 1]], d)
 
 
-def beam_splitter_params(s: int, t: int, d: int) -> ConvParams:
+def beam_splitter_params(s: int, t: int, d: int) -> ParamMatrix:
     """G = [[s, t], [t, -s]] with s^2 + t^2 = 1 mod d."""
     s, t = int(s) % d, int(t) % d
     if (s * s + t * t) % d != 1:
         raise UnsupportedGError(f"(s, t) = ({s}, {t}) violates s^2 + t^2 = 1 mod {d}")
-    return ConvParams("beam_splitter", classify([[s, t], [t, (-s) % d]], d), (s, t))
+    return classify([[s, t], [t, (-s) % d]], d)
 
 
-def amplifier_params(l: int, m: int, d: int) -> ConvParams:
+def amplifier_params(l: int, m: int, d: int) -> ParamMatrix:
     """G = [[l, -m], [-m, l]] with l^2 - m^2 = 1 mod d."""
     l, m = int(l) % d, int(m) % d
     if (l * l - m * m) % d != 1:
         raise UnsupportedGError(f"(l, m) = ({l}, {m}) violates l^2 - m^2 = 1 mod {d}")
-    return ConvParams("amplifier", classify([[l, (-m) % d], [(-m) % d, l]], d), (l, m))
+    return classify([[l, (-m) % d], [(-m) % d, l]], d)
 
 
 _CNOT_MATRICES = {
@@ -130,21 +147,21 @@ _CNOT_MATRICES = {
 }
 
 
-def cnot_family(index: int) -> ConvParams:
+def cnot_family(index: int) -> ParamMatrix:
     """The four nontrivial qubit convolutions (d = 2)."""
     if index not in _CNOT_MATRICES:
         raise IncompatibleError("cnot_family index must be 1..4")
-    return ConvParams(f"cnot_{index}", classify(_CNOT_MATRICES[index], 2), (index,))
+    return classify(_CNOT_MATRICES[index], 2)
 
 
-def as_param_matrix(params, d: int) -> ParamMatrix:
-    if isinstance(params, ConvParams):
-        params = params.matrix
-    if isinstance(params, ParamMatrix):
-        if params.d != d:
-            raise IncompatibleError(f"G is over Z_{params.d}, states over Z_{d}")
-        return params
-    return classify(params, d)
+def as_param_matrix(G, d: int) -> ParamMatrix:
+    """G as a ParamMatrix over Z_d: a ParamMatrix over Z_d as it is, a 2 x 2 integer
+    array by ``classify``; anything else raises IncompatibleError."""
+    if isinstance(G, ParamMatrix):
+        if G.d != d:
+            raise IncompatibleError(f"G is over Z_{G.d}, states over Z_{d}")
+        return G
+    return classify(G, d)
 
 
 def _gather_indices(pm: ParamMatrix, d: int, n: int):
@@ -286,24 +303,19 @@ def convolve_wigner(wr: WignerTable, ws: WignerTable, params) -> WignerTable:
 def iterate(rho: State, params, N: int):
     """An iterator over ⊠^0 rho, ..., ⊠^N rho with ⊠^{k+1} = (⊠^k) ⊠ rho.
 
-    params may be a single parameter set or a per-step sequence of length
-    at least N.  The arguments are checked at the call; the powers are
-    computed as the iterator advances, and only the current one is held.
+    params is one G (see ``as_param_matrix``), used at every step.  N and G
+    are checked, and G converted, at the call; the powers are computed as
+    the iterator advances, and only the current one is held.
     """
     if N < 0:
         raise IncompatibleError("N must be >= 0")
-    if isinstance(params, (ConvParams, ParamMatrix)) or np.shape(params) == (2, 2):
-        seq = [params] * N
-    else:
-        seq = list(params)
-    if len(seq) < N:
-        raise IncompatibleError(f"need {N} parameter sets, got {len(seq)}")
+    pm = as_param_matrix(params, rho.d)
 
     def powers():
         current = rho
         yield current
-        for step_params in seq[:N]:
-            current = convolve(current, rho, step_params)
+        for _ in range(N):
+            current = convolve(current, rho, pm)
             yield current
 
     return powers()
@@ -368,7 +380,7 @@ def solve_params(d: int, family: str) -> list[SolutionClass]:
     return classes
 
 
-def default_params(d: int) -> ConvParams:
+def default_params(d: int) -> ParamMatrix:
     """The G used when none is chosen: the first beam-splitter class, else
     Hadamard for odd d (both positive), else the even-parity ``cnot_family(1)``.
     """

@@ -295,15 +295,15 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
     if not pm.positive:
         raise UnsupportedGError("the minimal-output-entropy law needs positive G")
     stabs = enumerate_pure_stabilizers(n, d)
+    targets = [transformed_stabilizer_group(g_sig, pm) for _, g_sig in stabs]  # one per sigma
     matched_max = 0.0
     unmatched_min = math.inf
     n_matched = 0
     ok = True
     for rho, g_rho in stabs:
-        for sig, g_sig in stabs:
+        for (sig, _), target in zip(stabs, targets):
             h = renyi_entropy(convolve(rho, sig, pm), 1)
-            matched = g_rho == transformed_stabilizer_group(g_sig, pm)
-            if matched:
+            if g_rho == target:
                 n_matched += 1
                 matched_max = max(matched_max, h)
                 ok = ok and h <= 1e-8

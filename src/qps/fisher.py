@@ -19,14 +19,14 @@ from functools import lru_cache
 import numpy as np
 
 from .config import TOL_SPEC
-from .convolution import as_param_matrix, convolve
+from .convolution import as_param_matrix, bounding_inputs, convolve
 from .errors import (
     IncompatibleError,
     NegativeTimeError,
     SingularStateError,
 )
 from .states import CharTable, State, char_function, from_char, make_state, maximally_mixed
-from .weyl import apply_site_gate, conjugate_site_gate, fourier_gate
+from .weyl import apply_site_gate, conjugate_site_gate, digit_table, fourier_gate
 
 LN2 = math.log(2.0)
 
@@ -172,8 +172,8 @@ def fisher_total(state: State) -> float:
 @lru_cache(maxsize=None)
 def weyl_weight_grid(d: int, n: int) -> np.ndarray:
     """Number of nonzero coordinates of (p, q), shape (d,)*2n."""
-    grid = np.indices((d,) * (2 * n))
-    w = (grid != 0).sum(axis=0)
+    count = (digit_table(d, n) != 0).sum(axis=1)
+    w = (count[:, None] + count[None, :]).reshape((d,) * (2 * n))
     w.setflags(write=False)
     return w
 
@@ -232,20 +232,13 @@ class FisherConvolutionReport:
 def check_fisher_convolution(rho: State, sigma: State, params) -> FisherConvolutionReport:
     """J(rho ⊠ sigma) against the parity-matched bound, slack flagged at 1e-7."""
     pm = as_param_matrix(params, rho.d)
-    j_rho = fisher_total(rho)
-    j_sigma = fisher_total(sigma)
-    out = convolve(rho, sigma, pm)
-    j_out = fisher_total(out)
-    if pm.positive:
-        bound = min(j_rho, j_sigma)
-    elif pm.even_parity_positive:
-        bound = j_rho
-    elif pm.odd_parity_positive:
-        bound = j_sigma
-    else:
+    if not pm.nontrivial:
         raise IncompatibleError("the Fisher inequality needs a nontrivial parity class")
+    j_in = {"rho": fisher_total(rho), "sigma": fisher_total(sigma)}
+    j_out = fisher_total(convolve(rho, sigma, pm))
+    bound = min(j_in[tag] for tag in bounding_inputs(pm))
     slack = bound - j_out
     return FisherConvolutionReport(
-        j_out=j_out, j_rho=j_rho, j_sigma=j_sigma, bound=bound, slack=slack,
+        j_out=j_out, j_rho=j_in["rho"], j_sigma=j_in["sigma"], bound=bound, slack=slack,
         ok=slack >= -1e-7,
     )

@@ -22,7 +22,7 @@ from . import mean_magic as mm
 from . import states as st
 from . import weyl
 from .config import DEFAULT, Tolerances
-from .errors import QpsError, UnsupportedGError
+from .errors import QpsError, UnsupportedDimensionError, UnsupportedGError
 from .phase_space import PhasePoint, check_prime, field_inv, make_point
 
 SUITES = ("weyl", "duality", "majorization", "entropy", "fisher", "hudson", "channels")
@@ -59,34 +59,28 @@ def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int, tol: Tolera
     return [r for chunk in chunks for r in chunk]
 
 
-_PARITY_CLASSES = ("trivial", "even_only", "odd_only", "positive")
-
-
-def _parity_class(g00: int, g01: int, g10: int, g11: int) -> str:
-    """The parity class of G from its zero pattern, as `cv.classify` flags it."""
-    if (g00 == 0) + (g01 == 0) + (g10 == 0) + (g11 == 0) >= 2:
-        return "trivial"
-    if g01 and g10:
-        return "positive" if g00 and g11 else "odd_only"
-    return "even_only"
+def _drawable(d: int, classes=cv.PARITY_CLASSES) -> tuple:
+    """classes in order, without "positive" at d = 2, where no invertible G is positive."""
+    return tuple(k for k in classes if not (d == 2 and k == "positive"))
 
 
 def sample_parity_matrix(rng, d: int, klass: str):
     """A seeded random invertible G in the requested parity class.
 
     G is drawn as 2 x 2 integers in [0, d) until one is invertible mod d
-    and in `klass`; only the accepted draw is classified.  A non-prime d,
-    an unknown class and "positive" at d = 2 (no such G exists) raise.
+    and in `klass` (`cv.parity_class`); only the accepted draw is
+    classified.  A non-prime d, an unknown class and "positive" at d = 2
+    (no such G exists) raise.
     """
     check_prime(d)
-    if klass not in _PARITY_CLASSES:
-        raise UnsupportedGError(f"unknown parity class {klass!r}; choose from {_PARITY_CLASSES}")
-    if d == 2 and klass == "positive":
+    if klass not in cv.PARITY_CLASSES:
+        raise UnsupportedGError(f"unknown parity class {klass!r}; choose from {cv.PARITY_CLASSES}")
+    if klass not in _drawable(d):
         raise UnsupportedGError("no invertible G mod 2 is positive")
     while True:
         g = rng.integers(0, d, size=(2, 2))
         g00, g01, g10, g11 = g.ravel().tolist()
-        if (g00 * g11 - g01 * g10) % d and _parity_class(g00, g01, g10, g11) == klass:
+        if (g00 * g11 - g01 * g10) % d and cv.parity_class(g00, g01, g10, g11) == klass:
             return cv.classify(g, d)
 
 
@@ -180,9 +174,7 @@ def _duality_task(args):
     sig = st.random_state(n, d, seed=rng.integers(2**31))
     tr, ts = st.char_function(rho), st.char_function(sig)
     out = []
-    for klass in _PARITY_CLASSES:
-        if d == 2 and klass == "positive":
-            continue
+    for klass in _drawable(d):
         pm = sample_parity_matrix(rng, d, klass)
         left = st.char_function(st.make_state(cv._convolve_mats(rho.mat, sig.mat, pm, d, n), d, n))
         right = cv.convolve_char(tr, ts, pm)
@@ -204,19 +196,12 @@ def _majorization_task(args):
     rho = st.random_state(n, d, seed=rng.integers(2**31))
     sig = st.random_state(n, d, seed=rng.integers(2**31))
     out = []
-    for klass in ("even_only", "odd_only", "positive", "trivial"):
-        if d == 2 and klass == "positive":
-            continue
+    inputs = {"rho": rho, "sigma": sig}
+    for klass in _drawable(d, ("even_only", "odd_only", "positive", "trivial")):
         pm = sample_parity_matrix(rng, d, klass)
-        conv = cv.convolve(rho, sig, pm)
-        sides = []
-        if klass in ("even_only", "positive") or (klass == "trivial" and pm.g00 != 0):
-            sides.append(("rho", rho))
-        if klass in ("odd_only", "positive") or (klass == "trivial" and pm.g00 == 0):
-            sides.append(("sigma", sig))
-        for tag, ref in sides:
-            a = ent.clean_spectrum(conv)
-            b = ent.clean_spectrum(ref)
+        a = ent.clean_spectrum(cv.convolve(rho, sig, pm))
+        for tag in cv.bounding_inputs(pm):
+            b = ent.clean_spectrum(inputs[tag])
             slack = float(np.min(np.cumsum(np.sort(b)[::-1]) - np.cumsum(np.sort(a)[::-1])))
             out.append(
                 _result(f"majorization.{klass}.{tag}.seed{seed}", slack + 1e-9, f"d={d}")
@@ -244,19 +229,13 @@ def _entropy_task(args):
     sig = st.random_state(n, d, seed=rng.integers(2**31))
     alphas = (-2.0, 0.5, 1.0, 2.0, math.inf)
     out = []
-    for klass in ("even_only", "odd_only", "positive"):
-        if d == 2 and klass == "positive":
-            continue
+    inputs = {"rho": rho, "sigma": sig}
+    for klass in _drawable(d, ("even_only", "odd_only", "positive")):
         pm = sample_parity_matrix(rng, d, klass)
         conv = cv.convolve(rho, sig, pm)
         for a in alphas:
             h_out = ent.renyi_entropy(conv, a)
-            bounds = []
-            if klass in ("even_only", "positive"):
-                bounds.append(ent.renyi_entropy(rho, a))
-            if klass in ("odd_only", "positive"):
-                bounds.append(ent.renyi_entropy(sig, a))
-            slack = h_out - max(bounds)
+            slack = h_out - max(ent.renyi_entropy(inputs[tag], a) for tag in cv.bounding_inputs(pm))
             out.append(_result(f"entropy.increase.{klass}.a{a}.seed{seed}", slack + 1e-8))
     # extremality restatement H_a(M) = H_a + D_a(rho || M)
     rep = mm.mean_state(rho, tol)
@@ -293,7 +272,7 @@ def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     params = cv.default_params(d)
     rep = ent.check_second_law(st.random_state(n, d, seed=99), params, 8, (0.5, 1, 2))
     out.append(_result("entropy.second_law", 0.0 if rep.ok else -1.0))
-    if d ** (2 * n) <= 100 and params.matrix.positive:  # the equality case is stated for positive G
+    if d ** (2 * n) <= 100 and params.positive:  # the equality case is stated for positive G
         eq = ent.check_equality_case(st.basis_state(0, d, n), params, 2, seed=3, tol=tol)
         out.append(_result("entropy.equality_case", 0.0 if eq["ok"] else -1.0))
     return out
@@ -378,7 +357,7 @@ def _channels_task(args):
     c1 = chn.random_channel(n, d, seed=rng.integers(2**31))
     c2 = chn.random_channel(n, d, seed=rng.integers(2**31))
     out = []
-    for klass in ("even_only", "odd_only") + (() if d == 2 else ("positive",)):
+    for klass in _drawable(d, ("even_only", "odd_only", "positive")):
         pm = sample_parity_matrix(rng, d, klass)
         try:  # channel_from_choi rejects a result that is not a Choi state
             conv = chn.convolve_channels(c1, c2, pm)
@@ -435,10 +414,14 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     seed offsets the per-seed task indices: the tasks run at seed .. seed +
     seeds - 1 and name their checks after them.  Inputs drawn outside the
     per-seed tasks are fixed.  A channels run (alone or within 'all') past
-    the exact channel oracle's size cap is refused before any suite runs.
+    the exact channel oracle's size cap is refused before any suite runs,
+    and so is hudson at d = 2, which 'all' skips.
     """
     if name in ("all", "channels"):
         chn._check_exact_dim(d, n)
+    if name == "hudson" and d == 2:
+        raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
+                                        "which need odd d")
     if name == "all":
         out = []
         for key in SUITES:

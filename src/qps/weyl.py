@@ -190,8 +190,8 @@ def commutation_phase(x: PhasePoint, y: PhasePoint, d: int) -> complex:
 @lru_cache(maxsize=None)
 def weyl_phase_grid(d: int, n: int) -> np.ndarray:
     """phase(p, q) of w(p, q) over the full V^n grid, shape (d,)*2n."""
-    grid = np.indices((d,) * (2 * n))
-    pq_sum = sum(grid[k] * grid[n + k] for k in range(n))
+    dig = digit_table(d, n)
+    pq_sum = (dig @ dig.T).reshape((d,) * (2 * n))  # sum_k p_k q_k, not reduced mod d
     if d == 2:
         out = (-1j) ** pq_sum
     else:

@@ -39,9 +39,9 @@ def test_family_constructors():
     with pytest.raises(UnsupportedGError):
         cv.beam_splitter_params(2, 3, 7)
     bs = cv.beam_splitter_params(2, 2, 7)
-    assert bs.matrix.positive
+    assert bs.positive
     am = cv.amplifier_params(3, 1, 7)
-    assert am.matrix.positive
+    assert am.positive
     with pytest.raises(UnsupportedGError):
         cv.amplifier_params(2, 2, 7)
     with pytest.raises(UnsupportedGError):
@@ -229,11 +229,7 @@ def test_iterate():
     traj = list(cv.iterate(s0, bs, 3))
     assert len(traj) == 4
     assert np.abs(traj[-1].mat - s0.mat).max() < 1e-12
-    per_step = list(cv.iterate(s0, [bs, bs, bs], 3))
-    assert np.abs(per_step[-1].mat - traj[-1].mat).max() == 0
     assert len(list(cv.iterate(s0, bs, 0))) == 1
-    with pytest.raises(IncompatibleError):
-        list(cv.iterate(s0, [bs], 3))
 
 
 def test_iterate_checks_arguments_at_the_call():
@@ -344,7 +340,7 @@ def test_solve_params_counts_and_reps():
 
 def test_cnot_family():
     cn1 = cv.cnot_family(1)
-    U1 = weyl.key_unitary(cn1.matrix.as_array(), 1, 2)
+    U1 = weyl.key_unitary(cn1.as_array(), 1, 2)
     cnot21 = np.zeros((4, 4), complex)
     cnot12 = np.zeros((4, 4), complex)
     swap = np.zeros((4, 4), complex)
@@ -354,10 +350,97 @@ def test_cnot_family():
             cnot12[i * 2 + (i + j) % 2, i * 2 + j] = 1
             swap[j * 2 + i, i * 2 + j] = 1
     assert np.abs(U1 - cnot21).max() == 0
-    assert cn1.matrix.even_parity_positive and not cn1.matrix.odd_parity_positive
-    assert np.abs(weyl.key_unitary(cv.cnot_family(2).matrix.as_array(), 1, 2) - cnot12).max() == 0
-    U3 = weyl.key_unitary(cv.cnot_family(3).matrix.as_array(), 1, 2)
+    assert cn1.even_parity_positive and not cn1.odd_parity_positive
+    assert np.abs(weyl.key_unitary(cv.cnot_family(2).as_array(), 1, 2) - cnot12).max() == 0
+    U3 = weyl.key_unitary(cv.cnot_family(3).as_array(), 1, 2)
     assert np.abs(U3 - swap @ cnot12).max() == 0
-    assert cv.cnot_family(3).matrix.odd_parity_positive
-    U4 = weyl.key_unitary(cv.cnot_family(4).matrix.as_array(), 1, 2)
+    assert cv.cnot_family(3).odd_parity_positive
+    U4 = weyl.key_unitary(cv.cnot_family(4).as_array(), 1, 2)
     assert np.abs(U4 - swap @ cnot21).max() == 0
+
+
+def _parity_class_old(g00, g01, g10, g11):
+    """Reference: the zero-pattern rule the theorem-check sampler used."""
+    if (g00 == 0) + (g01 == 0) + (g10 == 0) + (g11 == 0) >= 2:
+        return "trivial"
+    if g01 and g10:
+        return "positive" if g00 and g11 else "odd_only"
+    return "even_only"
+
+
+def _flags_old(g00, g01, g10, g11):
+    """Reference: classify's flags as it derived them from the zero count."""
+    nontrivial = sum(v == 0 for v in (g00, g01, g10, g11)) <= 1
+    odd = nontrivial and g01 != 0 and g10 != 0
+    even = nontrivial and g00 != 0 and g11 != 0
+    return nontrivial, odd, even, odd and even
+
+
+def _majorization_sides_old(klass, pm):
+    """Reference: the inputs the majorization checks compared rho ⊠ sigma with."""
+    sides = []
+    if klass in ("even_only", "positive") or (klass == "trivial" and pm.g00 != 0):
+        sides.append("rho")
+    if klass in ("odd_only", "positive") or (klass == "trivial" and pm.g00 == 0):
+        sides.append("sigma")
+    return tuple(sides)
+
+
+def _entropy_sides_old(klass):
+    """Reference: the inputs whose entropy bounded H(rho ⊠ sigma) (nontrivial G)."""
+    bounds = []
+    if klass in ("even_only", "positive"):
+        bounds.append("rho")
+    if klass in ("odd_only", "positive"):
+        bounds.append("sigma")
+    return tuple(bounds)
+
+
+def _fisher_bound_old(pm, j_rho, j_sigma):
+    """Reference: the Fisher bound of a nontrivial G."""
+    if pm.positive:
+        return min(j_rho, j_sigma)
+    if pm.even_parity_positive:
+        return j_rho
+    return j_sigma
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_parity_class_and_bounding_inputs_match_old_rules(d):
+    seen = set()
+    for g in itertools.product(range(d), repeat=4):
+        g00, g01, g10, g11 = g
+        if (g00 * g11 - g01 * g10) % d == 0:
+            continue
+        klass = cv.parity_class(*g)
+        assert klass == _parity_class_old(*g)
+        seen.add(klass)
+        pm = cv.classify([[g00, g01], [g10, g11]], d)
+        flags = (pm.nontrivial, pm.odd_parity_positive, pm.even_parity_positive, pm.positive)
+        assert flags == _flags_old(*g)
+        sides = cv.bounding_inputs(pm)
+        assert sides == _majorization_sides_old(klass, pm)
+        if pm.nontrivial:
+            assert sides == _entropy_sides_old(klass)
+            j = {"rho": 2.0 + g00, "sigma": 3.0 + g11}
+            assert min(j[tag] for tag in sides) == _fisher_bound_old(pm, j["rho"], j["sigma"])
+    assert seen == set(cv.PARITY_CLASSES) - ({"positive"} if d == 2 else set())
+
+
+def test_family_constructors_return_classified_matrices():
+    assert cv.hadamard_params(5) == cv.classify([[1, 1], [1, -1]], 5)
+    assert cv.beam_splitter_params(2, 2, 7) == cv.classify([[2, 2], [2, -2]], 7)
+    assert cv.amplifier_params(3, 1, 7) == cv.classify([[3, -1], [-1, 3]], 7)
+    for index, G in ((1, [[1, 0], [1, 1]]), (2, [[1, 1], [0, 1]]), (3, [[0, 1], [1, 1]]),
+                     (4, [[1, 1], [1, 0]])):
+        assert cv.cnot_family(index) == cv.classify(G, 2)
+    s, t = cv.solve_params(13, "circle")[0].representative
+    assert cv.default_params(13) == cv.beam_splitter_params(s, t, 13)
+    assert cv.default_params(3) == cv.hadamard_params(3)
+    assert cv.default_params(2) == cv.cnot_family(1)
+    for pm in (cv.hadamard_params(3), cv.cnot_family(2)):
+        assert isinstance(pm, cv.ParamMatrix) and cv.as_param_matrix(pm, pm.d) is pm
+    with pytest.raises(IncompatibleError):
+        cv.as_param_matrix([cv.hadamard_params(3)], 3)
+    with pytest.raises(IncompatibleError):
+        cv.as_param_matrix(cv.hadamard_params(3), 5)

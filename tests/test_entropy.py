@@ -200,3 +200,38 @@ def test_min_output_entropy_exhaustive():
     assert rep.n_pairs == 144 and rep.n_matched == 36
     assert rep.max_entropy_on_matched <= 1e-8
     assert rep.min_entropy_on_unmatched > 1e-6
+
+
+def _min_output_entropy_per_pair(pm, d, n, seed):
+    """Reference: the scan with the transformed group rebuilt for every (rho, sigma) pair."""
+    stabs = states.enumerate_pure_stabilizers(n, d)
+    matched_max, unmatched_min, n_matched, ok = 0.0, math.inf, 0, True
+    for rho, g_rho in stabs:
+        for sig, g_sig in stabs:
+            h = ent.renyi_entropy(cv.convolve(rho, sig, pm), 1)
+            if g_rho == cv.transformed_stabilizer_group(g_sig, pm):
+                n_matched += 1
+                matched_max = max(matched_max, h)
+                ok = ok and h <= 1e-8
+            else:
+                unmatched_min = min(unmatched_min, h)
+                ok = ok and h > 1e-6
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        a = states.random_state(n, d, seed=rng.integers(2**31), rank=1)
+        b = states.random_state(n, d, seed=rng.integers(2**31), rank=1)
+        h = ent.renyi_entropy(cv.convolve(a, b, pm), 1)
+        unmatched_min = min(unmatched_min, h)
+        ok = ok and h > 1e-6
+    return ent.MinOutputEntropyReport(
+        ok=ok, n_pairs=len(stabs) ** 2, n_matched=n_matched,
+        max_entropy_on_matched=matched_max, min_entropy_on_unmatched=unmatched_min,
+    )
+
+
+@pytest.mark.parametrize("d,seed", [(3, 0), (5, 1)])
+def test_min_output_entropy_matches_per_pair_scan(d, seed):
+    pm = cv.hadamard_params(d)
+    assert ent.check_min_output_entropy(pm, d, 1, seed) == _min_output_entropy_per_pair(
+        pm, d, 1, seed
+    )

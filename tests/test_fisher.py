@@ -212,3 +212,10 @@ def test_semigroup_intertwining():
     lhs = cv.convolve(fi.heat_semigroup(rho, 0.4), fi.heat_semigroup(sig, 0.9), h)
     rhs = fi.heat_semigroup(cv.convolve(rho, sig, h), 1.3)
     assert np.abs(lhs.mat - rhs.mat).max() < 1e-9
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)])
+def test_weyl_weight_grid_matches_indices_construction(d, n):
+    ref = (np.indices((d,) * (2 * n)) != 0).sum(axis=0)  # the full 2n x d^{2n} array
+    assert np.array_equal(fi.weyl_weight_grid(d, n), ref)

@@ -217,6 +217,11 @@ def test_cli_rejects_flags_a_command_does_not_read(tmp_path):
         assert r.returncode == 2 and "unrecognized arguments" in r.stderr
     assert run_cli("params", "--n", "2").returncode == 2
     assert run_cli("clt", "--jobs", "2", "--N", "1").returncode == 2
+    for args in (["entropy-sweep", "--N", "1", "--tol-one", "0.5"],
+                 ["entropy-sweep", "--N", "1", "--tol-supp", "0.5"],
+                 ["conv", "--tol-one", "0.5", str(path), str(path)]):
+        r = run_cli(*args)
+        assert r.returncode == 2 and "unrecognized arguments" in r.stderr
 
 
 def test_cli_entropy_sweep(tmp_path):

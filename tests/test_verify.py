@@ -5,7 +5,8 @@ import pytest
 
 from qps import convolution as cv
 from qps import verify, weyl
-from qps.errors import NotPrimeError, SingularGError, UnsupportedGError
+from qps.cli import main
+from qps.errors import NotPrimeError, SingularGError, UnsupportedDimensionError, UnsupportedGError
 from qps.phase_space import make_point
 
 
@@ -87,7 +88,7 @@ class _BoundedRng:
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_sampler_matches_classifying_loop(d):
-    classes = [k for k in verify._PARITY_CLASSES if not (d == 2 and k == "positive")]
+    classes = list(verify._drawable(d))
     for seed in range(20):
         old, new = np.random.default_rng(seed), _BoundedRng(seed)
         for klass in classes * 3:
@@ -109,3 +110,19 @@ def test_sampler_matches_classifying_loop(d):
 def test_sampler_refuses_impossible_requests(d, klass, error):
     with pytest.raises(error):
         verify.sample_parity_matrix(_BoundedRng(), d, klass)
+
+
+def test_hudson_at_d2_is_refused_before_any_enumeration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the hudson suite started")
+
+    monkeypatch.setattr(verify.st, "enumerate_pure_stabilizers", fail)
+    monkeypatch.setattr(verify.st, "wigner", fail)
+    with pytest.raises(UnsupportedDimensionError):
+        verify.run_suite("hudson", 2, 1, 3)
+    assert main(["verify", "--suite", "hudson", "--d", "2"]) == 2
+    ran = []
+    suites = {k: (lambda *args, k=k: ran.append(k) or []) for k in verify.SUITES}
+    monkeypatch.setattr(verify, "_SUITE_FNS", suites)
+    assert verify.run_suite("all", 2, 1, 3) == []
+    assert ran == [k for k in verify.SUITES if k != "hudson"]

@@ -8,7 +8,7 @@ from qps.errors import (
     SingularGError,
     UnsupportedDimensionError,
 )
-from qps.phase_space import PhasePoint, make_point
+from qps.phase_space import PhasePoint, field_inv, make_point
 
 
 def test_weyl_operator_basics():
@@ -290,3 +290,21 @@ def test_random_clifford_matches_dense_product(n, d):
     for seed in range(4):
         U = weyl.random_clifford(n, d, 10, seed=seed)
         assert np.abs(U - _random_clifford_dense(n, d, 10, seed)).max() <= 1e-13
+
+
+GRID_SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+              (7, 1), (7, 2), (11, 1)]
+
+
+def _phase_grid_indices(d, n):
+    """Reference: the phase grid from the full 2n x d^{2n} np.indices array."""
+    grid = np.indices((d,) * (2 * n))
+    pq_sum = sum(grid[k] * grid[n + k] for k in range(n))
+    if d == 2:
+        return np.asarray((-1j) ** pq_sum, dtype=complex)
+    return np.asarray(weyl.chi(-field_inv(2, d) * pq_sum, d), dtype=complex)
+
+
+@pytest.mark.parametrize("d,n", GRID_SIZES)
+def test_weyl_phase_grid_matches_indices_construction(d, n):
+    assert np.array_equal(weyl.weyl_phase_grid(d, n), _phase_grid_indices(d, n))
