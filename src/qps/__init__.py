@@ -19,18 +19,16 @@ import importlib
 # Each public name, by the module under qps that defines it.
 _MODULES = {
     "channels": (
-        "Channel", "channel_apply", "channel_clt", "channel_entropy",
-        "channel_from_choi", "channel_magic_gap", "check_unitary_min_entropy",
-        "choi_from_kraus", "convolve_channels", "depolarizing_channel",
-        "identity_channel", "is_zero_mean_channel", "mean_channel", "random_channel",
-        "random_mixed_unitary_channel", "unitary_channel", "weyl_conjugation_channel",
-        "zero_mean_channel_shift",
+        "Channel", "channel_clt", "channel_entropy", "channel_from_choi",
+        "check_unitary_min_entropy", "choi_from_kraus", "convolve_channels",
+        "depolarizing_channel", "is_zero_mean_channel", "mean_channel", "random_channel",
+        "unitary_channel", "weyl_conjugation_channel", "zero_mean_channel_shift",
     ),
     "convolution": (
         "ParamMatrix", "amplifier_params", "beam_splitter_params", "bounding_inputs",
-        "classify", "cnot_family", "conv_channel_apply", "conv_channel_inverse",
-        "convolve", "convolve_char", "convolve_wigner", "hadamard_params", "iterate",
-        "parity_class", "solve_params", "transformed_stabilizer_group",
+        "classify", "cnot_family", "convolve", "convolve_char", "convolve_wigner",
+        "hadamard_params", "iterate", "parity_class", "solve_params",
+        "transformed_stabilizer_group",
     ),
     "entropy": (
         "check_equality_case", "check_min_output_entropy", "check_second_law",

@@ -5,6 +5,8 @@ Tr_{A'}[J] = I/d^n.  Channel convolution is state convolution of Choi
 states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
 ``_convolve_channels_exact``, the independent oracle that
 ``convolution_route_gap``, ``qps verify`` and the tests compare against.
+It applies E and E^{-1} through the key unitary's basis permutation
+(``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
 The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state.
 """
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
 from .states import State, make_state, maximally_mixed
-from .weyl import WeylLabel, weyl_operator
+from .weyl import WeylLabel, key_index_map, weyl_operator
 
 # Largest D = d^n at which ``_convolve_channels_exact`` runs.  Its cost grows as
 # D^6: about 0.3 s and 100 MB per call at D = 16, but 7.9 s and 132 MB at D = 25.
@@ -79,10 +81,6 @@ def choi_from_kraus(kraus, d: int, n: int) -> Channel:
     return channel_from_choi(choi, kraus=tuple(ks))
 
 
-def identity_channel(d: int, n: int) -> Channel:
-    return choi_from_kraus([np.eye(d**n)], d, n)
-
-
 def depolarizing_channel(d: int, n: int) -> Channel:
     """The completely depolarizing R(rho) = Tr[rho] I/d^n; Choi = I/d^2n."""
     choi = maximally_mixed(d, 2 * n)
@@ -99,16 +97,6 @@ def weyl_conjugation_channel(point, d: int) -> Channel:
     if not isinstance(point, PhasePoint):
         point = PhasePoint.from_vec(point)
     return unitary_channel(weyl_operator(point, d), d, point.n)
-
-
-def channel_apply(channel: Channel, rho: State) -> State:
-    """Λ(rho) = d^n Tr_A[J (rho^T ⊗ I)]."""
-    if (rho.d, rho.n) != (channel.d, channel.n):
-        raise IncompatibleError("state and channel live on different systems")
-    D = channel.dim
-    t = channel.choi.mat.reshape(D, D, D, D)
-    out = D * np.einsum("iI,ioIO->oO", rho.mat, t)
-    return make_state(out, channel.d, channel.n)
 
 
 def convolve_channels(ch1: Channel, ch2: Channel, params) -> Channel:
@@ -137,7 +125,7 @@ def _convolve_channels_exact(ch1: Channel, ch2: Channel, pm) -> Channel:
     """Choi state of E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1}, from the key unitary's index map alone.
 
     U^dag sends |i>|m> to |A[i, m]>|B[i, m]> with A, B from
-    ``_gather_indices``, so E^{-1}(|i><j|) = (1/D) sum_m |A_im B_im><A_jm B_jm|
+    ``weyl.key_index_map``, so E^{-1}(|i><j|) = (1/D) sum_m |A_im B_im><A_jm B_jm|
     and E is the partial trace over the same map.  With the Choi tensors
     t[a, o, a', o'], the Choi matrix of the convolution is
 
@@ -149,12 +137,10 @@ def _convolve_channels_exact(ch1: Channel, ch2: Channel, pm) -> Channel:
     independent of the duality route that ``convolve_channels`` takes.
     Raises TooLargeError when D exceeds ``EXACT_MAX_DIM``.
     """
-    from .convolution import _gather_indices
-
     d, n = ch1.d, ch1.n
     D = d**n
     _check_exact_dim(d, n)
-    A, B = _gather_indices(pm, d, n)
+    A, B = key_index_map(pm.as_array(), d, n)
     t1 = ch1.choi.mat.reshape(-1)
     t2 = ch2.choi.mat.reshape(-1)
     # flat offset of t[a, o, a', o'] is a D^3 + o D^2 + a' D + o'
@@ -195,10 +181,6 @@ def channel_entropy(channel: Channel, alpha) -> float:
 
 def is_zero_mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> bool:
     return is_zero_mean(channel.choi, tol)
-
-
-def channel_magic_gap(channel: Channel, tol: Tolerances = DEFAULT) -> float:
-    return magic_gap(channel.choi, tol).gap
 
 
 def zero_mean_channel_shift(channel: Channel, tol: Tolerances = DEFAULT):
@@ -327,16 +309,4 @@ def random_channel(n: int, d: int, seed, n_kraus: int | None = None) -> Channel:
     m = rng.standard_normal((D * n_kraus, D)) + 1j * rng.standard_normal((D * n_kraus, D))
     q, _ = np.linalg.qr(m)  # isometry D*n_kraus x D
     kraus = [q[k * D : (k + 1) * D, :] for k in range(n_kraus)]
-    return choi_from_kraus(kraus, d, n)
-
-
-def random_mixed_unitary_channel(n: int, d: int, seed, terms: int = 3) -> Channel:
-    """Seeded random mixture of unitary conjugations."""
-    rng = np.random.default_rng(seed)
-    D = d**n
-    weights = rng.dirichlet(np.ones(terms))
-    kraus = []
-    for w in weights:
-        u, _ = np.linalg.qr(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
-        kraus.append(math.sqrt(w) * u)
     return choi_from_kraus(kraus, d, n)

@@ -209,6 +209,8 @@ def cmd_entropy_sweep(args, tol: Tolerances) -> int:
 def cmd_conv(args, tol: Tolerances) -> int:
     from . import io as qio
 
+    if args.tol_supp is not None and args.form != "char":
+        raise UsageError("--tol-supp is read only by --form char")
     rho = qio.read_state(args.rho)
     sigma = qio.read_state(args.sigma)
     params = _resolve_params(args, rho.d)
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_channel_clt)
 
     p = sub.add_parser("params", help="(s,t) and (l,m) class counts for a prime d")
-    common(p)
+    common(p, tol_one=False, tol_supp=False)
     p.add_argument("--d", type=int, default=3, help="prime local dimension")
     p.set_defaults(fn=cmd_params)
 

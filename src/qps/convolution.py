@@ -8,9 +8,11 @@ Weyl-coefficient transforms, a gather and a pointwise product, O(D^2 log D)
 for D = d^n.  The operator route, which evaluates the partial trace by
 index gathering because U permutes basis states (O(D^3)), is kept as
 ``_convolve_mats``: the independent oracle that ``qps verify`` and the
-tests compare the production route against.  G is a ParamMatrix
-everywhere; its parity class (``parity_class``) and the inputs that
-bound ⊠ (``bounding_inputs``) are decided here only.  ``iterate`` is
+tests compare the production route against.  It reads U's basis
+permutation from ``weyl.key_index_map``, as ``weyl.key_unitary`` and the
+exact channel oracle do.  G is a ParamMatrix everywhere; its parity
+class (``parity_class``) and the inputs that bound ⊠
+(``bounding_inputs``) are decided here only.  ``iterate`` is
 the one loop over the powers ⊠^k rho; ``clt_trajectory``, which the
 state and channel CLTs share, adds their distance to M(rho) and the
 (1 - MG)^k bound.
@@ -27,7 +29,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     IncompatibleError,
     SingularGError,
-    TooLargeError,
     UnsupportedGError,
 )
 from .mean_magic import magic_gap, mean_state
@@ -41,7 +42,7 @@ from .states import (
     from_char,
     make_state,
 )
-from .weyl import digit_table, encode_digits
+from .weyl import digit_table, encode_digits, key_index_map
 
 
 @dataclass(frozen=True)
@@ -164,18 +165,10 @@ def as_param_matrix(G, d: int) -> ParamMatrix:
     return classify(G, d)
 
 
-def _gather_indices(pm: ParamMatrix, d: int, n: int):
-    """Index arrays A, B with A[x, j] = enc(g00 x + g10 j), B = enc(g01 x + g11 j)."""
-    dig = digit_table(d, n)
-    a = encode_digits((pm.g00 * dig[:, None, :] + pm.g10 * dig[None, :, :]) % d, d)
-    b = encode_digits((pm.g01 * dig[:, None, :] + pm.g11 * dig[None, :, :]) % d, d)
-    return a, b
-
-
 def _convolve_mats(rho: np.ndarray, sigma: np.ndarray, pm: ParamMatrix, d: int, n: int) -> np.ndarray:
     """Operator-route rho ⊠ sigma on raw matrices: the oracle for ``convolve``."""
     D = d**n
-    A, B = _gather_indices(pm, d, n)
+    A, B = key_index_map(pm.as_array(), d, n)
     out = np.zeros((D, D), dtype=complex)
     for j in range(D):
         ra, rb = A[:, j], B[:, j]
@@ -237,47 +230,6 @@ def convolve_char(tr: CharTable, ts: CharTable, params) -> CharTable:
     vals = left * right
     vals.setflags(write=False)
     return CharTable(d=d, n=n, values=vals)
-
-
-def _e_apply_mat(mat: np.ndarray, pm: ParamMatrix, d: int, n: int) -> np.ndarray:
-    """E on an arbitrary 2n-qudit matrix (index-gather partial trace)."""
-    D = d**n
-    A, B = _gather_indices(pm, d, n)
-    joint = A * D + B  # flat index into the 2n-qudit register
-    out = np.zeros((D, D), dtype=complex)
-    for j in range(D):
-        r = joint[:, j]
-        out += mat[np.ix_(r, r)]
-    return out
-
-
-def _e_inverse_mat(mat: np.ndarray, pm: ParamMatrix, d: int, n: int) -> np.ndarray:
-    """E^{-1} = U^dag ((.) ⊗ I/d^n) U on an arbitrary n-qudit matrix."""
-    D = d**n
-    if D * D > 4096:
-        raise TooLargeError("E^{-1} materializes a d^{2n}-dim matrix; dimension too large")
-    dig = digit_table(d, n)
-    N = pm.n_inv
-    a1 = encode_digits((N * (pm.g11 * dig[:, None, :] - pm.g10 * dig[None, :, :])) % d, d)
-    a2 = encode_digits((N * (-pm.g01 * dig[:, None, :] + pm.g00 * dig[None, :, :])) % d, d)
-    a1f, a2f = a1.reshape(-1), a2.reshape(-1)
-    return mat[np.ix_(a1f, a1f)] * (a2f[:, None] == a2f[None, :]) / D
-
-
-def conv_channel_apply(rho_ab: State, params) -> State:
-    """The convolutional channel E on a joint 2n-qudit input."""
-    if rho_ab.n % 2 != 0:
-        raise IncompatibleError("E needs an input on 2n qudits")
-    d, n = rho_ab.d, rho_ab.n // 2
-    pm = as_param_matrix(params, d)
-    return make_state(_e_apply_mat(rho_ab.mat, pm, d, n), d, n)
-
-
-def conv_channel_inverse(rho: State, params) -> State:
-    """E^{-1}(rho) = U^dag (rho ⊗ I/d^n) U, a 2n-qudit state."""
-    d, n = rho.d, rho.n
-    pm = as_param_matrix(params, d)
-    return make_state(_e_inverse_mat(rho.mat, pm, d, n), d, 2 * n)
 
 
 def convolve_wigner(wr: WignerTable, ws: WignerTable, params) -> WignerTable:
@@ -392,11 +344,13 @@ def default_params(d: int) -> ParamMatrix:
 
 
 def transformed_stabilizer_group(group: PhaseSubgroup, params) -> PhaseSubgroup:
-    """{(-g10^{-1} g11 p, g01^{-1} g00 q) : (p, q) in S}; needs odd-parity G."""
+    """{(-g10^{-1} g11 p, g01^{-1} g00 q) : (p, q) in S}; needs odd-parity positive G."""
     d = group.d
     pm = as_param_matrix(params, d)
-    if pm.g10 == 0 or pm.g01 == 0:
-        raise UnsupportedGError("the group transform divides by g10 and g01")
+    if not pm.odd_parity_positive:
+        raise UnsupportedGError(
+            f"the group transform needs an odd-parity positive G; {pm.as_array().tolist()} is not"
+        )
     cp = (-field_inv(pm.g10, d) * pm.g11) % d
     cq = (field_inv(pm.g01, d) * pm.g00) % d
     n = group.n

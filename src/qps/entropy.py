@@ -37,8 +37,6 @@ from .states import (
     random_state,
 )
 
-LOG2 = math.log(2.0)
-
 
 def clean_spectrum(state_or_values) -> np.ndarray:
     """Eigenvalues sorted descending, clipped at 0 and renormalized to 1."""
@@ -159,11 +157,12 @@ def subentropy(state: State) -> float:
     return subentropy_info(state).value
 
 
-def majorizes(a, b) -> bool:
-    """True iff a is majorized by b (partial sums of b dominate a's).
+def majorization_slack(a, b) -> float:
+    """min_k (sum_{i<=k} b_i - sum_{i<=k} a_i) over both spectra sorted descending.
 
-    Inputs are spectra (any order); the shorter is zero-padded.  Sums must
-    agree within 1e-8, else NotComparableError.
+    a is majorized by b iff this is >= 0.  Inputs are spectra (any order);
+    the shorter is zero-padded.  Sums must agree within 1e-8, else
+    NotComparableError.
     """
     av = np.sort(np.asarray(a, dtype=float))[::-1]
     bv = np.sort(np.asarray(b, dtype=float))[::-1]
@@ -172,7 +171,12 @@ def majorizes(a, b) -> bool:
     bv = np.pad(bv, (0, size - len(bv)))
     if abs(av.sum() - bv.sum()) > 1e-8:
         raise NotComparableError(f"sums differ: {av.sum()} vs {bv.sum()}")
-    return bool(np.all(np.cumsum(bv) - np.cumsum(av) >= -1e-9))
+    return float(np.min(np.cumsum(bv) - np.cumsum(av)))
+
+
+def majorizes(a, b) -> bool:
+    """True iff a is majorized by b, to within 1e-9 (see ``majorization_slack``)."""
+    return majorization_slack(a, b) >= -1e-9
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ Rank-deficient states are rejected rather than silently regularized
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,9 +25,7 @@ from .errors import (
     SingularStateError,
 )
 from .states import CharTable, State, char_function, from_char, make_state, maximally_mixed
-from .weyl import apply_site_gate, conjugate_site_gate, digit_table, fourier_gate
-
-LN2 = math.log(2.0)
+from .weyl import conjugate_site_gate, digit_table, fourier_gate
 
 
 def smooth(state: State, eta: float) -> State:
@@ -45,12 +42,6 @@ def _site_basis(axis: str, d: int) -> np.ndarray:
         # |j>_X = d^{-1/2} sum_k chi(-jk) |k> = F^dag |j>
         return fourier_gate(d).conj().T
     raise IncompatibleError(f"axis must be 'X' or 'Z', got {axis!r}")
-
-
-def dephasing_projector(axis: str, site: int, j: int, d: int, n: int) -> np.ndarray:
-    """H_j^R = |j><j|_R on the chosen site, embedded in the register."""
-    col = _site_basis(axis, d)[:, j]
-    return apply_site_gate(np.eye(d**n, dtype=complex), np.outer(col, col.conj()), [site], d, n)
 
 
 def _site_shape(d: int, n: int, site: int) -> tuple:

@@ -39,16 +39,11 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class MeanStateReport:
-    """M(rho) together with its group S, generators, and phase exponents."""
+    """M(rho) together with its group S and the phase exponents on S's generators."""
 
     mean: State
     group: PhaseSubgroup
-    generators: tuple
     phases: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     phases = tuple(
         _phase_exponent(table.value(g), d) for g in group.generators
     )
-    return MeanStateReport(mean=mean, group=group, generators=group.generators, phases=phases)
+    return MeanStateReport(mean=mean, group=group, phases=phases)
 
 
 def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
@@ -125,12 +120,12 @@ def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
 
     d, n = state.d, state.n
     report = mean_state(state, tol)
-    if not report.generators:
+    if not report.group.generators:
         label = WeylLabel(point=PhasePoint((0,) * n, (0,) * n), phase=1.0 + 0j)
         return label, state
     rows = []
     rhs = []
-    for gen, k in zip(report.generators, report.phases):
+    for gen, k in zip(report.group.generators, report.phases):
         # unknown x = [a | b]: <(a,b),(p,q)>_s = a.q - b.p
         rows.append(np.concatenate([np.array(gen.q), -np.array(gen.p)]) % d)
         rhs.append((-k) % d)
@@ -172,7 +167,7 @@ def magic_gap_upper_bound(state: State, tol: Tolerances = DEFAULT):
     """
     d, n = state.d, state.n
     report = mean_state(state, tol)
-    k = report.rank
+    k = report.group.rank
     if k >= n:
         return None
     rp = pauli_rank(state, tol)

@@ -166,9 +166,6 @@ class CharTable:
     def value(self, point: PhasePoint) -> complex:
         return complex(self.values[tuple(point.vec() % self.d)])
 
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
 
 @dataclass(frozen=True)
 class WignerTable:
@@ -180,9 +177,6 @@ class WignerTable:
 
     def value(self, point: PhasePoint) -> float:
         return float(self.values[tuple(point.vec() % self.d)])
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
 
 
 def char_function(state: State) -> CharTable:
@@ -244,24 +238,6 @@ def _wigner_from_char_values(xi: np.ndarray, d: int, n: int) -> np.ndarray:
     r = np.fft.fftn(r, axes=qaxes)  # q -> u
     r = np.moveaxis(r, qaxes + paxes, paxes + qaxes)  # reorder to (u, v)
     return r / d**n
-
-
-def char_from_wigner(wt: WignerTable) -> CharTable:
-    """Invert the symplectic transform (exact inverse of wigner)."""
-    d, n = wt.d, wt.n
-    paxes = tuple(range(n))
-    qaxes = tuple(range(n, 2 * n))
-    r = np.moveaxis(wt.values.astype(complex), paxes + qaxes, qaxes + paxes)
-    r = np.fft.ifftn(r, axes=qaxes) * d**n
-    r = np.fft.fftn(r, axes=paxes)
-    vals = r
-    vals.setflags(write=False)
-    return CharTable(d=d, n=n, values=vals)
-
-
-def state_from_wigner(wt: WignerTable) -> np.ndarray:
-    """Reconstruct the matrix sum_x W(x) T(x)."""
-    return from_char(char_from_wigner(wt))
 
 
 def pauli_rank(state: State, tol: Tolerances = DEFAULT) -> int:

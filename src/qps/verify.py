@@ -202,7 +202,7 @@ def _majorization_task(args):
         a = ent.clean_spectrum(cv.convolve(rho, sig, pm))
         for tag in cv.bounding_inputs(pm):
             b = ent.clean_spectrum(inputs[tag])
-            slack = float(np.min(np.cumsum(np.sort(b)[::-1]) - np.cumsum(np.sort(a)[::-1])))
+            slack = ent.majorization_slack(a, b)
             out.append(
                 _result(f"majorization.{klass}.{tag}.seed{seed}", slack + 1e-9, f"d={d}")
             )
@@ -210,7 +210,7 @@ def _majorization_task(args):
     rep = mm.mean_state(rho, tol)
     a = ent.clean_spectrum(rep.mean)
     b = ent.clean_spectrum(rho)
-    slack = float(np.min(np.cumsum(np.sort(b)[::-1]) - np.cumsum(np.sort(a)[::-1])))
+    slack = ent.majorization_slack(a, b)
     out.append(_result(f"majorization.mean_state.seed{seed}", slack + 1e-9))
     return out
 

@@ -372,27 +372,34 @@ def t_gate() -> np.ndarray:
     return np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
 
 
+def key_index_map(G, d: int, n: int):
+    """The basis permutation of the key unitary: U^dag |x>|j> = |A[x, j]>|B[x, j]>.
+
+    A[x, j] = enc(g00 x + g10 j) and B[x, j] = enc(g01 x + g11 j), taken
+    digit by digit mod d, for register indices x, j < d^n.  G is a 2x2
+    integer array; its invertibility is not checked here.
+    """
+    g = np.asarray(G, dtype=np.int64) % d
+    dig = digit_table(d, n)
+    a = encode_digits((g[0, 0] * dig[:, None, :] + g[1, 0] * dig[None, :, :]) % d, d)
+    b = encode_digits((g[0, 1] * dig[:, None, :] + g[1, 1] * dig[None, :, :]) % d, d)
+    return a, b
+
+
 def key_unitary(G, n: int, d: int) -> np.ndarray:
     """The key unitary U for parameter matrix G, on 2n qudits.
 
     U maps |i>|j> to |N g11 i - N g10 j> |-N g01 i + N g00 j> per site,
-    with N = (det G)^{-1}; a permutation of the d^{2n} basis states.
+    with N = (det G)^{-1}: a permutation of the d^{2n} basis states,
+    scattered from ``key_index_map`` as U[x D + j, A[x, j] D + B[x, j]] = 1.
     """
     g = np.array(G, dtype=np.int64) % d
-    det = int(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % d
-    if det == 0:
+    if int(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % d == 0:
         raise SingularGError(f"G = {g.tolist()} is singular mod {d}")
-    N = field_inv(det, d)
     D = d**n
-    dig = digit_table(d, n)
+    A, B = key_index_map(g, d, n)
     U = np.zeros((D * D, D * D), dtype=complex)
-    for a in range(D):
-        i = dig[a]
-        ip = (N * (g[1, 1] * i[None, :] - g[1, 0] * dig)) % d  # rows: j
-        jp = (N * (-g[0, 1] * i[None, :] + g[0, 0] * dig)) % d
-        src = a * D + np.arange(D)
-        dst = encode_digits(ip, d) * D + encode_digits(jp, d)
-        U[dst, src] = 1.0
+    U[np.arange(D * D), (A * D + B).reshape(-1)] = 1.0
     return U
 
 

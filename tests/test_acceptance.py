@@ -19,6 +19,8 @@ from qps import states, weyl
 from qps.phase_space import PhasePoint, make_point
 from qps.verify import sample_parity_matrix
 
+from helpers import random_mixed_unitary_channel
+
 PRIMES_TO_97 = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
@@ -225,7 +227,7 @@ def test_10_channel_convolution():
 def test_11_channel_clt():
     count_ok = 0
     for seed in range(10):
-        lam = chn.random_mixed_unitary_channel(1, 7, seed=1100 + seed, terms=3)
+        lam = random_mixed_unitary_channel(1, 7, seed=1100 + seed, terms=3)
         rep = chn.channel_clt(lam, cv.beam_splitter_params(2, 2, 7), 12)
         assert all(r.distance <= r.bound + 1e-9 for r in rep.rows), f"seed {seed}"
         count_ok += rep.ok

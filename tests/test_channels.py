@@ -9,9 +9,11 @@ from qps import mean_magic as mm
 from qps import states, verify, weyl
 from qps.errors import NotTracePreservingError, TooLargeError, UnsupportedGError
 
+from helpers import channel_apply, identity_channel, random_mixed_unitary_channel
+
 
 def test_choi_constructions():
-    ident = ch.identity_channel(3, 1)
+    ident = identity_channel(3, 1)
     phi = np.zeros(9, complex)
     for j in range(3):
         phi[j * 3 + j] = 1 / np.sqrt(3)
@@ -26,12 +28,12 @@ def test_channel_apply():
     rho = states.random_state(1, 3, seed=2)
     U = weyl.random_clifford(1, 3, 5, seed=1)
     uc = ch.unitary_channel(U, 3, 1)
-    assert np.abs(ch.channel_apply(uc, rho).mat - U @ rho.mat @ U.conj().T).max() < 1e-12
+    assert np.abs(channel_apply(uc, rho).mat - U @ rho.mat @ U.conj().T).max() < 1e-12
     c = ch.random_channel(1, 3, seed=3)
     direct = sum(k @ rho.mat @ k.conj().T for k in c.kraus)
-    assert np.abs(ch.channel_apply(c, rho).mat - direct).max() < 1e-10
+    assert np.abs(channel_apply(c, rho).mat - direct).max() < 1e-10
     r = ch.depolarizing_channel(3, 1)
-    assert np.abs(ch.channel_apply(r, rho).mat - np.eye(3) / 3).max() < 1e-12
+    assert np.abs(channel_apply(r, rho).mat - np.eye(3) / 3).max() < 1e-12
 
 
 def test_convolve_channels_routes_agree():
@@ -61,9 +63,14 @@ def test_convolve_channels_runs_no_oracle(monkeypatch):
 
 
 def _convolve_channels_column_loop(ch1, ch2, pm):
-    """Reference E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1}, one unit matrix |i><j| at a time."""
+    """Reference E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1}, one unit matrix |i><j| at a time.
+
+    E^{-1}(X) = U^dag (X ⊗ I/D) U and E(Y) = Tr_B[U Y U^dag], by their
+    definitions with the dense key unitary U.
+    """
     d, n = ch1.d, ch1.n
     D = d**n
+    U = weyl.key_unitary(pm.as_array(), n, d)
     t1 = ch1.choi.mat.reshape(D, D, D, D)
     t2 = ch2.choi.mat.reshape(D, D, D, D)
     J = np.zeros((D * D, D * D), dtype=complex)
@@ -71,11 +78,10 @@ def _convolve_channels_column_loop(ch1, ch2, pm):
         for j in range(D):
             unit = np.zeros((D, D), dtype=complex)
             unit[i, j] = 1.0
-            joint = cv._e_inverse_mat(unit, pm, d, n).reshape(D, D, D, D)
+            joint = (U.conj().T @ np.kron(unit, np.eye(D) / D) @ U).reshape(D, D, D, D)
             mid = D * D * np.einsum("abAB,aoAO,bpBP->opOP", joint, t1, t2, optimize=True)
-            J[i * D : (i + 1) * D, j * D : (j + 1) * D] = (
-                cv._e_apply_mat(mid.reshape(D * D, D * D), pm, d, n) / D
-            )
+            out = (U @ mid.reshape(D * D, D * D) @ U.conj().T).reshape(D, D, D, D)
+            J[i * D : (i + 1) * D, j * D : (j + 1) * D] = np.einsum("ajbj->ab", out) / D
     return J
 
 
@@ -125,10 +131,10 @@ def test_weyl_channels_compose():
 
 def test_identity_convolution_reproduces_state_example():
     # id ⊠ id applied to |0><0| at d = 7, (s,t) = (2,2) gives back |0><0|
-    ident = ch.identity_channel(7, 1)
+    ident = identity_channel(7, 1)
     out = ch.convolve_channels(ident, ident, cv.beam_splitter_params(2, 2, 7))
     s0 = states.basis_state(0, 7)
-    assert np.abs(ch.channel_apply(out, s0).mat - s0.mat).max() < 1e-10
+    assert np.abs(channel_apply(out, s0).mat - s0.mat).max() < 1e-10
 
 
 def test_mean_channel():
@@ -142,7 +148,7 @@ def test_mean_channel():
 
 
 def test_channel_entropy():
-    ident = ch.identity_channel(3, 1)
+    ident = identity_channel(3, 1)
     r = ch.depolarizing_channel(3, 1)
     for a in (0.5, 1, 2, math.inf):
         assert abs(ch.channel_entropy(ident, a) + math.log2(3)) < 1e-9
@@ -159,7 +165,7 @@ def test_channel_entropy():
 
 def test_channel_second_law_proxy():
     bs = cv.beam_splitter_params(2, 2, 7)
-    lam = ch.random_mixed_unitary_channel(1, 7, seed=21)
+    lam = random_mixed_unitary_channel(1, 7, seed=21)
     cur = lam
     prev = None
     for _ in range(5):
@@ -171,18 +177,18 @@ def test_channel_second_law_proxy():
 
 
 def test_mean_channel_extremality_proxy():
-    lam = ch.random_mixed_unitary_channel(1, 7, seed=5)
+    lam = random_mixed_unitary_channel(1, 7, seed=5)
     mean = ch.mean_channel(lam)
     for a in (0.5, 1, 2, math.inf):
         assert ch.channel_entropy(mean, a) >= ch.channel_entropy(lam, a) - 1e-9
 
 
 def test_zero_mean_channel_and_corollary(t_state):
-    ident = ch.identity_channel(3, 1)
+    ident = identity_channel(3, 1)
     assert ch.is_zero_mean_channel(ident)
-    assert ch.channel_magic_gap(ident) == 0.0
+    assert mm.magic_gap(ident.choi).gap == 0.0
     tch = ch.unitary_channel(weyl.t_gate(), 2, 1)
-    assert abs(ch.channel_magic_gap(tch) - (1 - 2**-0.5)) < 1e-12
+    assert abs(mm.magic_gap(tch.choi).gap - (1 - 2**-0.5)) < 1e-12
     wch = ch.weyl_conjugation_channel((1, 0), 3)
     assert not ch.is_zero_mean_channel(wch)
     # corollary: zero mean iff all Weyl-image char values in {0, 1}
@@ -204,7 +210,7 @@ def test_channel_clt():
     rep = ch.channel_clt(cl, cv.beam_splitter_params(2, 2, 7), 4)
     assert rep.ok and all(row.distance < 1e-9 for row in rep.rows)
     # random zero-mean channel: geometric decay within the bound
-    lam = ch.random_mixed_unitary_channel(1, 7, seed=11)
+    lam = random_mixed_unitary_channel(1, 7, seed=11)
     rep = ch.channel_clt(lam, cv.beam_splitter_params(2, 2, 7), 6)
     assert rep.ok
     assert rep.rows[-1].distance <= rep.rows[-1].bound + 1e-9
@@ -235,5 +241,5 @@ def test_stabilizer_channel_closure():
         a, b = stab_channel(seed), stab_channel(100 + seed)
         out = ch.convolve_channels(a, b, cv.hadamard_params(3))
         for st, _ in states.enumerate_pure_stabilizers(1, 3):
-            img = ch.channel_apply(out, st)
+            img = channel_apply(out, st)
             assert states.wigner(img).values.min() > -1e-10

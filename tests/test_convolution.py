@@ -125,23 +125,24 @@ def test_msps_closure_mixed():
 
 
 def test_weyl_covariance_of_channel():
-    # E(w1 ⊗ w2 . w1^dag ⊗ w2^dag) = w E(.) w^dag with the composite label
+    # (w1 rho w1^dag) ⊠ (w2 sigma w2^dag) = w (rho ⊠ sigma) w^dag with the composite label
     d = 3
-    G = [[1, 1], [1, 2]]
-    pm = cv.classify(G, d)
-    rho_ab = states.random_state(2, d, seed=8)
+    pm = cv.classify([[1, 1], [1, 2]], d)
+    rho = states.random_state(1, d, seed=8)
+    sig = states.random_state(1, d, seed=9)
+    base = cv.convolve(rho, sig, pm).mat
     for x1, y1, x2, y2 in itertools.product(range(d), repeat=4):
         w1 = weyl.weyl_operator(make_point(x1, y1, d), d)
         w2 = weyl.weyl_operator(make_point(x2, y2, d), d)
-        conj = states.make_state(
-            np.kron(w1, w2) @ rho_ab.mat @ np.kron(w1, w2).conj().T, d, 2
+        lhs = cv.convolve(
+            states.make_state(w1 @ rho.mat @ w1.conj().T, d),
+            states.make_state(w2 @ sig.mat @ w2.conj().T, d),
+            pm,
         )
-        lhs = cv.conv_channel_apply(conj, pm)
         xc = (pm.g00 * x1 + pm.g01 * x2) % d
         yc = (pm.n_inv * pm.g11 * y1 - pm.n_inv * pm.g10 * y2) % d
         w = weyl.weyl_operator(make_point(xc, yc, d), d)
-        rhs = w @ cv.conv_channel_apply(rho_ab, pm).mat @ w.conj().T
-        assert np.abs(lhs.mat - rhs).max() < 1e-11
+        assert np.abs(lhs.mat - w @ base @ w.conj().T).max() < 1e-11
 
 
 def test_conv_channel_adjoint_identity():
@@ -158,16 +159,16 @@ def test_conv_channel_adjoint_identity():
             assert np.abs(lhs - np.kron(wa, wb)).max() < 1e-12
 
 
-def test_conv_channel_inverse():
-    G = [[1, 1], [1, 2]]
-    rho = states.random_state(1, 3, seed=9)
-    inv = cv.conv_channel_inverse(rho, G)
-    assert inv.n == 2
-    back = cv.conv_channel_apply(inv, G)
-    assert np.abs(back.mat - rho.mat).max() < 1e-12
-    assert abs(inv.purity() - rho.purity() / 3) < 1e-12
-    mixed_inv = cv.conv_channel_inverse(states.maximally_mixed(3, 1), G)
-    assert np.abs(mixed_inv.mat - np.eye(9) / 9).max() < 1e-13
+def test_transformed_stabilizer_group_needs_odd_parity_g():
+    # the group of |0><0| at d = 3 has size 3; a trivial antidiagonal G would
+    # scale every generator to 0 and return the group of size 1
+    group = mm.mean_state(states.basis_state(0, 3)).group
+    assert group.size == 3
+    for G in ([[0, 1], [1, 0]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]):
+        with pytest.raises(UnsupportedGError):
+            cv.transformed_stabilizer_group(group, G)
+    for G in ([[0, 1], [1, 1]], cv.hadamard_params(3)):
+        assert cv.transformed_stabilizer_group(group, G).size == 3
 
 
 def test_wigner_convolution():

@@ -117,6 +117,15 @@ def test_majorizes():
     assert ent.majorizes([0.5, 0.5, 0], [1.0, 0.0])  # zero padding
     with pytest.raises(NotComparableError):
         ent.majorizes([0.5, 0.2], [0.8, 0.2])
+    # the slack is the least partial-sum margin; the full sums agree, so it is at most 0
+    assert ent.majorization_slack([0.6, 0.4], [0.8, 0.2]) == pytest.approx(0.0, abs=1e-15)
+    assert ent.majorization_slack([0.8, 0.2], [0.6, 0.4]) == pytest.approx(-0.2)
+    for seed in range(10):
+        a = ent.clean_spectrum(states.random_state(1, 5, seed=seed))
+        b = ent.clean_spectrum(states.random_state(1, 5, seed=100 + seed, rank=2))
+        margin = float(np.min(np.cumsum(np.sort(b)[::-1]) - np.cumsum(np.sort(a)[::-1])))
+        assert ent.majorization_slack(a, b) == margin
+        assert ent.majorizes(a, b) == (margin >= -1e-9)
 
 
 def test_convolution_majorization():

@@ -9,6 +9,15 @@ from qps.errors import IncompatibleError, NegativeTimeError, SingularStateError
 from qps.phase_space import make_point
 
 
+def _site_projector(axis, site, j, d, n):
+    """|j><j| in the site basis of ``fi._site_basis(axis)`` on one site, identity elsewhere."""
+    col = fi._site_basis(axis, d)[:, j]
+    out = np.eye(1)
+    for k in range(n):
+        out = np.kron(out, np.outer(col, col.conj()) if k == site else np.eye(d))
+    return out
+
+
 def test_dephase():
     diag = states.make_state(np.diag([0.5, 0.3, 0.2]), 3)
     assert np.abs(fi.dephase(diag, "Z").mat - diag.mat).max() < 1e-12
@@ -18,7 +27,7 @@ def test_dephase():
     assert np.abs(fi.dephase(once, "X").mat - once.mat).max() < 1e-12
     # projectors are complete and orthogonal
     for axis in ("X", "Z"):
-        ps = [fi.dephasing_projector(axis, 0, j, 3, 1) for j in range(3)]
+        ps = [_site_projector(axis, 0, j, 3, 1) for j in range(3)]
         assert np.abs(sum(ps) - np.eye(3)).max() < 1e-12
         for i, a in enumerate(ps):
             for j, b in enumerate(ps):
@@ -27,12 +36,8 @@ def test_dephase():
     # at n = 2 each projector acts on its own site, and dephase is sum_j P_j rho P_j
     r2 = states.random_state(2, 3, seed=1)
     for axis in ("X", "Z"):
-        col = fi._site_basis(axis, 3)[:, 1]
         for site in range(2):
-            factors = [np.eye(3), np.eye(3)]
-            factors[site] = np.outer(col, col.conj())
-            assert np.abs(fi.dephasing_projector(axis, site, 1, 3, 2) - np.kron(*factors)).max() < 1e-12
-            ps = [fi.dephasing_projector(axis, site, j, 3, 2) for j in range(3)]
+            ps = [_site_projector(axis, site, j, 3, 2) for j in range(3)]
             want = sum(p @ r2.mat @ p for p in ps)
             assert np.abs(fi.dephase(r2, axis, site).mat - want).max() < 1e-12
 
@@ -67,7 +72,7 @@ def test_fisher_single():
 
 def test_fisher_single_finite_difference_oracle():
     rho = fi.smooth(states.random_state(1, 3, seed=3), 1e-3)
-    H = fi.dephasing_projector("X", 0, 1, 3, 1)
+    H = _site_projector("X", 0, 1, 3, 1)
     vals, vecs = np.linalg.eigh(H)
     h = 1e-3
 

@@ -17,6 +17,8 @@ from qps import states, verify
 from qps.cli import main
 from qps.config import Tolerances
 
+from helpers import random_mixed_unitary_channel
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -158,7 +160,7 @@ def test_cli_conv(tmp_path):
 
 def test_cli_channel_clt(tmp_path):
     path = tmp_path / "chan.json"
-    qio.write_channel(ch.random_mixed_unitary_channel(1, 7, seed=2), path)
+    qio.write_channel(random_mixed_unitary_channel(1, 7, seed=2), path)
     out = tmp_path / "traj.csv"
     code = main(["channel-clt", str(path), "--st", "2,2", "--N", "4", "--out", str(out)])
     assert code == 0
@@ -178,13 +180,13 @@ def test_cli_channel_clt_default_params(tmp_path):
     # d = 3 and d = 5 have no beam-splitter class; the default G serves them
     for d in (3, 5):
         path = tmp_path / f"chan{d}.json"
-        qio.write_channel(ch.random_mixed_unitary_channel(1, d, seed=1), path)
+        qio.write_channel(random_mixed_unitary_channel(1, d, seed=1), path)
         r = run_cli("channel-clt", str(path), "--N", "3")
         assert r.returncode == 0, (d, r.stderr)
         assert len(r.stdout.strip().split("\n")) == 5
     # at d = 7 the default is the beam splitter of the first class, (2, 2)
     path = tmp_path / "chan7.json"
-    qio.write_channel(ch.random_mixed_unitary_channel(1, 7, seed=2), path)
+    qio.write_channel(random_mixed_unitary_channel(1, 7, seed=2), path)
     r_default = run_cli("channel-clt", str(path), "--N", "3")
     r_st = run_cli("channel-clt", str(path), "--st", "2,2", "--N", "3")
     assert r_default.returncode == 0 and r_default.stdout == r_st.stdout
@@ -200,7 +202,7 @@ def test_cli_clt_refuses_non_positive_g(capsys):
 
 def test_cli_channel_clt_refuses_non_positive_g(tmp_path, capsys):
     path = tmp_path / "chan2.json"
-    qio.write_channel(ch.random_mixed_unitary_channel(1, 2, seed=1), path)
+    qio.write_channel(random_mixed_unitary_channel(1, 2, seed=1), path)
     out = tmp_path / "traj.csv"
     assert main(["channel-clt", str(path), "--N", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -219,9 +221,17 @@ def test_cli_rejects_flags_a_command_does_not_read(tmp_path):
     assert run_cli("clt", "--jobs", "2", "--N", "1").returncode == 2
     for args in (["entropy-sweep", "--N", "1", "--tol-one", "0.5"],
                  ["entropy-sweep", "--N", "1", "--tol-supp", "0.5"],
-                 ["conv", "--tol-one", "0.5", str(path), str(path)]):
+                 ["conv", "--tol-one", "0.5", str(path), str(path)],
+                 ["params", "--d", "13", "--tol-one", "0.5"],
+                 ["params", "--d", "13", "--tol-supp", "0.5"]):
         r = run_cli(*args)
         assert r.returncode == 2 and "unrecognized arguments" in r.stderr
+    # only the char form reads --tol-supp
+    r = run_cli("conv", "--tol-supp", "0.5", str(path), str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: --tol-supp is read only by --form char\n"
+    r = run_cli("conv", "--form", "char", "--tol-supp", "0.5", str(path), str(path))
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_entropy_sweep(tmp_path):
@@ -288,8 +298,10 @@ def test_env_dimension_cap_not_integer():
     assert "Traceback" not in r.stderr
 
 
-def test_cli_zero_tolerances_reach_report():
-    r = run_cli("params", "--d", "3", "--tol-one", "0", "--tol-supp", "0")
+def test_cli_zero_tolerances_reach_report(tmp_path):
+    path = tmp_path / "rho.json"
+    qio.write_state(states.random_state(1, 3, seed=1), path)
+    r = run_cli("gap", str(path), "--tol-one", "0", "--tol-supp", "0")
     assert r.returncode == 0, r.stderr
     tol = json.loads(r.stdout)["tolerances"]
     assert tol["tol_one"] == 0.0 and tol["tol_supp"] == 0.0

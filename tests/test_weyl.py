@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,40 @@ def test_key_unitary_examples():
     assert np.abs(U - cnot21).max() == 0
     with pytest.raises(SingularGError):
         weyl.key_unitary([[1, 1], [1, 1]], 1, 2)
+
+
+def _key_unitary_loop(G, n, d):
+    """Reference U: |i>|j> -> |N g11 i - N g10 j> |-N g01 i + N g00 j>, one input i at a time."""
+    g = np.array(G, dtype=np.int64) % d
+    N = field_inv(int(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % d, d)
+    D = d**n
+    dig = weyl.digit_table(d, n)
+    U = np.zeros((D * D, D * D), dtype=complex)
+    for a in range(D):
+        i = dig[a]
+        ip = (N * (g[1, 1] * i[None, :] - g[1, 0] * dig)) % d  # rows: j
+        jp = (N * (-g[0, 1] * i[None, :] + g[0, 0] * dig)) % d
+        src = a * D + np.arange(D)
+        dst = weyl.encode_digits(ip, d) * D + weyl.encode_digits(jp, d)
+        U[dst, src] = 1.0
+    return U
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_key_unitary_matches_loop_reference(d, n):
+    D = d**n
+    count = 0
+    for g in itertools.product(range(d), repeat=4):
+        if (g[0] * g[3] - g[1] * g[2]) % d == 0:
+            continue
+        G = [[g[0], g[1]], [g[2], g[3]]]
+        U = weyl.key_unitary(G, n, d)
+        assert (U == _key_unitary_loop(G, n, d)).all()
+        # U^dag |x>|j> = |A[x, j]>|B[x, j]>
+        A, B = weyl.key_index_map(G, d, n)
+        assert (U.argmax(axis=1) == (A * D + B).reshape(-1)).all()
+        count += 1
+    assert count == {2: 6, 3: 48, 5: 480, 7: 2016}[d]
 
 
 @pytest.mark.parametrize("G", [[[1, 1], [1, 2]], [[2, 1], [1, 1]], [[0, 1], [1, 1]], [[1, 0], [1, 1]]])
