@@ -52,10 +52,10 @@ _MODULES = {
         "solve_linear_mod", "subgroup_generators", "symplectic_inner",
     ),
     "states": (
-        "CharTable", "State", "WignerTable", "basis_state", "char_function",
-        "enumerate_msps", "enumerate_pure_stabilizers", "from_char", "make_state",
-        "maximally_mixed", "msps_from_group", "pauli_rank", "pure_state", "random_pure",
-        "random_state", "tensor", "wigner",
+        "State", "basis_state", "char_function", "enumerate_msps",
+        "enumerate_pure_stabilizers", "from_char", "make_state", "maximally_mixed",
+        "msps_from_group", "pauli_rank", "pure_state", "random_pure", "random_state",
+        "tensor", "wigner",
     ),
     "weyl": (
         "WeylLabel", "is_clifford", "is_weyl_up_to_phase", "key_unitary",

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
 from .states import State, make_state, maximally_mixed
-from .weyl import WeylLabel, key_index_map, weyl_operator
+from .weyl import WeylLabel, key_index_map, weyl_coefficient_table, weyl_operator
 
 # Largest D = d^n at which ``_convolve_channels_exact`` runs.  Its cost grows as
 # D^6: about 0.3 s and 100 MB per call at D = 16, but 7.9 s and 132 MB at D = 25.
@@ -196,7 +196,6 @@ def weyl_image_char_values(channel: Channel):
     iff every listed value is 0 or 1 (Choi-predicate cross-check).
     """
     from .phase_space import PhasePoint
-    from .states import char_table_of
 
     d, n = channel.d, channel.n
     D = d**n
@@ -206,7 +205,7 @@ def weyl_image_char_values(channel: Channel):
         point = PhasePoint(tuple(flat[:n]), tuple(flat[n:]))
         w = weyl_operator(point, d)
         img = D * np.einsum("iI,ioIO->oO", w, t)  # Λ(w) via the Choi formula
-        out[point] = char_table_of(img, d, n).values / D
+        out[point] = weyl_coefficient_table(img, d, n) / D
     return out
 
 

@@ -5,10 +5,11 @@ Tr_B[U (rho ⊗ sigma) U^dag] with U the key unitary.  ``convolve``
 computes it through the convolution-multiplication duality
 Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q): two
 Weyl-coefficient transforms, a gather and a pointwise product, O(D^2 log D)
-for D = d^n.  The operator route, which evaluates the partial trace by
-index gathering because U permutes basis states (O(D^3)), is kept as
-``_convolve_mats``: the independent oracle that ``qps verify`` and the
-tests compare the production route against.  It reads U's basis
+for D = d^n.  ``convolve_char`` and ``convolve_wigner`` take and return
+the plain (d,)*2n table arrays of ``states``.  The operator route, which
+evaluates the partial trace by index gathering because U permutes basis
+states (O(D^3)), is kept as ``_convolve_mats``: the independent oracle
+that ``qps verify`` and the tests compare the production route against.  It reads U's basis
 permutation from ``weyl.key_index_map``, as ``weyl.key_unitary`` and the
 exact channel oracle do.  G is a ParamMatrix everywhere; its parity
 class (``parity_class``) and the inputs that bound ⊠
@@ -33,15 +34,7 @@ from .errors import (
 )
 from .mean_magic import magic_gap, mean_state
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import (
-    CharTable,
-    State,
-    WignerTable,
-    _cache_char,
-    char_function,
-    from_char,
-    make_state,
-)
+from .states import State, _cache_char, char_function, from_char, make_state
 from .weyl import digit_table, encode_digits, key_index_map
 
 
@@ -193,7 +186,7 @@ def convolve(rho: State, sigma: State, params) -> State:
     pm = as_param_matrix(params, rho.d)
     out = convolve_char(char_function(rho), char_function(sigma), pm)
     state = make_state(from_char(out), rho.d, rho.n)
-    _cache_char(state, out.values)
+    _cache_char(state, out)
     return state
 
 
@@ -219,37 +212,36 @@ def _scale_axes(values: np.ndarray, cp: int, cq: int) -> np.ndarray:
     return values.reshape(D, D)[np.ix_(rows, cols)].reshape(values.shape)
 
 
-def convolve_char(tr: CharTable, ts: CharTable, params) -> CharTable:
+def convolve_char(xr: np.ndarray, xs: np.ndarray, params) -> np.ndarray:
     """Duality route: Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q)."""
-    if (tr.d, tr.n) != (ts.d, ts.n):
-        raise IncompatibleError("characteristic tables have mismatched (d, n)")
-    d, n = tr.d, tr.n
-    pm = as_param_matrix(params, d)
-    left = _scale_axes(tr.values, pm.n_inv * pm.g11, pm.g00)
-    right = _scale_axes(ts.values, -pm.n_inv * pm.g10, pm.g01)
+    if xr.shape != xs.shape:
+        raise IncompatibleError(f"characteristic tables of shapes {xr.shape} and {xs.shape}")
+    pm = as_param_matrix(params, xr.shape[0])
+    left = _scale_axes(xr, pm.n_inv * pm.g11, pm.g00)
+    right = _scale_axes(xs, -pm.n_inv * pm.g10, pm.g01)
     vals = left * right
     vals.setflags(write=False)
-    return CharTable(d=d, n=n, values=vals)
+    return vals
 
 
-def convolve_wigner(wr: WignerTable, ws: WignerTable, params) -> WignerTable:
+def convolve_wigner(wr: np.ndarray, ws: np.ndarray, params) -> np.ndarray:
     """Wigner-function convolution; needs a positive G (all entries invertible).
 
     W_out(u, v) = sum_{u', v'} W_rho(g00^{-1} u', (N g11)^{-1} v')
     W_sigma(g01^{-1} (u - u'), -(N g10)^{-1} (v - v')): a cyclic
     convolution of the two rescaled tables on Z_d^{2n}, taken by FFT.
     """
-    if (wr.d, wr.n) != (ws.d, ws.n):
-        raise IncompatibleError("Wigner tables have mismatched (d, n)")
-    d, n = wr.d, wr.n
+    if wr.shape != ws.shape:
+        raise IncompatibleError(f"Wigner tables of shapes {wr.shape} and {ws.shape}")
+    d = wr.shape[0]
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the Wigner convolution formula needs positive G")
-    a = _scale_axes(wr.values, field_inv(pm.g00, d), field_inv((pm.n_inv * pm.g11) % d, d))
-    b = _scale_axes(ws.values, field_inv(pm.g01, d), -field_inv((pm.n_inv * pm.g10) % d, d))
+    a = _scale_axes(wr, field_inv(pm.g00, d), field_inv((pm.n_inv * pm.g11) % d, d))
+    b = _scale_axes(ws, field_inv(pm.g01, d), -field_inv((pm.n_inv * pm.g10) % d, d))
     out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real
     out.setflags(write=False)
-    return WignerTable(d=d, n=n, values=out)
+    return out
 
 
 def iterate(rho: State, params, N: int):

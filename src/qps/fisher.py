@@ -24,7 +24,7 @@ from .errors import (
     NegativeTimeError,
     SingularStateError,
 )
-from .states import CharTable, State, char_function, from_char, make_state, maximally_mixed
+from .states import State, char_function, from_char, make_state, maximally_mixed
 from .weyl import conjugate_site_gate, digit_table, fourier_gate
 
 
@@ -169,9 +169,9 @@ def weyl_weight_grid(d: int, n: int) -> np.ndarray:
     return w
 
 
-def _semigroup_values(table: CharTable, t: float) -> CharTable:
-    damp = np.exp(-0.5 * weyl_weight_grid(table.d, table.n) * t)
-    return CharTable(d=table.d, n=table.n, values=table.values * damp)
+def _semigroup_values(table: np.ndarray, t: float) -> np.ndarray:
+    damp = np.exp(-0.5 * weyl_weight_grid(table.shape[0], table.ndim // 2) * t)
+    return table * damp
 
 
 def heat_semigroup(state: State, t: float) -> State:

@@ -15,9 +15,10 @@ import json
 import numpy as np
 
 from .channels import Channel, channel_from_choi
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, ensure_table_size
 from .errors import IncompatibleError
-from .states import CharTable, State, char_function, from_char, make_state
+from .phase_space import check_prime
+from .states import State, char_function, from_char, make_state
 
 
 def _matrix_to_json(mat: np.ndarray) -> dict:
@@ -32,8 +33,8 @@ def _char_entries(state: State, tol: Tolerances) -> list:
     table = char_function(state)
     n = state.n
     entries = []
-    for idx in np.argwhere(np.abs(table.values) > tol.tol_supp):
-        v = table.values[tuple(idx)]
+    for idx in np.argwhere(np.abs(table) > tol.tol_supp):
+        v = table[tuple(idx)]
         entries.append(
             {
                 "p": [int(x) for x in idx[:n]],
@@ -58,11 +59,15 @@ def state_from_json(obj: dict) -> State:
     if "matrix" in obj:
         return make_state(_matrix_from_json(obj["matrix"]), d, n)
     if "char" in obj:
-        values = np.zeros((d,) * (2 * n), dtype=complex)
+        check_prime(d)
+        ensure_table_size(d, n)
+        xi = np.zeros((d,) * (2 * n), dtype=complex)
         for entry in obj["char"]:
-            idx = tuple(int(v) % d for v in entry["p"]) + tuple(int(v) % d for v in entry["q"])
-            values[idx] = entry["re"] + 1j * entry["im"]
-        return make_state(from_char(CharTable(d=d, n=n, values=values)), d, n)
+            p, q = entry["p"], entry["q"]
+            if len(p) != n or len(q) != n:
+                raise IncompatibleError(f"char label p={p}, q={q} needs n = {n} coordinates each")
+            xi[tuple(int(v) % d for v in p + q)] = entry["re"] + 1j * entry["im"]
+        return make_state(from_char(xi), d, n)
     raise IncompatibleError("state JSON needs a 'matrix' or 'char' field")
 
 

@@ -24,7 +24,7 @@ from .phase_space import (
     lex_smallest_solution,
     subgroup_generators,
 )
-from .states import CharTable, State, char_function, from_char, make_state, pauli_rank
+from .states import State, char_function, from_char, make_state, pauli_rank
 from .weyl import (
     chi,
     conjugate_site_gate,
@@ -65,31 +65,36 @@ def _phase_exponent(value: complex, d: int) -> int:
     return k
 
 
-def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
-    """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
-    d, n = state.d, state.n
-    table = char_function(state)
-    mags = np.abs(table.values)
+def _unit_modulus_group(mags: np.ndarray, tol: Tolerances):
+    """S = {x : |Xi(x)| >= 1 - tol_one} as a mask over mags = |Xi|, and S as a group."""
     on = mags >= 1 - tol.tol_one
     vecs = np.argwhere(on)
-    group = subgroup_generators(list(vecs), d, n)
+    group = subgroup_generators(list(vecs), mags.shape[0], mags.ndim // 2)
     if group.size != len(vecs):
         raise InternalInconsistencyError(
             f"unit-modulus set of size {len(vecs)} is not a group (span {group.size})"
         )
-    kept = np.zeros_like(table.values)
-    kept[on] = table.values[on] / mags[on]
-    mean_mat = from_char(CharTable(d=d, n=n, values=kept))
-    mean = make_state(mean_mat, d, n)
+    return on, group
+
+
+def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
+    """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
+    d, n = state.d, state.n
+    table = char_function(state)
+    mags = np.abs(table)
+    on, group = _unit_modulus_group(mags, tol)
+    kept = np.zeros_like(table)
+    kept[on] = table[on] / mags[on]
+    mean = make_state(from_char(kept), d, n)
     phases = tuple(
-        _phase_exponent(table.value(g), d) for g in group.generators
+        _phase_exponent(table[tuple(g.vec())], d) for g in group.generators
     )
     return MeanStateReport(mean=mean, group=group, phases=phases)
 
 
 def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
     """True iff every |Xi| is 0 or 1 (within tolerance) and rho = M(rho)."""
-    mags = np.abs(char_function(state).values)
+    mags = np.abs(char_function(state))
     mid = (mags > tol.tol_supp) & (mags < 1 - tol.tol_one)
     if mid.any():
         return False
@@ -103,9 +108,10 @@ def mean_value_vector(state: State, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 
 def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
-    """True iff Xi takes the value 1 on the whole mean-state group."""
-    elements = mean_state(state, tol).group.elements
-    values = char_function(state).values[tuple(elements.T)]
+    """True iff Xi takes the value 1 on the whole mean-state group (M(rho) is not built)."""
+    table = char_function(state)
+    _, group = _unit_modulus_group(np.abs(table), tol)
+    values = table[tuple(group.elements.T)]
     return bool((np.abs(values - 1) < PHASE_RESIDUAL).all())
 
 
@@ -142,7 +148,7 @@ def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
 
 def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:
     """Gap between 1 and the second-largest |Xi| on the support."""
-    mags = np.abs(char_function(state).values)
+    mags = np.abs(char_function(state))
     support = mags > tol.tol_supp
     below = support & (mags < 1 - tol.tol_one)
     if below.any():

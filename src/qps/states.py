@@ -1,8 +1,10 @@
 """Density operators, characteristic and Wigner tables, MSPS enumeration.
 
 A State is an immutable (d, n, matrix) triple validated as a density
-operator.  Characteristic tables hold Xi(x) = Tr[rho w(-x)] over all of
-V^n, shape (d,)*2n with the p coordinates on the first n axes.
+operator.  Characteristic tables are complex ndarrays holding
+Xi(x) = Tr[rho w(-x)] over all of V^n, shape (d,)*2n with the p
+coordinates on the first n axes; Wigner tables are real arrays of that
+shape.  d and n are read off a table as shape[0] and ndim // 2.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class State:
     ``eigh`` caches one read-only eigendecomposition, and ``eigvals``
     returns its eigenvalues when it exists, else runs ``eigvalsh`` once
     (``make_state`` fills ``eigvals`` only when its positivity test needed
-    them).  The characteristic table is likewise held once:
-    ``char_function`` computes it on first use, unless
+    them).  The characteristic table, a read-only (d,)*2n array, is
+    likewise held once: ``char_function`` computes it on first use, unless
     ``convolution.convolve`` handed over the table it built the State from
     (checked as ``char_function`` checks its own).
     """
@@ -55,7 +57,7 @@ class State:
     mat: np.ndarray
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
     _eigh: tuple | None = field(default=None, repr=False, compare=False)
-    _char: CharTable | None = field(default=None, repr=False, compare=False)
+    _char: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -139,7 +141,10 @@ def maximally_mixed(d: int, n: int) -> State:
 
 def pure_state(vec, d: int, n: int | None = None) -> State:
     v = np.asarray(vec, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0):
+        raise NotStateError(f"state vector has norm {norm}")
+    v = v / norm
     return make_state(np.outer(v, v.conj()), d, n, validate=False)
 
 
@@ -155,31 +160,7 @@ def tensor(a: State, b: State) -> State:
     return make_state(np.kron(a.mat, b.mat), a.d, a.n + b.n, validate=False)
 
 
-@dataclass(frozen=True)
-class CharTable:
-    """Characteristic function Xi: V^n -> C as a dense (d,)*2n array."""
-
-    d: int
-    n: int
-    values: np.ndarray
-
-    def value(self, point: PhasePoint) -> complex:
-        return complex(self.values[tuple(point.vec() % self.d)])
-
-
-@dataclass(frozen=True)
-class WignerTable:
-    """Discrete Wigner function as a dense real (d,)*2n array (odd d)."""
-
-    d: int
-    n: int
-    values: np.ndarray
-
-    def value(self, point: PhasePoint) -> float:
-        return float(self.values[tuple(point.vec() % self.d)])
-
-
-def char_function(state: State) -> CharTable:
+def char_function(state: State) -> np.ndarray:
     """Xi_rho(x) = Tr[rho w(-x)] over all of V^n (read-only, cached on the State)."""
     if state._char is None:
         _cache_char(state, weyl_coefficient_table(state.mat, state.d, state.n))
@@ -200,34 +181,26 @@ def _cache_char(state: State, vals: np.ndarray) -> None:
     if np.abs(vals).max() > 1 + XI_CHECK_TOL:
         raise NotStateError("characteristic value exceeds unit modulus")
     vals.setflags(write=False)
-    object.__setattr__(state, "_char", CharTable(d=state.d, n=state.n, values=vals))
+    object.__setattr__(state, "_char", vals)
 
 
-def char_table_of(mat: np.ndarray, d: int, n: int) -> CharTable:
-    """Characteristic table of an arbitrary operator (no state checks)."""
-    vals = weyl_coefficient_table(mat, d, n)
-    vals.setflags(write=False)
-    return CharTable(d=d, n=n, values=vals)
+def from_char(xi: np.ndarray) -> np.ndarray:
+    """(1/d^n) sum_x Xi(x) w(x) for a (d,)*2n table Xi; not validated as a state."""
+    return matrix_from_weyl_table(xi, xi.shape[0], xi.ndim // 2)
 
 
-def from_char(table: CharTable) -> np.ndarray:
-    """(1/d^n) sum_x Xi(x) w(x); not validated as a state."""
-    return matrix_from_weyl_table(table.values, table.d, table.n)
-
-
-def wigner(state: State) -> WignerTable:
-    """W_rho(x) = (1/d^n) Tr[rho T(x)], via the symplectic transform of Xi."""
+def wigner(state: State) -> np.ndarray:
+    """W_rho(x) = (1/d^n) Tr[rho T(x)] (read-only), via the symplectic transform of Xi."""
     if state.d == 2:
         raise UnsupportedDimensionError("discrete Wigner functions need odd d")
-    table = char_function(state)
-    vals = _wigner_from_char_values(table.values, state.d, state.n)
+    vals = _wigner_from_char_values(char_function(state), state.d, state.n)
     if np.abs(vals.imag).max() > 1e-9:
         raise NotStateError("Wigner table has a non-real entry")
     out = vals.real
     if abs(out.sum() - 1.0) > 1e-9:
         raise NotStateError("Wigner table does not sum to 1")
     out.setflags(write=False)
-    return WignerTable(d=state.d, n=state.n, values=out)
+    return out
 
 
 def _wigner_from_char_values(xi: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -242,8 +215,7 @@ def _wigner_from_char_values(xi: np.ndarray, d: int, n: int) -> np.ndarray:
 
 def pauli_rank(state: State, tol: Tolerances = DEFAULT) -> int:
     """Number of phase-space points where |Xi| exceeds the support threshold."""
-    table = char_function(state)
-    return int(np.count_nonzero(np.abs(table.values) > tol.tol_supp))
+    return int(np.count_nonzero(np.abs(char_function(state)) > tol.tol_supp))
 
 
 def random_state(n: int, d: int, seed, rank: int | None = None) -> State:
@@ -251,8 +223,8 @@ def random_state(n: int, d: int, seed, rank: int | None = None) -> State:
     D = d**n
     if rank is None:
         rank = D
-    if rank > D:
-        raise IncompatibleError(f"rank {rank} exceeds dimension {D}")
+    if not 1 <= rank <= D:
+        raise IncompatibleError(f"rank {rank} is not in 1..{D}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
     mat = g @ g.conj().T

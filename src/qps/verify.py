@@ -178,7 +178,7 @@ def _duality_task(args):
         pm = sample_parity_matrix(rng, d, klass)
         left = st.char_function(st.make_state(cv._convolve_mats(rho.mat, sig.mat, pm, d, n), d, n))
         right = cv.convolve_char(tr, ts, pm)
-        gap = float(np.abs(left.values - right.values).max())
+        gap = float(np.abs(left - right).max())
         out.append(_result(f"duality.{klass}.seed{seed}", 1e-10 - gap, f"d={d} n={n}"))
     return out
 
@@ -331,13 +331,13 @@ def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     out = []
     worst = 0.0
     for state, _ in st.enumerate_pure_stabilizers(1, d):
-        worst = min(worst, float(st.wigner(state).values.min()))
+        worst = min(worst, float(st.wigner(state).min()))
     out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
     trials = max(seeds, 100)
     negative = 0
     for s in range(seed, seed + trials):
         psi = st.random_pure(1, d, seed=s)
-        if st.wigner(psi).values.min() < -1e-10:
+        if st.wigner(psi).min() < -1e-10:
             negative += 1
     out.append(
         _result(

@@ -76,7 +76,7 @@ def test_02_duality_oracle():
                         states.make_state(cv._convolve_mats(rho.mat, sig.mat, pm, d, n), d, n)
                     )
                     fast = cv.convolve_char(tr, ts, pm)
-                    worst = max(worst, float(np.abs(slow.values - fast.values).max()))
+                    worst = max(worst, float(np.abs(slow - fast).max()))
     assert worst < 1e-10, f"duality gap {worst}"
     report(2, f"operator vs characteristic routes agree to 1e-10 (worst {worst:.1e})")
 
@@ -86,11 +86,11 @@ def test_03_hudson():
     stabs = states.enumerate_pure_stabilizers(1, 3)
     assert len(stabs) == 12
     for st, _ in stabs:
-        floor = min(floor, float(states.wigner(st).values.min()))
+        floor = min(floor, float(states.wigner(st).min()))
     assert floor >= -1e-12
     negative = sum(
         1 for seed in range(100)
-        if states.wigner(states.random_pure(1, 3, seed=seed)).values.min() < -1e-10
+        if states.wigner(states.random_pure(1, 3, seed=seed)).min() < -1e-10
     )
     assert negative >= 95, f"only {negative}/100 random pure states had a negative entry"
     report(3, f"12 stabilizers nonnegative (floor {floor:.1e}); {negative}/100 random pure negative")

@@ -242,4 +242,4 @@ def test_stabilizer_channel_closure():
         out = ch.convolve_channels(a, b, cv.hadamard_params(3))
         for st, _ in states.enumerate_pure_stabilizers(1, 3):
             img = channel_apply(out, st)
-            assert states.wigner(img).values.min() > -1e-10
+            assert states.wigner(img).min() > -1e-10

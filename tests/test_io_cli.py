@@ -16,6 +16,7 @@ from qps import io as qio
 from qps import states, verify
 from qps.cli import main
 from qps.config import Tolerances
+from qps.errors import TooLargeError
 
 from helpers import random_mixed_unitary_channel
 
@@ -394,3 +395,20 @@ def test_verify_import_loads_no_process_pool():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("label", [{"p": [0, 0], "q": [0]}, {"p": [0], "q": []}])
+def test_cli_gap_refuses_char_label_of_wrong_length(tmp_path, label):
+    # at n = 1 a long label once crashed the reader and a short one filled a whole row
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"d": 3, "n": 1, "char": [{**label, "re": 1.0, "im": 0.0}]}))
+    r = run_cli("gap", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_char_reader_checks_the_table_cap_before_allocating(monkeypatch):
+    monkeypatch.setenv("QPS_MAX_DIM", "80")
+    obj = {"d": 3, "n": 2, "char": [{"p": [0, 0], "q": [0, 0], "re": 1.0, "im": 0.0}]}
+    with pytest.raises(TooLargeError):
+        qio.state_from_json(obj)

@@ -71,11 +71,21 @@ def test_mean_value_vector_and_zero_mean():
     assert mm.is_zero_mean(states.maximally_mixed(3, 1))
 
 
+def test_is_zero_mean_builds_no_state(monkeypatch):
+    zero, shifted = states.basis_state(0, 3), states.basis_state(1, 3)
+
+    def never(*args, **kwargs):
+        raise AssertionError("is_zero_mean built a State")
+
+    monkeypatch.setattr(mm, "make_state", never)
+    assert mm.is_zero_mean(zero) and not mm.is_zero_mean(shifted)
+
+
 def _is_zero_mean_loop(state):
     """is_zero_mean one group element at a time."""
     table = states.char_function(state)
     return all(
-        abs(table.values[tuple(v)] - 1.0) < PHASE_RESIDUAL
+        abs(table[tuple(v)] - 1.0) < PHASE_RESIDUAL
         for v in mm.mean_state(state).group.elements
     )
 

@@ -66,7 +66,7 @@ def test_convolve_matches_operator_oracle(case):
     oracle = cv._convolve_mats(rho.mat, sigma.mat, cv.classify(G, d), d, n)
     assert np.abs(out.mat - oracle).max() < 1e-10
     fresh = weyl.weyl_coefficient_table(out.mat, d, n)
-    assert np.abs(states.char_function(out).values - fresh).max() < 1e-12
+    assert np.abs(states.char_function(out) - fresh).max() < 1e-12
 
 
 @PROFILE

@@ -3,7 +3,7 @@ import pytest
 
 from qps import states, weyl
 from qps.config import TOL_STATE
-from qps.errors import NotStateError, TooLargeError, UnsupportedDimensionError
+from qps.errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
 from qps.mean_magic import is_msps
 from qps.phase_space import make_point
 
@@ -25,6 +25,18 @@ def test_make_state_refuses_non_finite(where, bad):
     mat[where[::-1]] = bad
     with pytest.raises(NotStateError, match="non-finite"):
         states.make_state(mat, 3)
+
+
+@pytest.mark.parametrize("vec", [np.zeros(3), [1, np.nan, 0], [np.inf, 0, 0]])
+def test_pure_state_refuses_vectors_with_no_direction(vec):
+    with pytest.raises(NotStateError):
+        states.pure_state(vec, 3)
+
+
+def test_random_state_refuses_rank_out_of_range():
+    for rank in (0, -1, 4):
+        with pytest.raises(IncompatibleError):
+            states.random_state(1, 3, seed=0, rank=rank)
 
 
 def _with_min_eigenvalue(lam: float) -> np.ndarray:
@@ -83,12 +95,12 @@ def test_char_examples():
     table = states.char_function(states.maximally_mixed(3, 2))
     want = np.zeros((3,) * 4)
     want[0, 0, 0, 0] = 1
-    assert np.abs(table.values - want).max() < 1e-12
+    assert np.abs(table - want).max() < 1e-12
 
     t0 = states.char_function(states.basis_state(0, 3))
     for p in range(3):
         for q in range(3):
-            assert abs(t0.values[p, q] - (1.0 if q == 0 else 0.0)) < 1e-12
+            assert abs(t0[p, q] - (1.0 if q == 0 else 0.0)) < 1e-12
 
 
 def test_char_against_trace_oracle():
@@ -100,7 +112,7 @@ def test_char_against_trace_oracle():
         for v in vecs:
             neg = make_point([-x for x in v[:n]], [-x for x in v[n:]], d)
             direct = np.trace(rho.mat @ weyl.weyl_operator(neg, d))
-            assert abs(table.values[tuple(v)] - direct) < 1e-11
+            assert abs(table[tuple(v)] - direct) < 1e-11
 
 
 def test_round_trip_and_linearity():
@@ -109,7 +121,7 @@ def test_round_trip_and_linearity():
     assert np.abs(states.from_char(table) - rho.mat).max() < 1e-12
     sig = states.random_state(2, 3, seed=6)
     ta, tb = states.char_function(rho), states.char_function(sig)
-    mix = states.CharTable(d=3, n=2, values=0.25 * ta.values + 0.75 * tb.values)
+    mix = 0.25 * ta + 0.75 * tb
     assert np.abs(
         states.from_char(mix) - 0.25 * rho.mat - 0.75 * sig.mat
     ).max() < 1e-12
@@ -119,15 +131,15 @@ def test_parseval():
     for seed in range(5):
         rho = states.random_state(1, 5, seed=seed)
         table = states.char_function(rho)
-        lhs = (np.abs(table.values) ** 2).sum() / 5
+        lhs = (np.abs(table) ** 2).sum() / 5
         assert abs(lhs - rho.purity()) < 1e-10
 
 
 def test_wigner_basics(qutrit_magic):
     w = states.wigner(states.maximally_mixed(3, 1))
-    assert np.abs(w.values - 1 / 9).max() < 1e-12
-    assert states.wigner(states.basis_state(0, 3)).values.min() > -1e-12
-    assert states.wigner(qutrit_magic).values.min() < -1e-6
+    assert np.abs(w - 1 / 9).max() < 1e-12
+    assert states.wigner(states.basis_state(0, 3)).min() > -1e-12
+    assert states.wigner(qutrit_magic).min() < -1e-6
     with pytest.raises(UnsupportedDimensionError):
         states.wigner(states.maximally_mixed(2, 1))
 
@@ -135,11 +147,11 @@ def test_wigner_basics(qutrit_magic):
 def test_wigner_against_point_operator_oracle():
     rho = states.random_state(1, 5, seed=3)
     w = states.wigner(rho)
-    assert abs(w.values.sum() - 1) < 1e-9
+    assert abs(w.sum() - 1) < 1e-9
     for p in range(5):
         for q in range(5):
             T = weyl.phase_point_operator(make_point(p, q, 5), 5)
-            assert abs(w.values[p, q] - np.trace(rho.mat @ T).real / 5) < 1e-11
+            assert abs(w[p, q] - np.trace(rho.mat @ T).real / 5) < 1e-11
 
 
 def test_pauli_rank(t_state):
