@@ -117,11 +117,8 @@ def test_incompatible_inputs():
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (3, 2), (5, 1)])
 def test_tables_are_read_only_arrays(d, n):
     rho = states.random_state(n, d, seed=1)
-    sigma = states.random_state(n, d, seed=2)
-    tables = [
-        states.char_function(rho),
-        cv.convolve_char(states.char_function(rho), states.char_function(sigma), cv.default_params(d)),
-    ]
+    xr, xs = states.char_function(rho), states.char_function(states.random_state(n, d, seed=2))
+    tables = [xr, cv.convolve_char(xr, xs, cv.default_params(d))]
     if d % 2:
         tables.append(states.wigner(rho))
     for table in tables:

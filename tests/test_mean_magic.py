@@ -72,13 +72,13 @@ def test_mean_value_vector_and_zero_mean():
 
 
 def test_is_zero_mean_builds_no_state(monkeypatch):
-    zero, shifted = states.basis_state(0, 3), states.basis_state(1, 3)
+    zero, nonzero = states.basis_state(0, 3), states.basis_state(1, 3)
 
     def never(*args, **kwargs):
         raise AssertionError("is_zero_mean built a State")
 
     monkeypatch.setattr(mm, "make_state", never)
-    assert mm.is_zero_mean(zero) and not mm.is_zero_mean(shifted)
+    assert mm.is_zero_mean(zero) and not mm.is_zero_mean(nonzero)
 
 
 def _is_zero_mean_loop(state):
