@@ -44,8 +44,8 @@ for alpha in (1, 2, math.inf):
 print("\nzero-mean shift: |2><2| on a qutrit has mean-value vector (k) != 0")
 rho = basis_state(2, 3)
 print("  mean-value vector before:", mean_value_vector(rho))
-label, shifted = zero_mean_shift(rho)
-print(f"  conjugating by w{tuple(label.point.p) + tuple(label.point.q)} gives "
+point, shifted = zero_mean_shift(rho)
+print(f"  conjugating by w{tuple(point.tolist())} gives "
       f"mean-value vector {mean_value_vector(shifted)}")
 
 print("\nT-count bound: LMG(V rho V^dag) <= LMG(rho) + #T/2")

@@ -48,7 +48,7 @@ _MODULES = {
         "zero_mean_shift",
     ),
     "phase_space": (
-        "PhasePoint", "PhaseSubgroup", "check_prime", "field_inv", "make_point",
+        "PhaseSubgroup", "check_prime", "field_inv", "make_point",
         "solve_linear_mod", "subgroup_generators", "symplectic_inner",
     ),
     "states": (
@@ -58,7 +58,7 @@ _MODULES = {
         "tensor", "wigner",
     ),
     "weyl": (
-        "WeylLabel", "is_clifford", "is_weyl_up_to_phase", "key_unitary",
+        "is_clifford", "is_weyl_up_to_phase", "key_unitary",
         "phase_point_operator", "random_clifford", "weyl_operator",
     ),
 }

@@ -8,7 +8,8 @@ states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
 It applies E and E^{-1} through the key unitary's basis permutation
 (``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
-The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state.
+The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state;
+its Weyl shift is a point [p | q] of the Choi state's phase space V^{2n}.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
 from .states import State, make_state, maximally_mixed
-from .weyl import WeylLabel, key_index_map, weyl_coefficient_table, weyl_operator
+from .weyl import key_index_map, weyl_coefficient_table, weyl_operator
 
 # Largest D = d^n at which ``_convolve_channels_exact`` runs.  Its cost grows as
 # D^6: about 0.3 s and 100 MB per call at D = 16, but 7.9 s and 132 MB at D = 25.
@@ -92,11 +93,8 @@ def unitary_channel(U: np.ndarray, d: int, n: int) -> Channel:
 
 
 def weyl_conjugation_channel(point, d: int) -> Channel:
-    from .phase_space import PhasePoint
-
-    if not isinstance(point, PhasePoint):
-        point = PhasePoint.from_vec(point)
-    return unitary_channel(weyl_operator(point, d), d, point.n)
+    """rho -> w(x) rho w(x)^dag for the point x = [p | q] of V^n."""
+    return unitary_channel(weyl_operator(point, d), d, len(point) // 2)
 
 
 def convolve_channels(ch1: Channel, ch2: Channel, params) -> Channel:
@@ -184,28 +182,25 @@ def is_zero_mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> bool:
 
 
 def zero_mean_channel_shift(channel: Channel, tol: Tolerances = DEFAULT):
-    """Weyl label and shifted channel whose Choi state has zero mean."""
-    label, shifted = zero_mean_shift(channel.choi, tol)
-    return label, channel_from_choi(shifted)
+    """The shift, a point of the Choi state's V^{2n}, and the shifted channel with zero mean."""
+    shift, shifted = zero_mean_shift(channel.choi, tol)
+    return shift, channel_from_choi(shifted)
 
 
 def weyl_image_char_values(channel: Channel):
     """Normalized Weyl coefficients of Λ(w(x)) for every x.
 
-    Coefficients are Tr[Λ(w(x)) w(-y)] / d^n; the channel has zero mean
-    iff every listed value is 0 or 1 (Choi-predicate cross-check).
+    Keyed by the index tuple of x = [p | q]; coefficients are
+    Tr[Λ(w(x)) w(-y)] / d^n.  The channel has zero mean iff every listed
+    value is 0 or 1 (Choi-predicate cross-check).
     """
-    from .phase_space import PhasePoint
-
     d, n = channel.d, channel.n
     D = d**n
     t = channel.choi.mat.reshape(D, D, D, D)
     out = {}
-    for flat in np.ndindex(*((d,) * (2 * n))):
-        point = PhasePoint(tuple(flat[:n]), tuple(flat[n:]))
-        w = weyl_operator(point, d)
-        img = D * np.einsum("iI,ioIO->oO", w, t)  # Λ(w) via the Choi formula
-        out[point] = weyl_coefficient_table(img, d, n) / D
+    for x in np.ndindex(*((d,) * (2 * n))):
+        img = D * np.einsum("iI,ioIO->oO", weyl_operator(x, d), t)  # Λ(w) via the Choi formula
+        out[x] = weyl_coefficient_table(img, d, n) / D
     return out
 
 
@@ -222,7 +217,7 @@ class ChannelCltReport:
     rows: tuple
     magic_gap: float
     shifted: bool
-    shift_label: WeylLabel
+    shift: np.ndarray
     ok: bool
 
 
@@ -230,12 +225,13 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
     """Choi 2-norm trajectory of ⊠^N Λ against the (1 - MG)^N bound.
 
     params is the G of the convolution.  The channel is Weyl-shifted to
-    zero mean first (``shifted`` says whether the shift is non-zero); the
-    rows are ``convolution.clt_trajectory`` of its Choi state.  Each step
-    asserts distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
+    zero mean first (``shift`` is the point of V^{2n}, ``shifted`` says
+    whether it is non-zero); the rows are ``convolution.clt_trajectory`` of
+    its Choi state.  Each step asserts distance <= bound + 1e-9; the
+    diamond column is d^{2n} x bound.
     """
     d, n = channel.d, channel.n
-    label, work = zero_mean_channel_shift(channel, tol)
+    shift, work = zero_mean_channel_shift(channel, tol)
     rows = tuple(
         ChannelCltRow(step=k, distance=dist, bound=bound, diamond_bound=d ** (2 * n) * bound)
         for k, (_, dist, bound) in enumerate(clt_trajectory(work.choi, params, N, tol))
@@ -243,8 +239,8 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
     return ChannelCltReport(
         rows=rows,
         magic_gap=magic_gap(work.choi, tol).gap,
-        shifted=bool(label.point.vec().any()),
-        shift_label=label,
+        shifted=bool(shift.any()),
+        shift=shift,
         ok=all(row.distance <= row.bound + 1e-9 for row in rows),
     )
 

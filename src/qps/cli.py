@@ -130,9 +130,9 @@ def cmd_channel_clt(args, tol: Tolerances) -> int:
 
     channel = qio.read_channel(args.channel)
     rep = chn.channel_clt(channel, _clt_params(args, channel.d), args.N, tol)
-    label = rep.shift_label
-    sp = ".".join(str(v) for v in label.point.p) if rep.shifted else ""
-    sq = ".".join(str(v) for v in label.point.q) if rep.shifted else ""
+    half = len(rep.shift) // 2  # the shift is a point of the Choi state's 2n qudits
+    sp = ".".join(str(v) for v in rep.shift[:half]) if rep.shifted else ""
+    sq = ".".join(str(v) for v in rep.shift[half:]) if rep.shifted else ""
     lines = ["N,choi_l2_distance,paper_bound,diamond_bound,shifted,shift_p,shift_q"]
     for row in rep.rows:
         lines.append(
@@ -324,12 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Refuse an integer count flag below 1, naming the flag."""
+    for flag in ("n", "seeds", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     flags = {k: getattr(args, k, None) for k in ("tol_one", "tol_supp")}
     tol = Tolerances(**{k: v for k, v in flags.items() if v is not None})  # 0 is an override
     try:
+        _check_counts(args)
         return args.fn(args, tol)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

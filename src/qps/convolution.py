@@ -343,12 +343,7 @@ def transformed_stabilizer_group(group: PhaseSubgroup, params) -> PhaseSubgroup:
         raise UnsupportedGError(
             f"the group transform needs an odd-parity positive G; {pm.as_array().tolist()} is not"
         )
-    cp = (-field_inv(pm.g10, d) * pm.g11) % d
-    cq = (field_inv(pm.g01, d) * pm.g00) % d
-    n = group.n
-    vecs = []
-    for gen in group.generators:
-        p = (cp * np.array(gen.p)) % d
-        q = (cq * np.array(gen.q)) % d
-        vecs.append(np.concatenate([p, q]))
-    return subgroup_generators(vecs, d, n)
+    cp = -field_inv(pm.g10, d) * pm.g11
+    cq = field_inv(pm.g01, d) * pm.g00
+    scale = np.repeat([cp, cq], group.n)  # the map is linear: the scaled basis spans the image
+    return subgroup_generators(group.generators * scale, d, group.n)

@@ -55,7 +55,10 @@ def state_to_json(state: State, form: str = "dense", tol: Tolerances = DEFAULT) 
 
 
 def state_from_json(obj: dict) -> State:
+    """The State of a file in either form; n and char labels are checked before allocating."""
     d, n = int(obj["d"]), int(obj["n"])
+    if n < 1:
+        raise IncompatibleError(f"a state file needs n >= 1 qudits, got n = {n}")
     if "matrix" in obj:
         return make_state(_matrix_from_json(obj["matrix"]), d, n)
     if "char" in obj:
@@ -64,6 +67,8 @@ def state_from_json(obj: dict) -> State:
         xi = np.zeros((d,) * (2 * n), dtype=complex)
         for entry in obj["char"]:
             p, q = entry["p"], entry["q"]
+            if not isinstance(p, list) or not isinstance(q, list):
+                raise IncompatibleError(f"char label p={p!r}, q={q!r} is not two lists")
             if len(p) != n or len(q) != n:
                 raise IncompatibleError(f"char label p={p}, q={q} needs n = {n} coordinates each")
             xi[tuple(int(v) % d for v in p + q)] = entry["re"] + 1j * entry["im"]

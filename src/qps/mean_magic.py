@@ -3,7 +3,8 @@
 The mean state M(rho) keeps Xi_rho exactly on the unit-modulus set
 S = {x : |Xi_rho(x)| = 1} and zeroes it elsewhere; numerically, S is the
 set where |Xi| >= 1 - tol_one and retained values snap to the unit
-circle.  All entropy-like quantities here use base-2 logarithms.
+circle.  S is a ``PhaseSubgroup`` and a zero-mean shift is a point [a | b].
+All entropy-like quantities here use base-2 logarithms.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from .errors import (
     PhaseNotRootOfUnityError,
     UnsupportedDimensionError,
 )
-from .phase_space import (
-    PhasePoint,
-    PhaseSubgroup,
-    lex_smallest_solution,
-    subgroup_generators,
-)
+from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generators
 from .states import State, char_function, from_char, make_state, pauli_rank
 from .weyl import (
     chi,
@@ -69,7 +65,7 @@ def _unit_modulus_group(mags: np.ndarray, tol: Tolerances):
     """S = {x : |Xi(x)| >= 1 - tol_one} as a mask over mags = |Xi|, and S as a group."""
     on = mags >= 1 - tol.tol_one
     vecs = np.argwhere(on)
-    group = subgroup_generators(list(vecs), mags.shape[0], mags.ndim // 2)
+    group = subgroup_generators(vecs, mags.shape[0], mags.ndim // 2)
     if group.size != len(vecs):
         raise InternalInconsistencyError(
             f"unit-modulus set of size {len(vecs)} is not a group (span {group.size})"
@@ -86,9 +82,7 @@ def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     kept = np.zeros_like(table)
     kept[on] = table[on] / mags[on]
     mean = make_state(from_char(kept), d, n)
-    phases = tuple(
-        _phase_exponent(table[tuple(g.vec())], d) for g in group.generators
-    )
+    phases = tuple(_phase_exponent(table[tuple(g)], d) for g in group.generators)
     return MeanStateReport(mean=mean, group=group, phases=phases)
 
 
@@ -116,34 +110,29 @@ def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
 
 
 def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
-    """A Weyl label (a, b) and the zero-mean conjugate w rho w^dag.
+    """A point x = [a | b] and the zero-mean conjugate w(x) rho w(x)^dag.
 
-    Solves <(a,b), (p_i,q_i)>_s = -k_i over Z_d; the lexicographically
-    smallest solution is returned.  Existence is guaranteed, so an
-    unsolvable system marks numerically broken input.
+    Solves <(a,b), (p_i,q_i)>_s = -k_i over Z_d for the generators
+    (p_i, q_i) of the mean-state group; the lexicographically smallest
+    solution is returned (the zero point, with rho itself, when the group
+    is trivial).  Existence is guaranteed, so an unsolvable system marks
+    numerically broken input.
     """
-    from .weyl import WeylLabel
-
     d, n = state.d, state.n
     report = mean_state(state, tol)
-    if not report.group.generators:
-        label = WeylLabel(point=PhasePoint((0,) * n, (0,) * n), phase=1.0 + 0j)
-        return label, state
-    rows = []
-    rhs = []
-    for gen, k in zip(report.group.generators, report.phases):
-        # unknown x = [a | b]: <(a,b),(p,q)>_s = a.q - b.p
-        rows.append(np.concatenate([np.array(gen.q), -np.array(gen.p)]) % d)
-        rhs.append((-k) % d)
-    sol = lex_smallest_solution(np.array(rows), np.array(rhs), d)
-    if sol is None:
+    if not report.group.rank:
+        return np.zeros(2 * n, dtype=np.int64), state
+    gens = report.group.generators
+    # unknown x = [a | b]: <(a,b),(p,q)>_s = a.q - b.p, one row [q | -p] per generator
+    rows = np.concatenate([gens[:, n:], -gens[:, :n]], axis=1)
+    point = lex_smallest_solution(rows, -np.array(report.phases), d)
+    if point is None:
         raise InternalInconsistencyError("zero-mean shift system is inconsistent")
-    point = PhasePoint.from_vec(sol)
     w = weyl_operator(point, d)
     shifted = make_state(w @ state.mat @ w.conj().T, d, n)
     if not is_zero_mean(shifted, tol):
         raise InternalInconsistencyError("shifted state failed the zero-mean check")
-    return WeylLabel(point=point, phase=1.0 + 0j), shifted
+    return point, shifted
 
 
 def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:
@@ -172,8 +161,7 @@ def magic_gap_upper_bound(state: State, tol: Tolerances = DEFAULT):
     None at k = n (the bound degenerates there; the gap is 0 anyway).
     """
     d, n = state.d, state.n
-    report = mean_state(state, tol)
-    k = report.group.rank
+    k = _unit_modulus_group(np.abs(char_function(state)), tol)[1].rank
     if k >= n:
         return None
     rp = pauli_rank(state, tol)

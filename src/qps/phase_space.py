@@ -1,14 +1,13 @@
 """Exact arithmetic over the prime field Z_d and the phase space V^n.
 
-V^n = Z_d^n x Z_d^n indexes the Weyl basis.  A point is stored as the
-pair (p, q) of length-n residue tuples; algorithms work on the flattened
-length-2n integer vector [p | q].  Everything here is exact integer
-arithmetic - no floats.
+V^n = Z_d^n x Z_d^n indexes the Weyl basis.  A point is the int64 vector
+[p | q] of length 2n with entries reduced into [0, d), and a stack of
+points is an array with that last axis.  A subgroup is held as its
+reduced row echelon basis, which fixes it uniquely.  Everything here is
+exact integer arithmetic - no floats.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,57 +39,38 @@ def field_inv(a: int, d: int) -> int:
     return pow(a, -1, d)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (p, q) in V^n with all coordinates reduced mod d."""
+def make_point(p, q, d: int) -> np.ndarray:
+    """The point (p, q) of V^n as the int64 vector [p | q] reduced into [0, d).
 
-    p: tuple
-    q: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(v) for v in self.p))
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
-        if len(self.p) != len(self.q):
-            raise IncompatibleError("p and q must have the same length")
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    def vec(self) -> np.ndarray:
-        """Flattened [p | q] integer vector of length 2n."""
-        return np.array(self.p + self.q, dtype=np.int64)
-
-    @classmethod
-    def from_vec(cls, v) -> "PhasePoint":
-        v = np.asarray(v, dtype=np.int64).ravel()
-        n = v.size // 2
-        return cls(tuple(v[:n]), tuple(v[n:]))
-
-    def is_zero(self) -> bool:
-        return not any(self.p) and not any(self.q)
+    p and q are scalars (n = 1) or sequences of one length n.
+    """
+    p, q = np.atleast_1d(p), np.atleast_1d(q)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise IncompatibleError("p and q must be sequences of the same length")
+    return np.concatenate([p, q]).astype(np.int64) % d
 
 
-def make_point(p, q, d: int) -> PhasePoint:
-    """Build a PhasePoint with coordinates reduced into [0, d)."""
-    if np.isscalar(p):
-        p, q = (p,), (q,)
-    return PhasePoint(tuple(int(v) % d for v in p), tuple(int(v) % d for v in q))
+def symplectic_inner(x, y, d: int):
+    """<x, y>_s = sum_k (p_k q'_k - q_k p'_k) mod d for points [p | q] and [p' | q'].
 
-
-def symplectic_inner(x: PhasePoint, y: PhasePoint, d: int) -> int:
-    """Symplectic inner product <x, y>_s = sum_k (p_k q'_k - q_k p'_k) mod d."""
-    if x.n != y.n:
-        raise IncompatibleError(f"points have n = {x.n} and n = {y.n}")
-    total = sum(px * qy - qx * py for px, qx, py, qy in zip(x.p, x.q, y.p, y.q))
-    return total % d
+    Broadcasts over leading axes: two points give an int, stacks of points
+    give an integer array.
+    """
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if x.shape[-1] != y.shape[-1] or x.shape[-1] % 2:
+        raise IncompatibleError(f"points of length {x.shape[-1]}, {y.shape[-1]} are not in a V^n")
+    n = x.shape[-1] // 2
+    s = (x[..., :n] * y[..., n:] - x[..., n:] * y[..., :n]).sum(axis=-1) % d
+    return int(s) if s.ndim == 0 else s
 
 
 def rref_mod(A: np.ndarray, d: int):
     """Row-reduce A over Z_d.
 
     Deterministic pivoting: first nonzero entry in column order, rows
-    swapped.  Returns (R, pivot_columns) with R in reduced row echelon form.
+    swapped.  Returns (R, pivot_columns) with R in reduced row echelon form:
+    every pivot is 1 and is the only nonzero entry of its column, so the
+    nonzero rows of R depend only on the row space of A.
     """
     A = np.array(A, dtype=np.int64) % d
     rows, cols = A.shape
@@ -166,19 +146,22 @@ def lex_smallest_solution(A, b, d: int):
 
 
 class PhaseSubgroup:
-    """An additive subgroup of V^n with an independent generator basis.
+    """An additive subgroup of V^n, held as its reduced basis.
 
-    Built by ``subgroup_generators``; elements are materialized (the size
-    is d^r).  Equality and hashing go through the element set.
+    ``generators`` is the (r, 2n) reduced row echelon basis over Z_d that
+    ``subgroup_generators`` computes; it is unique for the subgroup, so
+    ``==`` and ``hash`` read it alone.  ``elements`` holds the d^r points
+    [p | q] in lexicographic order, and ``in`` looks a point up there.
+    Both arrays are read-only.
     """
 
-    def __init__(self, d: int, n: int, generators, elements: np.ndarray):
+    def __init__(self, d: int, n: int, generators: np.ndarray, elements: np.ndarray):
         self.d = int(d)
         self.n = int(n)
-        self.generators = tuple(generators)
-        order = np.lexsort(elements.T[::-1]) if elements.size else np.array([], dtype=int)
-        self.elements = elements[order]
-        self._set = frozenset(map(tuple, self.elements.tolist()))
+        self.generators = generators
+        self.elements = elements[np.lexsort(elements.T[::-1])]
+        self.generators.setflags(write=False)
+        self.elements.setflags(write=False)
 
     @property
     def rank(self) -> int:
@@ -188,63 +171,37 @@ class PhaseSubgroup:
     def size(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __contains__(self, point) -> bool:
-        v = point.vec() if isinstance(point, PhasePoint) else np.asarray(point)
-        return tuple(int(c) % self.d for c in v) in self._set
+        v = np.asarray(point, dtype=np.int64) % self.d
+        return v.shape == (2 * self.n,) and bool((self.elements == v).all(axis=1).any())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PhaseSubgroup)
             and (self.d, self.n) == (other.d, other.n)
-            and self._set == other._set
+            and np.array_equal(self.generators, other.generators)
         )
 
     def __hash__(self) -> int:
-        return hash((self.d, self.n, self._set))
+        return hash((self.d, self.n, self.generators.tobytes()))
 
     def __repr__(self) -> str:
         return f"PhaseSubgroup(d={self.d}, n={self.n}, size={self.size}, rank={self.rank})"
 
-    def element_set(self) -> frozenset:
-        return self._set
 
-    def points(self):
-        return [PhasePoint.from_vec(v) for v in self.elements]
+def subgroup_generators(points, d: int, n: int) -> PhaseSubgroup:
+    """Additive span of the given points [p | q] with its reduced basis.
 
-    def is_isotropic(self) -> bool:
-        """True when the symplectic form vanishes on the subgroup."""
-        pts = [PhasePoint.from_vec(v) for v in self.elements]
-        return all(
-            symplectic_inner(x, y, self.d) == 0 for i, x in enumerate(pts) for y in pts[i:]
-        )
-
-
-def subgroup_generators(points, d: int, n: int | None = None) -> PhaseSubgroup:
-    """Additive span of the given points with an independent basis.
-
-    Gaussian elimination over Z_d on the 2n-coordinate vectors yields a
-    reproducible generator basis; the span is materialized (size d^r).
+    points is an array-like of length-2n vectors (possibly empty).
+    Gaussian elimination over Z_d yields the reduced row echelon basis;
+    the span is materialized (size d^r).
     """
-    pts = list(points)
-    if n is None:
-        if not pts:
-            raise IncompatibleError("cannot infer n from an empty point set")
-        n = pts[0].n if isinstance(pts[0], PhasePoint) else len(np.ravel(pts[0])) // 2
-    vecs = [p.vec() if isinstance(p, PhasePoint) else np.asarray(p, dtype=np.int64) for p in pts]
-    vecs = [v % d for v in vecs if (v % d).any()]
-    if not vecs:
-        zero = np.zeros((1, 2 * n), dtype=np.int64)
-        return PhaseSubgroup(d, n, (), zero)
-    R, pivots = rref_mod(np.array(vecs), d)
+    vecs = np.asarray(points, dtype=np.int64).reshape(-1, 2 * n) % d
+    R, pivots = rref_mod(vecs, d)
     basis = R[: len(pivots)]
-    r = len(pivots)
-    if d**r > MAX_GROUP:
-        raise TooLargeError(f"subgroup of size {d}^{r} exceeds the cap {MAX_GROUP}")
-    # span: elements indexed by coefficient tuples t in Z_d^r
-    coeffs = np.indices((d,) * r).reshape(r, -1).T  # (d^r, r)
-    elements = (coeffs @ basis) % d
-    gens = tuple(PhasePoint.from_vec(v) for v in basis)
-    return PhaseSubgroup(d, n, gens, elements.astype(np.int64))
+    if d ** len(basis) > MAX_GROUP:
+        raise TooLargeError(f"subgroup of size {d}^{len(basis)} exceeds the cap {MAX_GROUP}")
+    elements = np.zeros((1, 2 * n), dtype=np.int64)
+    for b in basis:
+        elements = ((elements[:, None, :] + np.arange(d)[:, None] * b) % d).reshape(-1, 2 * n)
+    return PhaseSubgroup(d, n, basis, elements)

@@ -5,6 +5,8 @@ operator.  Characteristic tables are complex ndarrays holding
 Xi(x) = Tr[rho w(-x)] over all of V^n, shape (d,)*2n with the p
 coordinates on the first n axes; Wigner tables are real arrays of that
 shape.  d and n are read off a table as shape[0] and ndim // 2.
+Stabilizer groups are ``phase_space.PhaseSubgroup``s, each one a reduced
+basis of [p | q] vectors with its sorted elements.
 """
 
 from __future__ import annotations
@@ -21,18 +23,8 @@ from .errors import (
     TooLargeError,
     UnsupportedDimensionError,
 )
-from .phase_space import (
-    PhasePoint,
-    PhaseSubgroup,
-    check_prime,
-    subgroup_generators,
-    symplectic_inner,
-)
-from .weyl import (
-    chi,
-    matrix_from_weyl_table,
-    weyl_coefficient_table,
-)
+from .phase_space import PhaseSubgroup, check_prime, subgroup_generators, symplectic_inner
+from .weyl import chi, encode_digits, matrix_from_weyl_table, weyl_coefficient_table
 
 # Absolute slack of the checks Xi(0) = 1 and |Xi| <= 1 on every cached table.
 XI_CHECK_TOL = 1e-9
@@ -238,35 +230,27 @@ def random_pure(n: int, d: int, seed) -> State:
 def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
     """All isotropic (abelian-Weyl) subgroups of V^n, deterministically ordered.
 
-    Breadth-first closure over the subgroup lattice; capped at
-    d^{2n} <= ``config.MAX_ENUMERATION``.
+    Breadth-first closure over the subgroup lattice: each group grows by
+    every point outside it that is orthogonal to its generators, one
+    broadcast test over V^n.  Capped at d^{2n} <= ``config.MAX_ENUMERATION``.
     """
     if d ** (2 * n) > MAX_ENUMERATION:
         raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
-    all_vecs = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
-    nonzero = [v for v in all_vecs if v.any()]
-    trivial = subgroup_generators([], d, n)
-    found = {trivial.element_set(): trivial}
-    frontier = [trivial]
+    points = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T  # row i is the point encoded as i
+    frontier = [subgroup_generators([], d, n)]
+    found = set(frontier)
     while frontier:
         nxt = []
         for grp in frontier:
-            gen_pts = [PhasePoint.from_vec(v) for v in grp.elements]
-            for v in nonzero:
-                if v in grp:
-                    continue
-                x = PhasePoint.from_vec(v)
-                if any(symplectic_inner(x, g, d) != 0 for g in grp.generators):
-                    continue
-                bigger = subgroup_generators(list(grp.generators) + [x], d, n)
-                key = bigger.element_set()
-                if key not in found:
-                    found[key] = bigger
+            grows = ~symplectic_inner(points[:, None], grp.generators, d).any(axis=1)
+            grows[encode_digits(grp.elements, d)] = False
+            for x in points[grows]:
+                bigger = subgroup_generators(np.vstack([grp.generators, x]), d, n)
+                if bigger not in found:
+                    found.add(bigger)
                     nxt.append(bigger)
         frontier = nxt
-    groups = list(found.values())
-    groups.sort(key=lambda g: (g.size, g.elements.tobytes()))
-    return groups
+    return sorted(found, key=lambda g: (g.size, g.elements.tobytes()))
 
 
 def msps_from_group(group: PhaseSubgroup, chars) -> State:
@@ -285,7 +269,7 @@ def msps_from_group(group: PhaseSubgroup, chars) -> State:
     P = np.eye(D, dtype=complex)
     for gen, k in zip(group.generators, chars):
         table = np.zeros((d,) * (2 * n), dtype=complex)
-        table[tuple((m[:, None] * gen.vec() % d).T)] = chi(-int(k) * m, d) * (D / d)
+        table[tuple((m[:, None] * gen % d).T)] = chi(-int(k) * m, d) * (D / d)
         P = P @ matrix_from_weyl_table(table, d, n)
     tr = np.trace(P).real
     if tr < 0.5:  # independent generators always leave dim d^{n-r} >= 1

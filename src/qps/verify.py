@@ -22,8 +22,8 @@ from . import mean_magic as mm
 from . import states as st
 from . import weyl
 from .config import DEFAULT, Tolerances
-from .errors import QpsError, UnsupportedDimensionError, UnsupportedGError
-from .phase_space import PhasePoint, check_prime, field_inv, make_point
+from .errors import IncompatibleError, QpsError, UnsupportedDimensionError, UnsupportedGError
+from .phase_space import check_prime, field_inv, make_point
 
 SUITES = ("weyl", "duality", "majorization", "entropy", "fisher", "hudson", "channels")
 
@@ -46,13 +46,15 @@ def _result(name: str, slack: float, detail: str = "") -> CheckResult:
 def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int, tol: Tolerances):
     """Run fn on (d, n, s, tol) for the task indices s = seed .. seed + seeds - 1.
 
-    Only jobs > 1 imports `concurrent.futures` and starts a process pool.
+    A process pool of min(jobs, tasks) workers starts, and `concurrent.futures`
+    is imported, only when that number is above 1.
     """
     tasks = [(d, n, s, tol) for s in range(seed, seed + seeds)]
-    if jobs and jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(fn, tasks))
     else:
         chunks = [fn(t) for t in tasks]
@@ -88,8 +90,7 @@ def sample_parity_matrix(rng, d: int, klass: str):
 
 def _weyl_stack(d: int, n: int) -> np.ndarray:
     """Every w(x), x in V^n, stacked in np.ndindex order over (p, q): (d^2n, D, D)."""
-    return np.stack([weyl.weyl_operator(PhasePoint.from_vec(v), d)
-                     for v in np.ndindex((d,) * (2 * n))])
+    return np.stack([weyl.weyl_operator(x, d) for x in np.ndindex((d,) * (2 * n))])
 
 
 def _commutation_worst(stack: np.ndarray, d: int) -> float:
@@ -413,10 +414,14 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
 
     seed offsets the per-seed task indices: the tasks run at seed .. seed +
     seeds - 1 and name their checks after them.  Inputs drawn outside the
-    per-seed tasks are fixed.  A channels run (alone or within 'all') past
-    the exact channel oracle's size cap is refused before any suite runs,
-    and so is hudson at d = 2, which 'all' skips.
+    per-seed tasks are fixed.  n, seeds and jobs below 1 are refused, a
+    channels run (alone or within 'all') past the exact channel oracle's
+    size cap is refused before any suite runs, and so is hudson at d = 2,
+    which 'all' skips.
     """
+    for key, value in (("n", n), ("seeds", seeds), ("jobs", jobs)):
+        if value < 1:
+            raise IncompatibleError(f"{key} must be >= 1, got {value}")
     if name in ("all", "channels"):
         chn._check_exact_dim(d, n)
     if name == "hudson" and d == 2:

@@ -6,13 +6,14 @@ multi-site operators are tensor products.  The qubit convention is taken
 literally: phases of products are governed by integer exponents of i
 (see ``weyl_literal`` and ``commutation_phase``).
 
-Register operators are returned as dense matrices.  A Weyl operator is
-monomial (one nonzero entry per column), so ``weyl_operator`` builds its
-row indices and values site by site from explicit shift and clock factors
-and scatters them once: no matrix exponentials, no Kronecker chains.  A
-one- or two-site gate is never lifted to the register: ``apply_site_gate``
-contracts it along its site axes, and ``conjugate_site_gate`` applies
-g M g^dag the same way.
+A point of V^n is the vector [p | q] of ``phase_space``, and every
+function here takes it in that form.  Register operators are returned as
+dense matrices.  A Weyl operator is monomial (one nonzero entry per
+column), so ``weyl_operator`` builds its row indices and values site by
+site from explicit shift and clock factors and scatters them once: no
+matrix exponentials, no Kronecker chains.  A one- or two-site gate is
+never lifted to the register: ``apply_site_gate`` contracts it along its
+site axes, and ``conjugate_site_gate`` applies g M g^dag the same way.
 
 The Weyl-coefficient transform (matrix -> table of Tr[M w(-x)]) runs
 through one d-point DFT per diagonal stripe and register digit, which is
@@ -21,7 +22,6 @@ exact up to float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,20 +33,12 @@ from .errors import (
     SingularGError,
     UnsupportedDimensionError,
 )
-from .phase_space import PhasePoint, check_prime, field_inv, symplectic_inner
+from .phase_space import check_prime, field_inv, symplectic_inner
 
 # Modulus slack of is_weyl_up_to_phase: one Weyl coefficient >= 1 - tol, all others <= tol.
 WEYL_COEFF_TOL = 1e-8
 # Largest entry of U^dag U - I that is_unitary accepts.
 UNITARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class WeylLabel:
-    """A Weyl operator up to phase: w = phase * w(point)."""
-
-    point: PhasePoint
-    phase: complex
 
 
 @lru_cache(maxsize=None)
@@ -133,20 +125,24 @@ def _site_monomials(d: int):
     return rows, vals
 
 
-def weyl_operator(point: PhasePoint, d: int) -> np.ndarray:
-    """The unitary w(p, q) on d^n dimensions.
+def weyl_operator(point, d: int) -> np.ndarray:
+    """The unitary w(p, q) on d^n dimensions, for the point [p | q] of length 2n.
 
     w(p, q) is monomial: column c holds one entry, vals[c] at row rows[c].
     Both are built site by site (site 0 most significant) and scattered
     once; the site values multiply left to right, as a Kronecker product
     of the site matrices would.
     """
+    point = np.asarray(point, dtype=np.int64) % d
+    if point.ndim != 1 or point.size % 2:
+        raise IncompatibleError(f"a point [p | q] has even length, got shape {point.shape}")
+    n = point.size // 2
     site_rows, site_vals = _site_monomials(d)
     rows = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
-    for pk, qk in zip(point.p, point.q):
-        rows = (rows[:, None] * d + site_rows[qk % d]).reshape(-1)
-        vals = (vals[:, None] * site_vals[pk % d, qk % d]).reshape(-1)
+    for pk, qk in zip(point[:n], point[n:]):
+        rows = (rows[:, None] * d + site_rows[qk]).reshape(-1)
+        vals = (vals[:, None] * site_vals[pk, qk]).reshape(-1)
     out = np.zeros((rows.size, rows.size), dtype=complex)
     out[rows, np.arange(rows.size)] = vals
     return out
@@ -174,15 +170,15 @@ def weyl_literal(p_ints, q_ints, d: int) -> np.ndarray:
     return out
 
 
-def commutation_phase(x: PhasePoint, y: PhasePoint, d: int) -> complex:
-    """The scalar c in w(x) w(y) = c * w(x + y).
+def commutation_phase(x, y, d: int) -> complex:
+    """The scalar c in w(x) w(y) = c * w(x + y) for points x, y.
 
     Odd d: chi(2^{-1} <x,y>_s); d = 2: i to the integer symplectic
-    product, with w(x + y) read literally at the unreduced label.
+    product, with w(x + y) read literally at the unreduced label.  That
+    power of i depends on the product mod 4 only.
     """
     if d == 2:
-        s_int = sum(px * qy - qx * py for px, qx, py, qy in zip(x.p, x.q, y.p, y.q))
-        return 1j**s_int
+        return 1j ** symplectic_inner(x, y, 4)
     inv2 = field_inv(2, d)
     return complex(chi(inv2 * symplectic_inner(x, y, d), d))
 
@@ -273,13 +269,13 @@ def parity_operator(d: int, n: int) -> np.ndarray:
     return P
 
 
-def phase_point_operator(point: PhasePoint, d: int) -> np.ndarray:
-    """T(x) = w(x) T(0,0) w(x)^dag; Hermitian, defined for odd prime d."""
+def phase_point_operator(point, d: int) -> np.ndarray:
+    """T(x) = w(x) T(0,0) w(x)^dag at the point x = [p | q]; Hermitian, defined for odd prime d."""
     if d == 2:
         raise UnsupportedDimensionError("phase-space point operators need odd d")
     check_prime(d)
     w = weyl_operator(point, d)
-    return w @ parity_operator(d, point.n) @ w.conj().T
+    return w @ parity_operator(d, len(point) // 2) @ w.conj().T
 
 
 def is_unitary(mat: np.ndarray) -> bool:
@@ -288,9 +284,9 @@ def is_unitary(mat: np.ndarray) -> bool:
 
 
 def is_weyl_up_to_phase(A: np.ndarray, d: int, n: int):
-    """The WeylLabel of A when A is a Weyl operator up to phase, else None.
+    """(point, phase) with A = phase * w(point) when A is a Weyl operator up to phase, else None.
 
-    A is expanded in the Weyl basis; the label is accepted only when
+    A is expanded in the Weyl basis; the point is accepted only when
     exactly one coefficient has modulus >= 1 - WEYL_COEFF_TOL and every
     other coefficient has modulus <= WEYL_COEFF_TOL.
     """
@@ -303,10 +299,8 @@ def is_weyl_up_to_phase(A: np.ndarray, d: int, n: int):
     rest[tuple(hits[0])] = 0.0
     if rest.max() > WEYL_COEFF_TOL:
         return None
-    idx = tuple(int(v) for v in hits[0])
-    point = PhasePoint(idx[:n], idx[n:])
     c = coeffs[tuple(hits[0])]
-    return WeylLabel(point=point, phase=c / abs(c))
+    return hits[0], c / abs(c)
 
 
 def apply_site_gate(mat: np.ndarray, gate: np.ndarray, sites, d: int, n: int) -> np.ndarray:
@@ -408,13 +402,10 @@ def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
     if not is_unitary(U):
         raise NotUnitaryError("is_clifford requires a unitary input")
     Udag = U.conj().T
-    zero = (0,) * n
-    for site in range(n):
-        unit = tuple(int(k == site) for k in range(n))
-        # X on the site is w(0, e_site) and Z is w(e_site, 0), both with phase 1
-        for point in (PhasePoint(zero, unit), PhasePoint(unit, zero)):
-            if is_weyl_up_to_phase(U @ weyl_operator(point, d) @ Udag, d, n) is None:
-                return False
+    # row k < n is Z on site k, w(e_k, 0); row n + k is X on site k, w(0, e_k)
+    for point in np.eye(2 * n, dtype=np.int64):
+        if is_weyl_up_to_phase(U @ weyl_operator(point, d) @ Udag, d, n) is None:
+            return False
     return True
 
 
@@ -443,8 +434,7 @@ def random_clifford(n: int, d: int, word_length: int, seed) -> np.ndarray:
             a = int(rng.integers(2, d))
             U = apply_site_gate(U, multiplier_gate(a, d), [rng.integers(n)], d, n)
         elif kind == "weyl":
-            vec = rng.integers(0, d, size=2 * n)
-            U = weyl_operator(PhasePoint.from_vec(vec), d) @ U
+            U = weyl_operator(rng.integers(0, d, size=2 * n), d) @ U
         else:
             U = apply_site_gate(U, cnot_gate(d), rng.choice(n, size=2, replace=False), d, n)
     return U

@@ -1,10 +1,11 @@
-"""Channel constructions and the Choi action, kept for the tests only."""
+"""Channel constructions, the Choi action and subgroup predicates, kept for the tests only."""
 
 import math
 
 import numpy as np
 
 from qps.channels import Channel, choi_from_kraus
+from qps.phase_space import PhaseSubgroup, symplectic_inner
 from qps.states import State, make_state
 
 
@@ -30,3 +31,9 @@ def random_mixed_unitary_channel(n: int, d: int, seed, terms: int = 3) -> Channe
         u, _ = np.linalg.qr(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
         kraus.append(math.sqrt(w) * u)
     return choi_from_kraus(kraus, d, n)
+
+
+def is_isotropic(group: PhaseSubgroup) -> bool:
+    """True when the symplectic form vanishes on every pair of elements."""
+    e = group.elements
+    return not symplectic_inner(e[:, None], e[None], group.d).any()

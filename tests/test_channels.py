@@ -200,7 +200,7 @@ def test_zero_mean_channel_and_corollary(t_state):
             for v in np.ravel(tab)
         )
         assert in01 == expect
-    label, shifted = ch.zero_mean_channel_shift(wch)
+    _, shifted = ch.zero_mean_channel_shift(wch)
     assert ch.is_zero_mean_channel(shifted)
 
 

@@ -175,6 +175,11 @@ def test_cli_channel_clt(tmp_path):
     assert code == 0
     rows = out.read_text().strip().split("\n")[1:]
     assert all(row.split(",")[4] == "1" for row in rows)
+    # the shift is a point of the Choi state's 2n = 2 qudits: p and q get 2 entries each
+    shift, _ = ch.zero_mean_channel_shift(wch)
+    assert len(shift) == 4
+    want = [".".join(str(v) for v in shift[:2]), ".".join(str(v) for v in shift[2:])]
+    assert all(row.split(",")[5:] == want for row in rows)
 
 
 def test_cli_channel_clt_default_params(tmp_path):
@@ -349,6 +354,51 @@ def test_tolerance_overrides_reach_spawned_workers(monkeypatch):
     assert verify._map_tasks(_tol_one_task, 3, 1, 2, 2, 0, tol) == [0.25, 0.25]
 
 
+def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    tol = Tolerances(tol_one=0.25)
+    assert verify._map_tasks(_tol_one_task, 3, 1, 3, 64, 0, tol) == [0.25] * 3
+    assert verify._map_tasks(_tol_one_task, 3, 1, 1, 64, 0, tol) == [0.25]
+    assert sizes == [3]  # one task runs in-process, with no pool
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--n", "0"],
+        ["clt", "--n", "-1"],
+        ["entropy-sweep", "--n", "0"],
+        ["verify", "--suite", "weyl", "--n", "0"],
+        ["verify", "--seeds", "0"],
+        ["verify", "--seeds", "-2"],
+        ["verify", "--jobs", "0"],
+        ["verify", "--jobs", "-3"],
+    ],
+)
+def test_cli_refuses_counts_below_one(argv, capsys):
+    # verify --seeds 0 once passed with no seeded check, and --n 0 died deep in a suite
+    flag, value = argv[-2:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
 def test_cli_verify_tolerance_override_with_jobs(tmp_path):
     reports = []
     for jobs in ("1", "2"):
@@ -397,14 +447,35 @@ def test_verify_import_loads_no_process_pool():
     assert r.stdout.strip() == ""
 
 
-@pytest.mark.parametrize("label", [{"p": [0, 0], "q": [0]}, {"p": [0], "q": []}])
+@pytest.mark.parametrize(
+    "label", [{"p": [0, 0], "q": [0]}, {"p": [0], "q": []}, {"p": 0, "q": [0]}]
+)
 def test_cli_gap_refuses_char_label_of_wrong_length(tmp_path, label):
-    # at n = 1 a long label once crashed the reader and a short one filled a whole row
+    # at n = 1 a long label once crashed the reader, a short one filled a whole row,
+    # and a label that is not a list crashed on len()
     path = tmp_path / "label.json"
     path.write_text(json.dumps({"d": 3, "n": 1, "char": [{**label, "re": 1.0, "im": 0.0}]}))
     r = run_cli("gap", str(path))
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"d": 3, "n": 0, "char": [{"p": [], "q": [], "re": 1.0, "im": 0.0}]},
+        {"d": 3, "n": -1, "char": [{"p": [], "q": [], "re": 1.0, "im": 0.0}]},
+        {"d": 3, "n": 0, "matrix": {"re": [[1.0]], "im": [[0.0]]}},
+    ],
+)
+def test_cli_gap_refuses_a_state_file_without_qudits(tmp_path, obj):
+    # n < 1 once crashed the char reader and reached a reshape in the dense one
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    r = run_cli("gap", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert "n >= 1" in r.stderr
 
 
 def test_char_reader_checks_the_table_cap_before_allocating(monkeypatch):

@@ -4,12 +4,15 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from qps import convolution as cv
 from qps import entropy as ent
 from qps import mean_magic as mm
 from qps import states, weyl
 from qps.config import PHASE_RESIDUAL
 from qps.errors import UnsupportedDimensionError
 from qps.phase_space import make_point
+
+from helpers import is_isotropic
 
 
 def test_mean_state_examples(t_state):
@@ -33,7 +36,7 @@ def test_mean_state_is_msps_and_idempotent():
         assert mm.is_msps(rep.mean)
         again = mm.mean_state(rep.mean).mean
         assert np.abs(again.mat - rep.mean.mat).max() < 1e-10
-        assert rep.group.is_isotropic()
+        assert is_isotropic(rep.group)
 
 
 def test_clifford_covariance():
@@ -81,6 +84,23 @@ def test_is_zero_mean_builds_no_state(monkeypatch):
     assert mm.is_zero_mean(zero) and not mm.is_zero_mean(nonzero)
 
 
+def test_group_readers_build_m_rho_only_to_compare_it(monkeypatch):
+    # is_msps builds M(sigma) once to compare it with sigma; nothing else builds it
+    calls = []
+    real = mm.make_state
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mm, "make_state", spy)
+    ent.check_equality_case(states.basis_state(0, 3), cv.hadamard_params(3), 2, seed=3)
+    assert len(calls) == 1
+    calls.clear()
+    assert mm.magic_gap_upper_bound(states.random_state(2, 3, seed=1)) is not None
+    assert len(calls) == 0
+
+
 def _is_zero_mean_loop(state):
     """is_zero_mean one group element at a time."""
     table = states.char_function(state)
@@ -109,7 +129,7 @@ def test_is_zero_mean_gather_matches_loop():
 def test_zero_mean_shift_matches_exhaustive_oracle():
     for d, k in [(3, 1), (3, 2), (5, 3)]:
         rho = states.basis_state(k, d)
-        label, shifted = mm.zero_mean_shift(rho)
+        point, shifted = mm.zero_mean_shift(rho)
         assert mm.is_zero_mean(shifted)
         candidates = []
         for a in range(d):
@@ -118,18 +138,18 @@ def test_zero_mean_shift_matches_exhaustive_oracle():
                 conj = states.make_state(w @ rho.mat @ w.conj().T, d)
                 if mm.is_zero_mean(conj):
                     candidates.append((a, b))
-        assert (label.point.p[0], label.point.q[0]) == min(candidates)
+        assert tuple(point.tolist()) == min(candidates)
 
 
 def test_zero_mean_shift_trivial_and_product():
     rho = states.basis_state(0, 3)
-    label, shifted = mm.zero_mean_shift(rho)
-    assert label.point.is_zero()
+    point, shifted = mm.zero_mean_shift(rho)
+    assert point.tolist() == [0, 0]
     assert np.abs(shifted.mat - rho.mat).max() < 1e-12
     # n = 2 with a nontrivial one-site mean
     joint = states.tensor(states.basis_state(2, 3), states.random_state(1, 3, seed=5))
     assert not mm.is_zero_mean(joint)
-    label, shifted = mm.zero_mean_shift(joint)
+    point, shifted = mm.zero_mean_shift(joint)
     assert mm.is_zero_mean(shifted)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from qps.errors import NotInvertibleError, NotPrimeError
 from qps.phase_space import (
-    PhasePoint,
     check_prime,
     field_inv,
     lex_smallest_solution,
@@ -56,7 +55,7 @@ def test_symplectic_bilinear_antisymmetric(d):
             s = symplectic_inner(x, y, d)
             assert symplectic_inner(y, x, d) == (-s) % d
             for t in range(d):
-                tx = make_point(t * x.p[0], t * x.q[0], d)
+                tx = make_point(t * x[0], t * x[1], d)
                 assert symplectic_inner(tx, y, d) == (t * s) % d
 
 
@@ -66,31 +65,63 @@ def test_subgroup_examples():
 
     line = subgroup_generators([make_point(1, 0, 3)], 3, 1)
     assert line.size == 3
-    assert line.element_set() == {(0, 0), (1, 0), (2, 0)}
+    assert set(map(tuple, line.elements.tolist())) == {(0, 0), (1, 0), (2, 0)}
 
-    pt = PhasePoint((1, 0), (0, 1))
+    pt = make_point((1, 0), (0, 1), 3)
     g = subgroup_generators([pt], 3, 2)
     assert g.size == 3 and g.rank == 1
     # brute-force span oracle
     seen = {(0,) * 4}
-    frontier = {tuple(pt.vec())}
+    frontier = {tuple(pt.tolist())}
     while frontier:
         seen |= frontier
         frontier = {
-            tuple((np.array(a) + pt.vec()) % 3) for a in frontier
+            tuple((np.array(a) + pt) % 3) for a in frontier
         } - seen
-    assert g.element_set() == seen
+    assert set(map(tuple, g.elements.tolist())) == seen
 
 
 def test_subgroup_span_and_idempotence():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
-        pts = [PhasePoint.from_vec(rng.integers(0, d, 4)) for _ in range(3)]
+        pts = rng.integers(0, d, (3, 4))
         g = subgroup_generators(pts, d, 2)
         assert g.size == d**g.rank
-        again = subgroup_generators(g.points(), d, 2)
+        again = subgroup_generators(g.elements, d, 2)
         assert again == g
         assert len(again.generators) == g.rank
+
+
+def test_subgroup_equality_reads_the_reduced_basis():
+    rng = np.random.default_rng(2)
+    for d in (2, 3, 5):
+        for _ in range(10):
+            pts = rng.integers(0, d, (3, 4))
+            g = subgroup_generators(pts, d, 2)
+            redundant = np.vstack([pts[::-1], (pts[0] + 2 * pts[1]) % d, np.zeros(4, int)])
+            h = subgroup_generators(redundant, d, 2)
+            assert h == g and hash(h) == hash(g)
+            assert np.array_equal(h.elements, g.elements)
+            assert len({g, h, subgroup_generators(g.elements, d, 2)}) == 1
+            for arr in (g.generators, g.elements):
+                assert not arr.flags.writeable
+    assert subgroup_generators([[1, 0]], 3, 1) != subgroup_generators([[0, 1]], 3, 1)
+    assert subgroup_generators([[1, 0]], 3, 1) != subgroup_generators([[1, 0]], 5, 1)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (5, 2), (3, 3)])
+def test_symplectic_inner_broadcast_matches_scalar_loop(d, n):
+    rng = np.random.default_rng(d * 10 + n)
+    xs, ys = rng.integers(0, d, (7, 2 * n)), rng.integers(0, d, (5, 2 * n))
+    table = symplectic_inner(xs[:, None], ys[None], d)
+    assert table.shape == (7, 5)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            s = symplectic_inner(x, y, d)
+            assert type(s) is int
+            assert s == sum(x[k] * y[n + k] - x[n + k] * y[k] for k in range(n)) % d
+            assert table[i, j] == s
+    assert np.array_equal(symplectic_inner(xs, ys[0], d), table[:, 0])
 
 
 def test_rref_deterministic():

@@ -5,7 +5,9 @@ from qps import states, weyl
 from qps.config import TOL_STATE
 from qps.errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
 from qps.mean_magic import is_msps
-from qps.phase_space import make_point
+from qps.phase_space import make_point, subgroup_generators, symplectic_inner
+
+from helpers import is_isotropic
 
 
 def test_make_state_validation():
@@ -184,7 +186,39 @@ def test_enumerated_msps_are_msps():
     for st, grp in states.enumerate_pure_stabilizers(1, 3):
         assert abs(st.purity() - 1) < 1e-10
         assert grp.size == 3
-        assert grp.is_isotropic()
+        assert is_isotropic(grp)
+
+
+def _isotropic_subgroups_loop(n, d):
+    """Reference enumeration: per-point orthogonality tests, groups keyed by element set."""
+    nonzero = [v for v in np.indices((d,) * (2 * n)).reshape(2 * n, -1).T if v.any()]
+    trivial = subgroup_generators([], d, n)
+    found = {frozenset(map(tuple, trivial.elements.tolist())): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for grp in frontier:
+            for v in nonzero:
+                if v in grp or any(symplectic_inner(v, g, d) for g in grp.generators):
+                    continue
+                bigger = subgroup_generators(list(grp.generators) + [v], d, n)
+                key = frozenset(map(tuple, bigger.elements.tolist()))
+                if key not in found:
+                    found[key] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(found.values(), key=lambda g: (g.size, g.elements.tobytes()))
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (1, 5), (1, 7), (2, 2), (2, 3)])
+def test_isotropic_enumeration_matches_loop(n, d):
+    got = states.enumerate_isotropic_subgroups(n, d)
+    want = _isotropic_subgroups_loop(n, d)
+    assert len(got) == len(want) and got == want
+    for a, b in zip(got, want):
+        assert np.array_equal(a.generators, b.generators)
+        assert np.array_equal(a.elements, b.elements)
+        assert is_isotropic(a)
 
 
 def _msps_power_loop(group, chars, d):

@@ -6,7 +6,13 @@ import pytest
 from qps import convolution as cv
 from qps import verify, weyl
 from qps.cli import main
-from qps.errors import NotPrimeError, SingularGError, UnsupportedDimensionError, UnsupportedGError
+from qps.errors import (
+    IncompatibleError,
+    NotPrimeError,
+    SingularGError,
+    UnsupportedDimensionError,
+    UnsupportedGError,
+)
 from qps.phase_space import make_point
 
 
@@ -20,11 +26,11 @@ def _commutation_worst_loop(d):
             lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
             if d == 2:
                 rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_literal(
-                    [x.p[0] + y.p[0]], [x.q[0] + y.q[0]], d
+                    [x[0] + y[0]], [x[1] + y[1]], d
                 )
             else:
                 rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_operator(
-                    make_point(x.p[0] + y.p[0], x.q[0] + y.q[0], d), d
+                    make_point(x[0] + y[0], x[1] + y[1], d), d
                 )
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -126,3 +132,10 @@ def test_hudson_at_d2_is_refused_before_any_enumeration(monkeypatch):
     monkeypatch.setattr(verify, "_SUITE_FNS", suites)
     assert verify.run_suite("all", 2, 1, 3) == []
     assert ran == [k for k in verify.SUITES if k != "hudson"]
+
+
+@pytest.mark.parametrize("n,seeds,jobs", [(0, 2, 1), (1, 0, 1), (1, -2, 1), (1, 2, 0)])
+def test_run_suite_refuses_counts_below_one(n, seeds, jobs, monkeypatch):
+    monkeypatch.setattr(verify, "_SUITE_FNS", {})  # a suite that started would raise KeyError
+    with pytest.raises(IncompatibleError):
+        verify.run_suite("weyl", 3, n, seeds, jobs)
