@@ -44,7 +44,7 @@ _MODULES = {
     ),
     "mean_magic": (
         "MagicGapReport", "MeanStateReport", "closest_msps", "is_msps", "is_zero_mean",
-        "lmg_t_count_check", "magic_gap", "mean_state", "mean_value_vector",
+        "lmg_t_count_check", "magic_gap", "mean_group", "mean_state", "mean_value_vector",
         "zero_mean_shift",
     ),
     "phase_space": (

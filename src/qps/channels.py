@@ -8,8 +8,9 @@ states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
 It applies E and E^{-1} through the key unitary's basis permutation
 (``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
-The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state;
-its Weyl shift is a point [p | q] of the Choi state's phase space V^{2n}.
+The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state,
+with every power's Choi matrix rebuilt from its table and validated; its Weyl
+shift is a point [p | q] of the Choi state's phase space V^{2n}.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedGError,
 )
 from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
-from .states import State, make_state, maximally_mixed
+from .states import State, from_char, make_state, maximally_mixed
 from .weyl import key_index_map, weyl_coefficient_table, weyl_operator
 
 # Largest D = d^n at which ``_convolve_channels_exact`` runs.  Its cost grows as
@@ -227,17 +228,20 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
     params is the G of the convolution.  The channel is Weyl-shifted to
     zero mean first (``shift`` is the point of V^{2n}, ``shifted`` says
     whether it is non-zero); the rows are ``convolution.clt_trajectory`` of
-    its Choi state.  Each step asserts distance <= bound + 1e-9; the
-    diamond column is d^{2n} x bound.
+    its Choi state, and the Choi matrix of every later power is rebuilt
+    from its table and validated by ``make_state``.  Each step asserts
+    distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
     """
     d, n = channel.d, channel.n
     shift, work = zero_mean_channel_shift(channel, tol)
-    rows = tuple(
-        ChannelCltRow(step=k, distance=dist, bound=bound, diamond_bound=d ** (2 * n) * bound)
-        for k, (_, dist, bound) in enumerate(clt_trajectory(work.choi, params, N, tol))
-    )
+    rows = []
+    for k, (xi, dist, bound) in enumerate(clt_trajectory(work.choi, params, N, tol)):
+        if k:
+            make_state(from_char(xi), d, 2 * n)
+        rows.append(ChannelCltRow(step=k, distance=dist, bound=bound,
+                                  diamond_bound=d ** (2 * n) * bound))
     return ChannelCltReport(
-        rows=rows,
+        rows=tuple(rows),
         magic_gap=magic_gap(work.choi, tol).gap,
         shifted=bool(shift.any()),
         shift=shift,

@@ -109,14 +109,27 @@ def _clt_params(args, d: int):
 
 
 def cmd_clt(args, tol: Tolerances) -> int:
-    params = _clt_params(args, args.d)
-    rho = st.random_state(args.n, args.d, seed=args.seed)
-    _, rho = mm.zero_mean_shift(rho, tol)
+    """The CLT trajectory of a zero-mean random state, one CSV row per power.
+
+    ⊠^0 rho is rho itself.  Every later power is rebuilt from its table and
+    validated with ``spectrum=True``, so the ``eigvalsh`` that decides its
+    positivity gives the spectrum its H columns read, and only that
+    spectrum is kept.
+    """
+    d, n = args.d, args.n
+    params = _clt_params(args, d)
+    _, rho = mm.zero_mean_shift(st.random_state(n, d, seed=args.seed), tol)
+    powers = cv.clt_trajectory(rho, params, args.N, tol)
+    spectrum = rho.eigvals
+    del rho  # the trajectory holds rho's table; its matrix is not read again
     lines = ["N,l2_distance,paper_bound," + ",".join(f"H_{a}" for a in _ALPHAS)]
     ok = True
-    for step, (state, dist, bound) in enumerate(cv.clt_trajectory(rho, params, args.N, tol)):
+    for step, (xi, dist, bound) in enumerate(powers):
+        if step:
+            spectrum = st.make_state(st.from_char(xi), d, n, spectrum=True).eigvals
         ok = ok and dist <= bound + 1e-9
-        hs = [ent.renyi_entropy(state, a) for a in _ALPHAS]
+        clean = ent.clean_spectrum(spectrum)
+        hs = [ent.renyi_entropy_spectrum(clean, a) for a in _ALPHAS]
         lines.append(
             ",".join([str(step), _fmt(dist), _fmt(bound)] + [_fmt(h) for h in hs])
         )
@@ -176,7 +189,7 @@ def cmd_gap(args, tol: Tolerances) -> int:
 
     state = qio.read_state(args.state)
     gap = mm.magic_gap(state, tol)
-    rep = mm.mean_state(state, tol)
+    group, phases = mm.mean_group(state, tol)
     out = {
         "d": state.d,
         "n": state.n,
@@ -184,8 +197,8 @@ def cmd_gap(args, tol: Tolerances) -> int:
         "log_gap": gap.log_gap,
         "second_max": gap.second_max,
         "support_size": gap.support_size,
-        "group_size": rep.group.size,
-        "mean_value_vector": [int(k) for k in rep.phases],
+        "group_size": group.size,
+        "mean_value_vector": [int(k) for k in phases],
         "zero_mean": mm.is_zero_mean(state, tol),
         "tolerances": snapshot(tol),
     }
@@ -325,11 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """Refuse an integer count flag below 1, naming the flag."""
-    for flag in ("n", "seeds", "jobs"):
+    """Refuse an integer count flag below its least value, naming the flag:
+    --n, --seeds and --jobs below 1, --N (the last CLT or sweep power) below 0."""
+    for flag, least in (("n", 1), ("seeds", 1), ("jobs", 1), ("N", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise UsageError(f"--{flag} must be >= 1, got {value}")
+        if value is not None and value < least:
+            raise UsageError(f"--{flag} must be >= {least}, got {value}")
 
 
 def main(argv=None) -> int:

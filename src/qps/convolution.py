@@ -14,9 +14,11 @@ permutation from ``weyl.key_index_map``, as ``weyl.key_unitary`` and the
 exact channel oracle do.  G is a ParamMatrix everywhere; its parity
 class (``parity_class``) and the inputs that bound ⊠
 (``bounding_inputs``) are decided here only.  ``iterate`` is
-the one loop over the powers ⊠^k rho; ``clt_trajectory``, which the
-state and channel CLTs share, adds their distance to M(rho) and the
-(1 - MG)^k bound.
+the loop over the powers ⊠^k rho as States.  ``clt_trajectory``, which
+the state and channel CLTs share, steps the powers as characteristic
+tables, as the paper states the QCLT: M(rho) is its unit values on the
+group S, and each distance to it is taken by Parseval,
+||A||_2^2 = sum_x |Xi_A(x)|^2 / d^n, so it builds no matrix at all.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .errors import (
     SingularGError,
     UnsupportedGError,
 )
-from .mean_magic import magic_gap, mean_state
+from .mean_magic import _unit_modulus_group, magic_gap
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import State, _cache_char, char_function, from_char, make_state
+from .states import State, _cache_char, _check_char, char_function, from_char, make_state
 from .weyl import digit_table, encode_digits, key_index_map
 
 
@@ -217,9 +219,8 @@ def convolve_char(xr: np.ndarray, xs: np.ndarray, params) -> np.ndarray:
     if xr.shape != xs.shape:
         raise IncompatibleError(f"characteristic tables of shapes {xr.shape} and {xs.shape}")
     pm = as_param_matrix(params, xr.shape[0])
-    left = _scale_axes(xr, pm.n_inv * pm.g11, pm.g00)
-    right = _scale_axes(xs, -pm.n_inv * pm.g10, pm.g01)
-    vals = left * right
+    vals = _scale_axes(xr, pm.n_inv * pm.g11, pm.g00)  # a fresh array, multiplied in place
+    vals *= _scale_axes(xs, -pm.n_inv * pm.g10, pm.g01)
     vals.setflags(write=False)
     return vals
 
@@ -265,19 +266,64 @@ def iterate(rho: State, params, N: int):
     return powers()
 
 
+def _mean_distance(xi: np.ndarray, support: np.ndarray, mirror: np.ndarray,
+                   unit: np.ndarray) -> float:
+    """||A - M||_2 for the table xi of a Hermitian A and the mean M, held as its
+    values ``unit`` at the ascending flat indices ``support`` of S (0 elsewhere);
+    ``mirror[i]`` is the position in S of -x for the i-th x.
+
+    By Parseval the squared distance is sum_x |Xi_A(x) - Xi_M(x)|^2 / d^n.
+    Off S that is |Xi_A|^2, summed over the runs of the flat table between
+    S's indices: no difference table is formed, and the values near 1 on S
+    never cancel against the small ones off it.  On S, where the difference
+    is rounding alone once A is near M, it is taken Hermitian,
+    (f(x) + conj f(-x)) / 2, as ``make_state`` takes the matrices, so the
+    anti-Hermitian rounding that ⊠ powers accumulate there is not counted.
+    """
+    flat = xi.reshape(-1)
+    ends = np.concatenate(([-1], support, [flat.size]))
+    off = sum(np.vdot(run, run).real for run in
+              (flat[a + 1:b] for a, b in zip(ends[:-1], ends[1:])))
+    f = flat[support] - unit
+    on = (f + f[mirror].conj()) / 2
+    return float(np.sqrt((off + np.vdot(on, on).real) / xi.shape[0] ** (xi.ndim // 2)))
+
+
 def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
-    """The quantum CLT: an iterator over (⊠^k rho, ||⊠^k rho - M(rho)||_2,
-    (1 - MG(rho))^k ||rho - M(rho)||_2) for k = 0..N along ``iterate``.
+    """The quantum CLT on tables: an iterator over (Xi_k, ||⊠^k rho - M(rho)||_2,
+    (1 - MG(rho))^k ||rho - M(rho)||_2) for k = 0..N, with Xi_k the read-only
+    characteristic table of ⊠^k rho.
+
+    Xi_0 is rho's own table and Xi_{k+1} = ``convolve_char``(Xi_k, Xi_rho);
+    every later power passes the Xi checks (Xi(0) = 1, |Xi| <= 1).  A caller
+    that needs a power as a matrix builds it with ``from_char`` and validates
+    it with ``make_state``.  M(rho) is held as the flat indices of S and the
+    unit values Xi_rho / |Xi_rho| there, and every distance is taken by
+    Parseval (``_mean_distance``).  N and G are checked at the call, and the
+    iterator keeps Xi_rho and the current power, not rho itself.
 
     rho should have zero mean (see ``mean_magic.zero_mean_shift``).
     """
-    mean = mean_state(rho, tol).mean
+    if N < 0:
+        raise IncompatibleError("N must be >= 0")
+    pm = as_param_matrix(params, rho.d)
+    xr = char_function(rho)
+    mags = np.abs(xr)
+    group = _unit_modulus_group(mags, tol)[1]
+    support = encode_digits(group.elements, rho.d)  # S is sorted, so these ascend
+    mirror = np.searchsorted(support, encode_digits(-group.elements % rho.d, rho.d))
+    unit = xr.reshape(-1)[support] / mags.reshape(-1)[support]
     mg = magic_gap(rho, tol).gap
-    base = float(np.linalg.norm(rho.mat - mean.mat))
-    return (
-        (state, float(np.linalg.norm(state.mat - mean.mat)), (1 - mg) ** k * base)
-        for k, state in enumerate(iterate(rho, params, N))
-    )
+    base = _mean_distance(xr, support, mirror, unit)
+
+    def powers():
+        xi = xr
+        for k in range(N + 1):
+            if k:
+                xi = _check_char(convolve_char(xi, xr, pm))
+            yield xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base
+
+    return powers()
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,13 @@ The mean state M(rho) keeps Xi_rho exactly on the unit-modulus set
 S = {x : |Xi_rho(x)| = 1} and zeroes it elsewhere; numerically, S is the
 set where |Xi| >= 1 - tol_one and retained values snap to the unit
 circle.  S is a ``PhaseSubgroup`` and a zero-mean shift is a point [a | b].
+``mean_state`` builds M(rho) as a validated State; a reader of S and of
+the phases of Xi on its generators alone (``zero_mean_shift``,
+``mean_value_vector``, ``qps gap``) takes them from ``mean_group``, and
+the CLT holds M(rho) as its values on S (``convolution.clt_trajectory``),
+so neither builds a matrix.  The zero-mean conjugate w(x) rho w(x)^dag is
+one gather through the monomial form of w(x), and its table the phase
+chi(<x, y>_s) times Xi_rho(y).
 All entropy-like quantities here use base-2 logarithms.
 """
 
@@ -20,14 +27,15 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generators
-from .states import State, char_function, from_char, make_state, pauli_rank
+from .states import State, _cache_char, char_function, from_char, make_state, pauli_rank
 from .weyl import (
     chi,
     conjugate_site_gate,
+    digit_table,
     fourier_gate,
     phase_gate,
     t_gate,
-    weyl_operator,
+    weyl_monomial,
     xmat,
     zmat,
 )
@@ -73,6 +81,11 @@ def _unit_modulus_group(mags: np.ndarray, tol: Tolerances):
     return on, group
 
 
+def _generator_phases(table: np.ndarray, group: PhaseSubgroup) -> tuple:
+    """(k_1, ..., k_r) with Xi(x_i) = chi(k_i) on the generators x_i of S."""
+    return tuple(_phase_exponent(table[tuple(g)], group.d) for g in group.generators)
+
+
 def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
     d, n = state.d, state.n
@@ -82,8 +95,15 @@ def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     kept = np.zeros_like(table)
     kept[on] = table[on] / mags[on]
     mean = make_state(from_char(kept), d, n)
-    phases = tuple(_phase_exponent(table[tuple(g)], d) for g in group.generators)
-    return MeanStateReport(mean=mean, group=group, phases=phases)
+    return MeanStateReport(mean=mean, group=group, phases=_generator_phases(table, group))
+
+
+def mean_group(state: State, tol: Tolerances = DEFAULT) -> tuple[PhaseSubgroup, tuple]:
+    """S and the phase exponents on its generators, as ``mean_state`` reports
+    them, without building M(rho)."""
+    table = char_function(state)
+    group = _unit_modulus_group(np.abs(table), tol)[1]
+    return group, _generator_phases(table, group)
 
 
 def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
@@ -98,7 +118,7 @@ def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
 
 def mean_value_vector(state: State, tol: Tolerances = DEFAULT) -> np.ndarray:
     """(k_1, ..., k_r) with Xi(x_i) = chi(k_i) on the computed generators."""
-    return np.array(mean_state(state, tol).phases, dtype=np.int64)
+    return np.array(mean_group(state, tol)[1], dtype=np.int64)
 
 
 def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
@@ -119,20 +139,39 @@ def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
     numerically broken input.
     """
     d, n = state.d, state.n
-    report = mean_state(state, tol)
-    if not report.group.rank:
+    group, phases = mean_group(state, tol)
+    if not group.rank:
         return np.zeros(2 * n, dtype=np.int64), state
-    gens = report.group.generators
+    gens = group.generators
     # unknown x = [a | b]: <(a,b),(p,q)>_s = a.q - b.p, one row [q | -p] per generator
     rows = np.concatenate([gens[:, n:], -gens[:, :n]], axis=1)
-    point = lex_smallest_solution(rows, -np.array(report.phases), d)
+    point = lex_smallest_solution(rows, -np.array(phases), d)
     if point is None:
         raise InternalInconsistencyError("zero-mean shift system is inconsistent")
-    w = weyl_operator(point, d)
-    shifted = make_state(w @ state.mat @ w.conj().T, d, n)
+    shifted = _weyl_shift(state, point)
     if not is_zero_mean(shifted, tol):
         raise InternalInconsistencyError("shifted state failed the zero-mean check")
     return point, shifted
+
+
+def _weyl_shift(state: State, point: np.ndarray) -> State:
+    """w(x) rho w(x)^dag at x = point = [a | b], holding its characteristic table.
+
+    w(x) sends column c to row rows[c] with the value vals[c], so the
+    conjugate is vals[i] rho[i, j] conj(vals[j]) scattered to
+    (rows[i], rows[j]).  Its table is chi(<x, y>_s) Xi_rho(y), with
+    <x, y>_s = a.q - b.p at y = [p | q]: one phase per p register times
+    one per q register.
+    """
+    d, n = state.d, state.n
+    rows, vals = weyl_monomial(point, d)
+    mat = np.empty_like(state.mat)
+    mat[np.ix_(rows, rows)] = vals[:, None] * state.mat * vals.conj()
+    shifted = make_state(mat, d, n)
+    digits = digit_table(d, n)
+    phase = np.outer(chi(-(digits @ point[n:]), d), chi(digits @ point[:n], d))
+    _cache_char(shifted, char_function(state) * phase.reshape((d,) * (2 * n)))
+    return shifted
 
 
 def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:

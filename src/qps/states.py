@@ -37,11 +37,12 @@ class State:
     Spectra are computed only when read, and each at most once per State:
     ``eigh`` caches one read-only eigendecomposition, and ``eigvals``
     returns its eigenvalues when it exists, else runs ``eigvalsh`` once
-    (``make_state`` fills ``eigvals`` only when its positivity test needed
-    them).  The characteristic table, a read-only (d,)*2n array, is
+    (``make_state`` fills ``eigvals`` when its positivity test ran
+    ``eigvalsh``).  The characteristic table, a read-only (d,)*2n array, is
     likewise held once: ``char_function`` computes it on first use, unless
-    ``convolution.convolve`` handed over the table it built the State from
-    (checked as ``char_function`` checks its own).
+    the code that built the State handed over its table (``convolve`` its
+    product table, ``zero_mean_shift`` a phase times the input's), checked
+    as ``char_function`` checks its own.
     """
 
     d: int
@@ -85,15 +86,18 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> State:
+def make_state(mat, d: int, n: int | None = None, validate: bool = True,
+               spectrum: bool = False) -> State:
     """Wrap a matrix as a State, re-Hermitizing and checking the invariants.
 
     With t = ``config.TOL_STATE``: every entry finite, Hermitian to t,
-    unit trace to t, and every eigenvalue >= -t.  Positivity is tested by
-    a Cholesky factorization of the Hermitized matrix, which succeeds only
-    when its smallest eigenvalue is at least -O(D eps), far above -t.  Only
-    when the factorization fails does ``eigvalsh`` run and decide; its
-    eigenvalues are then kept as the State's ``eigvals``.
+    unit trace to t, and every eigenvalue >= -t.  By default positivity is
+    tested by a Cholesky factorization of the Hermitized matrix, which
+    succeeds only when its smallest eigenvalue is at least -O(D eps), far
+    above -t; only when it fails does ``eigvalsh`` run and decide.  With
+    ``spectrum=True``, for a caller that reads the spectrum anyway,
+    ``eigvalsh`` alone decides.  Eigenvalues that ``eigvalsh`` computed are
+    kept as the State's ``eigvals``.
     """
     check_prime(d)
     mat = np.asarray(mat, dtype=complex)
@@ -112,13 +116,15 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True) -> Stat
         tr = np.trace(mat).real
         if abs(tr - 1.0) > tol:
             raise NotStateError(f"trace {tr} is not 1 within tolerance")
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
+        if not spectrum:
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                spectrum = True
+        if spectrum:
             vals = np.linalg.eigvalsh(mat)
-            lo = vals[0]
-            if lo < -tol:
-                raise NotStateError(f"negative eigenvalue {lo}") from None
+            if vals[0] < -tol:
+                raise NotStateError(f"negative eigenvalue {vals[0]}")
             vals.setflags(write=False)
     else:
         mat = hermitize(mat)
@@ -159,21 +165,25 @@ def char_function(state: State) -> np.ndarray:
     return state._char
 
 
-def _cache_char(state: State, vals: np.ndarray) -> None:
-    """Cache vals as the State's characteristic table once it passes the Xi checks.
+def _check_char(vals: np.ndarray) -> np.ndarray:
+    """vals, made read-only in place, once it passes the Xi checks.
 
-    Xi(0) = 1 and |Xi| <= 1 must hold to within XI_CHECK_TOL.  The values
-    are made read-only in place.  ``char_function`` caches the table it
-    computes here, and ``convolution.convolve`` the table it built its
-    result from.
+    Xi(0) = 1 and |Xi| <= 1 must hold to within XI_CHECK_TOL.  Every table
+    cached on a State passes here, and so does every power of
+    ``convolution.clt_trajectory``, which builds no State.
     """
-    origin = abs(vals[(0,) * (2 * state.n)] - 1.0)
+    origin = abs(vals[(0,) * vals.ndim] - 1.0)
     if origin > XI_CHECK_TOL:
         raise NotStateError(f"Xi(0) = 1 violated by {origin:.2e}")
     if np.abs(vals).max() > 1 + XI_CHECK_TOL:
         raise NotStateError("characteristic value exceeds unit modulus")
     vals.setflags(write=False)
-    object.__setattr__(state, "_char", vals)
+    return vals
+
+
+def _cache_char(state: State, vals: np.ndarray) -> None:
+    """Cache vals as the State's characteristic table once it passes ``_check_char``."""
+    object.__setattr__(state, "_char", _check_char(vals))
 
 
 def from_char(xi: np.ndarray) -> np.ndarray:

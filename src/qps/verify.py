@@ -21,8 +21,14 @@ from . import fisher as fi
 from . import mean_magic as mm
 from . import states as st
 from . import weyl
-from .config import DEFAULT, Tolerances
-from .errors import IncompatibleError, QpsError, UnsupportedDimensionError, UnsupportedGError
+from .config import DEFAULT, Tolerances, table_cap
+from .errors import (
+    IncompatibleError,
+    QpsError,
+    TooLargeError,
+    UnsupportedDimensionError,
+    UnsupportedGError,
+)
 from .phase_space import check_prime, field_inv, make_point
 
 SUITES = ("weyl", "duality", "majorization", "entropy", "fisher", "hudson", "channels")
@@ -113,6 +119,16 @@ def _commutation_worst(stack: np.ndarray, d: int) -> float:
     diff = np.matmul(stack[:, None], stack[None, :])
     diff -= rhs
     return float(np.abs(diff).max())
+
+
+def _check_weyl_size(d: int, n: int) -> None:
+    """Raise TooLargeError when the orthonormality stack of every w(x) at (d, n),
+    d^{4n} complex entries, is past the dense-table cap ``config.table_cap()``."""
+    cap = table_cap()
+    if d ** (4 * n) > cap:
+        raise TooLargeError(
+            f"the weyl suite stacks d^4n = {d}^{4 * n} entries, past the dense-table cap {cap}"
+        )
 
 
 def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
@@ -416,14 +432,17 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     seeds - 1 and name their checks after them.  Inputs drawn outside the
     per-seed tasks are fixed.  n, seeds and jobs below 1 are refused, a
     channels run (alone or within 'all') past the exact channel oracle's
-    size cap is refused before any suite runs, and so is hudson at d = 2,
-    which 'all' skips.
+    size cap or a weyl run (alone or within 'all') past the table cap is
+    refused before any suite runs, and so is hudson at d = 2, which 'all'
+    skips.
     """
     for key, value in (("n", n), ("seeds", seeds), ("jobs", jobs)):
         if value < 1:
             raise IncompatibleError(f"{key} must be >= 1, got {value}")
     if name in ("all", "channels"):
         chn._check_exact_dim(d, n)
+    if name in ("all", "weyl"):
+        _check_weyl_size(d, n)
     if name == "hudson" and d == 2:
         raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
                                         "which need odd d")

@@ -217,6 +217,17 @@ def test_channel_clt():
     assert rep.rows[-1].diamond_bound == pytest.approx(49 * rep.rows[-1].bound)
 
 
+def test_channel_clt_validates_every_later_power(monkeypatch):
+    # each power's Choi matrix is rebuilt from its table and passes make_state
+    lam = random_mixed_unitary_channel(1, 5, seed=3)
+    made = []
+    real = ch.make_state
+    monkeypatch.setattr(ch, "make_state", lambda *a, **k: made.append(a[1:]) or real(*a, **k))
+    rep = ch.channel_clt(lam, cv.hadamard_params(5), 4)
+    assert rep.ok and len(rep.rows) == 5
+    assert made == [(5, 2)] * 4
+
+
 def test_unitary_min_entropy():
     rep = ch.check_unitary_min_entropy(cv.hadamard_params(3), 3, 1, seed=0, pairs=4)
     assert rep.ok

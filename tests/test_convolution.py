@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qps import channels as chn
 from qps import convolution as cv
 from qps import mean_magic as mm
 from qps import states, weyl
@@ -261,19 +262,61 @@ def test_iterate_checks_arguments_at_the_call():
             cv.clt_trajectory(s0, params, N)
 
 
+def _clt_cases():
+    """Zero-mean CLT inputs with G: random states (trivial mean group) at four
+    (d, n), a product with a one-site mean, and the Choi state of a Weyl channel."""
+    for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        yield mm.zero_mean_shift(states.random_state(n, d, seed=4))[1], cv.hadamard_params(d)
+    joint = states.tensor(states.basis_state(2, 3), states.random_state(1, 3, seed=5))
+    yield mm.zero_mean_shift(joint)[1], cv.hadamard_params(3)
+    channel = chn.zero_mean_channel_shift(chn.weyl_conjugation_channel([1, 2], 5))[1]
+    yield channel.choi, cv.default_params(5)
+
+
 def test_clt_trajectory_matches_iterate():
-    h = cv.hadamard_params(3)
-    _, rho = mm.zero_mean_shift(states.random_state(2, 3, seed=4))
-    mean = mm.mean_state(rho).mean
-    mg = mm.magic_gap(rho).gap
-    base = np.linalg.norm(rho.mat - mean.mat)
-    rows = list(cv.clt_trajectory(rho, h, 4))
-    assert len(rows) == 5
-    for k, ((state, dist, bound), ref) in enumerate(zip(rows, cv.iterate(rho, h, 4))):
-        assert np.array_equal(state.mat, ref.mat)
-        assert dist == np.linalg.norm(ref.mat - mean.mat)
-        assert bound == (1 - mg) ** k * base
-        assert dist <= bound + 1e-9
+    # the tables are iterate's, and the Parseval distances match the dense route
+    for rho, G in _clt_cases():
+        mean = mm.mean_state(rho).mean
+        mg = mm.magic_gap(rho).gap
+        base = np.linalg.norm(rho.mat - mean.mat)
+        rows = list(cv.clt_trajectory(rho, G, 4))
+        assert len(rows) == 5
+        for k, ((xi, dist, bound), ref) in enumerate(zip(rows, cv.iterate(rho, G, 4))):
+            assert np.array_equal(xi, states.char_function(ref)) and not xi.flags.writeable
+            assert abs(dist - np.linalg.norm(ref.mat - mean.mat)) <= 1e-15
+            assert abs(bound - (1 - mg) ** k * base) <= 1e-15
+            assert dist <= bound + 1e-9
+
+
+def test_every_clt_power_is_a_state_by_cholesky(monkeypatch):
+    # the trajectory builds no matrix; every power it yields passes make_state's
+    # Cholesky route (with its eigvalsh fallback for the rank-deficient powers)
+    cases = list(_clt_cases())
+    tried = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda mat: tried.append(1) or real(mat))
+    powers = 0
+    for rho, G in cases:
+        for xi, _, _ in cv.clt_trajectory(rho, G, 6):
+            states.make_state(states.from_char(xi), rho.d, rho.n)
+            powers += 1
+    assert len(tried) == powers == 6 * 7
+
+
+def test_clt_trajectory_runs_the_xi_checks(monkeypatch):
+    bad = states.random_state(1, 3, seed=2)
+    real = cv.convolve_char
+
+    def broken(xr, xs, G):
+        out = np.array(real(xr, xs, G))
+        out[(0, 0)] = 1.5
+        return out
+
+    monkeypatch.setattr(cv, "convolve_char", broken)
+    rows = cv.clt_trajectory(bad, cv.hadamard_params(3), 2)
+    next(rows)
+    with pytest.raises(NotStateError):
+        next(rows)
 
 
 def test_convolve_computes_each_char_table_once(monkeypatch):

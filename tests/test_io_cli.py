@@ -13,6 +13,7 @@ import qps
 from qps import channels as ch
 from qps import fisher as fi
 from qps import io as qio
+from qps import mean_magic as mm
 from qps import states, verify
 from qps.cli import main
 from qps.config import Tolerances
@@ -278,6 +279,26 @@ def test_cli_verify_refuses_oversized_channel_oracle(suite, monkeypatch, capsys)
     assert "TooLargeError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["weyl", "all"])
+def test_cli_verify_refuses_oversized_weyl_stack(suite, monkeypatch, capsys):
+    # the weyl suite stacks d^4n entries: refused past the table cap, before any suite runs
+    ran = []
+    monkeypatch.setattr(verify, "_SUITE_FNS",
+                        {key: (lambda *args, key=key: ran.append(key) or []) for key in verify.SUITES})
+    monkeypatch.setenv("QPS_MAX_DIM", "80")
+    with pytest.raises(TooLargeError):
+        verify.run_suite(suite, 3, 1, 2)
+    assert main(["verify", "--suite", suite, "--d", "3", "--n", "1", "--seeds", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: TooLargeError: the weyl suite stacks d^4n = 3^4 entries, "
+        "past the dense-table cap 80\n"
+    )
+    assert ran == []
+    monkeypatch.setenv("QPS_MAX_DIM", "81")
+    verify.run_suite(suite, 3, 1, 2)
+    assert "weyl" in ran
+
+
 def test_env_dimension_cap(tmp_path):
     import os
     import subprocess
@@ -397,6 +418,46 @@ def test_cli_refuses_counts_below_one(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["clt", "entropy-sweep", "channel-clt"])
+def test_cli_refuses_negative_N(command, tmp_path):
+    args = [command, "--N", "-1"]
+    if command == "channel-clt":
+        path = tmp_path / "wc.json"
+        qio.write_channel(ch.weyl_conjugation_channel([1, 2], 5), path)
+        args.insert(1, str(path))
+    r = run_cli(*args)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: --N must be >= 0, got -1\n"
+    # --N 0 is the trajectory's first row alone
+    r = run_cli(*args[:-1], "0")
+    assert r.returncode == 0 and r.stderr == ""
+    assert len(r.stdout.splitlines()) == 2
+
+
+def test_cli_clt_decides_positivity_by_its_spectra(monkeypatch, eig_calls, capsys):
+    # one eigvalsh per power, no Cholesky, and no M(rho) built
+    tried, made = [], []
+    real_cholesky, real_make = np.linalg.cholesky, mm.make_state
+    monkeypatch.setattr(np.linalg, "cholesky", lambda mat: tried.append(1) or real_cholesky(mat))
+    monkeypatch.setattr(mm, "make_state", lambda *a, **k: made.append(1) or real_make(*a, **k))
+    assert main(["clt", "--d", "3", "--n", "2", "--N", "4", "--family", "hadamard"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert tried == [] and made == []
+    assert len(eig_calls) == 5
+
+
+def test_cli_gap_builds_no_mean_state(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "b.json"
+    qio.write_state(states.basis_state(1, 3, 2), path)
+    made = []
+    real = mm.make_state
+    monkeypatch.setattr(mm, "make_state", lambda *a, **k: made.append(1) or real(*a, **k))
+    assert main(["gap", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert made == []
+    assert (rep["group_size"], rep["mean_value_vector"], rep["zero_mean"]) == (9, [0, 2], False)
 
 
 def test_cli_verify_tolerance_override_with_jobs(tmp_path):

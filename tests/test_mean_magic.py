@@ -4,13 +4,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from qps import channels as chn
 from qps import convolution as cv
 from qps import entropy as ent
 from qps import mean_magic as mm
 from qps import states, weyl
 from qps.config import PHASE_RESIDUAL
 from qps.errors import UnsupportedDimensionError
-from qps.phase_space import make_point
+from qps.phase_space import make_point, subgroup_generators
 
 from helpers import is_isotropic
 
@@ -151,6 +152,41 @@ def test_zero_mean_shift_trivial_and_product():
     assert not mm.is_zero_mean(joint)
     point, shifted = mm.zero_mean_shift(joint)
     assert mm.is_zero_mean(shifted)
+
+
+def test_zero_mean_shift_matches_dense_conjugation():
+    # the monomial gather gives w rho w^dag, and the phase on Xi_rho its table
+    z = subgroup_generators([[1, 0, 0, 0]], 3, 2)  # Z on site 0
+    cases = [
+        states.basis_state(1, 3),
+        states.basis_state(5, 3, 2),
+        states.basis_state(1, 2, 2),
+        states.msps_from_group(z, (1,)),
+        chn.weyl_conjugation_channel([1, 2], 5).choi,
+    ]
+    for rho in cases:
+        point, shifted = mm.zero_mean_shift(rho)
+        assert point.any()
+        w = weyl.weyl_operator(point, rho.d)
+        dense = w @ rho.mat @ w.conj().T
+        assert np.abs(shifted.mat - dense).max() <= 1e-15
+        table = weyl.weyl_coefficient_table(dense, rho.d, rho.n)
+        assert np.abs(states.char_function(shifted) - table).max() <= 1e-14
+        assert mm.is_zero_mean(shifted)
+
+
+def test_mean_group_is_mean_states_group(monkeypatch):
+    cases = [states.basis_state(5, 3, 2), states.random_state(2, 3, seed=1),
+             states.msps_from_group(subgroup_generators([[1, 0, 0, 0]], 3, 2), (2,))]
+    reports = [mm.mean_state(rho) for rho in cases]
+
+    def never(*args, **kwargs):
+        raise AssertionError("mean_group built a State")
+
+    monkeypatch.setattr(mm, "make_state", never)
+    for rho, rep in zip(cases, reports):
+        assert mm.mean_group(rho) == (rep.group, rep.phases)
+        assert mm.mean_value_vector(rho).tolist() == list(rep.phases)
 
 
 def test_magic_gap_examples(t_state):

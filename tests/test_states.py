@@ -71,6 +71,26 @@ def test_make_state_positivity_table(factor, accepted, eigs, eig_calls):
         assert len(eig_calls) == eigs
 
 
+@pytest.mark.parametrize("factor, accepted", [(-2.0, False), (-0.5, True), (0.0, True), (1.0, True)])
+def test_make_state_spectrum_decides_by_eigvalsh(factor, accepted, eig_calls, monkeypatch):
+    # spectrum=True: no Cholesky; one eigvalsh decides, and its values are the eigvals
+    def no_cholesky(mat):
+        raise AssertionError("Cholesky ran")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    mat = _with_min_eigenvalue(factor * TOL_STATE)
+    want = np.linalg.eigvalsh(states.hermitize(mat))
+    eig_calls.clear()
+    if accepted:
+        state = states.make_state(mat, 2, 2, spectrum=True)
+        assert np.array_equal(state.eigvals, want) and not state.eigvals.flags.writeable
+    else:
+        with pytest.raises(NotStateError) as info:
+            states.make_state(mat, 2, 2, spectrum=True)
+        assert str(info.value) == f"negative eigenvalue {want[0]}"
+    assert len(eig_calls) == 1
+
+
 def test_validation_eigendecompositions(eig_calls):
     full = states.random_state(2, 3, seed=1).mat
     pure = states.random_pure(2, 3, seed=1).mat
