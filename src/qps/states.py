@@ -1,7 +1,9 @@
 """Density operators, characteristic and Wigner tables, MSPS enumeration.
 
 A State is an immutable (d, n, matrix) triple validated as a density
-operator.  Characteristic tables are complex ndarrays holding
+operator by ``make_state``: positivity by a Cholesky factorization, or,
+for a caller that reads the spectrum anyway, by the one ``eigvalsh`` that
+gives it.  Characteristic tables are complex ndarrays holding
 Xi(x) = Tr[rho w(-x)] over all of V^n, shape (d,)*2n with the p
 coordinates on the first n axes; Wigner tables are real arrays of that
 shape.  d and n are read off a table as shape[0] and ndim // 2.
