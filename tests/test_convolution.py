@@ -304,7 +304,8 @@ def test_every_clt_power_is_a_state_by_cholesky(monkeypatch):
 
 
 def test_clt_trajectory_runs_the_xi_checks(monkeypatch):
-    bad = states.random_state(1, 3, seed=2)
+    # a power whose Xi(0) is not 1 is refused as the iterator reaches it
+    rho = states.random_state(1, 3, seed=2)
     real = cv.convolve_char
 
     def broken(xr, xs, G):
@@ -313,7 +314,7 @@ def test_clt_trajectory_runs_the_xi_checks(monkeypatch):
         return out
 
     monkeypatch.setattr(cv, "convolve_char", broken)
-    rows = cv.clt_trajectory(bad, cv.hadamard_params(3), 2)
+    rows = cv.clt_trajectory(rho, cv.hadamard_params(3), 2)
     next(rows)
     with pytest.raises(NotStateError):
         next(rows)
