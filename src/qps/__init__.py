@@ -26,8 +26,8 @@ _MODULES = {
     ),
     "convolution": (
         "ParamMatrix", "amplifier_params", "beam_splitter_params", "bounding_inputs",
-        "classify", "cnot_family", "convolve", "convolve_char", "convolve_wigner",
-        "hadamard_params", "iterate", "parity_class", "solve_params",
+        "char_powers", "classify", "cnot_family", "convolve", "convolve_char",
+        "convolve_wigner", "hadamard_params", "parity_class", "solve_params",
         "transformed_stabilizer_group",
     ),
     "entropy": (

@@ -60,11 +60,13 @@ def _parse_g(text: str):
 
 
 def _parse_alphas(text: str):
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        out.append(math.inf if token in ("inf", "+inf") else float(token))
-    return tuple(out)
+    try:
+        alphas = tuple(float(token) for token in text.split(","))
+    except ValueError:  # an empty or non-numeric token
+        alphas = ()
+    if not alphas or any(math.isnan(a) for a in alphas):  # NaN would pass every check
+        raise UsageError(f"--alphas takes comma-separated numbers, got {text!r}")
+    return alphas
 
 
 def _resolve_params(args, d: int):
@@ -350,8 +352,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     flags = {k: getattr(args, k, None) for k in ("tol_one", "tol_supp")}
-    tol = Tolerances(**{k: v for k, v in flags.items() if v is not None})  # 0 is an override
     try:
+        tol = Tolerances(**{k: v for k, v in flags.items() if v is not None})  # 0 is an override
         _check_counts(args)
         return args.fn(args, tol)
     except UsageError as exc:

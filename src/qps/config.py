@@ -21,6 +21,12 @@ class Tolerances:
     # support threshold for characteristic tables (Pauli rank, magic gap).
     tol_supp: float = 1e-10
 
+    def __post_init__(self):  # here, so that every reader and worker sees valid thresholds
+        for name, value in (("tol_one", self.tol_one), ("tol_supp", self.tol_supp)):
+            if not 0 <= value < 1:  # false for NaN too
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{name} ({flag}) must be in [0, 1), got {value}")
+
 
 DEFAULT = Tolerances()
 

@@ -13,12 +13,11 @@ that ``qps verify`` and the tests compare the production route against.  It read
 permutation from ``weyl.key_index_map``, as ``weyl.key_unitary`` and the
 exact channel oracle do.  G is a ParamMatrix everywhere; its parity
 class (``parity_class``) and the inputs that bound ⊠
-(``bounding_inputs``) are decided here only.  ``iterate`` is
-the loop over the powers ⊠^k rho as States.  ``clt_trajectory``, which
-the state and channel CLTs share, steps the powers as characteristic
-tables, as the paper states the QCLT: M(rho) is its unit values on the
-group S, and each distance to it is taken by Parseval,
-||A||_2^2 = sum_x |Xi_A(x)|^2 / d^n, so it builds no matrix at all.
+(``bounding_inputs``) are decided here only.  ``char_powers`` is the one
+loop over the powers ⊠^k rho, as characteristic tables.  ``clt_trajectory``,
+which the state and channel CLTs share, reads them as the paper states the
+QCLT: M(rho) is its unit values on the group S, and each distance to it is
+taken by Parseval, ||A||_2^2 = sum_x |Xi_A(x)|^2 / d^n, so no matrix is built.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ def convolve(rho: State, sigma: State, params) -> State:
     TooLargeError when d^{2n} exceeds ``config.table_cap()`` (``MAX_TABLE``,
     lowered by QPS_MAX_DIM).  The result is validated by ``make_state``, and
     the product table Xi_out it was built from is handed to it as its
-    characteristic table, so ``char_function`` on the result (the next
-    step of ``iterate``) transforms nothing.
+    characteristic table, so its readers (``qps conv --form char``, a
+    further ⊠) transform nothing.
     """
     if (rho.d, rho.n) != (sigma.d, sigma.n):
         raise IncompatibleError(
@@ -245,23 +244,23 @@ def convolve_wigner(wr: np.ndarray, ws: np.ndarray, params) -> np.ndarray:
     return out
 
 
-def iterate(rho: State, params, N: int):
-    """An iterator over ⊠^0 rho, ..., ⊠^N rho with ⊠^{k+1} = (⊠^k) ⊠ rho.
-
-    params is one G (see ``as_param_matrix``), used at every step.  N and G
-    are checked, and G converted, at the call; the powers are computed as
-    the iterator advances, and only the current one is held.
+def char_powers(xr: np.ndarray, params, N: int):
+    """The one loop over ⊠ powers: an iterator over the read-only tables Xi_0 = xr,
+    ..., Xi_N of ⊠^k rho for xr = Xi_rho, with Xi_{k+1} = ``convolve_char``(Xi_k, xr)
+    for one G (see ``as_param_matrix``).  N and G are checked at the call; each
+    later power passes ``states._check_char`` as it is reached, and only xr and the
+    current power are held.
     """
     if N < 0:
         raise IncompatibleError("N must be >= 0")
-    pm = as_param_matrix(params, rho.d)
+    pm = as_param_matrix(params, xr.shape[0])
 
     def powers():
-        current = rho
-        yield current
+        xi = xr
+        yield xi
         for _ in range(N):
-            current = convolve(current, rho, pm)
-            yield current
+            xi = _check_char(convolve_char(xi, xr, pm))
+            yield xi
 
     return powers()
 
@@ -294,20 +293,16 @@ def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
     (1 - MG(rho))^k ||rho - M(rho)||_2) for k = 0..N, with Xi_k the read-only
     characteristic table of ⊠^k rho.
 
-    Xi_0 is rho's own table and Xi_{k+1} = ``convolve_char``(Xi_k, Xi_rho);
-    every later power passes the Xi checks (Xi(0) = 1, |Xi| <= 1).  A caller
-    that needs a power as a matrix builds it with ``from_char`` and validates
-    it with ``make_state``.  M(rho) is held as the flat indices of S and the
-    unit values Xi_rho / |Xi_rho| there, and every distance is taken by
-    Parseval (``_mean_distance``).  N and G are checked at the call, and the
-    iterator keeps Xi_rho and the current power, not rho itself.
+    The tables are ``char_powers``(Xi_rho, G, N); a caller that needs a power
+    as a matrix builds it with ``from_char`` and validates it with
+    ``make_state``.  M(rho) is held as the flat indices of S and the unit
+    values Xi_rho / |Xi_rho| there, and every distance is taken by Parseval
+    (``_mean_distance``).  rho itself is not held.
 
     rho should have zero mean (see ``mean_magic.zero_mean_shift``).
     """
-    if N < 0:
-        raise IncompatibleError("N must be >= 0")
-    pm = as_param_matrix(params, rho.d)
     xr = char_function(rho)
+    tables = char_powers(xr, params, N)
     mags = np.abs(xr)
     group = _unit_modulus_group(mags, tol)[1]
     support = encode_digits(group.elements, rho.d)  # S is sorted, so these ascend
@@ -315,15 +310,8 @@ def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
     unit = xr.reshape(-1)[support] / mags.reshape(-1)[support]
     mg = magic_gap(rho, tol).gap
     base = _mean_distance(xr, support, mirror, unit)
-
-    def powers():
-        xi = xr
-        for k in range(N + 1):
-            if k:
-                xi = _check_char(convolve_char(xi, xr, pm))
-            yield xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base
-
-    return powers()
+    return ((xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base)
+            for k, xi in enumerate(tables))
 
 
 @dataclass(frozen=True)

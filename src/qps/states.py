@@ -40,7 +40,9 @@ class State:
     ``eigh`` caches one read-only eigendecomposition, and ``eigvals``
     returns its eigenvalues when it exists, else runs ``eigvalsh`` once
     (``make_state`` fills ``eigvals`` when its positivity test ran
-    ``eigvalsh``).  The characteristic table, a read-only (d,)*2n array, is
+    ``eigvalsh``, as for the ⊠ powers that ``qps clt`` and ``check_second_law``
+    rebuild with ``spectrum=True``; ``convolve`` tests its results by Cholesky).
+    The characteristic table, a read-only (d,)*2n array, is
     likewise held once: ``char_function`` computes it on first use, unless
     the code that built the State handed over its table (``convolve`` its
     product table, ``zero_mean_shift`` a phase times the input's), checked
@@ -172,7 +174,7 @@ def _check_char(vals: np.ndarray) -> np.ndarray:
 
     Xi(0) = 1 and |Xi| <= 1 must hold to within XI_CHECK_TOL.  Every table
     cached on a State passes here, and so does every power of
-    ``convolution.clt_trajectory``, which builds no State.
+    ``convolution.char_powers``, which builds no State.
     """
     origin = abs(vals[(0,) * vals.ndim] - 1.0)
     if origin > XI_CHECK_TOL:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from qps import io as qio
 from qps import mean_magic as mm
 from qps import states
 from qps.config import DEFAULT, Tolerances
+from qps.errors import ConfigError
 
 
 @pytest.fixture
@@ -21,6 +23,15 @@ def test_tolerances_are_frozen_and_not_a_module_global():
         DEFAULT.tol_one = 1e-6
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["tol_one", "tol_supp"]
     assert not hasattr(config, "config")
+
+
+@pytest.mark.parametrize("name", ["tol_one", "tol_supp"])
+def test_tolerances_refuse_values_outside_the_unit_interval(name):
+    for value in (math.nan, math.inf, -math.inf, -1e-12, 1.0, 1.5):
+        with pytest.raises(ConfigError, match=f"--{name.replace('_', '-')}"):
+            Tolerances(**{name: value})
+    for value in (0.0, 0.25, 1 - 1e-8):
+        assert getattr(Tolerances(**{name: value}), name) == value
 
 
 def test_tol_one_decides_the_unit_modulus_set(eta_state):

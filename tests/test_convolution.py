@@ -5,6 +5,7 @@ import pytest
 
 from qps import channels as chn
 from qps import convolution as cv
+from qps import entropy as ent
 from qps import mean_magic as mm
 from qps import states, weyl
 from qps.errors import (
@@ -243,23 +244,26 @@ def test_mean_state_compatibility():
     assert np.abs(lhs.mat - rhs.mat).max() < 1e-9
 
 
-def test_iterate():
+def test_char_powers():
+    # ⊠^3 |0><0| is |0><0| again for (s, t) = (2, 2) at d = 7
     bs = cv.beam_splitter_params(2, 2, 7)
-    s0 = states.basis_state(0, 7)
-    traj = list(cv.iterate(s0, bs, 3))
-    assert len(traj) == 4
-    assert np.abs(traj[-1].mat - s0.mat).max() < 1e-12
-    assert len(list(cv.iterate(s0, bs, 0))) == 1
+    xr = states.char_function(states.basis_state(0, 7))
+    tables = list(cv.char_powers(xr, bs, 3))
+    assert len(tables) == 4 and tables[0] is xr
+    assert np.abs(tables[-1] - xr).max() < 1e-12 and not tables[-1].flags.writeable
+    assert len(list(cv.char_powers(xr, bs, 0))) == 1
 
 
-def test_iterate_checks_arguments_at_the_call():
+def test_powers_check_arguments_at_the_call():
     bs = cv.beam_splitter_params(2, 2, 7)
     s0 = states.basis_state(0, 7)
     for params, N in (([bs], 3), (bs, -1)):
         with pytest.raises(IncompatibleError):
-            cv.iterate(s0, params, N)
+            cv.char_powers(states.char_function(s0), params, N)
         with pytest.raises(IncompatibleError):
             cv.clt_trajectory(s0, params, N)
+        with pytest.raises(IncompatibleError):
+            ent.check_second_law(s0, params, N, (1,))
 
 
 def _clt_cases():
@@ -273,15 +277,18 @@ def _clt_cases():
     yield channel.choi, cv.default_params(5)
 
 
-def test_clt_trajectory_matches_iterate():
-    # the tables are iterate's, and the Parseval distances match the dense route
+def test_clt_trajectory_matches_the_convolve_chain():
+    # the tables are those of the powers chained with convolve, and the
+    # Parseval distances match the dense route
     for rho, G in _clt_cases():
         mean = mm.mean_state(rho).mean
         mg = mm.magic_gap(rho).gap
         base = np.linalg.norm(rho.mat - mean.mat)
         rows = list(cv.clt_trajectory(rho, G, 4))
         assert len(rows) == 5
-        for k, ((xi, dist, bound), ref) in enumerate(zip(rows, cv.iterate(rho, G, 4))):
+        ref = rho
+        for k, (xi, dist, bound) in enumerate(rows):
+            ref = cv.convolve(ref, rho, G) if k else rho
             assert np.array_equal(xi, states.char_function(ref)) and not xi.flags.writeable
             assert abs(dist - np.linalg.norm(ref.mat - mean.mat)) <= 1e-15
             assert abs(bound - (1 - mg) ** k * base) <= 1e-15

@@ -169,6 +169,39 @@ def test_second_law():
     assert ce["h_out"] < ce["h_sigma"] - 1e-6
 
 
+def test_second_law_reports_each_drop_in_step_order(monkeypatch):
+    # rows (1, 2), (0.5, 2), (0.5 - 1e-9, 1): the 1e-9 dip is inside the slack
+    values = iter([1.0, 2.0, 0.5, 2.0, 0.5 - 1e-9, 1.0])
+    monkeypatch.setattr(ent, "renyi_entropy", lambda state, alpha: next(values))
+    rep = ent.check_second_law(states.basis_state(0, 3), cv.hadamard_params(3), 2, (1, 2))
+    assert rep.violations == ((0, 1, -0.5), (1, 2, -1.0)) and not rep.ok
+    assert all(type(step) is int for step, _, _ in rep.violations)
+
+
+@pytest.mark.parametrize("d, n, G, N", [
+    (3, 4, cv.hadamard_params(3), 6),
+    (3, 2, [[1, 1], [0, 1]], 4),  # even-only G, not positive
+    (2, 3, [[1, 0], [1, 1]], 4),
+    (7, 1, cv.beam_splitter_params(2, 2, 7), 5),
+])
+def test_second_law_sweep_decides_positivity_by_its_spectra(d, n, G, N, monkeypatch,
+                                                             eig_calls):
+    # no Cholesky and one eigvalsh per power on a fresh state; the table is the
+    # entropies of the powers chained with convolve, bit for bit
+    alphas = (0.5, 1, 2, math.inf)
+    tried = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda mat: tried.append(1) or real(mat))
+    rep = ent.check_second_law(states.random_state(n, d, seed=2), G, N, alphas)
+    assert tried == [] and len(eig_calls) == N + 1
+    rho = states.random_state(n, d, seed=2)
+    power, ref = rho, []
+    for k in range(N + 1):
+        power = cv.convolve(power, rho, G) if k else rho
+        ref.append([ent.renyi_entropy(power, a) for a in alphas])
+    assert np.array_equal(rep.table, np.array(ref))
+
+
 def test_equality_case():
     h = cv.hadamard_params(3)
     rep = ent.check_equality_case(states.basis_state(0, 3), h, 2, seed=5)

@@ -420,6 +420,34 @@ def test_cli_refuses_counts_below_one(argv, capsys):
     assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize("alphas", ["nan,1", "1,,2", "0.5,x", ""])
+def test_cli_refuses_alphas_that_are_not_numbers(alphas, capsys):
+    # a NaN order fails every comparison, so its second-law check could not fail
+    assert main(["entropy-sweep", "--N", "2", "--alphas", alphas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --alphas takes comma-separated numbers, got {alphas!r}\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-supp", "nan"), ("--tol-supp", "inf"), ("--tol-supp", "1"),
+    ("--tol-one", "nan"), ("--tol-one", "-1"), ("--tol-one", "1.5"),
+])
+def test_cli_refuses_tolerances_outside_the_unit_interval(flag, value, tmp_path, capsys):
+    # --tol-supp nan once gave an empty support and a zero gap, exit 0
+    path = tmp_path / "b.json"
+    qio.write_state(states.basis_state(1, 3, 2), path)
+    name = flag[2:].replace("-", "_")
+    for argv in (["gap", str(path)], ["clt", "--N", "1"],
+                 ["verify", "--suite", "majorization", "--seeds", "1"]):
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ConfigError: {name} ({flag}) must be in [0, 1), got {float(value)}\n"
+        )
+
+
 @pytest.mark.parametrize("command", ["clt", "entropy-sweep", "channel-clt"])
 def test_cli_refuses_negative_N(command, tmp_path):
     args = [command, "--N", "-1"]

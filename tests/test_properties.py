@@ -126,3 +126,19 @@ def test_channel_routes_agree(system, seed, klass):
     c1 = ch.random_channel(n, d, seed=rng.integers(2**31))
     c2 = ch.random_channel(n, d, seed=rng.integers(2**31))
     assert ch.convolution_route_gap(c1, c2, pm) <= 1e-9
+
+
+@pytest.mark.parametrize("klass", cv.PARITY_CLASSES)
+@PROFILE
+@given(data=hs.data())
+def test_char_powers_match_the_convolve_chain(klass, data):
+    # every table is char_function of the power chained with convolve, bit for bit
+    d, n = data.draw(hs.sampled_from([s for s in SYSTEMS if klass in verify._drawable(s[0])]))
+    rng = np.random.default_rng(data.draw(seeds))
+    pm = verify.sample_parity_matrix(rng, d, klass)
+    rho = states.random_state(n, d, seed=rng.integers(2**31))
+    tables = list(cv.char_powers(states.char_function(rho), pm, data.draw(hs.integers(0, 4))))
+    power = rho
+    for k, xi in enumerate(tables):
+        power = cv.convolve(power, rho, pm) if k else rho
+        assert np.array_equal(xi, states.char_function(power))
