@@ -151,8 +151,7 @@ class PhaseSubgroup:
     ``generators`` is the (r, 2n) reduced row echelon basis over Z_d that
     ``subgroup_generators`` computes; it is unique for the subgroup, so
     ``==`` and ``hash`` read it alone.  ``elements`` holds the d^r points
-    [p | q] in lexicographic order, and ``in`` looks a point up there.
-    Both arrays are read-only.
+    [p | q] in lexicographic order.  Both arrays are read-only.
     """
 
     def __init__(self, d: int, n: int, generators: np.ndarray, elements: np.ndarray):
@@ -170,10 +169,6 @@ class PhaseSubgroup:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, point) -> bool:
-        v = np.asarray(point, dtype=np.int64) % self.d
-        return v.shape == (2 * self.n,) and bool((self.elements == v).all(axis=1).any())
 
     def __eq__(self, other) -> bool:
         return (

@@ -87,7 +87,14 @@ class State:
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    """(mat + mat^dag) / 2 as a new C-order array."""
+    return _hermitize(mat, np.conj(mat.T, order="C"))
+
+
+def _hermitize(mat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """(mat + adj) / 2, computed in adj, a C-order copy of mat^dag."""
+    np.add(mat, adj, out=adj)
+    return np.multiply(0.5, adj, out=adj)
 
 
 def make_state(mat, d: int, n: int | None = None, validate: bool = True,
@@ -111,12 +118,16 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True,
         raise IncompatibleError(f"matrix shape {mat.shape} is not ({d**n}, {d**n})")
     tol = TOL_STATE
     vals = None
+    adj = np.conj(mat.T, order="C")  # the one D x D copy, Hermitized in place below
     if validate:
         if not np.isfinite(mat).all():
             raise NotStateError("matrix has a non-finite entry")
-        if np.abs(mat - mat.conj().T).max() > tol:
+        rows = max(1, 4096 // len(mat))  # blocks of rows: no D x D difference is formed
+        if any(np.abs(mat[i:i + rows] - adj[i:i + rows]).max() > tol
+               for i in range(0, len(mat), rows)):
             raise NotStateError("matrix is not Hermitian within tolerance")
-        mat = hermitize(mat)
+    mat = _hermitize(mat, adj)
+    if validate:
         tr = np.trace(mat).real
         if abs(tr - 1.0) > tol:
             raise NotStateError(f"trace {tr} is not 1 within tolerance")
@@ -130,8 +141,6 @@ def make_state(mat, d: int, n: int | None = None, validate: bool = True,
             if vals[0] < -tol:
                 raise NotStateError(f"negative eigenvalue {vals[0]}")
             vals.setflags(write=False)
-    else:
-        mat = hermitize(mat)
     mat.setflags(write=False)
     return State(d=d, n=int(n), mat=mat, _eigvals=vals)
 

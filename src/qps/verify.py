@@ -100,10 +100,10 @@ def _weyl_stack(d: int, n: int) -> np.ndarray:
 
 
 def _commutation_worst(stack: np.ndarray, d: int) -> float:
-    """max |w(x) w(y) - c(x, y) w(x + y)| over all x, y in V^1, as in `commutation_phase`.
+    """max |w(x) w(y) - c(x, y) w(x + y)| over all x, y in V^1, c = chi(2^{-1} <x, y>_s).
 
-    stack is `_weyl_stack(d, 1)` (x = (p, q) at p * d + q); d = 2 reads
-    w(x + y) literally at the unreduced label.  The arrays hold d^6 entries.
+    stack is `_weyl_stack(d, 1)` (x = (p, q) at p * d + q); d = 2 takes c = i^{<x, y>_s}
+    and reads w(x + y) literally at the unreduced label.  The arrays hold d^6 entries.
     """
     p, q = np.divmod(np.arange(d * d), d)
     s_int = p[:, None] * q[None, :] - q[:, None] * p[None, :]
@@ -312,8 +312,9 @@ def _fisher_task(args):
     # dephasing commutation for an even-parity G
     pm = sample_parity_matrix(rng, d, "even_only")
     worst = 0.0
+    out_state = cv.convolve(rho, sig, pm)
     for axis in ("X", "Z"):
-        left = fi.dephase(cv.convolve(rho, sig, pm), axis, 0)
+        left = fi.dephase(out_state, axis, 0)
         right = cv.convolve(fi.dephase(rho, axis, 0), sig, pm)
         worst = max(worst, float(np.abs(left.mat - right.mat).max()))
     out.append(_result(f"fisher.dephase_commutes.seed{seed}", 1e-10 - worst))

@@ -4,7 +4,7 @@ Single-site Weyl operators are chi(-2^{-1} p q) Z^p X^q for odd prime d
 and i^{-pq} Z^p X^q for d = 2, with X|k> = |k+1> and Z|k> = chi(k)|k>;
 multi-site operators are tensor products.  The qubit convention is taken
 literally: phases of products are governed by integer exponents of i
-(see ``weyl_literal`` and ``commutation_phase``).
+(see ``weyl_literal``).
 
 A point of V^n is the vector [p | q] of ``phase_space``, and every
 function here takes it in that form.  Register operators are returned as
@@ -17,7 +17,14 @@ site axes, and ``conjugate_site_gate`` applies g M g^dag the same way.
 
 The Weyl-coefficient transform (matrix -> table of Tr[M w(-x)]) runs
 through one d-point DFT per diagonal stripe and register digit, which is
-exact up to float rounding.
+exact up to float rounding.  Each direction holds at most two D x D
+complex arrays besides its input: the buffer it fills and the spare that
+its DFT passes alternate with (``matmul(..., out=)``); gathering the
+phases adds a D x D intp copy of their exponents.  Its cached tables
+are integers in the narrowest unsigned dtype: phase exponents and stripe
+indices.  Products are written ``np.multiply(a, b, out=...)`` in a fixed
+operand order: complex a * b and b * a can differ in the last bit, and
+numpy swaps the operands when it reuses a temporary as the output.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import (
     SingularGError,
     UnsupportedDimensionError,
 )
-from .phase_space import check_prime, field_inv, symplectic_inner
+from .phase_space import check_prime, field_inv
 
 # Modulus slack of is_weyl_up_to_phase: one Weyl coefficient >= 1 - tol, all others <= tol.
 WEYL_COEFF_TOL = 1e-8
@@ -175,45 +182,45 @@ def weyl_literal(p_ints, q_ints, d: int) -> np.ndarray:
     return out
 
 
-def commutation_phase(x, y, d: int) -> complex:
-    """The scalar c in w(x) w(y) = c * w(x + y) for points x, y.
-
-    Odd d: chi(2^{-1} <x,y>_s); d = 2: i to the integer symplectic
-    product, with w(x + y) read literally at the unreduced label.  That
-    power of i depends on the product mod 4 only.
-    """
-    if d == 2:
-        return 1j ** symplectic_inner(x, y, 4)
-    inv2 = field_inv(2, d)
-    return complex(chi(inv2 * symplectic_inner(x, y, d), d))
-
-
 @lru_cache(maxsize=None)
-def weyl_phase_grid(d: int, n: int) -> np.ndarray:
-    """phase(p, q) of w(p, q) over the full V^n grid, shape (d,)*2n."""
+def weyl_phase_exponents(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, e): the phase of w(p, q) is roots[e[p, q]] over V^n, e of shape (d,)*2n.
+
+    With s = sum_k p_k q_k: for d = 2, e = s unreduced and roots[k] = (-i)^k;
+    for odd d, e = -2^{-1} s mod d and roots = chi.  e is held in the
+    narrowest unsigned dtype that holds its largest value.
+    """
     dig = digit_table(d, n)
-    pq_sum = (dig @ dig.T).reshape((d,) * (2 * n))  # sum_k p_k q_k, not reduced mod d
+    pq_sum = dig @ dig.T  # sum_k p_k q_k, not reduced mod d
     if d == 2:
-        out = (-1j) ** pq_sum
+        roots = (-1j) ** np.arange(n + 1)
     else:
-        inv2 = field_inv(2, d)
-        out = chi(-inv2 * pq_sum, d)
-    out = np.asarray(out, dtype=complex)
-    out.setflags(write=False)
-    return out
+        roots = omega_table(d)
+        pq_sum = (-field_inv(2, d) * pq_sum) % d
+    e = pq_sum.astype(np.min_scalar_type(len(roots) - 1)).reshape((d,) * (2 * n))
+    roots.setflags(write=False)
+    e.setflags(write=False)
+    return roots, e
+
+
+def _phase_grid(d: int, n: int) -> np.ndarray:
+    """The phases of every w(p, q), gathered into a new (d,)*2n array."""
+    roots, e = weyl_phase_exponents(d, n)
+    return roots.take(e)
 
 
 @lru_cache(maxsize=None)
 def _stripe_index(d: int, n: int, sign: int) -> np.ndarray:
     """(d^n, d^n) flat indices of the digit rows x + sign * y (mod d).
 
-    Built one digit at a time, so no (d^n, d^n, n) intermediate exists.
+    Built one digit at a time, so no (d^n, d^n, n) intermediate exists,
+    and held in the narrowest unsigned dtype that holds d^n - 1.
     """
     D = d**n
     dig = digit_table(d, n)
-    out = np.zeros((D, D), dtype=np.int64)
+    out = np.zeros((D, D), dtype=np.min_scalar_type(D - 1))
     for k, r in enumerate(_radix(d, n)):
-        out += ((dig[:, None, k] + sign * dig[None, :, k]) % d) * r
+        out += (((dig[:, None, k] + sign * dig[None, :, k]) % d) * r).astype(out.dtype)
     out.setflags(write=False)
     return out
 
@@ -233,13 +240,16 @@ def _dft_p_axes(a: np.ndarray, d: int, n: int, sign: int) -> np.ndarray:
     sign = -1 is ``np.fft.fftn`` over those axes and sign = +1 is d^n
     times ``np.fft.ifftn``.  Each axis is one ``matmul`` of the d x d DFT
     matrix into a (d^k, d, -1) view, which for axes this short costs less
-    than ``np.fft`` does.
+    than ``np.fft`` does.  The passes write alternately into one spare
+    array and into a itself, so a is overwritten; the result is whichever
+    of the two the last pass wrote.
     """
     F = _dft_matrix(d, sign)
-    out = a
+    src, dst = a, np.empty_like(a)
     for k in range(n):
-        out = np.matmul(F, out.reshape(d**k, d, -1))
-    return out.reshape((d,) * (2 * n))
+        np.matmul(F, src.reshape(d**k, d, -1), out=dst.reshape(d**k, d, -1))
+        src, dst = dst, src
+    return src.reshape((d,) * (2 * n))
 
 
 def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -253,16 +263,19 @@ def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
     ensure_table_size(d, n)
     D = d**n
     # stripes[k, q] = mat[(k + q) mod d, k]
-    stripes = mat[_stripe_index(d, n, 1), np.arange(D)[:, None]]
-    return weyl_phase_grid(d, n) * _dft_p_axes(stripes, d, n, -1)
+    out = _dft_p_axes(mat[_stripe_index(d, n, 1), np.arange(D)[:, None]], d, n, -1)
+    return np.multiply(_phase_grid(d, n), out, out=out)
 
 
 def matrix_from_weyl_table(table: np.ndarray, d: int, n: int) -> np.ndarray:
     """Inverse of weyl_coefficient_table: (1/d^n) sum_x table[x] w(x)."""
     D = d**n
-    a = np.asarray(table, dtype=complex) * weyl_phase_grid(d, n)
-    b = _dft_p_axes(a, d, n, 1).reshape(D, D)
-    return b[np.arange(D)[:, None], _stripe_index(d, n, -1)] / D
+    a = _phase_grid(d, n)
+    b = _dft_p_axes(np.multiply(np.asarray(table, dtype=complex), a, out=a), d, n, 1)
+    del a  # the spare of the DFT passes, unless it holds b
+    out = b.reshape(D, D)[np.arange(D)[:, None], _stripe_index(d, n, -1)]
+    out /= D
+    return out
 
 
 def parity_operator(d: int, n: int) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Channel constructions, the Choi action and subgroup predicates, kept for the tests only."""
+"""Channel constructions, the Choi action, subgroup predicates, Weyl commutation phases
+and the reference Weyl transforms, kept for the tests only."""
 
 import math
 
 import numpy as np
 
 from qps.channels import Channel, choi_from_kraus
-from qps.phase_space import PhaseSubgroup, symplectic_inner
+from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
 from qps.states import State, make_state
+from qps.weyl import _dft_matrix, chi, digit_table
 
 
 def identity_channel(d: int, n: int) -> Channel:
@@ -37,3 +39,64 @@ def is_isotropic(group: PhaseSubgroup) -> bool:
     """True when the symplectic form vanishes on every pair of elements."""
     e = group.elements
     return not symplectic_inner(e[:, None], e[None], group.d).any()
+
+
+def group_contains(group: PhaseSubgroup, point) -> bool:
+    """True when the point [p | q] (reduced mod d) is an element of the group."""
+    v = np.asarray(point, dtype=np.int64) % group.d
+    return v.shape == (2 * group.n,) and bool((group.elements == v).all(axis=1).any())
+
+
+def commutation_phase(x, y, d: int) -> complex:
+    """The scalar c in w(x) w(y) = c * w(x + y) for points x, y.
+
+    Odd d: chi(2^{-1} <x,y>_s); d = 2: i to the integer symplectic
+    product, with w(x + y) read literally at the unreduced label.  That
+    power of i depends on the product mod 4 only.
+    """
+    if d == 2:
+        return 1j ** symplectic_inner(x, y, 4)
+    return complex(chi(field_inv(2, d) * symplectic_inner(x, y, d), d))
+
+
+# The Weyl transforms as plain numpy expressions over a complex phase grid
+# and int64 index tables; ``weyl`` must match them bit for bit.  Every
+# array is bound to a name before it enters a product, so numpy cannot
+# reuse a temporary operand as the output and swap the operands.
+
+def reference_phase_grid(d: int, n: int) -> np.ndarray:
+    dig = digit_table(d, n)
+    pq_sum = (dig @ dig.T).reshape((d,) * (2 * n))
+    if d == 2:
+        return np.asarray((-1j) ** pq_sum, dtype=complex)
+    return np.asarray(chi(-field_inv(2, d) * pq_sum, d), dtype=complex)
+
+
+def reference_stripe_index(d: int, n: int, sign: int) -> np.ndarray:
+    dig = digit_table(d, n)
+    radix = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((dig[:, None, :] + sign * dig[None, :, :]) % d) @ radix
+
+
+def reference_dft_p_axes(a: np.ndarray, d: int, n: int, sign: int) -> np.ndarray:
+    F = _dft_matrix(d, sign)
+    out = a
+    for k in range(n):
+        out = np.matmul(F, out.reshape(d**k, d, -1))
+    return out.reshape((d,) * (2 * n))
+
+
+def reference_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
+    D = d**n
+    stripes = mat[reference_stripe_index(d, n, 1), np.arange(D)[:, None]]
+    grid = reference_phase_grid(d, n)
+    transformed = reference_dft_p_axes(stripes, d, n, -1)
+    return grid * transformed
+
+
+def reference_matrix_from_table(table: np.ndarray, d: int, n: int) -> np.ndarray:
+    D = d**n
+    grid = reference_phase_grid(d, n)
+    a = np.asarray(table, dtype=complex) * grid
+    b = reference_dft_p_axes(a, d, n, 1).reshape(D, D)
+    return b[np.arange(D)[:, None], reference_stripe_index(d, n, -1)] / D

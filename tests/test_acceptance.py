@@ -19,7 +19,7 @@ from qps import states, weyl
 from qps.phase_space import make_point
 from qps.verify import sample_parity_matrix
 
-from helpers import random_mixed_unitary_channel
+from helpers import commutation_phase, random_mixed_unitary_channel
 
 PRIMES_TO_97 = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -36,7 +36,7 @@ def test_01_weyl_commutation():
                 x = make_point(pv[0], qv[0], d)
                 y = make_point(pv[1], qv[1], d)
                 lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
-                phase = weyl.commutation_phase(x, y, d)
+                phase = commutation_phase(x, y, d)
                 if d == 2:
                     rhs = phase * weyl.weyl_literal(
                         [x[0] + y[0]], [x[1] + y[1]], d
@@ -55,7 +55,7 @@ def test_01_weyl_commutation():
         y = rng.integers(0, d, 2 * n)
         lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
         s = (x + y) % d
-        rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_operator(s, d)
+        rhs = commutation_phase(x, y, d) * weyl.weyl_operator(s, d)
         worst2 = max(worst2, float(np.abs(lhs - rhs).max()))
     assert worst2 < 1e-12, f"n=2 random-pair commutation error {worst2}"
     report(1, f"commutation exact to 1e-12 (worst {worst:.1e} exhaustive, {worst2:.1e} random n=2)")

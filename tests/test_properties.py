@@ -15,6 +15,8 @@ from qps import fisher as fi  # noqa: E402
 from qps import states, verify, weyl  # noqa: E402
 from qps.phase_space import make_point  # noqa: E402
 
+from helpers import commutation_phase  # noqa: E402
+
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 # (d, n) with D = d^n small enough for dense oracles on every draw
@@ -41,7 +43,7 @@ def test_commutation_relation(case):
         total = weyl.weyl_literal(ps, qs, d)
     else:
         total = weyl.weyl_operator(make_point(ps, qs, d), d)
-    assert np.abs(lhs - weyl.commutation_phase(x, y, d) * total).max() < 1e-12
+    assert np.abs(lhs - commutation_phase(x, y, d) * total).max() < 1e-12
 
 
 @hs.composite

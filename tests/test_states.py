@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from qps.errors import IncompatibleError, NotStateError, TooLargeError, Unsuppor
 from qps.mean_magic import is_msps
 from qps.phase_space import make_point, subgroup_generators, symplectic_inner
 
-from helpers import is_isotropic
+from helpers import group_contains, is_isotropic
 
 
 def test_make_state_validation():
@@ -149,6 +151,38 @@ def test_round_trip_and_linearity():
     ).max() < 1e-12
 
 
+def _peak_above_start(call, D: int) -> float:
+    """Peak traced memory above the start of call(), in units of one D x D complex array."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (16 * D * D)
+
+
+def test_transform_and_validation_work_sets():
+    # At (3, 5), D = 243; the transform tables are cached by the first calls.
+    d, n = 3, 5
+    xi = states.char_function(states.random_state(n, d, seed=4))
+    mat = states.from_char(xi)
+    states.make_state(mat, d, n, spectrum=True)
+    assert _peak_above_start(lambda: states.from_char(xi), d**n) <= 2.25
+    assert _peak_above_start(lambda: states.make_state(mat, d, n, spectrum=True), d**n) <= 1.25
+
+
+@pytest.mark.parametrize("row", [0, 100, 242])
+def test_make_state_checks_hermiticity_in_every_row(row):
+    mat = states.random_state(5, 3, seed=2).mat.copy()
+    mat[row, 7] += 2 * TOL_STATE
+    with pytest.raises(NotStateError, match="Hermitian"):
+        states.make_state(mat, 3, 5)
+    mat[row, 7] -= 1.5 * TOL_STATE
+    assert np.array_equal(states.make_state(mat, 3, 5).mat, states.hermitize(mat))
+
+
 def test_parseval():
     for seed in range(5):
         rho = states.random_state(1, 5, seed=seed)
@@ -219,7 +253,7 @@ def _isotropic_subgroups_loop(n, d):
         nxt = []
         for grp in frontier:
             for v in nonzero:
-                if v in grp or any(symplectic_inner(v, g, d) for g in grp.generators):
+                if group_contains(grp, v) or any(symplectic_inner(v, g, d) for g in grp.generators):
                     continue
                 bigger = subgroup_generators(list(grp.generators) + [v], d, n)
                 key = frozenset(map(tuple, bigger.elements.tolist()))

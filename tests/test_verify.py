@@ -15,6 +15,8 @@ from qps.errors import (
 )
 from qps.phase_space import make_point
 
+from helpers import commutation_phase
+
 
 def _commutation_worst_loop(d):
     """Reference: the per-pair commutation check, one dense build per point."""
@@ -25,11 +27,11 @@ def _commutation_worst_loop(d):
             y = make_point(pv[1], qv[1], d)
             lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
             if d == 2:
-                rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_literal(
+                rhs = commutation_phase(x, y, d) * weyl.weyl_literal(
                     [x[0] + y[0]], [x[1] + y[1]], d
                 )
             else:
-                rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_operator(
+                rhs = commutation_phase(x, y, d) * weyl.weyl_operator(
                     make_point(x[0] + y[0], x[1] + y[1], d), d
                 )
             worst = max(worst, float(np.abs(lhs - rhs).max()))

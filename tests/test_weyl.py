@@ -12,6 +12,13 @@ from qps.errors import (
 )
 from qps.phase_space import field_inv, make_point, symplectic_inner
 
+from helpers import (
+    commutation_phase,
+    reference_coefficient_table,
+    reference_matrix_from_table,
+    reference_stripe_index,
+)
+
 
 def test_weyl_operator_basics():
     assert np.abs(weyl.weyl_operator(make_point(0, 0, 3), 3) - np.eye(3)).max() == 0
@@ -52,9 +59,10 @@ def test_dft_kernel_matches_fft(d, n):
     shape = (d,) * (2 * n)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     paxes = tuple(range(n))
-    assert np.abs(weyl._dft_p_axes(a, d, n, -1) - np.fft.fftn(a, axes=paxes)).max() < 1e-12
+    # _dft_p_axes overwrites its input, so it gets a copy of a
+    assert np.abs(weyl._dft_p_axes(a.copy(), d, n, -1) - np.fft.fftn(a, axes=paxes)).max() < 1e-12
     inverse = d**n * np.fft.ifftn(a, axes=paxes)
-    assert np.abs(weyl._dft_p_axes(a, d, n, 1) - inverse).max() < 1e-12
+    assert np.abs(weyl._dft_p_axes(a.copy(), d, n, 1) - inverse).max() < 1e-12
     mat = a.reshape(d**n, d**n)
     table = weyl.weyl_coefficient_table(mat, d, n)
     assert np.abs(weyl.matrix_from_weyl_table(table, d, n) - mat).max() < 1e-12
@@ -68,7 +76,7 @@ def test_commutation_odd(d):
         y = rng.integers(0, d, 2)
         lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
         s = (x + y) % d
-        rhs = weyl.commutation_phase(x, y, d) * weyl.weyl_operator(s, d)
+        rhs = commutation_phase(x, y, d) * weyl.weyl_operator(s, d)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -82,7 +90,7 @@ def test_commutation_qubit_literal():
             y = rng.integers(0, 2, 2 * n)
             lhs = weyl.weyl_operator(x, 2) @ weyl.weyl_operator(y, 2)
             ps, qs = (x + y)[:n], (x + y)[n:]
-            rhs = weyl.commutation_phase(x, y, 2) * weyl.weyl_literal(ps, qs, 2)
+            rhs = commutation_phase(x, y, 2) * weyl.weyl_literal(ps, qs, 2)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -341,4 +349,27 @@ def _phase_grid_indices(d, n):
 
 @pytest.mark.parametrize("d,n", GRID_SIZES)
 def test_weyl_phase_grid_matches_indices_construction(d, n):
-    assert np.array_equal(weyl.weyl_phase_grid(d, n), _phase_grid_indices(d, n))
+    roots, e = weyl.weyl_phase_exponents(d, n)
+    assert e.dtype == np.min_scalar_type(len(roots) - 1) and e.dtype.kind == "u"
+    assert e.max() == len(roots) - 1
+    assert np.array_equal(roots[e], _phase_grid_indices(d, n))
+
+
+# (3, 5) is past numpy's 256 KiB threshold for reusing a temporary operand.
+@pytest.mark.parametrize("d,n", [(3, 5), (2, 3), (5, 2), (7, 1)])
+def test_weyl_transforms_match_their_reference_bit_for_bit(d, n):
+    D = d**n
+    for sign in (1, -1):
+        index = weyl._stripe_index(d, n, sign)
+        assert index.dtype == np.min_scalar_type(D - 1)
+        assert np.array_equal(index, reference_stripe_index(d, n, sign))
+    rng = np.random.default_rng(d * 10 + n)
+    mat = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    got = weyl.weyl_coefficient_table(mat, d, n)
+    assert got.tobytes() == reference_coefficient_table(mat, d, n).tobytes()
+    sparse = np.zeros((d,) * (2 * n), dtype=complex)
+    sparse.reshape(-1)[::7] = 0.5
+    for table in (got, sparse):
+        out = weyl.matrix_from_weyl_table(table, d, n)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == reference_matrix_from_table(table, d, n).tobytes()
