@@ -53,9 +53,9 @@ _MODULES = {
     ),
     "states": (
         "State", "basis_state", "char_function", "enumerate_msps",
-        "enumerate_pure_stabilizers", "from_char", "make_state", "maximally_mixed",
+        "enumerate_pure_stabilizers", "make_state", "maximally_mixed",
         "msps_from_group", "pauli_rank", "pure_state", "random_pure", "random_state",
-        "tensor", "wigner",
+        "state_from_char", "tensor", "wigner",
     ),
     "weyl": (
         "is_clifford", "is_weyl_up_to_phase", "key_unitary",

@@ -9,8 +9,8 @@ It applies E and E^{-1} through the key unitary's basis permutation
 (``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
 The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state,
-with every power's Choi matrix rebuilt from its table and validated; its Weyl
-shift is a point [p | q] of the Choi state's phase space V^{2n}.
+each later power rebuilt by ``states.state_from_char``; its Weyl shift is a
+point [p | q] of V^{2n}.  The Weyl images Λ(w(x)) are one gather of Ξ_J.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .errors import (
     TooLargeError,
     UnsupportedGError,
 )
-from .mean_magic import is_zero_mean, magic_gap, mean_state, zero_mean_shift
-from .states import State, from_char, make_state, maximally_mixed
-from .weyl import key_index_map, weyl_coefficient_table, weyl_operator
+from .mean_magic import is_zero_mean, mean_state, zero_mean_shift
+from .states import State, char_function, make_state, maximally_mixed, state_from_char
+from .weyl import digit_table, encode_digits, key_index_map, weyl_operator
 
 # Largest D = d^n at which ``_convolve_channels_exact`` runs.  Its cost grows as
 # D^6: about 0.3 s and 100 MB per call at D = 16, but 7.9 s and 132 MB at D = 25.
@@ -51,20 +51,19 @@ class Channel:
         return self.d**self.n
 
 
-def _check_choi_marginal(choi: State, d: int, n: int) -> None:
-    D = d**n
-    t = choi.mat.reshape(D, D, D, D)
-    marg = np.einsum("ajbj->ab", t)
-    if np.abs(marg - np.eye(D) / D).max() > 1e-9:
-        raise NotTracePreservingError("Choi marginal Tr_out[J] is not I/d^n")
+def choi_marginal_gap(choi: State) -> float:
+    """max |Tr_out[J] - I/d^n| over the entries, for a Choi state J on 2n qudits."""
+    D = choi.d ** (choi.n // 2)
+    marg = np.einsum("ajbj->ab", choi.mat.reshape(D, D, D, D))
+    return float(np.abs(marg - np.eye(D) / D).max())
 
 
 def channel_from_choi(choi: State, kraus: tuple = ()) -> Channel:
     if choi.n % 2 != 0:
         raise IncompatibleError("a Choi state lives on 2n qudits")
-    d, n = choi.d, choi.n // 2
-    _check_choi_marginal(choi, d, n)
-    return Channel(d=d, n=n, choi=choi, kraus=tuple(kraus))
+    if choi_marginal_gap(choi) > 1e-9:
+        raise NotTracePreservingError("Choi marginal Tr_out[J] is not I/d^n")
+    return Channel(d=choi.d, n=choi.n // 2, choi=choi, kraus=tuple(kraus))
 
 
 def choi_from_kraus(kraus, d: int, n: int) -> Channel:
@@ -188,21 +187,22 @@ def zero_mean_channel_shift(channel: Channel, tol: Tolerances = DEFAULT):
     return shift, channel_from_choi(shifted)
 
 
-def weyl_image_char_values(channel: Channel):
-    """Normalized Weyl coefficients of Λ(w(x)) for every x.
+def weyl_image_char_values(channel: Channel) -> np.ndarray:
+    """Tr[Λ(w(x)) w(-y)] / d^n for all points x, y of V^n, a (d,)*4n array [x, y].
 
-    Keyed by the index tuple of x = [p | q]; coefficients are
-    Tr[Λ(w(x)) w(-y)] / d^n.  The channel has zero mean iff every listed
-    value is 0 or 1 (Choi-predicate cross-check).
+    Λ(w(x)) = d^n Tr_in[J (w(x)^T ⊗ I)] and w(p, -q)^T = w(p, q) at odd d, so
+    the value at x = [p | q] is Ξ_J at input coordinates (-p, q) and output
+    coordinates y; at d = 2, w(p, q)^T = (-1)^{p.q} w(p, q) adds that sign.
+    The channel has zero mean iff every value is 0 or 1.
     """
     d, n = channel.d, channel.n
     D = d**n
-    t = channel.choi.mat.reshape(D, D, D, D)
-    out = {}
-    for x in np.ndindex(*((d,) * (2 * n))):
-        img = D * np.einsum("iI,ioIO->oO", weyl_operator(x, d), t)  # Λ(w) via the Choi formula
-        out[x] = weyl_coefficient_table(img, d, n) / D
-    return out
+    digits = digit_table(d, n)
+    xi = char_function(channel.choi).reshape(D, D, D, D)  # [p_in, p_out, q_in, q_out]
+    vals = xi[encode_digits(-digits % d, d)].transpose(0, 2, 1, 3)
+    if d == 2:
+        vals = vals * (-1.0) ** (digits @ digits.T)[:, :, None, None]
+    return vals.reshape((d,) * (4 * n))
 
 
 @dataclass(frozen=True)
@@ -227,22 +227,22 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
 
     params is the G of the convolution.  The channel is Weyl-shifted to
     zero mean first (``shift`` is the point of V^{2n}, ``shifted`` says
-    whether it is non-zero); the rows are ``convolution.clt_trajectory`` of
-    its Choi state, and the Choi matrix of every later power is rebuilt
-    from its table and validated by ``make_state``.  Each step asserts
-    distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
+    whether it is non-zero); the rows and the magic gap come from
+    ``convolution.clt_trajectory`` of its Choi state, and ``state_from_char``
+    validates every later power.  Each step asserts distance <= bound + 1e-9;
+    the diamond column is d^{2n} x bound.
     """
-    d, n = channel.d, channel.n
     shift, work = zero_mean_channel_shift(channel, tol)
+    gap, powers = clt_trajectory(work.choi, params, N, tol)
     rows = []
-    for k, (xi, dist, bound) in enumerate(clt_trajectory(work.choi, params, N, tol)):
+    for k, (xi, dist, bound) in enumerate(powers):
         if k:
-            make_state(from_char(xi), d, 2 * n)
+            state_from_char(xi)  # raises NotStateError unless the power is a state
         rows.append(ChannelCltRow(step=k, distance=dist, bound=bound,
-                                  diamond_bound=d ** (2 * n) * bound))
+                                  diamond_bound=channel.d ** (2 * channel.n) * bound))
     return ChannelCltReport(
         rows=tuple(rows),
-        magic_gap=magic_gap(work.choi, tol).gap,
+        magic_gap=gap,
         shifted=bool(shift.any()),
         shift=shift,
         ok=all(row.distance <= row.bound + 1e-9 for row in rows),

@@ -113,22 +113,22 @@ def _clt_params(args, d: int):
 def cmd_clt(args, tol: Tolerances) -> int:
     """The CLT trajectory of a zero-mean random state, one CSV row per power.
 
-    ⊠^0 rho is rho itself.  Every later power is rebuilt from its table and
-    validated with ``spectrum=True``, so the ``eigvalsh`` that decides its
-    positivity gives the spectrum its H columns read, and only that
+    ⊠^0 rho is rho itself.  Every later power is rebuilt from its table by
+    ``state_from_char(xi, spectrum=True)``, so the ``eigvalsh`` that decides
+    its positivity gives the spectrum its H columns read, and only that
     spectrum is kept.
     """
     d, n = args.d, args.n
     params = _clt_params(args, d)
     _, rho = mm.zero_mean_shift(st.random_state(n, d, seed=args.seed), tol)
-    powers = cv.clt_trajectory(rho, params, args.N, tol)
+    _, powers = cv.clt_trajectory(rho, params, args.N, tol)
     spectrum = rho.eigvals
     del rho  # the trajectory holds rho's table; its matrix is not read again
     lines = ["N,l2_distance,paper_bound," + ",".join(f"H_{a}" for a in _ALPHAS)]
     ok = True
     for step, (xi, dist, bound) in enumerate(powers):
         if step:
-            spectrum = st.make_state(st.from_char(xi), d, n, spectrum=True).eigvals
+            spectrum = st.state_from_char(xi, spectrum=True).eigvals
         ok = ok and dist <= bound + 1e-9
         clean = ent.clean_spectrum(spectrum)
         hs = [ent.renyi_entropy_spectrum(clean, a) for a in _ALPHAS]

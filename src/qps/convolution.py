@@ -35,7 +35,7 @@ from .errors import (
 )
 from .mean_magic import _unit_modulus_group, magic_gap
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import State, _cache_char, _check_char, char_function, from_char, make_state
+from .states import State, _cache_char, _check_char, char_function, state_from_char
 from .weyl import digit_table, encode_digits, key_index_map
 
 
@@ -175,7 +175,7 @@ def convolve(rho: State, sigma: State, params) -> State:
 
     Both characteristic tables are dense d^{2n} arrays, so this raises
     TooLargeError when d^{2n} exceeds ``config.table_cap()`` (``MAX_TABLE``,
-    lowered by QPS_MAX_DIM).  The result is validated by ``make_state``, and
+    lowered by QPS_MAX_DIM).  The result is built by ``state_from_char``, and
     the product table Xi_out it was built from is handed to it as its
     characteristic table, so its readers (``qps conv --form char``, a
     further ⊠) transform nothing.
@@ -186,7 +186,7 @@ def convolve(rho: State, sigma: State, params) -> State:
         )
     pm = as_param_matrix(params, rho.d)
     out = convolve_char(char_function(rho), char_function(sigma), pm)
-    state = make_state(from_char(out), rho.d, rho.n)
+    state = state_from_char(out)
     _cache_char(state, out)
     return state
 
@@ -289,15 +289,15 @@ def _mean_distance(xi: np.ndarray, support: np.ndarray, mirror: np.ndarray,
 
 
 def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
-    """The quantum CLT on tables: an iterator over (Xi_k, ||⊠^k rho - M(rho)||_2,
-    (1 - MG(rho))^k ||rho - M(rho)||_2) for k = 0..N, with Xi_k the read-only
-    characteristic table of ⊠^k rho.
+    """The quantum CLT on tables: (MG(rho), rows), with rows an iterator over
+    (Xi_k, ||⊠^k rho - M(rho)||_2, (1 - MG(rho))^k ||rho - M(rho)||_2) for
+    k = 0..N and Xi_k the read-only characteristic table of ⊠^k rho.
 
     The tables are ``char_powers``(Xi_rho, G, N); a caller that needs a power
-    as a matrix builds it with ``from_char`` and validates it with
-    ``make_state``.  M(rho) is held as the flat indices of S and the unit
-    values Xi_rho / |Xi_rho| there, and every distance is taken by Parseval
-    (``_mean_distance``).  rho itself is not held.
+    as a State builds it with ``states.state_from_char``.  M(rho) is held as
+    the flat indices of S and the unit values Xi_rho / |Xi_rho| there, and
+    every distance is taken by Parseval (``_mean_distance``).  rho itself is
+    not held.
 
     rho should have zero mean (see ``mean_magic.zero_mean_shift``).
     """
@@ -310,8 +310,8 @@ def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
     unit = xr.reshape(-1)[support] / mags.reshape(-1)[support]
     mg = magic_gap(rho, tol).gap
     base = _mean_distance(xr, support, mirror, unit)
-    return ((xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base)
-            for k, xi in enumerate(tables))
+    return mg, ((xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base)
+                for k, xi in enumerate(tables))
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ from .states import (
     basis_state,
     char_function,
     enumerate_pure_stabilizers,
-    from_char,
     make_state,
     maximally_mixed,
     msps_from_group,
     random_state,
+    state_from_char,
 )
 
 
@@ -191,10 +191,10 @@ class SecondLawReport:
 
 def check_second_law(rho: State, params, N: int, alphas) -> SecondLawReport:
     """Entropies H_alpha of the powers ⊠^k rho, k <= N, from ``char_powers``; flags
-    decreases.  Each power after rho is validated by ``make_state(..., spectrum=True)``,
+    decreases.  Each power after rho is rebuilt by ``state_from_char(xi, spectrum=True)``,
     so the ``eigvalsh`` its entropies read decides its positivity (no Cholesky)."""
     alphas = tuple(alphas)
-    powers = (make_state(from_char(xi), rho.d, rho.n, spectrum=True) if k else rho
+    powers = (state_from_char(xi, spectrum=True) if k else rho
               for k, xi in enumerate(char_powers(char_function(rho), params, N)))
     table = np.array([[renyi_entropy(s, a) for a in alphas] for s in powers])
     drops = np.diff(table, axis=0)

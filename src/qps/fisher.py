@@ -24,7 +24,7 @@ from .errors import (
     NegativeTimeError,
     SingularStateError,
 )
-from .states import State, char_function, from_char, make_state, maximally_mixed
+from .states import State, char_function, make_state, maximally_mixed, state_from_char
 from .weyl import conjugate_site_gate, digit_table, fourier_gate
 
 
@@ -178,8 +178,7 @@ def heat_semigroup(state: State, t: float) -> State:
     """e^{tL} rho: the characteristic value at x decays as exp(-|x| t / 2)."""
     if t < 0:
         raise NegativeTimeError("the heat semigroup is defined for t >= 0")
-    out = from_char(_semigroup_values(char_function(state), t))
-    return make_state(out, state.d, state.n)
+    return state_from_char(_semigroup_values(char_function(state), t))
 
 
 def liouvillean(mat: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -203,8 +202,7 @@ def de_bruijn_check(state: State, h: float = 1e-4) -> tuple[float, float]:
     table = char_function(state)
 
     def entropy_at(t):
-        mat = from_char(_semigroup_values(table, t))
-        return renyi_entropy(make_state(mat, state.d, state.n), 1)
+        return renyi_entropy(state_from_char(_semigroup_values(table, t)), 1)
 
     lhs = (entropy_at(+h) - entropy_at(-h)) / (2 * h)
     return float(lhs), float(rhs)

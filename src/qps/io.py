@@ -18,7 +18,7 @@ from .channels import Channel, channel_from_choi
 from .config import DEFAULT, Tolerances, ensure_table_size
 from .errors import IncompatibleError
 from .phase_space import check_prime
-from .states import State, char_function, from_char, make_state
+from .states import State, char_function, make_state, state_from_char
 
 
 def _matrix_to_json(mat: np.ndarray) -> dict:
@@ -72,7 +72,7 @@ def state_from_json(obj: dict) -> State:
             if len(p) != n or len(q) != n:
                 raise IncompatibleError(f"char label p={p}, q={q} needs n = {n} coordinates each")
             xi[tuple(int(v) % d for v in p + q)] = entry["re"] + 1j * entry["im"]
-        return make_state(from_char(xi), d, n)
+        return state_from_char(xi)
     raise IncompatibleError("state JSON needs a 'matrix' or 'char' field")
 
 

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generators
-from .states import State, _cache_char, char_function, from_char, make_state, pauli_rank
+from .states import State, _cache_char, char_function, make_state, pauli_rank, state_from_char
 from .weyl import (
     chi,
     conjugate_site_gate,
@@ -88,14 +88,13 @@ def _generator_phases(table: np.ndarray, group: PhaseSubgroup) -> tuple:
 
 def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
-    d, n = state.d, state.n
     table = char_function(state)
     mags = np.abs(table)
     on, group = _unit_modulus_group(mags, tol)
     kept = np.zeros_like(table)
     kept[on] = table[on] / mags[on]
-    mean = make_state(from_char(kept), d, n)
-    return MeanStateReport(mean=mean, group=group, phases=_generator_phases(table, group))
+    return MeanStateReport(mean=state_from_char(kept), group=group,
+                           phases=_generator_phases(table, group))
 
 
 def mean_group(state: State, tol: Tolerances = DEFAULT) -> tuple[PhaseSubgroup, tuple]:

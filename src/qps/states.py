@@ -3,7 +3,8 @@
 A State is an immutable (d, n, matrix) triple validated as a density
 operator by ``make_state``: positivity by a Cholesky factorization, or,
 for a caller that reads the spectrum anyway, by the one ``eigvalsh`` that
-gives it.  Characteristic tables are complex ndarrays holding
+gives it.  ``state_from_char`` is the one route from a characteristic table
+back to a State.  Characteristic tables are complex ndarrays holding
 Xi(x) = Tr[rho w(-x)] over all of V^n, shape (d,)*2n with the p
 coordinates on the first n axes; Wigner tables are real arrays of that
 shape.  d and n are read off a table as shape[0] and ndim // 2.
@@ -202,6 +203,12 @@ def _cache_char(state: State, vals: np.ndarray) -> None:
 def from_char(xi: np.ndarray) -> np.ndarray:
     """(1/d^n) sum_x Xi(x) w(x) for a (d,)*2n table Xi; not validated as a state."""
     return matrix_from_weyl_table(xi, xi.shape[0], xi.ndim // 2)
+
+
+def state_from_char(xi: np.ndarray, spectrum: bool = False) -> State:
+    """The State whose characteristic table is xi: ``from_char``, validated by
+    ``make_state`` at the d and n read off the table (``spectrum`` as there)."""
+    return make_state(from_char(xi), xi.shape[0], xi.ndim // 2, spectrum=spectrum)
 
 
 def wigner(state: State) -> np.ndarray:

@@ -383,12 +383,8 @@ def _channels_task(args):
         except QpsError as exc:
             out.append(_result(f"channels.routes.{klass}.seed{seed}", -1.0, str(exc)))
             continue
-        D = d**n
-        marg = np.einsum("ajbj->ab", conv.choi.mat.reshape(D, D, D, D))
-        gap = max(
-            float(np.abs(marg - np.eye(D) / D).max()),
-            float(np.abs(conv.choi.mat - exact.choi.mat).max()),
-        )
+        gap = max(chn.choi_marginal_gap(conv.choi),
+                  float(np.abs(conv.choi.mat - exact.choi.mat).max()))
         out.append(_result(f"channels.routes_marginal.{klass}.seed{seed}", 1e-9 - gap))
     pm = sample_parity_matrix(rng, d, "odd_only")
     absorbed = chn.convolve_channels(c1, chn.depolarizing_channel(d, n), pm)
@@ -406,9 +402,7 @@ def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     out = _map_tasks(_channels_task, d, n, seeds, jobs, seed, tol)
     wch = chn.weyl_conjugation_channel((1,) * n + (0,) * n, d)
     vals = chn.weyl_image_char_values(wch)
-    in_01 = all(
-        (abs(v) < 1e-8 or abs(v - 1) < 1e-6) for tab in vals.values() for v in np.ravel(tab)
-    )
+    in_01 = bool(((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all())
     agrees = in_01 == chn.is_zero_mean_channel(wch, tol)
     out.append(_result("channels.zero_mean_corollary", 0.0 if agrees else -1.0))
     return out

@@ -1,5 +1,5 @@
-"""Channel constructions, the Choi action, subgroup predicates, Weyl commutation phases
-and the reference Weyl transforms, kept for the tests only."""
+"""Channel constructions, the Choi action and its Weyl images, subgroup predicates,
+Weyl commutation phases and the reference Weyl transforms, kept for the tests only."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 from qps.channels import Channel, choi_from_kraus
 from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
 from qps.states import State, make_state
-from qps.weyl import _dft_matrix, chi, digit_table
+from qps.weyl import _dft_matrix, chi, digit_table, weyl_coefficient_table, weyl_operator
 
 
 def identity_channel(d: int, n: int) -> Channel:
@@ -21,6 +21,19 @@ def channel_apply(channel: Channel, rho: State) -> State:
     t = channel.choi.mat.reshape(D, D, D, D)
     out = D * np.einsum("iI,ioIO->oO", rho.mat, t)
     return make_state(out, channel.d, channel.n)
+
+
+def weyl_image_char_values_dense(channel: Channel) -> np.ndarray:
+    """Tr[Λ(w(x)) w(-y)] / d^n indexed [x, y], with each Λ(w(x)) formed from the
+    Choi tensor and transformed: the oracle for ``channels.weyl_image_char_values``."""
+    d, n = channel.d, channel.n
+    D = d**n
+    t = channel.choi.mat.reshape(D, D, D, D)
+    out = np.empty((d,) * (4 * n), dtype=complex)
+    for x in np.ndindex(*((d,) * (2 * n))):
+        img = D * np.einsum("iI,ioIO->oO", weyl_operator(x, d), t)  # Λ(w) via the Choi formula
+        out[x] = weyl_coefficient_table(img, d, n) / D
+    return out
 
 
 def random_mixed_unitary_channel(n: int, d: int, seed, terms: int = 3) -> Channel:

@@ -9,7 +9,12 @@ from qps import mean_magic as mm
 from qps import states, verify, weyl
 from qps.errors import NotTracePreservingError, TooLargeError, UnsupportedGError
 
-from helpers import channel_apply, identity_channel, random_mixed_unitary_channel
+from helpers import (
+    channel_apply,
+    identity_channel,
+    random_mixed_unitary_channel,
+    weyl_image_char_values_dense,
+)
 
 
 def test_choi_constructions():
@@ -194,11 +199,8 @@ def test_zero_mean_channel_and_corollary(t_state):
     # corollary: zero mean iff all Weyl-image char values in {0, 1}
     for channel, expect in ((ident, True), (wch, False)):
         vals = ch.weyl_image_char_values(channel)
-        in01 = all(
-            (abs(v) < 1e-8 or abs(v - 1) < 1e-6)
-            for tab in vals.values()
-            for v in np.ravel(tab)
-        )
+        assert vals.shape == (3,) * 4
+        in01 = ((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all()
         assert in01 == expect
     _, shifted = ch.zero_mean_channel_shift(wch)
     assert ch.is_zero_mean_channel(shifted)
@@ -218,14 +220,28 @@ def test_channel_clt():
 
 
 def test_channel_clt_validates_every_later_power(monkeypatch):
-    # each power's Choi matrix is rebuilt from its table and passes make_state
+    # each power's Choi state is rebuilt by state_from_char, whose make_state
+    # is looked up in the states module, and the gap is the trajectory's
     lam = random_mixed_unitary_channel(1, 5, seed=3)
     made = []
-    real = ch.make_state
-    monkeypatch.setattr(ch, "make_state", lambda *a, **k: made.append(a[1:]) or real(*a, **k))
+    real = states.make_state
+    monkeypatch.setattr(states, "make_state",
+                        lambda *a, **k: made.append(a[1:]) or real(*a, **k))
     rep = ch.channel_clt(lam, cv.hadamard_params(5), 4)
     assert rep.ok and len(rep.rows) == 5
     assert made == [(5, 2)] * 4
+    work = ch.zero_mean_channel_shift(lam)[1]
+    assert rep.magic_gap == mm.magic_gap(work.choi).gap > 0
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (7, 1)])
+def test_weyl_images_are_one_gather_of_the_choi_table(d, n):
+    # the gather matches the dense Choi action, the sign at d = 2 included
+    for seed in range(3):
+        channel = ch.random_channel(n, d, seed=seed)
+        vals = ch.weyl_image_char_values(channel)
+        assert vals.shape == (d,) * (4 * n)
+        assert np.abs(vals - weyl_image_char_values_dense(channel)).max() < 1e-14
 
 
 def test_unitary_min_entropy():

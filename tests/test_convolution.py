@@ -284,8 +284,9 @@ def test_clt_trajectory_matches_the_convolve_chain():
         mean = mm.mean_state(rho).mean
         mg = mm.magic_gap(rho).gap
         base = np.linalg.norm(rho.mat - mean.mat)
-        rows = list(cv.clt_trajectory(rho, G, 4))
-        assert len(rows) == 5
+        gap, rows = cv.clt_trajectory(rho, G, 4)
+        rows = list(rows)
+        assert gap == mg and len(rows) == 5
         ref = rho
         for k, (xi, dist, bound) in enumerate(rows):
             ref = cv.convolve(ref, rho, G) if k else rho
@@ -304,8 +305,8 @@ def test_every_clt_power_is_a_state_by_cholesky(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda mat: tried.append(1) or real(mat))
     powers = 0
     for rho, G in cases:
-        for xi, _, _ in cv.clt_trajectory(rho, G, 6):
-            states.make_state(states.from_char(xi), rho.d, rho.n)
+        for xi, _, _ in cv.clt_trajectory(rho, G, 6)[1]:
+            states.state_from_char(xi)
             powers += 1
     assert len(tried) == powers == 6 * 7
 
@@ -321,7 +322,7 @@ def test_clt_trajectory_runs_the_xi_checks(monkeypatch):
         return out
 
     monkeypatch.setattr(cv, "convolve_char", broken)
-    rows = cv.clt_trajectory(rho, cv.hadamard_params(3), 2)
+    rows = cv.clt_trajectory(rho, cv.hadamard_params(3), 2)[1]
     next(rows)
     with pytest.raises(NotStateError):
         next(rows)

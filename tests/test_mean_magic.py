@@ -88,13 +88,13 @@ def test_is_zero_mean_builds_no_state(monkeypatch):
 def test_group_readers_build_m_rho_only_to_compare_it(monkeypatch):
     # is_msps builds M(sigma) once to compare it with sigma; nothing else builds it
     calls = []
-    real = mm.make_state
+    real = mm.state_from_char
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mm, "make_state", spy)
+    monkeypatch.setattr(mm, "state_from_char", spy)
     ent.check_equality_case(states.basis_state(0, 3), cv.hadamard_params(3), 2, seed=3)
     assert len(calls) == 1
     calls.clear()

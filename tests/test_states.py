@@ -151,6 +151,18 @@ def test_round_trip_and_linearity():
     ).max() < 1e-12
 
 
+@pytest.mark.parametrize("d, n", [(3, 5), (2, 3), (5, 2), (7, 1)])
+@pytest.mark.parametrize("spectrum", [False, True])
+def test_state_from_char_is_from_char_then_make_state(d, n, spectrum):
+    xi = states.char_function(states.random_state(n, d, seed=d + n))
+    built = states.state_from_char(xi, spectrum=spectrum)
+    ref = states.make_state(states.from_char(xi), d, n, spectrum=spectrum)
+    assert (built.d, built.n) == (d, n)
+    assert built.mat.tobytes() == ref.mat.tobytes()
+    assert (built._eigvals is None) == (ref._eigvals is None) == (not spectrum)
+    assert built.eigvals.tobytes() == ref.eigvals.tobytes()
+
+
 def _peak_above_start(call, D: int) -> float:
     """Peak traced memory above the start of call(), in units of one D x D complex array."""
     tracemalloc.start()
