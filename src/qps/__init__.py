@@ -44,8 +44,8 @@ _MODULES = {
     ),
     "mean_magic": (
         "MagicGapReport", "MeanStateReport", "closest_msps", "is_msps", "is_zero_mean",
-        "lmg_t_count_check", "magic_gap", "mean_group", "mean_state", "mean_value_vector",
-        "zero_mean_shift",
+        "lmg_t_count_check", "magic_gap", "mean_state", "mean_value_vector", "pauli_rank",
+        "read_thresholds", "zero_mean_shift",
     ),
     "phase_space": (
         "PhaseSubgroup", "check_prime", "field_inv", "make_point",
@@ -54,7 +54,7 @@ _MODULES = {
     "states": (
         "State", "basis_state", "char_function", "enumerate_msps",
         "enumerate_pure_stabilizers", "make_state", "maximally_mixed",
-        "msps_from_group", "pauli_rank", "pure_state", "random_pure", "random_state",
+        "msps_from_group", "pure_state", "random_pure", "random_state",
         "state_from_char", "tensor", "wigner",
     ),
     "weyl": (

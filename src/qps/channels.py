@@ -9,8 +9,9 @@ It applies E and E^{-1} through the key unitary's basis permutation
 (``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
 The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state,
-each later power rebuilt by ``states.state_from_char``; its Weyl shift is a
-point [p | q] of V^{2n}.  The Weyl images Λ(w(x)) are one gather of Ξ_J.
+each later power rebuilt by ``states.state_from_char`` and checked by
+``channel_from_choi``; its Weyl shift is a point [p | q] of V^{2n}.  The
+Weyl images Λ(w(x)) are one gather of Ξ_J.
 """
 
 from __future__ import annotations
@@ -228,16 +229,16 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
     params is the G of the convolution.  The channel is Weyl-shifted to
     zero mean first (``shift`` is the point of V^{2n}, ``shifted`` says
     whether it is non-zero); the rows and the magic gap come from
-    ``convolution.clt_trajectory`` of its Choi state, and ``state_from_char``
-    validates every later power.  Each step asserts distance <= bound + 1e-9;
-    the diamond column is d^{2n} x bound.
+    ``convolution.clt_trajectory`` of its Choi state, and every later power
+    is checked as a Choi state by ``channel_from_choi(state_from_char(xi))``.
+    Each step asserts distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
     """
     shift, work = zero_mean_channel_shift(channel, tol)
     gap, powers = clt_trajectory(work.choi, params, N, tol)
     rows = []
     for k, (xi, dist, bound) in enumerate(powers):
-        if k:
-            state_from_char(xi)  # raises NotStateError unless the power is a state
+        if k:  # NotStateError or NotTracePreservingError unless a Choi state
+            channel_from_choi(state_from_char(xi))
         rows.append(ChannelCltRow(step=k, distance=dist, bound=bound,
                                   diamond_bound=channel.d ** (2 * channel.n) * bound))
     return ChannelCltReport(

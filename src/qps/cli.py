@@ -190,18 +190,15 @@ def cmd_gap(args, tol: Tolerances) -> int:
     from . import io as qio
 
     state = qio.read_state(args.state)
-    gap = mm.magic_gap(state, tol)
-    group, phases = mm.mean_group(state, tol)
+    reading = mm.read_thresholds(st.char_function(state), tol)
+    gap = mm.MagicGapReport.from_reading(reading)
     out = {
         "d": state.d,
         "n": state.n,
-        "gap": gap.gap,
-        "log_gap": gap.log_gap,
-        "second_max": gap.second_max,
-        "support_size": gap.support_size,
-        "group_size": group.size,
-        "mean_value_vector": [int(k) for k in phases],
-        "zero_mean": mm.is_zero_mean(state, tol),
+        **vars(gap),  # gap, log_gap, second_max, support_size
+        "group_size": reading.group.size,
+        "mean_value_vector": [int(k) for k in reading.phases],
+        "zero_mean": reading.zero_mean,
         "tolerances": snapshot(tol),
     }
     _json_dump(out, args.out)

@@ -1,8 +1,9 @@
 """Numerical tolerances and desk-scale caps.
 
 The two user-set thresholds (|Xi| = 1 and support membership) travel in one
-frozen ``Tolerances``, passed explicitly to every function that reads them,
-so the mean state, magic gap, Pauli rank and zero-mean tests of a run agree.
+frozen ``Tolerances``, passed explicitly to every function that reads them.
+Only ``mean_magic.read_thresholds`` compares them with |Xi|, and every reader
+of S, the support or the magic gap takes its answer from that one reading.
 The CLI builds it from --tol-one / --tol-supp; all other values are constants.
 """
 

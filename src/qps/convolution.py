@@ -33,7 +33,7 @@ from .errors import (
     SingularGError,
     UnsupportedGError,
 )
-from .mean_magic import _unit_modulus_group, magic_gap
+from .mean_magic import MagicGapReport, read_thresholds
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
 from .states import State, _cache_char, _check_char, char_function, state_from_char
 from .weyl import digit_table, encode_digits, key_index_map
@@ -294,21 +294,23 @@ def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
     k = 0..N and Xi_k the read-only characteristic table of ⊠^k rho.
 
     The tables are ``char_powers``(Xi_rho, G, N); a caller that needs a power
-    as a State builds it with ``states.state_from_char``.  M(rho) is held as
-    the flat indices of S and the unit values Xi_rho / |Xi_rho| there, and
-    every distance is taken by Parseval (``_mean_distance``).  rho itself is
-    not held.
+    as a State builds it with ``states.state_from_char``.  One
+    ``mean_magic.read_thresholds`` of Xi_rho gives S and MG(rho).  M(rho) is
+    held as the flat indices of S and the unit values Xi_rho / |Xi_rho| there,
+    and every distance is taken by Parseval (``_mean_distance``).  rho itself
+    is not held.
 
     rho should have zero mean (see ``mean_magic.zero_mean_shift``).
     """
     xr = char_function(rho)
     tables = char_powers(xr, params, N)
-    mags = np.abs(xr)
-    group = _unit_modulus_group(mags, tol)[1]
+    reading = read_thresholds(xr, tol)
+    group = reading.group
     support = encode_digits(group.elements, rho.d)  # S is sorted, so these ascend
     mirror = np.searchsorted(support, encode_digits(-group.elements % rho.d, rho.d))
-    unit = xr.reshape(-1)[support] / mags.reshape(-1)[support]
-    mg = magic_gap(rho, tol).gap
+    values = xr.reshape(-1)[support]
+    unit = values / np.abs(values)
+    mg = MagicGapReport.from_reading(reading).gap
     base = _mean_distance(xr, support, mirror, unit)
     return mg, ((xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base)
                 for k, xi in enumerate(tables))

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedAlphaError,
     UnsupportedGError,
 )
-from .mean_magic import _unit_modulus_group, is_msps, mean_state
+from .mean_magic import is_msps, mean_state, read_thresholds
 from .states import (
     State,
     basis_state,
@@ -235,7 +235,7 @@ def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = D
         raise UnsupportedGError("the equality case is stated for positive G")
     if not is_msps(sigma, tol):
         raise NotComparableError("sigma must be an MSPS")
-    group = _unit_modulus_group(np.abs(char_function(sigma)), tol)[1]
+    group = read_thresholds(char_function(sigma), tol).group
     s_trans = transformed_stabilizer_group(group, pm)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(d**s_trans.rank)) if s_trans.rank else np.array([1.0])

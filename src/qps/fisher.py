@@ -190,11 +190,15 @@ def liouvillean(mat: np.ndarray, d: int, n: int) -> np.ndarray:
     return out
 
 
-def de_bruijn_check(state: State, h: float = 1e-4) -> tuple[float, float]:
+def de_bruijn_check(state: State, h: float = 1e-5) -> tuple[float, float]:
     """(dH/dt at t = 0 by central difference, J(rho)/4); base-2 entropy.
 
     The difference uses the semigroup at +-h; a full-rank input keeps the
-    t = -h point a valid state for small h.
+    t = -h point a valid state for small h.  Its step error is O(h^2) times
+    the third derivative of H, which grows with n: on the two inputs of
+    ``qps verify --suite fisher --d 3 --n 5 --seeds 2``, h = 1e-4 leaves
+    |lhs - rhs| up to 1.6e-3, past the 1e-3 that the check allows, and
+    h = 1e-5 leaves at most 1.6e-5.
     """
     from .entropy import renyi_entropy
 

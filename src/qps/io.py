@@ -17,6 +17,7 @@ import numpy as np
 from .channels import Channel, channel_from_choi
 from .config import DEFAULT, Tolerances, ensure_table_size
 from .errors import IncompatibleError
+from .mean_magic import read_thresholds
 from .phase_space import check_prime
 from .states import State, char_function, make_state, state_from_char
 
@@ -30,20 +31,12 @@ def _matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def _char_entries(state: State, tol: Tolerances) -> list:
+    """One entry per point of the support that ``read_thresholds`` reads, in C order."""
     table = char_function(state)
+    support = read_thresholds(table, tol).support
     n = state.n
-    entries = []
-    for idx in np.argwhere(np.abs(table) > tol.tol_supp):
-        v = table[tuple(idx)]
-        entries.append(
-            {
-                "p": [int(x) for x in idx[:n]],
-                "q": [int(x) for x in idx[n:]],
-                "re": float(v.real),
-                "im": float(v.imag),
-            }
-        )
-    return entries
+    return [{"p": x[:n].tolist(), "q": x[n:].tolist(), "re": float(v.real), "im": float(v.imag)}
+            for x, v in zip(np.argwhere(support), table[support])]
 
 
 def state_to_json(state: State, form: str = "dense", tol: Tolerances = DEFAULT) -> dict:

@@ -1,17 +1,15 @@
 """Mean states, zero-mean shifts, the magic gap, and MSPS extremality.
 
-The mean state M(rho) keeps Xi_rho exactly on the unit-modulus set
-S = {x : |Xi_rho(x)| = 1} and zeroes it elsewhere; numerically, S is the
-set where |Xi| >= 1 - tol_one and retained values snap to the unit
-circle.  S is a ``PhaseSubgroup`` and a zero-mean shift is a point [a | b].
-``mean_state`` builds M(rho) as a validated State; a reader of S and of
-the phases of Xi on its generators alone (``zero_mean_shift``,
-``mean_value_vector``, ``qps gap``) takes them from ``mean_group``, and
-the CLT holds M(rho) as its values on S (``convolution.clt_trajectory``),
-so neither builds a matrix.  The zero-mean conjugate w(x) rho w(x)^dag is
-one gather through the monomial form of w(x), and its table the phase
-chi(<x, y>_s) times Xi_rho(y).
-All entropy-like quantities here use base-2 logarithms.
+The mean state M(rho) keeps Xi_rho on the unit-modulus set S, where
+|Xi| >= 1 - tol_one, snapped to the unit circle, and zeroes it elsewhere;
+the magic gap is 1 minus the largest |Xi| below that on the support, where
+|Xi| > tol_supp.  ``read_thresholds`` is the one reader of both thresholds:
+one pass over |Xi| gives S as a ``PhaseSubgroup``, the phases on its
+generators, the support and the second-largest |Xi|, and every reader of
+these (here, ``clt_trajectory``, ``check_equality_case``, ``qps gap`` and
+``io``'s char form) takes them from it.  The zero-mean conjugate
+w(x) rho w(x)^dag is one gather through the monomial form of w(x), and its
+table chi(<x, y>_s) Xi_rho(y).  Logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generators
-from .states import State, _cache_char, char_function, make_state, pauli_rank, state_from_char
+from .states import State, _cache_char, char_function, enumerate_msps, make_state, state_from_char
 from .weyl import (
     chi,
     conjugate_site_gate,
@@ -39,6 +37,18 @@ from .weyl import (
     xmat,
     zmat,
 )
+
+
+@dataclass(frozen=True)
+class ThresholdReading:
+    """What the two thresholds of a ``Tolerances`` say about one table Xi."""
+
+    group: PhaseSubgroup  # S = {x : |Xi(x)| >= 1 - tol_one}
+    phases: tuple  # the k_i with Xi(x_i) = chi(k_i) on S's generators x_i
+    zero_mean: bool  # Xi = 1 on all of S, to PHASE_RESIDUAL
+    support: np.ndarray  # the read-only mask |Xi| > tol_supp
+    support_size: int
+    second_max: float | None  # max |Xi| with tol_supp < |Xi| < 1 - tol_one, if any
 
 
 @dataclass(frozen=True)
@@ -57,75 +67,81 @@ class MagicGapReport:
     second_max: float
     support_size: int
 
-
-def _phase_exponent(value: complex, d: int) -> int:
-    """Round a unit-modulus value to chi(k); error if the residual is large."""
-    k = int(np.round(d * np.angle(value) / (2 * np.pi))) % d
-    residual = abs(value - complex(chi(k, d)))
-    if residual > PHASE_RESIDUAL:
-        raise PhaseNotRootOfUnityError(
-            f"characteristic value {value} is {residual:.2e} from any d-th root of unity"
-        )
-    return k
+    @classmethod
+    def from_reading(cls, reading: ThresholdReading) -> MagicGapReport:
+        """The gap 1 - second_max, or 0 with second_max 1 when no |Xi| lies below 1."""
+        second = reading.second_max
+        gap, log_gap = (0.0, 0.0) if second is None else (1.0 - second, float(-np.log2(second)))
+        return cls(gap, log_gap, 1.0 if second is None else second, reading.support_size)
 
 
-def _unit_modulus_group(mags: np.ndarray, tol: Tolerances):
-    """S = {x : |Xi(x)| >= 1 - tol_one} as a mask over mags = |Xi|, and S as a group."""
+def read_thresholds(xi: np.ndarray, tol: Tolerances = DEFAULT) -> ThresholdReading:
+    """One pass over |Xi| of a (d,)*2n table: the only place |Xi| meets tol_one or
+    tol_supp.  Raises ``InternalInconsistencyError`` when S is not a group, and
+    ``PhaseNotRootOfUnityError`` when Xi on a generator of S is off every chi(k)."""
+    mags = np.abs(xi)
     on = mags >= 1 - tol.tol_one
+    support = mags > tol.tol_supp
+    below = support & (mags < 1 - tol.tol_one)
     vecs = np.argwhere(on)
-    group = subgroup_generators(vecs, mags.shape[0], mags.ndim // 2)
+    group = subgroup_generators(vecs, xi.shape[0], xi.ndim // 2)
     if group.size != len(vecs):
         raise InternalInconsistencyError(
             f"unit-modulus set of size {len(vecs)} is not a group (span {group.size})"
         )
-    return on, group
+    gens = xi[tuple(group.generators.T)]
+    ks = np.round(group.d * np.angle(gens) / (2 * np.pi)).astype(np.int64) % group.d
+    residual = np.abs(gens - chi(ks, group.d))
+    far = residual > PHASE_RESIDUAL
+    if far.any():
+        i = int(far.argmax())
+        raise PhaseNotRootOfUnityError(
+            f"characteristic value {gens[i]} is {residual[i]:.2e} from any d-th root of unity"
+        )
+    support.setflags(write=False)
+    return ThresholdReading(
+        group=group,
+        phases=tuple(ks.tolist()),
+        zero_mean=bool((np.abs(xi[tuple(group.elements.T)] - 1) < PHASE_RESIDUAL).all()),
+        support=support,
+        support_size=int(np.count_nonzero(support)),
+        second_max=float(mags[below].max()) if below.any() else None,
+    )
 
 
-def _generator_phases(table: np.ndarray, group: PhaseSubgroup) -> tuple:
-    """(k_1, ..., k_r) with Xi(x_i) = chi(k_i) on the generators x_i of S."""
-    return tuple(_phase_exponent(table[tuple(g)], group.d) for g in group.generators)
+def _mean_of(table: np.ndarray, group: PhaseSubgroup) -> State:
+    """M(rho) from Xi_rho and S: Xi / |Xi| on S, 0 elsewhere."""
+    on = tuple(group.elements.T)
+    kept = np.zeros_like(table)
+    kept[on] = table[on] / np.abs(table[on])
+    return state_from_char(kept)
 
 
 def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
     table = char_function(state)
-    mags = np.abs(table)
-    on, group = _unit_modulus_group(mags, tol)
-    kept = np.zeros_like(table)
-    kept[on] = table[on] / mags[on]
-    return MeanStateReport(mean=state_from_char(kept), group=group,
-                           phases=_generator_phases(table, group))
-
-
-def mean_group(state: State, tol: Tolerances = DEFAULT) -> tuple[PhaseSubgroup, tuple]:
-    """S and the phase exponents on its generators, as ``mean_state`` reports
-    them, without building M(rho)."""
-    table = char_function(state)
-    group = _unit_modulus_group(np.abs(table), tol)[1]
-    return group, _generator_phases(table, group)
+    reading = read_thresholds(table, tol)
+    return MeanStateReport(mean=_mean_of(table, reading.group), group=reading.group,
+                           phases=reading.phases)
 
 
 def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
     """True iff every |Xi| is 0 or 1 (within tolerance) and rho = M(rho)."""
-    mags = np.abs(char_function(state))
-    mid = (mags > tol.tol_supp) & (mags < 1 - tol.tol_one)
-    if mid.any():
+    table = char_function(state)
+    reading = read_thresholds(table, tol)
+    if reading.second_max is not None:
         return False
-    report = mean_state(state, tol)
-    return np.abs(report.mean.mat - state.mat).max() <= 1e-9
+    return np.abs(_mean_of(table, reading.group).mat - state.mat).max() <= 1e-9
 
 
 def mean_value_vector(state: State, tol: Tolerances = DEFAULT) -> np.ndarray:
     """(k_1, ..., k_r) with Xi(x_i) = chi(k_i) on the computed generators."""
-    return np.array(mean_group(state, tol)[1], dtype=np.int64)
+    return np.array(read_thresholds(char_function(state), tol).phases, dtype=np.int64)
 
 
 def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
     """True iff Xi takes the value 1 on the whole mean-state group (M(rho) is not built)."""
-    table = char_function(state)
-    _, group = _unit_modulus_group(np.abs(table), tol)
-    values = table[tuple(group.elements.T)]
-    return bool((np.abs(values - 1) < PHASE_RESIDUAL).all())
+    return read_thresholds(char_function(state), tol).zero_mean
 
 
 def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
@@ -138,13 +154,13 @@ def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
     numerically broken input.
     """
     d, n = state.d, state.n
-    group, phases = mean_group(state, tol)
-    if not group.rank:
+    reading = read_thresholds(char_function(state), tol)
+    if not reading.group.rank:
         return np.zeros(2 * n, dtype=np.int64), state
-    gens = group.generators
+    gens = reading.group.generators
     # unknown x = [a | b]: <(a,b),(p,q)>_s = a.q - b.p, one row [q | -p] per generator
     rows = np.concatenate([gens[:, n:], -gens[:, :n]], axis=1)
-    point = lex_smallest_solution(rows, -np.array(phases), d)
+    point = lex_smallest_solution(rows, -np.array(reading.phases), d)
     if point is None:
         raise InternalInconsistencyError("zero-mean shift system is inconsistent")
     shifted = _weyl_shift(state, point)
@@ -175,21 +191,12 @@ def _weyl_shift(state: State, point: np.ndarray) -> State:
 
 def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:
     """Gap between 1 and the second-largest |Xi| on the support."""
-    mags = np.abs(char_function(state))
-    support = mags > tol.tol_supp
-    below = support & (mags < 1 - tol.tol_one)
-    if below.any():
-        second = float(mags[below].max())
-        gap = 1.0 - second
-        log_gap = float(-np.log2(second))
-    else:
-        second, gap, log_gap = 1.0, 0.0, 0.0
-    return MagicGapReport(
-        gap=gap,
-        log_gap=log_gap,
-        second_max=second,
-        support_size=int(np.count_nonzero(support)),
-    )
+    return MagicGapReport.from_reading(read_thresholds(char_function(state), tol))
+
+
+def pauli_rank(state: State, tol: Tolerances = DEFAULT) -> int:
+    """Number of phase-space points where |Xi| exceeds the support threshold."""
+    return read_thresholds(char_function(state), tol).support_size
 
 
 def magic_gap_upper_bound(state: State, tol: Tolerances = DEFAULT):
@@ -199,12 +206,12 @@ def magic_gap_upper_bound(state: State, tol: Tolerances = DEFAULT):
     None at k = n (the bound degenerates there; the gap is 0 anyway).
     """
     d, n = state.d, state.n
-    k = _unit_modulus_group(np.abs(char_function(state)), tol)[1].rank
+    reading = read_thresholds(char_function(state), tol)
+    k = reading.group.rank
     if k >= n:
         return None
-    rp = pauli_rank(state, tol)
     num = d**n * state.purity() - d**k
-    den = rp - d**k
+    den = reading.support_size - d**k
     if den <= 0:
         return None
     return 1.0 - float(np.sqrt(max(num, 0.0) / den))
@@ -217,7 +224,6 @@ def closest_msps(state: State, alpha: float):
     for the extremality theorem, so it never consults mean_state.
     """
     from .entropy import renyi_relative
-    from .states import enumerate_msps
 
     if alpha < 1:
         raise UnsupportedDimensionError("extremality is stated for alpha >= 1")

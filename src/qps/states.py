@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT, MAX_ENUMERATION, TOL_STATE, Tolerances
+from .config import MAX_ENUMERATION, TOL_STATE
 from .errors import (
     IncompatibleError,
     NotStateError,
@@ -233,11 +233,6 @@ def _wigner_from_char_values(xi: np.ndarray, d: int, n: int) -> np.ndarray:
     r = np.fft.fftn(r, axes=qaxes)  # q -> u
     r = np.moveaxis(r, qaxes + paxes, paxes + qaxes)  # reorder to (u, v)
     return r / d**n
-
-
-def pauli_rank(state: State, tol: Tolerances = DEFAULT) -> int:
-    """Number of phase-space points where |Xi| exceeds the support threshold."""
-    return int(np.count_nonzero(np.abs(char_function(state)) > tol.tol_supp))
 
 
 def random_state(n: int, d: int, seed, rank: int | None = None) -> State:

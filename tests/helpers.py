@@ -1,11 +1,15 @@
 """Channel constructions, the Choi action and its Weyl images, subgroup predicates,
-Weyl commutation phases and the reference Weyl transforms, kept for the tests only."""
+Weyl commutation phases, the reference Weyl transforms and a point-by-point
+threshold reading, kept for the tests only."""
 
+import cmath
 import math
 
 import numpy as np
 
 from qps.channels import Channel, choi_from_kraus
+from qps.config import PHASE_RESIDUAL
+from qps.errors import InternalInconsistencyError
 from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
 from qps.states import State, make_state
 from qps.weyl import _dft_matrix, chi, digit_table, weyl_coefficient_table, weyl_operator
@@ -113,3 +117,36 @@ def reference_matrix_from_table(table: np.ndarray, d: int, n: int) -> np.ndarray
     a = np.asarray(table, dtype=complex) * grid
     b = reference_dft_p_axes(a, d, n, 1).reshape(D, D)
     return b[np.arange(D)[:, None], reference_stripe_index(d, n, -1)] / D
+
+
+def threshold_reading_by_points(xi: np.ndarray, tol):
+    """What ``mean_magic.read_thresholds`` reads off xi, one point at a time: the oracle.
+
+    Returns (S, phases, zero_mean, support, second_max): S and the support as
+    sets of index tuples; phases maps each x in S to the k with
+    |Xi(x) - chi(k)| <= PHASE_RESIDUAL, or to None when there is none.
+    Raises InternalInconsistencyError when S is not closed under addition
+    mod d or misses 0.  Each |Xi(x)| is numpy's, as in the array pass.
+    """
+    d = xi.shape[0]
+    S, support, below = set(), set(), []
+    for x in np.ndindex(xi.shape):
+        mag = float(np.abs(xi[x]))
+        if mag >= 1 - tol.tol_one:
+            S.add(x)
+        if mag > tol.tol_supp:
+            support.add(x)
+            if mag < 1 - tol.tol_one:
+                below.append(mag)
+    closed = all(tuple((a + b) % d for a, b in zip(x, y)) in S for x in S for y in S)
+    if (0,) * xi.ndim not in S or not closed:
+        raise InternalInconsistencyError("the unit-modulus set is not a group")
+    phases = {}
+    for x in S:
+        value = complex(xi[x])
+        k = round(d * cmath.phase(value) / (2 * math.pi)) % d
+        near = abs(value - cmath.exp(2j * math.pi * k / d)) <= PHASE_RESIDUAL
+        phases[x] = k if near else None
+    zero_mean = all(abs(complex(xi[x]) - 1) < PHASE_RESIDUAL for x in S)
+    return S, phases, zero_mean, support, max(below) if below else None
+

@@ -234,6 +234,17 @@ def test_channel_clt_validates_every_later_power(monkeypatch):
     assert rep.magic_gap == mm.magic_gap(work.choi).gap > 0
 
 
+def test_channel_clt_refuses_a_power_that_is_no_choi_state(monkeypatch):
+    # |00><00| is a state on 2 qudits, but Tr_out of it is |0><0|, not I/5
+    lam = ch.random_channel(1, 5, seed=1)
+    xi0 = states.char_function(ch.zero_mean_channel_shift(lam)[1].choi)
+    bad = states.char_function(states.basis_state(0, 5, 2))
+    monkeypatch.setattr(ch, "clt_trajectory",
+                        lambda rho, G, N, tol: (0.5, iter([(xi0, 0.0, 1.0), (bad, 0.0, 0.5)])))
+    with pytest.raises(NotTracePreservingError):
+        ch.channel_clt(lam, cv.hadamard_params(5), 1)
+
+
 @pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (7, 1)])
 def test_weyl_images_are_one_gather_of_the_choi_table(d, n):
     # the gather matches the dense Choi action, the sign at d = 2 included

@@ -46,8 +46,8 @@ def test_tol_one_decides_the_unit_modulus_set(eta_state):
 
 def test_tol_supp_decides_the_support(eta_state):
     high = Tolerances(tol_supp=1 - 1e-8)
-    assert states.pauli_rank(eta_state) == 3
-    assert states.pauli_rank(eta_state, high) == 1
+    assert mm.pauli_rank(eta_state) == 3
+    assert mm.pauli_rank(eta_state, high) == 1
     assert mm.magic_gap(eta_state, high).support_size == 1
     assert len(qio.state_to_json(eta_state, form="char")["char"]) == 3
     assert len(qio.state_to_json(eta_state, form="char", tol=high)["char"]) == 1

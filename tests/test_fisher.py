@@ -4,7 +4,7 @@ import pytest
 from qps import convolution as cv
 from qps import entropy as ent
 from qps import fisher as fi
-from qps import states, weyl
+from qps import states, verify, weyl
 from qps.errors import IncompatibleError, NegativeTimeError, SingularStateError
 from qps.phase_space import make_point
 
@@ -176,6 +176,14 @@ def test_de_bruijn():
     assert abs(lhs - rhs) < 1e-3
     with pytest.raises(SingularStateError):
         fi.de_bruijn_check(states.basis_state(0, 3))
+
+
+def test_de_bruijn_check_passes_at_five_qutrits():
+    # the O(h^2) step error of the default h stays inside verify's 1e-3 at (3, 5)
+    results = verify.run_suite("fisher", 3, 5, 1)
+    de_bruijn = [r for r in results if r.name.startswith("fisher.de_bruijn")]
+    assert len(de_bruijn) == 1 and de_bruijn[0].slack > 9e-4
+    assert all(r.passed for r in results)
 
 
 def test_fisher_convolution_inequality():

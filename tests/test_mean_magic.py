@@ -1,3 +1,4 @@
+import json
 import math
 from functools import reduce
 
@@ -7,8 +8,10 @@ import pytest
 from qps import channels as chn
 from qps import convolution as cv
 from qps import entropy as ent
+from qps import io as qio
 from qps import mean_magic as mm
 from qps import states, weyl
+from qps.cli import main
 from qps.config import PHASE_RESIDUAL
 from qps.errors import UnsupportedDimensionError
 from qps.phase_space import make_point, subgroup_generators
@@ -175,18 +178,47 @@ def test_zero_mean_shift_matches_dense_conjugation():
         assert mm.is_zero_mean(shifted)
 
 
-def test_mean_group_is_mean_states_group(monkeypatch):
+def test_read_thresholds_gives_mean_states_group(monkeypatch):
     cases = [states.basis_state(5, 3, 2), states.random_state(2, 3, seed=1),
              states.msps_from_group(subgroup_generators([[1, 0, 0, 0]], 3, 2), (2,))]
     reports = [mm.mean_state(rho) for rho in cases]
 
     def never(*args, **kwargs):
-        raise AssertionError("mean_group built a State")
+        raise AssertionError("read_thresholds built a State")
 
     monkeypatch.setattr(mm, "make_state", never)
+    monkeypatch.setattr(mm, "state_from_char", never)
     for rho, rep in zip(cases, reports):
-        assert mm.mean_group(rho) == (rep.group, rep.phases)
+        reading = mm.read_thresholds(states.char_function(rho))
+        assert (reading.group, reading.phases) == (rep.group, rep.phases)
         assert mm.mean_value_vector(rho).tolist() == list(rep.phases)
+
+
+def test_each_reader_reads_the_table_once(monkeypatch, tmp_path, capsys):
+    # read_thresholds is spied on in every module that binds it
+    reads = []
+    real = mm.read_thresholds
+
+    def spy(*args, **kwargs):
+        reads.append(1)
+        return real(*args, **kwargs)
+
+    for module in (mm, cv, ent, qio):
+        monkeypatch.setattr(module, "read_thresholds", spy)
+    rho = states.random_state(2, 3, seed=4)
+    path = tmp_path / "r.json"
+    qio.write_state(rho, path)
+    assert main(["gap", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["second_max"] < 1
+    assert len(reads) == 1
+    work = mm.zero_mean_shift(rho)[1]
+    reads.clear()
+    gap, rows = cv.clt_trajectory(work, cv.hadamard_params(3), 3)
+    assert len(list(rows)) == 4 and gap > 0
+    assert len(reads) == 1
+    reads.clear()
+    assert not mm.is_msps(rho) and mm.is_msps(states.basis_state(5, 3, 2))
+    assert len(reads) == 2  # one per is_msps call
 
 
 def test_magic_gap_examples(t_state):

@@ -3,6 +3,8 @@
 Each property keeps the tolerance of the matching fixed-case test.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from hypothesis import given, settings, strategies as hs  # noqa: E402
 from qps import channels as ch  # noqa: E402
 from qps import convolution as cv  # noqa: E402
 from qps import fisher as fi  # noqa: E402
+from qps import mean_magic as mm  # noqa: E402
 from qps import states, verify, weyl  # noqa: E402
+from qps.config import DEFAULT, Tolerances  # noqa: E402
+from qps.errors import InternalInconsistencyError, PhaseNotRootOfUnityError  # noqa: E402
 from qps.phase_space import make_point  # noqa: E402
 
-from helpers import commutation_phase  # noqa: E402
+from helpers import commutation_phase, threshold_reading_by_points  # noqa: E402
 
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -144,3 +149,73 @@ def test_char_powers_match_the_convolve_chain(klass, data):
     for k, xi in enumerate(tables):
         power = cv.convolve(power, rho, pm) if k else rho
         assert np.array_equal(xi, states.char_function(power))
+
+
+# the default thresholds and overrides of each, as --tol-one / --tol-supp set them
+TOLERANCES = [DEFAULT, Tolerances(tol_one=1e-6), Tolerances(tol_one=1e-3, tol_supp=1e-6),
+              Tolerances(tol_one=0.25, tol_supp=0.1), Tolerances(tol_supp=0.3)]
+MSPS_SYSTEMS = [(2, 1), (2, 2), (3, 1), (5, 1)]
+
+
+@lru_cache(maxsize=None)
+def _msps(d, n):
+    return [state for state, _, _ in states.iter_msps(n, d)]
+
+
+def _assert_reading_matches_points(xi, tol):
+    """read_thresholds(xi, tol) against the point-by-point reading, errors included."""
+    try:
+        S, phases, zero_mean, support, second = threshold_reading_by_points(xi, tol)
+    except InternalInconsistencyError:
+        with pytest.raises(InternalInconsistencyError):
+            mm.read_thresholds(xi, tol)
+        return
+    try:
+        reading = mm.read_thresholds(xi, tol)
+    except PhaseNotRootOfUnityError:
+        assert None in phases.values()
+        return
+    assert reading.group.size == len(S) and {tuple(x) for x in reading.group.elements} == S
+    assert reading.phases == tuple(phases[tuple(g)] for g in reading.group.generators)
+    assert reading.zero_mean is zero_mean
+    assert {tuple(x) for x in np.argwhere(reading.support)} == support
+    assert reading.support_size == len(support)
+    assert reading.second_max == second
+
+
+@PROFILE
+@given(hs.sampled_from(SYSTEMS), seeds, hs.booleans(), hs.sampled_from(TOLERANCES))
+def test_threshold_reading_of_random_states(system, seed, pure, tol):
+    d, n = system
+    rho = states.random_state(n, d, seed=seed, rank=1 if pure else None)
+    _assert_reading_matches_points(states.char_function(rho), tol)
+
+
+@PROFILE
+@given(hs.sampled_from(MSPS_SYSTEMS), hs.data(), hs.sampled_from(TOLERANCES))
+def test_threshold_reading_of_msps_mixtures(system, data, tol):
+    # one MSPS, or a mixture whose S is where the parts agree
+    d, n = system
+    pool = _msps(d, n)
+    parts = data.draw(hs.lists(hs.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    weights = data.draw(hs.lists(hs.integers(1, 5), min_size=len(parts), max_size=len(parts)))
+    mix = sum(w * pool[i].mat for w, i in zip(weights, parts)) / sum(weights)
+    _assert_reading_matches_points(states.char_function(states.make_state(mix, d, n)), tol)
+
+
+@PROFILE
+@given(hs.sampled_from(MSPS_SYSTEMS), hs.data(), hs.sampled_from(TOLERANCES))
+def test_threshold_reading_at_the_thresholds(system, data, tol):
+    # an MSPS table with values set within 1e-12 of 1 - tol_one and of tol_supp
+    d, n = system
+    pool = _msps(d, n)
+    xi = np.array(states.char_function(pool[data.draw(hs.integers(0, len(pool) - 1))]))
+    points = hs.tuples(*[hs.integers(0, d - 1)] * (2 * n))
+    edits = data.draw(hs.lists(
+        hs.tuples(points, hs.sampled_from([1 - tol.tol_one, tol.tol_supp]),
+                  hs.floats(-1e-12, 1e-12), hs.integers(0, d - 1)),
+        min_size=1, max_size=4))
+    for x, edge, delta, k in edits:
+        xi[x] = (edge + delta) * complex(weyl.chi(k, d))
+    _assert_reading_matches_points(xi, tol)
+

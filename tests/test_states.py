@@ -6,7 +6,7 @@ import pytest
 from qps import states, weyl
 from qps.config import TOL_STATE
 from qps.errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
-from qps.mean_magic import is_msps
+from qps.mean_magic import is_msps, pauli_rank
 from qps.phase_space import make_point, subgroup_generators, symplectic_inner
 
 from helpers import group_contains, is_isotropic
@@ -223,9 +223,9 @@ def test_wigner_against_point_operator_oracle():
 
 
 def test_pauli_rank(t_state):
-    assert states.pauli_rank(states.maximally_mixed(3, 2)) == 1
-    assert states.pauli_rank(states.basis_state(0, 3)) == 3
-    assert states.pauli_rank(t_state) == 3  # support {I, X, Y}
+    assert pauli_rank(states.maximally_mixed(3, 2)) == 1
+    assert pauli_rank(states.basis_state(0, 3)) == 3
+    assert pauli_rank(t_state) == 3  # support {I, X, Y}
 
 
 def test_pauli_rank_clifford_invariant():
@@ -233,7 +233,7 @@ def test_pauli_rank_clifford_invariant():
         rho = states.random_state(1, 3, seed=seed, rank=2)
         U = weyl.random_clifford(1, 3, 8, seed=seed)
         conj = states.make_state(U @ rho.mat @ U.conj().T, 3)
-        assert states.pauli_rank(conj) == states.pauli_rank(rho)
+        assert pauli_rank(conj) == pauli_rank(rho)
 
 
 def test_msps_enumeration_counts():
