@@ -179,6 +179,8 @@ def channel_entropy(channel: Channel, alpha) -> float:
 
 
 def is_zero_mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> bool:
+    """True iff the Choi state has zero mean.  At odd d that holds iff every value of
+    ``weyl_image_char_values`` is 0 or 1; at d = 2 it need not (see there)."""
     return is_zero_mean(channel.choi, tol)
 
 
@@ -194,7 +196,9 @@ def weyl_image_char_values(channel: Channel) -> np.ndarray:
     Λ(w(x)) = d^n Tr_in[J (w(x)^T ⊗ I)] and w(p, -q)^T = w(p, q) at odd d, so
     the value at x = [p | q] is Ξ_J at input coordinates (-p, q) and output
     coordinates y; at d = 2, w(p, q)^T = (-1)^{p.q} w(p, q) adds that sign.
-    The channel has zero mean iff every value is 0 or 1.
+    At odd d the channel has zero mean iff every value is 0 or 1.  At d = 2
+    the sign breaks that: every value of the identity channel is 0 or 1,
+    yet Xi_J = -1 where p.q is odd, so it does not have zero mean.
     """
     d, n = channel.d, channel.n
     D = d**n

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .mean_magic import MagicGapReport, read_thresholds
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import State, _cache_char, _check_char, char_function, state_from_char
+from .states import State, _check_char, char_function, state_from_char
 from .weyl import digit_table, encode_digits, key_index_map
 
 
@@ -175,20 +175,16 @@ def convolve(rho: State, sigma: State, params) -> State:
 
     Both characteristic tables are dense d^{2n} arrays, so this raises
     TooLargeError when d^{2n} exceeds ``config.table_cap()`` (``MAX_TABLE``,
-    lowered by QPS_MAX_DIM).  The result is built by ``state_from_char``, and
-    the product table Xi_out it was built from is handed to it as its
-    characteristic table, so its readers (``qps conv --form char``, a
-    further ⊠) transform nothing.
+    lowered by QPS_MAX_DIM).  The result is ``state_from_char`` of the product
+    table Xi_out and holds that table, so its readers (``qps conv --form
+    char``, a further ⊠) transform nothing.
     """
     if (rho.d, rho.n) != (sigma.d, sigma.n):
         raise IncompatibleError(
             f"states live on (d, n) = ({rho.d}, {rho.n}) and ({sigma.d}, {sigma.n})"
         )
     pm = as_param_matrix(params, rho.d)
-    out = convolve_char(char_function(rho), char_function(sigma), pm)
-    state = state_from_char(out)
-    _cache_char(state, out)
-    return state
+    return state_from_char(convolve_char(char_function(rho), char_function(sigma), pm))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -26,15 +27,14 @@ from .errors import (
     UnsupportedAlphaError,
     UnsupportedGError,
 )
-from .mean_magic import is_msps, mean_state, read_thresholds
+from .mean_magic import mean_state, msps_group
 from .states import (
     State,
     basis_state,
     char_function,
     enumerate_pure_stabilizers,
-    make_state,
     maximally_mixed,
-    msps_from_group,
+    msps_char,
     random_state,
     state_from_char,
 )
@@ -233,18 +233,15 @@ def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = D
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the equality case is stated for positive G")
-    if not is_msps(sigma, tol):
+    group = msps_group(sigma, tol)
+    if group is None:
         raise NotComparableError("sigma must be an MSPS")
-    group = read_thresholds(char_function(sigma), tol).group
     s_trans = transformed_stabilizer_group(group, pm)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(d**s_trans.rank)) if s_trans.rank else np.array([1.0])
-    mix = np.zeros((d**n, d**n), dtype=complex)
-    from itertools import product
-
-    for w, chars in zip(weights, product(range(d), repeat=s_trans.rank)):
-        mix += w * msps_from_group(s_trans, chars).mat
-    rho = make_state(mix, d, n)
+    mix = sum(w * msps_char(s_trans, chars)
+              for w, chars in zip(weights, product(range(d), repeat=s_trans.rank)))
+    rho = state_from_char(mix)
     h_in = renyi_entropy(rho, alpha)
     h_out = renyi_entropy(convolve(rho, sigma, pm), alpha)
     outside = random_state(n, d, seed=rng.integers(2**31))

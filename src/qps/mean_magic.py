@@ -8,8 +8,8 @@ one pass over |Xi| gives S as a ``PhaseSubgroup``, the phases on its
 generators, the support and the second-largest |Xi|, and every reader of
 these (here, ``clt_trajectory``, ``check_equality_case``, ``qps gap`` and
 ``io``'s char form) takes them from it.  The zero-mean conjugate
-w(x) rho w(x)^dag is one gather through the monomial form of w(x), and its
-table chi(<x, y>_s) Xi_rho(y).  Logarithms are base 2.
+w(x) rho w(x)^dag is built from its table chi(<x, y>_s) Xi_rho(y).
+Logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generators
-from .states import State, _cache_char, char_function, enumerate_msps, make_state, state_from_char
+from .states import State, char_function, enumerate_msps, make_state, state_from_char
 from .weyl import (
     chi,
     conjugate_site_gate,
@@ -33,7 +33,6 @@ from .weyl import (
     fourier_gate,
     phase_gate,
     t_gate,
-    weyl_monomial,
     xmat,
     zmat,
 )
@@ -125,13 +124,19 @@ def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
                            phases=reading.phases)
 
 
-def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
-    """True iff every |Xi| is 0 or 1 (within tolerance) and rho = M(rho)."""
+def msps_group(state: State, tol: Tolerances = DEFAULT) -> PhaseSubgroup | None:
+    """The group S of rho if rho is an MSPS (see ``is_msps``), else None."""
     table = char_function(state)
     reading = read_thresholds(table, tol)
-    if reading.second_max is not None:
-        return False
-    return np.abs(_mean_of(table, reading.group).mat - state.mat).max() <= 1e-9
+    if reading.second_max is None and (
+            np.abs(_mean_of(table, reading.group).mat - state.mat).max() <= 1e-9):
+        return reading.group
+    return None
+
+
+def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
+    """True iff every |Xi| is 0 or 1 (within tolerance) and rho = M(rho)."""
+    return msps_group(state, tol) is not None
 
 
 def mean_value_vector(state: State, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -170,23 +175,13 @@ def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
 
 
 def _weyl_shift(state: State, point: np.ndarray) -> State:
-    """w(x) rho w(x)^dag at x = point = [a | b], holding its characteristic table.
-
-    w(x) sends column c to row rows[c] with the value vals[c], so the
-    conjugate is vals[i] rho[i, j] conj(vals[j]) scattered to
-    (rows[i], rows[j]).  Its table is chi(<x, y>_s) Xi_rho(y), with
-    <x, y>_s = a.q - b.p at y = [p | q]: one phase per p register times
-    one per q register.
-    """
+    """w(x) rho w(x)^dag at x = point = [a | b]: ``state_from_char`` of its table
+    chi(<x, y>_s) Xi_rho(y), with <x, y>_s = a.q - b.p at y = [p | q], one
+    phase per p register times one per q register."""
     d, n = state.d, state.n
-    rows, vals = weyl_monomial(point, d)
-    mat = np.empty_like(state.mat)
-    mat[np.ix_(rows, rows)] = vals[:, None] * state.mat * vals.conj()
-    shifted = make_state(mat, d, n)
     digits = digit_table(d, n)
     phase = np.outer(chi(-(digits @ point[n:]), d), chi(digits @ point[:n], d))
-    _cache_char(shifted, char_function(state) * phase.reshape((d,) * (2 * n)))
-    return shifted
+    return state_from_char(char_function(state) * phase.reshape((d,) * (2 * n)))
 
 
 def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:

@@ -4,7 +4,8 @@ A State is an immutable (d, n, matrix) triple validated as a density
 operator by ``make_state``: positivity by a Cholesky factorization, or,
 for a caller that reads the spectrum anyway, by the one ``eigvalsh`` that
 gives it.  ``state_from_char`` is the one route from a characteristic table
-back to a State.  Characteristic tables are complex ndarrays holding
+back to a State, and the State it builds holds that table; MSPS are built
+from theirs (``msps_char``).  Characteristic tables are complex ndarrays holding
 Xi(x) = Tr[rho w(-x)] over all of V^n, shape (d,)*2n with the p
 coordinates on the first n axes; Wigner tables are real arrays of that
 shape.  d and n are read off a table as shape[0] and ndim // 2.
@@ -44,10 +45,9 @@ class State:
     ``eigvalsh``, as for the ⊠ powers that ``qps clt`` and ``check_second_law``
     rebuild with ``spectrum=True``; ``convolve`` tests its results by Cholesky).
     The characteristic table, a read-only (d,)*2n array, is
-    likewise held once: ``char_function`` computes it on first use, unless
-    the code that built the State handed over its table (``convolve`` its
-    product table, ``zero_mean_shift`` a phase times the input's), checked
-    as ``char_function`` checks its own.
+    likewise held once: a State built by ``state_from_char`` holds the
+    table it was built from, and ``char_function`` computes the table of
+    any other State on first use.  Both pass ``_check_char``.
     """
 
     d: int
@@ -85,11 +85,6 @@ class State:
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
-
-
-def hermitize(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^dag) / 2 as a new C-order array."""
-    return _hermitize(mat, np.conj(mat.T, order="C"))
 
 
 def _hermitize(mat: np.ndarray, adj: np.ndarray) -> np.ndarray:
@@ -175,7 +170,8 @@ def tensor(a: State, b: State) -> State:
 def char_function(state: State) -> np.ndarray:
     """Xi_rho(x) = Tr[rho w(-x)] over all of V^n (read-only, cached on the State)."""
     if state._char is None:
-        _cache_char(state, weyl_coefficient_table(state.mat, state.d, state.n))
+        table = _check_char(weyl_coefficient_table(state.mat, state.d, state.n))
+        object.__setattr__(state, "_char", table)
     return state._char
 
 
@@ -183,7 +179,7 @@ def _check_char(vals: np.ndarray) -> np.ndarray:
     """vals, made read-only in place, once it passes the Xi checks.
 
     Xi(0) = 1 and |Xi| <= 1 must hold to within XI_CHECK_TOL.  Every table
-    cached on a State passes here, and so does every power of
+    a State holds passes here, and so does every power of
     ``convolution.char_powers``, which builds no State.
     """
     origin = abs(vals[(0,) * vals.ndim] - 1.0)
@@ -195,20 +191,19 @@ def _check_char(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _cache_char(state: State, vals: np.ndarray) -> None:
-    """Cache vals as the State's characteristic table once it passes ``_check_char``."""
-    object.__setattr__(state, "_char", _check_char(vals))
-
-
 def from_char(xi: np.ndarray) -> np.ndarray:
     """(1/d^n) sum_x Xi(x) w(x) for a (d,)*2n table Xi; not validated as a state."""
     return matrix_from_weyl_table(xi, xi.shape[0], xi.ndim // 2)
 
 
 def state_from_char(xi: np.ndarray, spectrum: bool = False) -> State:
-    """The State whose characteristic table is xi: ``from_char``, validated by
+    """The State whose characteristic table is xi, holding xi (made read-only) as
+    that table: xi passes ``_check_char``, then ``from_char`` is validated by
     ``make_state`` at the d and n read off the table (``spectrum`` as there)."""
-    return make_state(from_char(xi), xi.shape[0], xi.ndim // 2, spectrum=spectrum)
+    _check_char(xi)
+    state = make_state(from_char(xi), xi.shape[0], xi.ndim // 2, spectrum=spectrum)
+    object.__setattr__(state, "_char", xi)
+    return state
 
 
 def wigner(state: State) -> np.ndarray:
@@ -278,28 +273,45 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
     return sorted(found, key=lambda g: (g.size, g.elements.tobytes()))
 
 
-def msps_from_group(group: PhaseSubgroup, chars) -> State:
-    """The MSPS fixed by a subgroup and one character tuple.
+def msps_char(group: PhaseSubgroup, chars) -> np.ndarray:
+    """Xi of the MSPS fixed by a subgroup S and one character tuple.
 
-    chars[i] selects the chi(chars[i]) eigenspace of w(x_i) for generator
-    x_i; the state is the product of the eigenprojectors
-    (1/d) sum_{m<d} chi(-k m) w(m x), normalized.  w(x)^m = w(m x) because
-    <x, x>_s = 0, so no operator power is taken: each projector is the
-    inverse Weyl transform of a table holding d^{n-1} chi(-k m) at the d
-    distinct points m x.
+    chars[i] selects the chi(chars[i]) eigenspace of w(x_i) for generator x_i,
+    so Xi is a character of S: Xi(s) = chi(-k.m) c(m) at s = sum_i m_i x_i and
+    0 off S, with w(m_1 x_1) ... w(m_r x_r) = c(m) w(s).  c = 1 at odd d, as
+    <s, x>_s = 0; at d = 2, w(s) w(x) = i^{t_p.t_q - s_p.s_q - x_p.x_q}
+    (-1)^{s_q.x_p} w(t) with t = s + x mod 2.  A group that is not isotropic
+    gives a table that ``state_from_char`` refuses.
     """
     d, n = group.d, group.n
-    D = d**n
     m = np.arange(d)
-    P = np.eye(D, dtype=complex)
+    points = np.zeros((1, 2 * n), dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
     for gen, k in zip(group.generators, chars):
-        table = np.zeros((d,) * (2 * n), dtype=complex)
-        table[tuple((m[:, None] * gen % d).T)] = chi(-int(k) * m, d) * (D / d)
-        P = P @ matrix_from_weyl_table(table, d, n)
-    tr = np.trace(P).real
-    if tr < 0.5:  # independent generators always leave dim d^{n-r} >= 1
-        raise IncompatibleError("character tuple annihilates the projector")
-    return make_state(hermitize(P) / tr, d, n, validate=False)
+        s, x = points[:, None], m[:, None] * gen % d  # the points so far; the d points m x
+        t = (s + x) % d
+        phase = chi(-int(k) * m, d)
+        if d == 2:
+            e = _pq(t) - _pq(s) - _pq(x) + 2 * (s[..., n:] * x[..., :n]).sum(axis=-1)
+            phase = phase * np.array([1, 1j, -1, -1j])[e % 4]
+        vals = (vals[:, None] * phase).reshape(-1)
+        points = t.reshape(-1, 2 * n)
+    table = np.zeros((d,) * (2 * n), dtype=complex)
+    table[tuple(points.T)] = vals
+    return table
+
+
+def _pq(v: np.ndarray) -> np.ndarray:
+    """p.q of each [p | q] point on the last axis."""
+    n = v.shape[-1] // 2
+    return (v[..., :n] * v[..., n:]).sum(axis=-1)
+
+
+def msps_from_group(group: PhaseSubgroup, chars) -> State:
+    """The MSPS fixed by a subgroup and one character tuple, built from its table
+    ``msps_char``.  Every MSPS but I/D is rank-deficient, so its positivity is
+    decided by ``eigvalsh`` (``spectrum=True``) rather than a failing Cholesky."""
+    return state_from_char(msps_char(group, chars), spectrum=True)
 
 
 def iter_msps(n: int, d: int):
@@ -315,9 +327,8 @@ def enumerate_msps(n: int, d: int) -> list[State]:
 
 
 def enumerate_pure_stabilizers(n: int, d: int) -> list[tuple[State, PhaseSubgroup]]:
-    """The pure stabilizer states (maximal isotropic groups) with groups."""
-    out = []
-    for state, group, _ in iter_msps(n, d):
-        if group.size == d**n:
-            out.append((state, group))
-    return out
+    """The pure stabilizer states with their (maximal isotropic) groups, in
+    ``iter_msps`` order; no other group's states are built."""
+    return [(msps_from_group(group, chars), group)
+            for group in enumerate_isotropic_subgroups(n, d) if group.size == d**n
+            for chars in product(range(d), repeat=n)]

@@ -400,6 +400,8 @@ def _channels_task(args):
 def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                    tol: Tolerances = DEFAULT):
     out = _map_tasks(_channels_task, d, n, seeds, jobs, seed, tol)
+    # zero mean iff every Weyl image value is 0 or 1 holds at odd d; at d = 2 this
+    # channel agrees with it only because it has neither property
     wch = chn.weyl_conjugation_channel((1,) * n + (0,) * n, d)
     vals = chn.weyl_image_char_values(wch)
     in_01 = bool(((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all())

@@ -9,9 +9,9 @@ literally: phases of products are governed by integer exponents of i
 A point of V^n is the vector [p | q] of ``phase_space``, and every
 function here takes it in that form.  Register operators are returned as
 dense matrices.  A Weyl operator is monomial (one nonzero entry per
-column), so ``weyl_monomial`` builds its row indices and values site by
-site from explicit shift and clock factors, and ``weyl_operator``
-scatters them once: no matrix exponentials, no Kronecker chains.  A one- or two-site gate is
+column), so ``weyl_operator`` builds its row indices and values site by
+site from explicit shift and clock factors and scatters them once: no
+matrix exponentials, no Kronecker chains.  A one- or two-site gate is
 never lifted to the register: ``apply_site_gate`` contracts it along its
 site axes, and ``conjugate_site_gate`` applies g M g^dag the same way.
 
@@ -132,12 +132,12 @@ def _site_monomials(d: int):
     return rows, vals
 
 
-def weyl_monomial(point, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """w(p, q) for the point [p | q] of length 2n in monomial form (rows, vals).
+def weyl_operator(point, d: int) -> np.ndarray:
+    """The unitary w(p, q) on d^n dimensions for the point [p | q] of length 2n.
 
-    Column c of w(p, q) holds one entry, vals[c] at row rows[c].  Both are
-    built site by site (site 0 most significant); the site values multiply
-    left to right, as a Kronecker product of the site matrices would.
+    Column c holds one entry, vals[c] at row rows[c].  Both are built site by
+    site (site 0 most significant), the site values multiplying left to right
+    as a Kronecker product of the site matrices would, and scattered once.
     """
     point = np.asarray(point, dtype=np.int64) % d
     if point.ndim != 1 or point.size % 2:
@@ -149,12 +149,6 @@ def weyl_monomial(point, d: int) -> tuple[np.ndarray, np.ndarray]:
     for pk, qk in zip(point[:n], point[n:]):
         rows = (rows[:, None] * d + site_rows[qk]).reshape(-1)
         vals = (vals[:, None] * site_vals[pk, qk]).reshape(-1)
-    return rows, vals
-
-
-def weyl_operator(point, d: int) -> np.ndarray:
-    """The unitary w(p, q) on d^n dimensions: ``weyl_monomial`` scattered once."""
-    rows, vals = weyl_monomial(point, d)
     out = np.zeros((rows.size, rows.size), dtype=complex)
     out[rows, np.arange(rows.size)] = vals
     return out

@@ -1,6 +1,6 @@
 """Channel constructions, the Choi action and its Weyl images, subgroup predicates,
-Weyl commutation phases, the reference Weyl transforms and a point-by-point
-threshold reading, kept for the tests only."""
+Weyl commutation phases, the reference Weyl transforms, a point-by-point
+threshold reading and Hermitization, kept for the tests only."""
 
 import cmath
 import math
@@ -150,3 +150,7 @@ def threshold_reading_by_points(xi: np.ndarray, tol):
     zero_mean = all(abs(complex(xi[x]) - 1) < PHASE_RESIDUAL for x in S)
     return S, phases, zero_mean, support, max(below) if below else None
 
+
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag) / 2, bit for bit as ``make_state`` Hermitizes."""
+    return (mat + np.conj(mat.T)) / 2

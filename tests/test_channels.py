@@ -255,6 +255,16 @@ def test_weyl_images_are_one_gather_of_the_choi_table(d, n):
         assert np.abs(vals - weyl_image_char_values_dense(channel)).max() < 1e-14
 
 
+@pytest.mark.parametrize("d, zero_mean", [(3, True), (2, False)])
+def test_zero_mean_reading_of_weyl_images_holds_at_odd_d_only(d, zero_mean):
+    # every Weyl image value of the identity channel is 0 or 1 at every d, but at
+    # d = 2 its Choi table is -1 where p.q is odd, so it has no zero mean
+    channel = identity_channel(d, 1)
+    vals = ch.weyl_image_char_values(channel)
+    assert ((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all()
+    assert ch.is_zero_mean_channel(channel) == zero_mean
+
+
 def test_unitary_min_entropy():
     rep = ch.check_unitary_min_entropy(cv.hadamard_params(3), 3, 1, seed=0, pairs=4)
     assert rep.ok

@@ -365,11 +365,11 @@ def test_handed_char_table_is_checked():
     bad = states.char_function(rho).copy()
     bad[0, 0] = 0.99
     with pytest.raises(NotStateError):
-        states._cache_char(states.make_state(rho.mat, 3, 1), bad)
+        states.state_from_char(bad)
     big = states.char_function(rho).copy()
     big[1, 1] = 1.1
     with pytest.raises(NotStateError):
-        states._cache_char(states.make_state(rho.mat, 3, 1), big)
+        states.state_from_char(big)
 
 
 def _scale_axes_by_digit_axes(values, cp, cq):

@@ -203,7 +203,7 @@ def test_each_reader_reads_the_table_once(monkeypatch, tmp_path, capsys):
         reads.append(1)
         return real(*args, **kwargs)
 
-    for module in (mm, cv, ent, qio):
+    for module in (mm, cv, qio):
         monkeypatch.setattr(module, "read_thresholds", spy)
     rho = states.random_state(2, 3, seed=4)
     path = tmp_path / "r.json"
@@ -219,6 +219,9 @@ def test_each_reader_reads_the_table_once(monkeypatch, tmp_path, capsys):
     reads.clear()
     assert not mm.is_msps(rho) and mm.is_msps(states.basis_state(5, 3, 2))
     assert len(reads) == 2  # one per is_msps call
+    reads.clear()
+    ent.check_equality_case(states.basis_state(0, 3), cv.hadamard_params(3), 2, seed=3)
+    assert len(reads) == 1
 
 
 def test_magic_gap_examples(t_state):

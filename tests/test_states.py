@@ -9,7 +9,7 @@ from qps.errors import IncompatibleError, NotStateError, TooLargeError, Unsuppor
 from qps.mean_magic import is_msps, pauli_rank
 from qps.phase_space import make_point, subgroup_generators, symplectic_inner
 
-from helpers import group_contains, is_isotropic
+from helpers import group_contains, hermitize, is_isotropic
 
 
 def test_make_state_validation():
@@ -65,7 +65,7 @@ def test_make_state_positivity_table(factor, accepted, eigs, eig_calls):
         assert eigs is None or len(eig_calls) == eigs
         assert abs(state.eigvals[0] - factor * TOL_STATE) < 1e-15
     else:
-        lo = np.linalg.eigvalsh(states.hermitize(mat))[0]
+        lo = np.linalg.eigvalsh(hermitize(mat))[0]
         eig_calls.clear()
         with pytest.raises(NotStateError) as info:
             states.make_state(mat, 2, 2)
@@ -81,7 +81,7 @@ def test_make_state_spectrum_decides_by_eigvalsh(factor, accepted, eig_calls, mo
 
     monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
     mat = _with_min_eigenvalue(factor * TOL_STATE)
-    want = np.linalg.eigvalsh(states.hermitize(mat))
+    want = np.linalg.eigvalsh(hermitize(mat))
     eig_calls.clear()
     if accepted:
         state = states.make_state(mat, 2, 2, spectrum=True)
@@ -192,7 +192,7 @@ def test_make_state_checks_hermiticity_in_every_row(row):
     with pytest.raises(NotStateError, match="Hermitian"):
         states.make_state(mat, 3, 5)
     mat[row, 7] -= 1.5 * TOL_STATE
-    assert np.array_equal(states.make_state(mat, 3, 5).mat, states.hermitize(mat))
+    assert np.array_equal(states.make_state(mat, 3, 5).mat, hermitize(mat))
 
 
 def test_parseval():
@@ -302,10 +302,39 @@ def _msps_power_loop(group, chars, d):
     return P / np.trace(P).real
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_msps_from_group_matches_power_loop(d, n):
+    # the table, the sign at d = 2 included, and the matrix built from it
     for state, group, chars in states.iter_msps(n, d):
-        assert np.abs(state.mat - _msps_power_loop(group, chars, d)).max() <= 1e-12
+        want = _msps_power_loop(group, chars, d)
+        assert np.abs(state.mat - want).max() <= 1e-12
+        table = weyl.weyl_coefficient_table(want, d, n)
+        assert np.abs(states.char_function(state) - table).max() <= 1e-12
+
+
+def test_msps_from_group_refuses_a_group_that_is_not_isotropic():
+    # X and Z on the first qutrit do not commute: no state has this table
+    group = subgroup_generators([[1, 0, 0, 0], [0, 0, 1, 0]], 3, 2)
+    assert not is_isotropic(group)
+    with pytest.raises(NotStateError):
+        states.msps_from_group(group, (0, 0))
+
+
+def test_state_from_char_holds_its_table():
+    xi = np.array(states.char_function(states.random_state(2, 3, seed=7)))
+    state = states.state_from_char(xi)
+    assert states.char_function(state) is xi and not xi.flags.writeable
+
+
+def test_state_from_char_checks_the_table_before_building(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("from_char ran")
+
+    monkeypatch.setattr(states, "from_char", never)
+    xi = np.array(states.char_function(states.random_state(1, 3, seed=1)))
+    xi[1, 1] = 1.1
+    with pytest.raises(NotStateError, match="unit modulus"):
+        states.state_from_char(xi)
 
 
 def test_random_state_contracts():
