@@ -8,6 +8,7 @@ byte-identical CSV/JSON; reports embed the tolerance configuration.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -20,7 +21,16 @@ from . import states as st
 from .errors import QpsError, UnsupportedGError
 
 # `channels`, `io` and `verify` (with its process pool) are imported by the
-# commands that use them, so the other commands never load them.
+# commands that use them, so the other commands never load them.  A command
+# that draws a seeded state loads numpy.random, whose `secrets` import pulls
+# in `hmac` and `hashlib`, and `hashlib` maps OpenSSL's libcrypto (about
+# 3.3 MiB resident) through `_hashlib`.  qps hashes nothing, so when `main`
+# owns the process it leaves `_hashlib` out (`_leave_out_openssl`).
+
+# The builtin modules `hashlib` serves its hashes from when `_hashlib` is absent.
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
 
 _ALPHAS = (0.5, 1.0, 2.0, math.inf)
 
@@ -345,7 +355,22 @@ def _check_counts(args) -> None:
             raise UsageError(f"--{flag} must be >= {least}, got {value}")
 
 
+def _leave_out_openssl() -> None:
+    """Mark `_hashlib` absent, so that `hashlib` serves md5, sha1, sha2, sha3 and
+    blake2 from CPython's builtin modules and libcrypto is never mapped.
+
+    A build that lacks one of those modules keeps OpenSSL: `hashlib` would
+    otherwise log the missing hash to stderr.
+    """
+    if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def main(argv=None) -> int:
+    """Run one command.  With no argv (`python -m qps.cli`, the `qps` script) main
+    owns the process: it reads sys.argv and first keeps OpenSSL out."""
+    if argv is None:
+        _leave_out_openssl()
     parser = build_parser()
     args = parser.parse_args(argv)
     flags = {k: getattr(args, k, None) for k in ("tol_one", "tol_supp")}

@@ -121,13 +121,21 @@ def _commutation_worst(stack: np.ndarray, d: int) -> float:
     return float(np.abs(diff).max())
 
 
-def _check_weyl_size(d: int, n: int) -> None:
-    """Raise TooLargeError when the orthonormality stack of every w(x) at (d, n),
-    d^{4n} complex entries, is past the dense-table cap ``config.table_cap()``."""
+# What each suite with a d^{4n}-entry array does with it.
+_D4N_ARRAYS = {
+    "weyl": "stacks",  # every w(x) at (d, n), for orthonormality
+    "entropy": "diagonalizes a tensor product of",  # rho ⊗ sigma, for additivity
+}
+
+
+def _check_d4n_size(suite: str, d: int, n: int) -> None:
+    """Raise TooLargeError, naming the suite, when its d^{4n}-entry complex array
+    at (d, n) is past the dense-table cap ``config.table_cap()``."""
     cap = table_cap()
     if d ** (4 * n) > cap:
         raise TooLargeError(
-            f"the weyl suite stacks d^4n = {d}^{4 * n} entries, past the dense-table cap {cap}"
+            f"the {suite} suite {_D4N_ARRAYS[suite]} d^4n = {d}^{4 * n} entries, "
+            f"past the dense-table cap {cap}"
         )
 
 
@@ -277,6 +285,11 @@ def _entropy_task(args):
 
 def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                   tol: Tolerances = DEFAULT):
+    """Entropy checks at (d, n).
+
+    The additivity check takes ``eigvalsh`` of rho ⊗ sigma, d^{4n} entries, so
+    `run_suite` refuses this suite past the dense-table cap, as it does weyl.
+    """
     out = _map_tasks(_entropy_task, d, n, seeds, jobs, seed, tol)
     ce = ent.second_law_counterexample(d, n)
     out.append(
@@ -346,6 +359,7 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
 
 def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
+    """Hudson checks on one qudit: `run_suite` refuses this suite at n > 1."""
     out = []
     worst = 0.0
     for state, _ in st.enumerate_pure_stabilizers(1, d):
@@ -429,24 +443,28 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     seeds - 1 and name their checks after them.  Inputs drawn outside the
     per-seed tasks are fixed.  n, seeds and jobs below 1 are refused, a
     channels run (alone or within 'all') past the exact channel oracle's
-    size cap or a weyl run (alone or within 'all') past the table cap is
-    refused before any suite runs, and so is hudson at d = 2, which 'all'
-    skips.
+    size cap or a weyl or entropy run (alone or within 'all') past the table
+    cap is refused before any suite runs, and so is hudson at d = 2 or
+    n > 1: it checks one qudit's discrete Wigner functions, and 'all' skips it
+    there.
     """
     for key, value in (("n", n), ("seeds", seeds), ("jobs", jobs)):
         if value < 1:
             raise IncompatibleError(f"{key} must be >= 1, got {value}")
     if name in ("all", "channels"):
         chn._check_exact_dim(d, n)
-    if name in ("all", "weyl"):
-        _check_weyl_size(d, n)
+    for key in _D4N_ARRAYS:
+        if name in ("all", key):
+            _check_d4n_size(key, d, n)
     if name == "hudson" and d == 2:
         raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
                                         "which need odd d")
+    if name == "hudson" and n > 1:
+        raise IncompatibleError(f"the hudson suite checks one qudit: n must be 1, got {n}")
     if name == "all":
         out = []
         for key in SUITES:
-            if key == "hudson" and d == 2:
+            if key == "hudson" and (d == 2 or n > 1):
                 continue
             out.extend(_SUITE_FNS[key](d, n, seeds, jobs, seed, tol))
         return out

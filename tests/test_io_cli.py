@@ -1,6 +1,7 @@
 import concurrent.futures
 import functools
 import importlib
+import importlib.util
 import json
 import multiprocessing
 import subprocess
@@ -14,7 +15,7 @@ from qps import channels as ch
 from qps import fisher as fi
 from qps import io as qio
 from qps import mean_magic as mm
-from qps import states, verify
+from qps import cli, states, verify
 from qps.cli import main
 from qps.config import Tolerances
 from qps.errors import TooLargeError
@@ -534,6 +535,74 @@ def test_verify_import_loads_no_process_pool():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == ""
+
+
+def _has_modules(*names):
+    return all(importlib.util.find_spec(name) is not None for name in names)
+
+
+needs_openssl = pytest.mark.skipif(not _has_modules("_hashlib"), reason="no OpenSSL hashlib")
+
+
+def _run_main(prelude=""):
+    """A seeded clt run and a verify run through main(), as `qps` calls it, after prelude;
+    returns the process and a last line saying whether OpenSSL's `_hashlib` is loaded."""
+    probe = (
+        "import sys\n" + prelude + "from qps.cli import main\n"
+        "for argv in (['clt', '--d', '3', '--n', '2', '--N', '4', '--seed', '5'],\n"
+        "             ['verify', '--suite', 'all', '--d', '5', '--n', '1', '--seeds', '1']):\n"
+        "    sys.argv = ['qps', *argv]\n"
+        "    assert main() == 0\n"
+        "print('hashlib' in sys.modules, sys.modules.get('_hashlib') is not None)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r
+
+
+@needs_openssl
+@pytest.mark.skipif(not _has_modules(*cli._BUILTIN_HASHES), reason="builtin hashes narrowed")
+def test_cli_main_keeps_openssl_out_and_every_byte_the_same():
+    plain = _run_main()
+    *out, flags = plain.stdout.splitlines()
+    assert flags == "True False"  # numpy.random loaded hashlib, which left OpenSSL out
+    first = _run_main("import hashlib\n")
+    *out_openssl, flags = first.stdout.splitlines()
+    assert flags == "True True"
+    assert out == out_openssl and plain.stderr == first.stderr == ""
+
+
+@needs_openssl
+def test_library_use_keeps_openssl():
+    # import qps, random_state and an in-process main([...]) leave hashlib as it is
+    probe = (
+        "import os, sys, qps\n"
+        "from qps.cli import main\n"
+        "assert main(['clt', '--d', '3', '--N', '2', '--out', os.devnull]) == 0\n"
+        "qps.random_state(1, 3, seed=0)\n"
+        "print(sys.modules.get('_hashlib') is not None)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "True\n", "")
+
+
+@needs_openssl
+def test_cli_main_keeps_openssl_without_the_builtin_hashes():
+    # with md5 and sha512 hidden, hashlib needs OpenSSL: it stays, and stderr stays empty
+    r = _run_main("sys.modules['_md5'] = sys.modules['_sha512'] = None\n")
+    assert r.stdout.splitlines()[-1] == "True True"
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("args,named", [
+    (("--suite", "entropy", "--d", "3", "--n", "4"), "d^4n = 3^16 entries"),
+    (("--suite", "hudson", "--d", "3", "--n", "2"), "n must be 1, got 2"),
+])
+def test_cli_verify_refuses_entropy_past_the_cap_and_hudson_past_one_qudit(args, named):
+    r = run_cli("verify", *args)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error:") and named in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as hs  # noqa: E402
 
 from qps import channels as ch  # noqa: E402
 from qps import convolution as cv  # noqa: E402
+from qps import entropy as ent  # noqa: E402
 from qps import fisher as fi  # noqa: E402
 from qps import mean_magic as mm  # noqa: E402
 from qps import states, verify, weyl  # noqa: E402
@@ -191,16 +192,20 @@ def test_threshold_reading_of_random_states(system, seed, pure, tol):
     _assert_reading_matches_points(states.char_function(rho), tol)
 
 
+def _msps_mixture(d, n, draw):
+    """One MSPS, or a mixture of up to three whose S is where the parts agree."""
+    pool = _msps(d, n)
+    parts = draw(hs.lists(hs.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    weights = draw(hs.lists(hs.integers(1, 5), min_size=len(parts), max_size=len(parts)))
+    mix = sum(w * pool[i].mat for w, i in zip(weights, parts)) / sum(weights)
+    return states.make_state(mix, d, n)
+
+
 @PROFILE
 @given(hs.sampled_from(MSPS_SYSTEMS), hs.data(), hs.sampled_from(TOLERANCES))
 def test_threshold_reading_of_msps_mixtures(system, data, tol):
-    # one MSPS, or a mixture whose S is where the parts agree
     d, n = system
-    pool = _msps(d, n)
-    parts = data.draw(hs.lists(hs.integers(0, len(pool) - 1), min_size=1, max_size=3))
-    weights = data.draw(hs.lists(hs.integers(1, 5), min_size=len(parts), max_size=len(parts)))
-    mix = sum(w * pool[i].mat for w, i in zip(weights, parts)) / sum(weights)
-    _assert_reading_matches_points(states.char_function(states.make_state(mix, d, n)), tol)
+    _assert_reading_matches_points(states.char_function(_msps_mixture(d, n, data.draw)), tol)
 
 
 @PROFILE
@@ -219,3 +224,49 @@ def test_threshold_reading_at_the_thresholds(system, data, tol):
         xi[x] = (edge + delta) * complex(weyl.chi(k, d))
     _assert_reading_matches_points(xi, tol)
 
+
+# D = d^n <= 27 for the majorization and zero-mean properties
+SMALL_SYSTEMS = SYSTEMS + [(3, 3)]
+
+
+@hs.composite
+def mean_state_inputs(draw):
+    """A random mixed or pure state at D <= 27, or an MSPS mixture (whose M(rho) is not I / D)."""
+    if draw(hs.booleans()):
+        d, n = draw(hs.sampled_from(SMALL_SYSTEMS))
+        return states.random_state(n, d, seed=draw(seeds), rank=draw(hs.sampled_from([1, None])))
+    d, n = draw(hs.sampled_from(MSPS_SYSTEMS))
+    return _msps_mixture(d, n, draw)
+
+
+@PROFILE
+@given(hs.sampled_from(SMALL_SYSTEMS), hs.sampled_from(cv.PARITY_CLASSES), seeds)
+def test_convolution_is_majorized_by_its_bounding_inputs(system, klass, seed):
+    # spec(rho ⊠ sigma) ≺ spec of each bounding input, at the majorization suite's 1e-9
+    d, n = system
+    if klass not in verify._drawable(d):
+        klass = "even_only"
+    rng = np.random.default_rng(seed)
+    pm = verify.sample_parity_matrix(rng, d, klass)
+    inputs = {tag: states.random_state(n, d, seed=rng.integers(2**31)) for tag in ("rho", "sigma")}
+    out = ent.clean_spectrum(cv.convolve(inputs["rho"], inputs["sigma"], pm))
+    for tag in cv.bounding_inputs(pm):
+        assert ent.majorization_slack(out, ent.clean_spectrum(inputs[tag])) + 1e-9 >= 0
+
+
+@PROFILE
+@given(mean_state_inputs())
+def test_mean_state_is_majorized_by_its_state(rho):
+    # spec(M(rho)) ≺ spec(rho), at the majorization suite's 1e-9
+    mean = mm.mean_state(rho).mean
+    assert ent.majorization_slack(ent.clean_spectrum(mean), ent.clean_spectrum(rho)) + 1e-9 >= 0
+
+
+@PROFILE
+@given(mean_state_inputs())
+def test_zero_mean_shift_keeps_every_modulus(rho):
+    # the shift multiplies Xi by phases: zero mean after it, |Xi| unchanged pointwise
+    _, shifted = mm.zero_mean_shift(rho)
+    assert mm.is_zero_mean(shifted)
+    before, after = states.char_function(rho), states.char_function(shifted)
+    assert np.abs(np.abs(after) - np.abs(before)).max() < 1e-12

@@ -10,6 +10,7 @@ from qps.errors import (
     IncompatibleError,
     NotPrimeError,
     SingularGError,
+    TooLargeError,
     UnsupportedDimensionError,
     UnsupportedGError,
 )
@@ -134,6 +135,31 @@ def test_hudson_at_d2_is_refused_before_any_enumeration(monkeypatch):
     monkeypatch.setattr(verify, "_SUITE_FNS", suites)
     assert verify.run_suite("all", 2, 1, 3) == []
     assert ran == [k for k in verify.SUITES if k != "hudson"]
+
+
+def test_hudson_past_one_qudit_is_refused_and_skipped_by_all(monkeypatch):
+    ran = []
+    suites = {k: (lambda *args, k=k: ran.append(k) or []) for k in verify.SUITES}
+    monkeypatch.setattr(verify, "_SUITE_FNS", suites)
+    with pytest.raises(IncompatibleError, match="n must be 1, got 2"):
+        verify.run_suite("hudson", 3, 2, 3)
+    assert ran == []
+    verify.run_suite("all", 3, 2, 3)
+    assert ran == [k for k in verify.SUITES if k != "hudson"]
+
+
+def test_entropy_past_the_table_cap_is_refused_before_any_suite_runs(monkeypatch):
+    # the additivity check diagonalizes rho ⊗ sigma, d^4n entries, as weyl stacks them
+    ran = []
+    monkeypatch.setattr(verify, "_SUITE_FNS",
+                        {key: (lambda *args, key=key: ran.append(key) or []) for key in verify.SUITES})
+    monkeypatch.setenv("QPS_MAX_DIM", "80")
+    with pytest.raises(TooLargeError, match="the entropy suite .* d\\^4n = 3\\^4 entries"):
+        verify.run_suite("entropy", 3, 1, 2)
+    assert ran == []
+    monkeypatch.setenv("QPS_MAX_DIM", "81")
+    verify.run_suite("entropy", 3, 1, 2)
+    assert ran == ["entropy"]
 
 
 @pytest.mark.parametrize("n,seeds,jobs", [(0, 2, 1), (1, 0, 1), (1, -2, 1), (1, 2, 0)])
