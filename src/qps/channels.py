@@ -8,10 +8,10 @@ states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
 It applies E and E^{-1} through the key unitary's basis permutation
 (``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
-The channel CLT is ``convolution.clt_trajectory`` of the zero-mean Choi state,
-each later power rebuilt by ``states.state_from_char`` and checked by
-``channel_from_choi``; its Weyl shift is a point [p | q] of V^{2n}.  The
-Weyl images Λ(w(x)) are one gather of Ξ_J.
+The channel CLT is ``convolution.clt_trajectory`` of the Choi state, shifted
+to zero mean by a point [p | q] of V^{2n}; each table after Ξ_J is rebuilt
+by ``states.state_from_char`` and checked once, by ``channel_from_choi``.
+The Weyl images Λ(w(x)) are one gather of Ξ_J.
 """
 
 from __future__ import annotations
@@ -230,25 +230,25 @@ class ChannelCltReport:
 def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> ChannelCltReport:
     """Choi 2-norm trajectory of ⊠^N Λ against the (1 - MG)^N bound.
 
-    params is the G of the convolution.  The channel is Weyl-shifted to
-    zero mean first (``shift`` is the point of V^{2n}, ``shifted`` says
-    whether it is non-zero); the rows and the magic gap come from
-    ``convolution.clt_trajectory`` of its Choi state, and every later power
-    is checked as a Choi state by ``channel_from_choi(state_from_char(xi))``.
+    params is the G of the convolution.  The shift to zero mean (``shift``,
+    a point of V^{2n}; ``shifted`` says whether it is non-zero), the rows and
+    the magic gap come from ``convolution.clt_trajectory`` of the Choi state.
+    Every table but Ξ_J, the shifted one and each later power, is checked once
+    as a Choi state, by ``channel_from_choi(state_from_char(xi))``.
     Each step asserts distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
     """
-    shift, work = zero_mean_channel_shift(channel, tol)
-    gap, powers = clt_trajectory(work.choi, params, N, tol)
+    shift, gap, powers = clt_trajectory(channel.choi, params, N, tol)
+    shifted = bool(shift.any())
     rows = []
     for k, (xi, dist, bound) in enumerate(powers):
-        if k:  # NotStateError or NotTracePreservingError unless a Choi state
+        if k or shifted:  # NotStateError or NotTracePreservingError unless a Choi state
             channel_from_choi(state_from_char(xi))
         rows.append(ChannelCltRow(step=k, distance=dist, bound=bound,
                                   diamond_bound=channel.d ** (2 * channel.n) * bound))
     return ChannelCltReport(
         rows=tuple(rows),
         magic_gap=gap,
-        shifted=bool(shift.any()),
+        shifted=shifted,
         shift=shift,
         ok=all(row.distance <= row.bound + 1e-9 for row in rows),
     )

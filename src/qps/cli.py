@@ -121,17 +121,17 @@ def _clt_params(args, d: int):
 
 
 def cmd_clt(args, tol: Tolerances) -> int:
-    """The CLT trajectory of a zero-mean random state, one CSV row per power.
+    """The CLT trajectory of a random state, one CSV row per power.
 
-    ⊠^0 rho is rho itself.  Every later power is rebuilt from its table by
-    ``state_from_char(xi, spectrum=True)``, so the ``eigvalsh`` that decides
-    its positivity gives the spectrum its H columns read, and only that
-    spectrum is kept.
+    ⊠^0 has rho's spectrum, shifted or not.  Every later power is rebuilt
+    from its table, and so checked, by ``state_from_char(xi, spectrum=True)``,
+    so the ``eigvalsh`` that decides its positivity gives the spectrum its H
+    columns read, and only that spectrum is kept.
     """
     d, n = args.d, args.n
     params = _clt_params(args, d)
-    _, rho = mm.zero_mean_shift(st.random_state(n, d, seed=args.seed), tol)
-    _, powers = cv.clt_trajectory(rho, params, args.N, tol)
+    rho = st.random_state(n, d, seed=args.seed)
+    _, _, powers = cv.clt_trajectory(rho, params, args.N, tol)
     spectrum = rho.eigvals
     del rho  # the trajectory holds rho's table; its matrix is not read again
     lines = ["N,l2_distance,paper_bound," + ",".join(f"H_{a}" for a in _ALPHAS)]

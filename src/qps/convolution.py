@@ -14,10 +14,10 @@ permutation from ``weyl.key_index_map``, as ``weyl.key_unitary`` and the
 exact channel oracle do.  G is a ParamMatrix everywhere; its parity
 class (``parity_class``) and the inputs that bound ⊠
 (``bounding_inputs``) are decided here only.  ``char_powers`` is the one
-loop over the powers ⊠^k rho, as characteristic tables.  ``clt_trajectory``,
-which the state and channel CLTs share, reads them as the paper states the
-QCLT: M(rho) is its unit values on the group S, and each distance to it is
-taken by Parseval, ||A||_2^2 = sum_x |Xi_A(x)|^2 / d^n, so no matrix is built.
+loop over the powers ⊠^k rho, as unchecked tables.  ``clt_trajectory``,
+which the state and channel CLTs share, reads them from one reading of the
+zero-mean Xi_rho: M(rho) is its unit values on the group S, and each distance
+to it is taken by Parseval, ||A||_2^2 = sum_x |Xi_A(x)|^2 / d^n, so no matrix is built.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .errors import (
     SingularGError,
     UnsupportedGError,
 )
-from .mean_magic import MagicGapReport, read_thresholds
+from .mean_magic import MagicGapReport, mean_distance, read_thresholds, zero_mean_table
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
-from .states import State, _check_char, char_function, state_from_char
+from .states import State, char_function, state_from_char
 from .weyl import digit_table, encode_digits, key_index_map
 
 
@@ -243,9 +243,9 @@ def convolve_wigner(wr: np.ndarray, ws: np.ndarray, params) -> np.ndarray:
 def char_powers(xr: np.ndarray, params, N: int):
     """The one loop over ⊠ powers: an iterator over the read-only tables Xi_0 = xr,
     ..., Xi_N of ⊠^k rho for xr = Xi_rho, with Xi_{k+1} = ``convolve_char``(Xi_k, xr)
-    for one G (see ``as_param_matrix``).  N and G are checked at the call; each
-    later power passes ``states._check_char`` as it is reached, and only xr and the
-    current power are held.
+    for one G (see ``as_param_matrix``).  N and G are checked at the call; no power
+    is: each caller checks each power k >= 1 once, by building its State with
+    ``states.state_from_char``.  Only xr and the current power are held.
     """
     if N < 0:
         raise IncompatibleError("N must be >= 0")
@@ -255,61 +255,31 @@ def char_powers(xr: np.ndarray, params, N: int):
         xi = xr
         yield xi
         for _ in range(N):
-            xi = _check_char(convolve_char(xi, xr, pm))
+            xi = convolve_char(xi, xr, pm)
             yield xi
 
     return powers()
 
 
-def _mean_distance(xi: np.ndarray, support: np.ndarray, mirror: np.ndarray,
-                   unit: np.ndarray) -> float:
-    """||A - M||_2 for the table xi of a Hermitian A and the mean M, held as its
-    values ``unit`` at the ascending flat indices ``support`` of S (0 elsewhere);
-    ``mirror[i]`` is the position in S of -x for the i-th x.
-
-    By Parseval the squared distance is sum_x |Xi_A(x) - Xi_M(x)|^2 / d^n.
-    Off S that is |Xi_A|^2, summed over the runs of the flat table between
-    S's indices: no difference table is formed, and the values near 1 on S
-    never cancel against the small ones off it.  On S, where the difference
-    is rounding alone once A is near M, it is taken Hermitian,
-    (f(x) + conj f(-x)) / 2, as ``make_state`` takes the matrices, so the
-    anti-Hermitian rounding that ⊠ powers accumulate there is not counted.
-    """
-    flat = xi.reshape(-1)
-    ends = np.concatenate(([-1], support, [flat.size]))
-    off = sum(np.vdot(run, run).real for run in
-              (flat[a + 1:b] for a, b in zip(ends[:-1], ends[1:])))
-    f = flat[support] - unit
-    on = (f + f[mirror].conj()) / 2
-    return float(np.sqrt((off + np.vdot(on, on).real) / xi.shape[0] ** (xi.ndim // 2)))
-
-
 def clt_trajectory(rho: State, params, N: int, tol: Tolerances = DEFAULT):
-    """The quantum CLT on tables: (MG(rho), rows), with rows an iterator over
-    (Xi_k, ||⊠^k rho - M(rho)||_2, (1 - MG(rho))^k ||rho - M(rho)||_2) for
-    k = 0..N and Xi_k the read-only characteristic table of ⊠^k rho.
+    """The quantum CLT on tables: (x, MG(rho), rows), with rows an iterator over
+    (Xi_k, ||⊠^k r - M(r)||_2, (1 - MG(rho))^k ||r - M(r)||_2) for k = 0..N, where
+    r = w(x) rho w(x)^dag has zero mean and Xi_k is the read-only table of ⊠^k r.
 
-    The tables are ``char_powers``(Xi_rho, G, N); a caller that needs a power
-    as a State builds it with ``states.state_from_char``.  One
-    ``mean_magic.read_thresholds`` of Xi_rho gives S and MG(rho).  M(rho) is
-    held as the flat indices of S and the unit values Xi_rho / |Xi_rho| there,
-    and every distance is taken by Parseval (``_mean_distance``).  rho itself
-    is not held.
-
-    rho should have zero mean (see ``mean_magic.zero_mean_shift``).
+    One ``mean_magic.read_thresholds`` of Xi_rho gives S, MG(rho) and the phases
+    that ``mean_magic.zero_mean_table`` shifts away; the shift leaves |Xi|, so the
+    reading holds for r too.  The tables are ``char_powers``(Xi_r, G, N), which a
+    caller checks by building a power as a State (``states.state_from_char``).
+    Distances are taken by Parseval (``mean_magic.mean_distance``); rho is not held.
     """
     xr = char_function(rho)
-    tables = char_powers(xr, params, N)
     reading = read_thresholds(xr, tol)
-    group = reading.group
-    support = encode_digits(group.elements, rho.d)  # S is sorted, so these ascend
-    mirror = np.searchsorted(support, encode_digits(-group.elements % rho.d, rho.d))
-    values = xr.reshape(-1)[support]
-    unit = values / np.abs(values)
+    shift, xr = zero_mean_table(xr, reading)
+    distance = mean_distance(xr, reading.group)
     mg = MagicGapReport.from_reading(reading).gap
-    base = _mean_distance(xr, support, mirror, unit)
-    return mg, ((xi, _mean_distance(xi, support, mirror, unit), (1 - mg) ** k * base)
-                for k, xi in enumerate(tables))
+    base = distance(xr)
+    return shift, mg, ((xi, distance(xi), (1 - mg) ** k * base)
+                       for k, xi in enumerate(char_powers(xr, params, N)))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ the magic gap is 1 minus the largest |Xi| below that on the support, where
 one pass over |Xi| gives S as a ``PhaseSubgroup``, the phases on its
 generators, the support and the second-largest |Xi|, and every reader of
 these (here, ``clt_trajectory``, ``check_equality_case``, ``qps gap`` and
-``io``'s char form) takes them from it.  The zero-mean conjugate
-w(x) rho w(x)^dag is built from its table chi(<x, y>_s) Xi_rho(y).
-Logarithms are base 2.
+``io``'s char form) takes them from it; so do, with no State built, the
+distances to M(rho), MSPS-ness and the table chi(<x, y>_s) Xi_rho(y) of the
+zero-mean conjugate, whose |Xi| the reading still fits.  Logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .weyl import (
     chi,
     conjugate_site_gate,
     digit_table,
+    encode_digits,
     fourier_gate,
     phase_gate,
     t_gate,
@@ -116,6 +117,34 @@ def _mean_of(table: np.ndarray, group: PhaseSubgroup) -> State:
     return state_from_char(kept)
 
 
+def mean_distance(table: np.ndarray, group: PhaseSubgroup):
+    """xi -> ||A - M(rho)||_2 for a Hermitian A's table xi, M(rho) read off table = Xi_rho on S.
+
+    By Parseval the squared distance is sum_x |Xi_A(x) - Xi_M(x)|^2 / d^n.
+    Off S that is |Xi_A|^2, summed over the runs of the flat table between
+    S's indices: no difference table is formed, and the values near 1 on S
+    never cancel against the small ones off it.  On S, where the difference
+    is rounding alone once A is near M, it is taken Hermitian,
+    (f(x) + conj f(-x)) / 2, as ``make_state`` takes the matrices, so the
+    anti-Hermitian rounding that ⊠ powers accumulate there is not counted.
+    """
+    d = table.shape[0]
+    support = encode_digits(group.elements, d)  # S is sorted, so these ascend
+    mirror = np.searchsorted(support, encode_digits(-group.elements % d, d))  # -x in S
+    unit = table.reshape(-1)[support] / np.abs(table.reshape(-1)[support])
+    ends = np.concatenate(([-1], support, [table.size]))
+
+    def distance(xi: np.ndarray) -> float:
+        flat = xi.reshape(-1)
+        off = sum(np.vdot(run, run).real for run in
+                  (flat[a + 1:b] for a, b in zip(ends[:-1], ends[1:])))
+        f = flat[support] - unit
+        on = (f + f[mirror].conj()) / 2
+        return float(np.sqrt((off + np.vdot(on, on).real) / d ** (xi.ndim // 2)))
+
+    return distance
+
+
 def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
     """The mean state M(rho): Xi kept where |Xi| = 1, zeroed elsewhere."""
     table = char_function(state)
@@ -125,11 +154,11 @@ def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
 
 
 def msps_group(state: State, tol: Tolerances = DEFAULT) -> PhaseSubgroup | None:
-    """The group S of rho if rho is an MSPS (see ``is_msps``), else None."""
+    """The group S of rho if rho is an MSPS (see ``is_msps``), else None, read off
+    rho's table with no State built: ||rho - M(rho)||_F <= 1e-9 by Parseval."""
     table = char_function(state)
     reading = read_thresholds(table, tol)
-    if reading.second_max is None and (
-            np.abs(_mean_of(table, reading.group).mat - state.mat).max() <= 1e-9):
+    if reading.second_max is None and mean_distance(table, reading.group)(table) <= 1e-9:
         return reading.group
     return None
 
@@ -149,39 +178,39 @@ def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
     return read_thresholds(char_function(state), tol).zero_mean
 
 
-def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
-    """A point x = [a | b] and the zero-mean conjugate w(x) rho w(x)^dag.
+def zero_mean_table(xi: np.ndarray, reading: ThresholdReading):
+    """A point x = [a | b] and the read-only table chi(<x, y>_s) Xi(y) of the
+    zero-mean conjugate w(x) rho w(x)^dag, for Xi = Xi_rho and its ``reading``.
 
     Solves <(a,b), (p_i,q_i)>_s = -k_i over Z_d for the generators
     (p_i, q_i) of the mean-state group; the lexicographically smallest
-    solution is returned (the zero point, with rho itself, when the group
-    is trivial).  Existence is guaranteed, so an unsolvable system marks
-    numerically broken input.
+    solution is returned (the zero point, with xi itself, when rho has zero
+    mean already).  Existence is guaranteed, so an unsolvable system, or a
+    shifted table off 1 on S, marks numerically broken input.
     """
-    d, n = state.d, state.n
-    reading = read_thresholds(char_function(state), tol)
-    if not reading.group.rank:
-        return np.zeros(2 * n, dtype=np.int64), state
+    d, n = xi.shape[0], xi.ndim // 2
+    if reading.zero_mean:
+        return np.zeros(2 * n, dtype=np.int64), xi
     gens = reading.group.generators
     # unknown x = [a | b]: <(a,b),(p,q)>_s = a.q - b.p, one row [q | -p] per generator
     rows = np.concatenate([gens[:, n:], -gens[:, :n]], axis=1)
     point = lex_smallest_solution(rows, -np.array(reading.phases), d)
     if point is None:
         raise InternalInconsistencyError("zero-mean shift system is inconsistent")
-    shifted = _weyl_shift(state, point)
-    if not is_zero_mean(shifted, tol):
-        raise InternalInconsistencyError("shifted state failed the zero-mean check")
+    digits = digit_table(d, n)  # <x, y>_s = a.q - b.p: one phase per q and per p register
+    phase = np.outer(chi(-(digits @ point[n:]), d), chi(digits @ point[:n], d))
+    shifted = xi * phase.reshape((d,) * (2 * n))
+    if not (np.abs(shifted[tuple(reading.group.elements.T)] - 1) < PHASE_RESIDUAL).all():
+        raise InternalInconsistencyError("shifted table failed the zero-mean check")
+    shifted.setflags(write=False)
     return point, shifted
 
 
-def _weyl_shift(state: State, point: np.ndarray) -> State:
-    """w(x) rho w(x)^dag at x = point = [a | b]: ``state_from_char`` of its table
-    chi(<x, y>_s) Xi_rho(y), with <x, y>_s = a.q - b.p at y = [p | q], one
-    phase per p register times one per q register."""
-    d, n = state.d, state.n
-    digits = digit_table(d, n)
-    phase = np.outer(chi(-(digits @ point[n:]), d), chi(digits @ point[:n], d))
-    return state_from_char(char_function(state) * phase.reshape((d,) * (2 * n)))
+def zero_mean_shift(state: State, tol: Tolerances = DEFAULT):
+    """The point x of ``zero_mean_table`` and w(x) rho w(x)^dag (rho itself at x = 0)."""
+    table = char_function(state)
+    point, shifted = zero_mean_table(table, read_thresholds(table, tol))
+    return point, state if shifted is table else state_from_char(shifted)
 
 
 def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:

@@ -4,11 +4,11 @@ A State is an immutable (d, n, matrix) triple validated as a density
 operator by ``make_state``: positivity by a Cholesky factorization, or,
 for a caller that reads the spectrum anyway, by the one ``eigvalsh`` that
 gives it.  ``state_from_char`` is the one route from a characteristic table
-back to a State, and the State it builds holds that table; MSPS are built
-from theirs (``msps_char``).  Characteristic tables are complex ndarrays holding
-Xi(x) = Tr[rho w(-x)] over all of V^n, shape (d,)*2n with the p
-coordinates on the first n axes; Wigner tables are real arrays of that
-shape.  d and n are read off a table as shape[0] and ndim // 2.
+back to a State and the one check of a table no matrix gave; the State
+holds that table.  MSPS are built from theirs (``msps_char``).  Characteristic
+tables are complex ndarrays holding Xi(x) = Tr[rho w(-x)] over all of V^n,
+shape (d,)*2n with the p coordinates on the first n axes; Wigner tables are
+real arrays of that shape.  d and n are read off a table as shape[0] and ndim // 2.
 Stabilizer groups are ``phase_space.PhaseSubgroup``s, each one a reduced
 basis of [p | q] vectors with its sorted elements.
 """
@@ -47,7 +47,7 @@ class State:
     The characteristic table, a read-only (d,)*2n array, is
     likewise held once: a State built by ``state_from_char`` holds the
     table it was built from, and ``char_function`` computes the table of
-    any other State on first use.  Both pass ``_check_char``.
+    any other State on first use.  Either passes ``_check_char`` once.
     """
 
     d: int
@@ -179,8 +179,8 @@ def _check_char(vals: np.ndarray) -> np.ndarray:
     """vals, made read-only in place, once it passes the Xi checks.
 
     Xi(0) = 1 and |Xi| <= 1 must hold to within XI_CHECK_TOL.  Every table
-    a State holds passes here, and so does every power of
-    ``convolution.char_powers``, which builds no State.
+    a State holds passes here once, as it gets it; a table no State holds,
+    such as a ⊠ power, is checked only when a State is built from it.
     """
     origin = abs(vals[(0,) * vals.ndim] - 1.0)
     if origin > XI_CHECK_TOL:

@@ -21,7 +21,7 @@ from . import fisher as fi
 from . import mean_magic as mm
 from . import states as st
 from . import weyl
-from .config import DEFAULT, Tolerances, table_cap
+from .config import DEFAULT, Tolerances, ensure_table_size, table_cap
 from .errors import (
     IncompatibleError,
     QpsError,
@@ -342,6 +342,8 @@ def _fisher_task(args):
 
 def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
+    """Fisher checks, dense D x D eigendecompositions and ⊠ on d^{2n} tables: `run_suite`
+    refuses d^{2n} past the cap ``convolve`` applies ((3, 6) fits; about 6 s a seed)."""
     out = _map_tasks(_fisher_task, d, n, seeds, jobs, seed, tol)
     rng = np.random.default_rng(77)
     D = d**n
@@ -443,10 +445,10 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     seeds - 1 and name their checks after them.  Inputs drawn outside the
     per-seed tasks are fixed.  n, seeds and jobs below 1 are refused, a
     channels run (alone or within 'all') past the exact channel oracle's
-    size cap or a weyl or entropy run (alone or within 'all') past the table
-    cap is refused before any suite runs, and so is hudson at d = 2 or
-    n > 1: it checks one qudit's discrete Wigner functions, and 'all' skips it
-    there.
+    size cap, a weyl or entropy run (alone or within 'all') past the table
+    cap or a fisher run with d^{2n} past it is refused before any suite
+    runs, and so is hudson at d = 2 or n > 1: it checks one qudit's discrete
+    Wigner functions, and 'all' skips it there.
     """
     for key, value in (("n", n), ("seeds", seeds), ("jobs", jobs)):
         if value < 1:
@@ -456,6 +458,8 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     for key in _D4N_ARRAYS:
         if name in ("all", key):
             _check_d4n_size(key, d, n)
+    if name == "fisher":  # within 'all', the d^{4n} check above is the stricter
+        ensure_table_size(d, n)
     if name == "hudson" and d == 2:
         raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
                                         "which need odd d")

@@ -1,17 +1,20 @@
 """Channel constructions, the Choi action and its Weyl images, subgroup predicates,
 Weyl commutation phases, the reference Weyl transforms, a point-by-point
-threshold reading and Hermitization, kept for the tests only."""
+threshold reading, MSPS-ness by matrices, a decimal subentropy and
+Hermitization, kept for the tests only."""
 
 import cmath
+import decimal
 import math
 
 import numpy as np
 
 from qps.channels import Channel, choi_from_kraus
-from qps.config import PHASE_RESIDUAL
+from qps.config import DEFAULT, PHASE_RESIDUAL
 from qps.errors import InternalInconsistencyError
 from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
-from qps.states import State, make_state
+from qps.mean_magic import mean_state, read_thresholds
+from qps.states import State, char_function, make_state
 from qps.weyl import _dft_matrix, chi, digit_table, weyl_coefficient_table, weyl_operator
 
 
@@ -149,6 +152,34 @@ def threshold_reading_by_points(xi: np.ndarray, tol):
         phases[x] = k if near else None
     zero_mean = all(abs(complex(xi[x]) - 1) < PHASE_RESIDUAL for x in S)
     return S, phases, zero_mean, support, max(below) if below else None
+
+
+def msps_group_by_matrix(state: State, tol=DEFAULT):
+    """The group S of rho when rho is an MSPS, else None, by building M(rho) as a
+    State and comparing entries at 1e-9: the oracle for ``mean_magic.msps_group``."""
+    reading = read_thresholds(char_function(state), tol)
+    if reading.second_max is None and (
+            np.abs(mean_state(state, tol).mean.mat - state.mat).max() <= 1e-9):
+        return reading.group
+    return None
+
+
+def subentropy_lagrange(spec) -> float:
+    """-sum_i l_i^D log2(l_i) / prod_{j != i}(l_i - l_j) over a spectrum of distinct
+    positive values, in ``decimal`` at 40 + 12 D digits: the oracle for
+    ``entropy.subentropy`` (the sum cancels to about D^2 of those digits)."""
+    D = len(spec)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + 12 * D
+        lam = [decimal.Decimal(float(x)) for x in spec]
+        total = decimal.Decimal(0)
+        for i, li in enumerate(lam):
+            den = decimal.Decimal(1)
+            for j, lj in enumerate(lam):
+                if j != i:
+                    den *= li - lj
+            total += li**D * li.ln() / den
+        return float(-total / decimal.Decimal(2).ln())
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:

@@ -239,8 +239,8 @@ def test_channel_clt_refuses_a_power_that_is_no_choi_state(monkeypatch):
     lam = ch.random_channel(1, 5, seed=1)
     xi0 = states.char_function(ch.zero_mean_channel_shift(lam)[1].choi)
     bad = states.char_function(states.basis_state(0, 5, 2))
-    monkeypatch.setattr(ch, "clt_trajectory",
-                        lambda rho, G, N, tol: (0.5, iter([(xi0, 0.0, 1.0), (bad, 0.0, 0.5)])))
+    monkeypatch.setattr(ch, "clt_trajectory", lambda rho, G, N, tol: (
+        np.zeros(4, dtype=np.int64), 0.5, iter([(xi0, 0.0, 1.0), (bad, 0.0, 0.5)])))
     with pytest.raises(NotTracePreservingError):
         ch.channel_clt(lam, cv.hadamard_params(5), 1)
 

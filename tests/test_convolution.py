@@ -267,33 +267,56 @@ def test_powers_check_arguments_at_the_call():
 
 
 def _clt_cases():
-    """Zero-mean CLT inputs with G: random states (trivial mean group) at four
-    (d, n), a product with a one-site mean, and the Choi state of a Weyl channel."""
+    """CLT inputs with G: random states (trivial mean group) at four (d, n), and
+    two inputs with a non-zero mean, a product with a one-site mean and the
+    Choi state of a Weyl channel."""
     for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
-        yield mm.zero_mean_shift(states.random_state(n, d, seed=4))[1], cv.hadamard_params(d)
-    joint = states.tensor(states.basis_state(2, 3), states.random_state(1, 3, seed=5))
-    yield mm.zero_mean_shift(joint)[1], cv.hadamard_params(3)
-    channel = chn.zero_mean_channel_shift(chn.weyl_conjugation_channel([1, 2], 5))[1]
-    yield channel.choi, cv.default_params(5)
+        yield states.random_state(n, d, seed=4), cv.hadamard_params(d)
+    yield states.tensor(states.basis_state(2, 3), states.random_state(1, 3, seed=5)), \
+        cv.hadamard_params(3)
+    yield chn.weyl_conjugation_channel([1, 2], 5).choi, cv.default_params(5)
 
 
 def test_clt_trajectory_matches_the_convolve_chain():
-    # the tables are those of the powers chained with convolve, and the
-    # Parseval distances match the dense route
+    # the tables are those of the powers of the zero-mean conjugate chained with
+    # convolve, and the Parseval distances match the dense route
     for rho, G in _clt_cases():
-        mean = mm.mean_state(rho).mean
+        point, work = mm.zero_mean_shift(rho)
+        mean = mm.mean_state(work).mean
         mg = mm.magic_gap(rho).gap
-        base = np.linalg.norm(rho.mat - mean.mat)
-        gap, rows = cv.clt_trajectory(rho, G, 4)
+        base = np.linalg.norm(work.mat - mean.mat)
+        shift, gap, rows = cv.clt_trajectory(rho, G, 4)
         rows = list(rows)
-        assert gap == mg and len(rows) == 5
-        ref = rho
+        assert np.array_equal(shift, point) and gap == mg and len(rows) == 5
+        ref = work
         for k, (xi, dist, bound) in enumerate(rows):
-            ref = cv.convolve(ref, rho, G) if k else rho
+            ref = cv.convolve(ref, work, G) if k else work
             assert np.array_equal(xi, states.char_function(ref)) and not xi.flags.writeable
             assert abs(dist - np.linalg.norm(ref.mat - mean.mat)) <= 1e-15
             assert abs(bound - (1 - mg) ** k * base) <= 1e-15
             assert dist <= bound + 1e-9
+
+
+def test_clt_trajectory_shifts_on_its_own_table():
+    # on the inputs with a non-zero mean, one reading of rho's table gives the
+    # rows of shifting rho first and running the trajectory on the result: the
+    # same shift, tables and distances byte for byte.  The gap is read off rho's
+    # own table, so it can differ from the shifted table's reading by rounding
+    # in |Xi| alone, and the bounds with it
+    shifted = 0
+    for rho, G in _clt_cases():
+        point, work = mm.zero_mean_shift(rho)
+        if not point.any():
+            continue
+        shifted += 1
+        shift, gap, rows = cv.clt_trajectory(rho, G, 5)
+        zero, gap_work, rows_work = cv.clt_trajectory(work, G, 5)
+        assert np.array_equal(shift, point) and not zero.any()
+        assert gap == mm.magic_gap(rho).gap and abs(gap - gap_work) <= 1e-15
+        for (xi, dist, bound), (xw, dw, bw) in zip(rows, rows_work, strict=True):
+            assert xi.tobytes() == xw.tobytes() and dist == dw
+            assert abs(bound - bw) <= 1e-14 * bw
+    assert shifted == 2
 
 
 def test_every_clt_power_is_a_state_by_cholesky(monkeypatch):
@@ -305,27 +328,33 @@ def test_every_clt_power_is_a_state_by_cholesky(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda mat: tried.append(1) or real(mat))
     powers = 0
     for rho, G in cases:
-        for xi, _, _ in cv.clt_trajectory(rho, G, 6)[1]:
+        for xi, _, _ in cv.clt_trajectory(rho, G, 6)[2]:
             states.state_from_char(xi)
             powers += 1
     assert len(tried) == powers == 6 * 7
 
 
-def test_clt_trajectory_runs_the_xi_checks(monkeypatch):
-    # a power whose Xi(0) is not 1 is refused as the iterator reaches it
-    rho = states.random_state(1, 3, seed=2)
+def test_every_power_reader_refuses_a_broken_power(monkeypatch, capsys):
+    # char_powers checks nothing; a power whose Xi(0) is not 1 is refused by the
+    # one check of each caller, state_from_char, as it is reached
+    from qps.cli import main
+
     real = cv.convolve_char
 
     def broken(xr, xs, G):
         out = np.array(real(xr, xs, G))
-        out[(0, 0)] = 1.5
+        out[(0,) * out.ndim] = 1.5
         return out
 
     monkeypatch.setattr(cv, "convolve_char", broken)
-    rows = cv.clt_trajectory(rho, cv.hadamard_params(3), 2)[1]
-    next(rows)
-    with pytest.raises(NotStateError):
-        next(rows)
+    assert main(["clt", "--d", "3", "--N", "2", "--family", "hadamard"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NotStateError: Xi(0) = 1 violated by 5.00e-01\n"
+    with pytest.raises(NotStateError, match="Xi\\(0\\)"):
+        ent.check_second_law(states.random_state(1, 3, seed=2), cv.hadamard_params(3), 2, (1,))
+    with pytest.raises(NotStateError, match="Xi\\(0\\)"):
+        chn.channel_clt(chn.random_channel(1, 5, seed=1), cv.hadamard_params(5), 2)
 
 
 def test_convolve_computes_each_char_table_once(monkeypatch):

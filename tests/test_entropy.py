@@ -9,6 +9,8 @@ from qps import mean_magic as mm
 from qps import states
 from qps.errors import NotComparableError, UnsupportedAlphaError, UnsupportedGError
 
+from helpers import subentropy_lagrange
+
 
 def test_renyi_special_values():
     u = states.maximally_mixed(3, 1)
@@ -98,16 +100,38 @@ def test_subentropy(t_state):
     assert abs(ent.subentropy(t_state)) < 1e-4
     assert abs(ent.subentropy(states.maximally_mixed(2, 1)) - 0.2787) < 1e-3
     spec = states.make_state(np.diag([0.5, 1 / 3, 1 / 6]), 3)
-    info = ent.subentropy_info(spec)
-    assert info.perturbation == 0.0
-    assert abs(info.value - 0.3521) < 1e-3
-    tied = ent.subentropy_info(states.maximally_mixed(3, 1))
-    assert tied.perturbation > 0
+    assert abs(ent.subentropy(spec) - subentropy_lagrange([0.5, 1 / 3, 1 / 6])) < 1e-12
+    assert abs(ent.subentropy(spec) - 0.3521) < 1e-3
+    # a tie needs no perturbation: I/3 is at its closed form
+    assert abs(ent.subentropy(states.maximally_mixed(3, 1)) - _mixed_subentropy(3)) < 1e-12
     for seed in range(6):
         r = states.random_state(1, 3, seed=seed)
         q, h = ent.subentropy(r), ent.renyi_entropy(r, 1)
         assert -1e-9 <= q <= h + 1e-9
         assert ent.subentropy(mm.mean_state(r).mean) >= q - 1e-6
+
+
+def _mixed_subentropy(D: int) -> float:
+    """Q(I/D) = (ln D + 1 - H_D) / ln 2, with H_D the D-th harmonic number."""
+    return (math.log(D) + 1 - sum(1 / k for k in range(1, D + 1))) / math.log(2)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4),
+                                  (5, 2), (3, 3), (3, 4), (3, 5)])
+def test_subentropy_at_maximally_mixed_is_the_closed_form(d, n):
+    # a D-fold tie, the case the Lagrange sum cannot take, up to D = 243
+    assert abs(ent.subentropy(states.maximally_mixed(d, n)) - _mixed_subentropy(d**n)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2),
+                                  (3, 3)])
+def test_subentropy_matches_a_decimal_lagrange_sum(d, n):
+    # random spectra at D <= 27 are distinct, so the Lagrange sum is defined there
+    for seed in range(3):
+        rho = states.random_state(n, d, seed=seed)
+        want = subentropy_lagrange(ent.clean_spectrum(rho))
+        assert abs(ent.subentropy(rho) - want) < 1e-12
+        assert 0 <= want < (1 - 0.5772156649) / math.log(2)
 
 
 def test_majorizes():

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -603,6 +604,27 @@ def test_cli_verify_refuses_entropy_past_the_cap_and_hudson_past_one_qudit(args,
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.startswith("error:") and named in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_cli_verify_refuses_fisher_past_the_table_cap_before_any_work():
+    # at (3, 7) d^2n = 3^14 is past the cap; the refusal comes before fisher_total runs
+    start = time.perf_counter()
+    r = run_cli("verify", "--suite", "fisher", "--d", "3", "--n", "7")
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: TooLargeError: d^2n = 3^14 exceeds the dense-table cap 4000000\n"
+
+
+def test_fisher_suite_is_refused_before_its_first_task(monkeypatch):
+    def never(args):
+        raise AssertionError("a fisher task started")
+
+    monkeypatch.setattr(verify, "_fisher_task", never)
+    with pytest.raises(TooLargeError, match="3\\^14"):
+        verify.run_suite("fisher", 3, 7, 1)
+    monkeypatch.setenv("QPS_MAX_DIM", "1000")  # 3^8 past the lowered cap
+    with pytest.raises(TooLargeError, match="3\\^8"):
+        verify.run_suite("fisher", 3, 4, 1)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from qps.config import PHASE_RESIDUAL
 from qps.errors import UnsupportedDimensionError
 from qps.phase_space import make_point, subgroup_generators
 
-from helpers import is_isotropic
+from helpers import is_isotropic, msps_group_by_matrix
 
 
 def test_mean_state_examples(t_state):
@@ -88,8 +88,8 @@ def test_is_zero_mean_builds_no_state(monkeypatch):
     assert mm.is_zero_mean(zero) and not mm.is_zero_mean(nonzero)
 
 
-def test_group_readers_build_m_rho_only_to_compare_it(monkeypatch):
-    # is_msps builds M(sigma) once to compare it with sigma; nothing else builds it
+def test_group_readers_build_no_m_rho(monkeypatch):
+    # is_msps reads M(sigma) off sigma's table, so nothing but mean_state builds it
     calls = []
     real = mm.state_from_char
 
@@ -99,10 +99,51 @@ def test_group_readers_build_m_rho_only_to_compare_it(monkeypatch):
 
     monkeypatch.setattr(mm, "state_from_char", spy)
     ent.check_equality_case(states.basis_state(0, 3), cv.hadamard_params(3), 2, seed=3)
-    assert len(calls) == 1
-    calls.clear()
     assert mm.magic_gap_upper_bound(states.random_state(2, 3, seed=1)) is not None
     assert len(calls) == 0
+
+
+def test_is_msps_builds_no_state(monkeypatch):
+    # every MSPS at (3, 2), tables computed first: deciding MSPS-ness builds no State
+    msps = states.enumerate_msps(2, 3)
+    for sigma in msps:
+        states.char_function(sigma)
+    made = []
+    real = states.make_state
+    monkeypatch.setattr(states, "make_state", lambda *a, **k: made.append(1) or real(*a, **k))
+    assert len(msps) == 481 and all(mm.is_msps(sigma) for sigma in msps)
+    assert made == []
+
+
+def _msps_cases():
+    """Every MSPS at six (d, n), then five random states at each: 710 states."""
+    sizes = ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2))
+    for d, n in sizes:
+        yield from states.enumerate_msps(n, d)
+    for d, n in sizes:
+        for seed in range(5):
+            yield states.random_state(n, d, seed=seed)
+
+
+def test_msps_group_matches_the_matrix_oracle():
+    # the Parseval decision agrees with building M(rho) and comparing entries,
+    # on every MSPS, on random states, and on MSPS mixed with I/D
+    cases = list(_msps_cases())
+    assert len(cases) == 710
+    decided = []
+    for rho in cases:
+        want = msps_group_by_matrix(rho)
+        assert mm.msps_group(rho) == want
+        decided.append(want is not None)
+        if want is not None:
+            mixed = np.eye(rho.dim) / rho.dim
+            for eps in (1e-12, 1e-6):
+                near = states.make_state((1 - eps) * rho.mat + eps * mixed, rho.d, rho.n)
+                want = msps_group_by_matrix(near)
+                assert mm.msps_group(near) == want
+                decided.append(want is not None)
+    # 680 MSPS, each near at 1e-12 and far at 1e-6 but for I/D, its own mixture, at six sizes
+    assert decided.count(True) == 2 * 680 + 6 and decided.count(False) == 30 + 680 - 6
 
 
 def _is_zero_mean_loop(state):
@@ -211,10 +252,17 @@ def test_each_reader_reads_the_table_once(monkeypatch, tmp_path, capsys):
     assert main(["gap", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["second_max"] < 1
     assert len(reads) == 1
-    work = mm.zero_mean_shift(rho)[1]
     reads.clear()
-    gap, rows = cv.clt_trajectory(work, cv.hadamard_params(3), 3)
+    _, gap, rows = cv.clt_trajectory(rho, cv.hadamard_params(3), 3)
     assert len(list(rows)) == 4 and gap > 0
+    assert len(reads) == 1
+    reads.clear()
+    assert main(["clt", "--d", "3", "--n", "2", "--N", "3", "--family", "hadamard"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(reads) == 1
+    reads.clear()
+    rep = chn.channel_clt(chn.weyl_conjugation_channel([1, 2], 5), cv.default_params(5), 3)
+    assert rep.shifted and len(rep.rows) == 4
     assert len(reads) == 1
     reads.clear()
     assert not mm.is_msps(rho) and mm.is_msps(states.basis_state(5, 3, 2))
@@ -222,6 +270,29 @@ def test_each_reader_reads_the_table_once(monkeypatch, tmp_path, capsys):
     reads.clear()
     ent.check_equality_case(states.basis_state(0, 3), cv.hadamard_params(3), 2, seed=3)
     assert len(reads) == 1
+
+
+def test_each_table_is_checked_once(monkeypatch, capsys):
+    # _check_char runs once per table: rho's (or J's), a shifted one, each later power;
+    # it is spied on in every module that might bind it
+    checks = []
+    real = states._check_char
+
+    def spy(vals):
+        checks.append(1)
+        return real(vals)
+
+    monkeypatch.setattr(states, "_check_char", spy)
+    monkeypatch.setattr(cv, "_check_char", spy, raising=False)
+    assert main(["clt", "--d", "3", "--n", "2", "--N", "4", "--family", "hadamard"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert len(checks) == 5
+    checks.clear()
+    ent.check_second_law(states.random_state(2, 3, seed=1), cv.hadamard_params(3), 4, (1,))
+    assert len(checks) == 5
+    checks.clear()
+    rep = chn.channel_clt(chn.weyl_conjugation_channel([1, 2], 5), cv.default_params(5), 3)
+    assert rep.shifted and len(checks) == 5
 
 
 def test_magic_gap_examples(t_state):
