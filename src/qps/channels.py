@@ -3,8 +3,8 @@
 Channels are stored Choi-first: J = (id ⊗ Λ)|Φ><Φ| on 2n qudits with
 Tr_{A'}[J] = I/d^n.  Channel convolution is state convolution of Choi
 states; the exact formula E ∘ (Λ1 ⊗ Λ2) ∘ E^{-1} is kept as
-``_convolve_channels_exact``, the independent oracle that
-``convolution_route_gap``, ``qps verify`` and the tests compare against.
+``_convolve_channels_exact``, the independent oracle that ``qps verify``
+and the tests compare against.
 It applies E and E^{-1} through the key unitary's basis permutation
 (``weyl.key_index_map``) inside one gather; neither is a function here.
 Channel Renyi entropy is evaluated on the Choi proxy H_alpha(J) - n log d.
@@ -154,15 +154,6 @@ def _convolve_channels_exact(ch1: Channel, ch2: Channel, pm) -> Channel:
         J += D * D * (g1 * g2).sum(axis=-1)
     choi = make_state((J / D).reshape(D * D, D * D), d, 2 * n)
     return channel_from_choi(choi)
-
-
-def convolution_route_gap(ch1: Channel, ch2: Channel, params) -> float:
-    """Max |Choi route - exact-formula route| for the channel convolution."""
-    d = ch1.d
-    pm = as_param_matrix(params, d)
-    choi = convolve(ch1.choi, ch2.choi, pm)
-    exact = _convolve_channels_exact(ch1, ch2, pm)
-    return float(np.abs(choi.mat - exact.choi.mat).max())
 
 
 def mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> Channel:

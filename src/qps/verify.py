@@ -268,10 +268,11 @@ def _entropy_task(args):
         lhs = ent.renyi_entropy(rep.mean, a)
         rhs = ent.renyi_entropy(rho, a) + ent.renyi_relative(rho, rep.mean, a)
         out.append(_result(f"entropy.extremality.a{a}.seed{seed}", 1e-8 - abs(lhs - rhs)))
-    # additivity
+    # additivity, both alphas on the one spectrum of rho ⊗ sigma
+    joint = st.tensor(rho, sig)
     for a in (0.5, 2.0):
         gap = abs(
-            ent.renyi_entropy(st.tensor(rho, sig), a)
+            ent.renyi_entropy(joint, a)
             - ent.renyi_entropy(rho, a)
             - ent.renyi_entropy(sig, a)
         )

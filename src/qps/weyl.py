@@ -8,9 +8,11 @@ literally: phases of products are governed by integer exponents of i
 
 A point of V^n is the vector [p | q] of ``phase_space``, and every
 function here takes it in that form.  Register operators are returned as
-dense matrices.  A Weyl operator is monomial (one nonzero entry per
-column), so ``weyl_operator`` builds its row indices and values site by
-site from explicit shift and clock factors and scatters them once: no
+dense matrices.  The phase convention is encoded once, in
+``weyl_phase_exponents``, which both the Weyl-coefficient transform and
+``weyl_operator`` read.  A Weyl operator is monomial (one nonzero entry
+per column), so ``weyl_operator`` builds its row indices and values site
+by site from that phase and the clock factors and scatters them once: no
 matrix exponentials, no Kronecker chains.  A one- or two-site gate is
 never lifted to the register: ``apply_site_gate`` contracts it along its
 site axes, and ``conjugate_site_gate`` applies g M g^dag the same way.
@@ -93,62 +95,28 @@ def xmat(d: int) -> np.ndarray:
     return X
 
 
-def _site_phase(p: int, q: int, d: int) -> complex:
-    if d == 2:
-        return (-1j) ** (p * q)
-    inv2 = field_inv(2, d)
-    return complex(chi(-inv2 * p * q, d))
-
-
-@lru_cache(maxsize=None)
-def _site_weyl_table(d: int) -> np.ndarray:
-    """All single-site Weyl matrices, shape (d, d, d, d) indexed [p, q]."""
-    table = np.zeros((d, d, d, d), dtype=complex)
-    om = omega_table(d)
-    k = np.arange(d)
-    for p in range(d):
-        for q in range(d):
-            # (Z^p X^q)[m, k] = chi(p (k+q)) delta_{m, k+q}
-            m = (k + q) % d
-            mat = np.zeros((d, d), dtype=complex)
-            mat[m, k] = om[(p * m) % d]
-            table[p, q] = _site_phase(p, q, d) * mat
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _site_monomials(d: int):
-    """Column form of every single-site Weyl matrix: (rows, vals).
-
-    Column k of the site matrix (p, q) holds its one entry vals[p, q, k]
-    at row rows[q, k] = (k + q) mod d.
-    """
-    k = np.arange(d)
-    rows = (k[None, :] + k[:, None]) % d
-    vals = _site_weyl_table(d)[k[:, None, None], k[None, :, None], rows, k]
-    rows.setflags(write=False)
-    vals.setflags(write=False)
-    return rows, vals
-
-
 def weyl_operator(point, d: int) -> np.ndarray:
     """The unitary w(p, q) on d^n dimensions for the point [p | q] of length 2n.
 
     Column c holds one entry, vals[c] at row rows[c].  Both are built site by
     site (site 0 most significant), the site values multiplying left to right
     as a Kronecker product of the site matrices would, and scattered once.
+    Column k of site (p, q) holds roots[e[p, q]] chi(p (k + q)) at row
+    k + q, with (roots, e) the one-site ``weyl_phase_exponents``.
     """
     point = np.asarray(point, dtype=np.int64) % d
     if point.ndim != 1 or point.size % 2:
         raise IncompatibleError(f"a point [p | q] has even length, got shape {point.shape}")
     n = point.size // 2
-    site_rows, site_vals = _site_monomials(d)
+    roots, e = weyl_phase_exponents(d, 1)
+    om, k = omega_table(d), np.arange(d)
     rows = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
     for pk, qk in zip(point[:n], point[n:]):
-        rows = (rows[:, None] * d + site_rows[qk]).reshape(-1)
-        vals = (vals[:, None] * site_vals[pk, qk]).reshape(-1)
+        site_rows = (k + qk) % d
+        site_vals = roots[e[pk, qk]] * om[(pk * site_rows) % d]
+        rows = (rows[:, None] * d + site_rows).reshape(-1)
+        vals = (vals[:, None] * site_vals).reshape(-1)
     out = np.zeros((rows.size, rows.size), dtype=complex)
     out[rows, np.arange(rows.size)] = vals
     return out
@@ -157,18 +125,20 @@ def weyl_operator(point, d: int) -> np.ndarray:
 def weyl_literal(p_ints, q_ints, d: int) -> np.ndarray:
     """w at unreduced integer labels, following the defining formula.
 
-    For odd d this equals weyl_operator at the reduced label.  For d = 2
-    the phase i^{-pq} uses the integer products, so e.g. the label (1, 2)
-    gives -Z rather than Z; the commutation relation holds in this form.
+    For odd d this equals weyl_operator at the reduced label, and its phase
+    is read from ``weyl_phase_exponents``.  For d = 2 the phase i^{-pq} uses
+    the integer products, so e.g. the label (1, 2) gives -Z rather than Z;
+    the commutation relation holds in this form.
     """
     out = np.array([[1.0 + 0j]])
     Z, X = zmat(d), xmat(d)
+    roots, e = weyl_phase_exponents(d, 1)
     for pk, qk in zip(np.atleast_1d(p_ints), np.atleast_1d(q_ints)):
         pk, qk = int(pk), int(qk)
         if d == 2:
             phase = (-1j) ** (pk * qk)
         else:
-            phase = _site_phase(pk % d, qk % d, d)
+            phase = roots[e[pk % d, qk % d]]
         site = phase * (
             np.linalg.matrix_power(Z, pk % d) @ np.linalg.matrix_power(X, qk % d)
         )

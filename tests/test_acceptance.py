@@ -210,8 +210,9 @@ def test_10_channel_convolution():
         c1 = chn.random_channel(1, 3, seed=rng.integers(2**31))
         c2 = chn.random_channel(1, 3, seed=rng.integers(2**31))
         pm = sample_parity_matrix(rng, 3, ("even_only", "odd_only", "positive")[seed % 3])
-        worst_gap = max(worst_gap, chn.convolution_route_gap(c1, c2, pm))
         out = chn.convolve_channels(c1, c2, pm)
+        exact = chn._convolve_channels_exact(c1, c2, pm)
+        worst_gap = max(worst_gap, float(np.abs(out.choi.mat - exact.choi.mat).max()))
         marg = np.einsum("ajbj->ab", out.choi.mat.reshape(3, 3, 3, 3))
         worst_marg = max(worst_marg, float(np.abs(marg - np.eye(3) / 3).max()))
     assert worst_gap < 1e-9

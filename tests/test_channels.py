@@ -47,8 +47,9 @@ def test_convolve_channels_routes_agree():
         c1 = ch.random_channel(1, 3, seed=seed)
         c2 = ch.random_channel(1, 3, seed=50 + seed)
         for G in ([[1, 1], [1, 2]], [[0, 1], [1, 1]], [[1, 0], [1, 1]]):
-            assert ch.convolution_route_gap(c1, c2, G) <= 1e-9
             out = ch.convolve_channels(c1, c2, G)
+            exact = ch._convolve_channels_exact(c1, c2, cv.as_param_matrix(G, 3))
+            assert np.abs(out.choi.mat - exact.choi.mat).max() <= 1e-9
             D = 3
             marg = np.einsum("ajbj->ab", out.choi.mat.reshape(D, D, D, D))
             assert np.abs(marg - np.eye(D) / D).max() < 1e-9

@@ -519,7 +519,8 @@ def test_cli_import_loads_no_verify_stack():
     probe = (
         "import sys, qps.cli\n"
         "heavy = ('qps.verify', 'qps.channels', 'qps.fisher', 'qps.io',\n"
-        "         'multiprocessing', 'concurrent.futures')\n"
+        "         'multiprocessing', 'concurrent.futures', 'numpy.random',\n"
+        "         'numpy.fft', 'numpy.polynomial', 'hashlib', 'decimal')\n"
         "print(','.join(m for m in heavy if m in sys.modules))\n"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

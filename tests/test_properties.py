@@ -133,7 +133,9 @@ def test_channel_routes_agree(system, seed, klass):
     pm = verify.sample_parity_matrix(rng, d, klass)
     c1 = ch.random_channel(n, d, seed=rng.integers(2**31))
     c2 = ch.random_channel(n, d, seed=rng.integers(2**31))
-    assert ch.convolution_route_gap(c1, c2, pm) <= 1e-9
+    out = ch.convolve_channels(c1, c2, pm)
+    exact = ch._convolve_channels_exact(c1, c2, pm)
+    assert np.abs(out.choi.mat - exact.choi.mat).max() <= 1e-9
 
 
 @pytest.mark.parametrize("klass", cv.PARITY_CLASSES)

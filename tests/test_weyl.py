@@ -31,12 +31,11 @@ def test_weyl_operator_basics():
 
 
 def _weyl_operator_kron(point, d):
-    """Reference w(p, q): the chained Kronecker product of the site matrices."""
-    table = weyl._site_weyl_table(d)
+    """Reference w(p, q): the chained Kronecker product of the one-site operators."""
     out = np.array([[1.0 + 0j]])
     n = len(point) // 2
     for pk, qk in zip(point[:n], point[n:]):
-        out = np.kron(out, table[pk % d, qk % d])
+        out = np.kron(out, weyl.weyl_operator(make_point(pk, qk, d), d))
     return out
 
 
