@@ -32,11 +32,11 @@ print("\ncharacteristic table of |0><0| (rows p, columns q): Xi = delta_{q,0}")
 print(np.round(char_function(basis_state(0, d)).real, 10))
 
 print("\nWigner function of |0><0| (nonnegative - a stabilizer state):")
-print(np.round(wigner(basis_state(0, d)), 6))
+print(np.round(wigner(basis_state(0, d)), 6) + 0.0)  # + 0.0 prints a rounded -0 as 0
 
 magic = pure_state(np.array([1, 1, np.exp(2j * np.pi / 9)]) / np.sqrt(3), d)
 print("\nWigner function of a magic state (note the negative entries):")
-print(np.round(wigner(magic), 6))
+print(np.round(wigner(magic), 6) + 0.0)
 
 floor = min(wigner(s).min() for s, _ in enumerate_pure_stabilizers(1, d))
 print(f"\nall 12 pure qutrit stabilizer states have Wigner >= 0 (floor {floor:.1e})")

@@ -36,7 +36,7 @@ from .errors import (
 from .mean_magic import MagicGapReport, mean_distance, read_thresholds, zero_mean_table
 from .phase_space import PhaseSubgroup, check_prime, field_inv, subgroup_generators
 from .states import State, char_function, state_from_char
-from .weyl import digit_table, encode_digits, key_index_map
+from .weyl import _dft_axes, digit_table, encode_digits, key_index_map
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,8 @@ def convolve_wigner(wr: np.ndarray, ws: np.ndarray, params) -> np.ndarray:
 
     W_out(u, v) = sum_{u', v'} W_rho(g00^{-1} u', (N g11)^{-1} v')
     W_sigma(g01^{-1} (u - u'), -(N g10)^{-1} (v - v')): a cyclic
-    convolution of the two rescaled tables on Z_d^{2n}, taken by FFT.
+    convolution of the two rescaled tables on Z_d^{2n}, taken as the
+    inverse ``weyl._dft_axes`` of the product of their forward ones.
     """
     if wr.shape != ws.shape:
         raise IncompatibleError(f"Wigner tables of shapes {wr.shape} and {ws.shape}")
@@ -235,7 +236,10 @@ def convolve_wigner(wr: np.ndarray, ws: np.ndarray, params) -> np.ndarray:
         raise UnsupportedGError("the Wigner convolution formula needs positive G")
     a = _scale_axes(wr, field_inv(pm.g00, d), field_inv((pm.n_inv * pm.g11) % d, d))
     b = _scale_axes(ws, field_inv(pm.g01, d), -field_inv((pm.n_inv * pm.g10) % d, d))
-    out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real
+    axes = range(wr.ndim)
+    fa = _dft_axes(a.astype(complex), d, axes, -1)
+    np.multiply(fa, _dft_axes(b.astype(complex), d, axes, -1), out=fa)
+    out = _dft_axes(fa, d, axes, 1).real / d**wr.ndim
     out.setflags(write=False)
     return out
 

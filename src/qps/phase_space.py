@@ -121,28 +121,13 @@ def solve_linear_mod(A, b, d: int):
 def lex_smallest_solution(A, b, d: int):
     """Lexicographically smallest solution of A x = b over Z_d, or None.
 
-    Greedy digit-by-digit: fix each coordinate to the smallest value that
-    keeps the remaining system consistent.
+    One ``solve_linear_mod`` with the columns of A reversed.  Its free
+    columns are those in the span of the columns after them, that is the
+    coordinates at which some null vector of A is first nonzero: exactly
+    the ones the smallest solution sets to 0, which then fix the rest.
     """
-    A = np.atleast_2d(np.array(A, dtype=np.int64)) % d
-    b = np.array(b, dtype=np.int64).ravel() % d
-    if solve_linear_mod(A, b, d) is None:
-        return None
-    ncols = A.shape[1]
-    x = np.zeros(ncols, dtype=np.int64)
-    for j in range(ncols):
-        for v in range(d):
-            x[j] = v
-            rhs = (b - A[:, : j + 1] @ x[: j + 1]) % d
-            rest = A[:, j + 1 :]
-            if rest.size == 0:
-                if not rhs.any():
-                    break
-            elif solve_linear_mod(rest, rhs, d) is not None:
-                break
-        else:
-            return None
-    return x
+    x = solve_linear_mod(np.atleast_2d(A)[:, ::-1], b, d)
+    return None if x is None else x[::-1]
 
 
 class PhaseSubgroup:

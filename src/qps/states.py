@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .phase_space import PhaseSubgroup, check_prime, subgroup_generators, symplectic_inner
-from .weyl import chi, encode_digits, matrix_from_weyl_table, weyl_coefficient_table
+from .weyl import _dft_axes, chi, encode_digits, matrix_from_weyl_table, weyl_coefficient_table
 
 # Absolute slack of the checks Xi(0) = 1 and |Xi| <= 1 on every cached table.
 XI_CHECK_TOL = 1e-9
@@ -207,10 +207,15 @@ def state_from_char(xi: np.ndarray, spectrum: bool = False) -> State:
 
 
 def wigner(state: State) -> np.ndarray:
-    """W_rho(x) = (1/d^n) Tr[rho T(x)] (read-only), via the symplectic transform of Xi."""
-    if state.d == 2:
+    """W_rho(u, v) = (1/d^n) Tr[rho T(u, v)] (read-only): the symplectic transform
+    (1/d^2n) sum_{p,q} Xi(p, q) chi(p.v - q.u), taken by ``weyl._dft_axes`` over
+    the p axes (sign +1, p -> v), then the q axes (sign -1, q -> u)."""
+    d, n = state.d, state.n
+    if d == 2:
         raise UnsupportedDimensionError("discrete Wigner functions need odd d")
-    vals = _wigner_from_char_values(char_function(state), state.d, state.n)
+    r = _dft_axes(_dft_axes(char_function(state).copy(), d, range(n), 1), d, range(n, 2 * n), -1)
+    qaxes, paxes = tuple(range(n, 2 * n)), tuple(range(n))
+    vals = np.moveaxis(r, qaxes + paxes, paxes + qaxes) / d ** (2 * n)  # reorder to (u, v)
     if np.abs(vals.imag).max() > 1e-9:
         raise NotStateError("Wigner table has a non-real entry")
     out = vals.real
@@ -218,16 +223,6 @@ def wigner(state: State) -> np.ndarray:
         raise NotStateError("Wigner table does not sum to 1")
     out.setflags(write=False)
     return out
-
-
-def _wigner_from_char_values(xi: np.ndarray, d: int, n: int) -> np.ndarray:
-    # W(u, v) = (1/d^2n) sum_{p,q} Xi(p,q) chi(p.v - q.u)
-    paxes = tuple(range(n))
-    qaxes = tuple(range(n, 2 * n))
-    r = np.fft.ifftn(xi, axes=paxes)  # p -> v, carries 1/d^n
-    r = np.fft.fftn(r, axes=qaxes)  # q -> u
-    r = np.moveaxis(r, qaxes + paxes, paxes + qaxes)  # reorder to (u, v)
-    return r / d**n
 
 
 def random_state(n: int, d: int, seed, rank: int | None = None) -> State:

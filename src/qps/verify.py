@@ -10,7 +10,7 @@ its modules load, only when more than one job is asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "passed": self.passed, "slack": self.slack, "detail": self.detail}
 
 
 def _result(name: str, slack: float, detail: str = "") -> CheckResult:
@@ -99,24 +99,26 @@ def _weyl_stack(d: int, n: int) -> np.ndarray:
     return np.stack([weyl.weyl_operator(x, d) for x in np.ndindex((d,) * (2 * n))])
 
 
-def _commutation_worst(stack: np.ndarray, d: int) -> float:
-    """max |w(x) w(y) - c(x, y) w(x + y)| over all x, y in V^1, c = chi(2^{-1} <x, y>_s).
+def _commutation_worst(stack: np.ndarray, x: np.ndarray, y: np.ndarray, d: int) -> float:
+    """max |w(x) w(y) - c(x, y) w(x + y)| over the pairs that the point arrays x and y
+    (last axis [p | q]) broadcast to, c = chi(2^{-1} <x, y>_s).
 
-    stack is `_weyl_stack(d, 1)` (x = (p, q) at p * d + q); d = 2 takes c = i^{<x, y>_s}
-    and reads w(x + y) literally at the unreduced label.  The arrays hold d^6 entries.
+    stack is `_weyl_stack(d, n)`; d = 2 takes c = i^{<x, y>_s}, the form taken over
+    the integers, and reads w(x + y) literally at the unreduced label (``weyl_literal``).
+    Over all pairs of V^1 the arrays hold d^6 entries.
     """
-    p, q = np.divmod(np.arange(d * d), d)
-    s_int = p[:, None] * q[None, :] - q[:, None] * p[None, :]
-    p_sum, q_sum = p[:, None] + p[None, :], q[:, None] + q[None, :]
+    n = x.shape[-1] // 2
+    s_int = (x[..., :n] * y[..., n:] - x[..., n:] * y[..., :n]).sum(axis=-1)
+    t = x + y
     if d == 2:
         phase = np.array([1, 1j, -1, -1j])[s_int % 4]
-        literal = np.stack([weyl.weyl_literal([a], [b], 2) for a, b in np.ndindex(3, 3)])
-        rhs = literal[p_sum * 3 + q_sum]
+        literal = [weyl.weyl_literal(z[:n], z[n:], 2) for z in t.reshape(-1, 2 * n)]
+        rhs = np.reshape(literal, t.shape[:-1] + stack.shape[1:])
     else:
         phase = weyl.chi(field_inv(2, d) * s_int, d)
-        rhs = stack[(p_sum % d) * d + q_sum % d]
-    rhs *= phase[:, :, None, None]
-    diff = np.matmul(stack[:, None], stack[None, :])
+        rhs = stack[weyl.encode_digits(t % d, d)]
+    rhs *= phase[..., None, None]
+    diff = np.matmul(stack[weyl.encode_digits(x, d)], stack[weyl.encode_digits(y, d)])
     diff -= rhs
     return float(np.abs(diff).max())
 
@@ -144,18 +146,25 @@ def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     """Weyl-algebra checks at (d, n).
 
     The exhaustive ones are batched array operations on one stack of the
-    Weyl operators of V^1 (and of V^n for orthonormality).
+    Weyl operators of V^1 (and of V^n for orthonormality and, at n > 1, the
+    commutation relation on 64 seeded pairs).
     """
     out = []
     w1 = _weyl_stack(d, 1)
-    worst = _commutation_worst(w1, d)
+    points = np.indices((d, d)).reshape(2, -1).T  # V^1 in stack order
+    worst = _commutation_worst(w1, points[:, None], points[None, :], d)
     out.append(_result("weyl.commutation_exhaustive_n1", 1e-12 - worst, f"d={d}"))
     # orthonormality of the full basis at (d, n)
     D = d**n
-    mats = (w1 if n == 1 else _weyl_stack(d, n)).reshape(d ** (2 * n), -1)
+    wn = w1 if n == 1 else _weyl_stack(d, n)
+    mats = wn.reshape(d ** (2 * n), -1)
     gram = (mats.conj() @ mats.T) / D
     worst = float(np.abs(gram - np.eye(d ** (2 * n))).max())
     out.append(_result("weyl.orthonormality", 1e-10 - worst, f"d={d} n={n}"))
+    if n > 1:  # the commutation relation on seeded pairs of V^n, where the phases are multi-site
+        x, y = np.random.default_rng(21_000 + d).integers(0, d, size=(2, 64, 2 * n))
+        worst = _commutation_worst(wn, x, y, d)
+        out.append(_result("weyl.commutation_sampled", 1e-12 - worst, f"d={d} n={n}"))
     # key unitary conjugation identities for sampled G
     rng = np.random.default_rng(20_000 + d)
     worst = 0.0

@@ -19,14 +19,16 @@ site axes, and ``conjugate_site_gate`` applies g M g^dag the same way.
 
 The Weyl-coefficient transform (matrix -> table of Tr[M w(-x)]) runs
 through one d-point DFT per diagonal stripe and register digit, which is
-exact up to float rounding.  Each direction holds at most two D x D
-complex arrays besides its input: the buffer it fills and the spare that
-its DFT passes alternate with (``matmul(..., out=)``); gathering the
-phases adds a D x D intp copy of their exponents.  Its cached tables
-are integers in the narrowest unsigned dtype: phase exponents and stripe
-indices.  Products are written ``np.multiply(a, b, out=...)`` in a fixed
-operand order: complex a * b and b * a can differ in the last bit, and
-numpy swaps the operands when it reuses a temporary as the output.
+exact up to float rounding.  Its kernel ``_dft_axes`` is the only d-point
+DFT in ``qps``: Wigner tables and the Wigner convolution run on it too.
+Each direction holds at most two D x D complex arrays besides its input:
+the buffer it fills and the spare that its DFT passes alternate with
+(``matmul(..., out=)``); gathering the phases adds a D x D intp copy of
+their exponents.  Its cached tables are integers in the narrowest
+unsigned dtype: phase exponents and stripe indices.  Products are
+written ``np.multiply(a, b, out=...)`` in a fixed operand order: complex
+a * b and b * a can differ in the last bit, and numpy swaps the operands
+when it reuses a temporary as the output.
 """
 
 from __future__ import annotations
@@ -198,22 +200,22 @@ def _dft_matrix(d: int, sign: int) -> np.ndarray:
     return out
 
 
-def _dft_p_axes(a: np.ndarray, d: int, n: int, sign: int) -> np.ndarray:
-    """sum_j a[j, q] chi(sign * j . k) over the n leading (p) axes of a (d,)*2n array.
+def _dft_axes(a: np.ndarray, d: int, axes: range, sign: int) -> np.ndarray:
+    """sum_j a[.., j, ..] chi(sign * j . k) over a run of axes of a C-contiguous (d,)*m array.
 
-    sign = -1 is ``np.fft.fftn`` over those axes and sign = +1 is d^n
-    times ``np.fft.ifftn``.  Each axis is one ``matmul`` of the d x d DFT
-    matrix into a (d^k, d, -1) view, which for axes this short costs less
-    than ``np.fft`` does.  The passes write alternately into one spare
-    array and into a itself, so a is overwritten; the result is whichever
-    of the two the last pass wrote.
+    The one d-point DFT of ``qps``: sign = -1 is ``np.fft.fftn`` over those
+    axes and sign = +1 is d^len(axes) times ``np.fft.ifftn``.  Axis k is one
+    ``matmul`` of the d x d DFT matrix into a (d^k, d, -1) view, which for
+    axes this short costs less than ``np.fft`` does.  The passes, in axis
+    order, write alternately into one spare array and into a itself, so a
+    is overwritten; the result is whichever of the two the last pass wrote.
     """
     F = _dft_matrix(d, sign)
     src, dst = a, np.empty_like(a)
-    for k in range(n):
+    for k in axes:
         np.matmul(F, src.reshape(d**k, d, -1), out=dst.reshape(d**k, d, -1))
         src, dst = dst, src
-    return src.reshape((d,) * (2 * n))
+    return src
 
 
 def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -226,8 +228,9 @@ def weyl_coefficient_table(mat: np.ndarray, d: int, n: int) -> np.ndarray:
     """
     ensure_table_size(d, n)
     D = d**n
-    # stripes[k, q] = mat[(k + q) mod d, k]
-    out = _dft_p_axes(mat[_stripe_index(d, n, 1), np.arange(D)[:, None]], d, n, -1)
+    # stripes[k, q] = mat[(k + q) mod d, k], unnamed: the buffer not returned is freed at once
+    out = _dft_axes(mat[_stripe_index(d, n, 1), np.arange(D)[:, None]].reshape((d,) * (2 * n)),
+                    d, range(n), -1)
     return np.multiply(_phase_grid(d, n), out, out=out)
 
 
@@ -235,7 +238,7 @@ def matrix_from_weyl_table(table: np.ndarray, d: int, n: int) -> np.ndarray:
     """Inverse of weyl_coefficient_table: (1/d^n) sum_x table[x] w(x)."""
     D = d**n
     a = _phase_grid(d, n)
-    b = _dft_p_axes(np.multiply(np.asarray(table, dtype=complex), a, out=a), d, n, 1)
+    b = _dft_axes(np.multiply(np.asarray(table, dtype=complex), a, out=a), d, range(n), 1)
     del a  # the spare of the DFT passes, unless it holds b
     out = b.reshape(D, D)[np.arange(D)[:, None], _stripe_index(d, n, -1)]
     out /= D
@@ -313,8 +316,7 @@ def conjugate_site_gate(mat: np.ndarray, gate: np.ndarray, sites, d: int, n: int
 
 def fourier_gate(d: int) -> np.ndarray:
     """F|j> = d^{-1/2} sum_k chi(jk) |k>."""
-    j = np.arange(d)
-    return omega_table(d)[np.outer(j, j) % d] / np.sqrt(d)
+    return _dft_matrix(d, 1) / np.sqrt(d)
 
 
 def phase_gate(d: int) -> np.ndarray:

@@ -528,6 +528,23 @@ def test_cli_import_loads_no_verify_stack():
     assert r.stdout.strip() == ""
 
 
+def test_cli_runs_load_no_numpy_fft():
+    # weyl's matmul passes are the one d-point DFT: no run reaches for numpy.fft
+    probe = (
+        "import sys\n"
+        "from qps.cli import main\n"
+        "for argv in (['verify', '--suite', 'all', '--d', '3', '--n', '1', '--seeds', '1'],\n"
+        "             ['verify', '--suite', 'hudson', '--d', '5', '--seeds', '1'],\n"
+        "             ['clt', '--d', '3', '--n', '2', '--N', '2']):\n"
+        "    sys.argv = ['qps', *argv]\n"
+        "    assert main() == 0\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def test_verify_import_loads_no_process_pool():
     probe = (
         "import sys, qps.verify\n"

@@ -139,20 +139,23 @@ def test_solve_linear_examples():
 
 
 def test_solve_linear_exact_and_lex():
-    rng = np.random.default_rng(1)
-    for d in (2, 3, 5):
-        for _ in range(20):
-            A = rng.integers(0, d, (2, 4))
-            b = rng.integers(0, d, 2)
-            x = solve_linear_mod(A, b, d)
-            brute = [
-                v
-                for v in np.indices((d,) * 4).reshape(4, -1).T
-                if not ((A @ v - b) % d).any()
-            ]
-            if x is None:
-                assert not brute
-            else:
-                assert not ((A @ x - b) % d).any()
-                lex = lex_smallest_solution(A, b, d)
-                assert list(lex) == list(min(map(tuple, brute)))
+    rng, more = np.random.default_rng(1), np.random.default_rng(2)
+    systems = [(d, rng.integers(0, d, (2, 4)), rng.integers(0, d, 2))
+               for d in (2, 3, 5) for _ in range(20)]
+    systems += [(d, more.integers(0, d, (rows, cols)), more.integers(0, d, rows))
+                for d in (2, 3, 5) for rows in (1, 2, 3) for cols in (1, 2, 3, 4) for _ in range(5)]
+    for d, A, b in systems:
+        cols = A.shape[1]
+        x = solve_linear_mod(A, b, d)
+        brute = [
+            v
+            for v in np.indices((d,) * cols).reshape(cols, -1).T
+            if not ((A @ v - b) % d).any()
+        ]
+        if x is None:
+            assert not brute
+            assert lex_smallest_solution(A, b, d) is None
+        else:
+            assert not ((A @ x - b) % d).any()
+            lex = lex_smallest_solution(A, b, d)
+            assert list(lex) == list(min(map(tuple, brute)))

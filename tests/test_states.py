@@ -213,13 +213,17 @@ def test_wigner_basics(qutrit_magic):
 
 
 def test_wigner_against_point_operator_oracle():
-    rho = states.random_state(1, 5, seed=3)
-    w = states.wigner(rho)
-    assert abs(w.sum() - 1) < 1e-9
-    for p in range(5):
-        for q in range(5):
-            T = weyl.phase_point_operator(make_point(p, q, 5), 5)
-            assert abs(w[p, q] - np.trace(rho.mat @ T).real / 5) < 1e-11
+    for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        rho = states.random_state(n, d, seed=3)
+        w = states.wigner(rho)
+        assert abs(w.sum() - 1) < 1e-9
+        for x in np.ndindex(w.shape):
+            T = weyl.phase_point_operator(np.array(x), d)
+            assert abs(w[x] - np.trace(rho.mat @ T).real / d**n) < 1e-12
+        # and np.fft: (1/d^2n) sum_{p,q} Xi(p,q) chi(p.v - q.u), axes reordered to (u, v)
+        paxes, qaxes = tuple(range(n)), tuple(range(n, 2 * n))
+        r = np.fft.fftn(np.fft.ifftn(states.char_function(rho), axes=paxes), axes=qaxes) / d**n
+        assert np.abs(w - np.moveaxis(r, qaxes + paxes, paxes + qaxes).real).max() < 1e-12
 
 
 def test_pauli_rank(t_state):

@@ -19,23 +19,17 @@ from qps.phase_space import make_point
 from helpers import commutation_phase
 
 
-def _commutation_worst_loop(d):
+def _commutation_worst_loop(pairs, d):
     """Reference: the per-pair commutation check, one dense build per point."""
     worst = 0.0
-    for pv in np.ndindex(d, d):
-        for qv in np.ndindex(d, d):
-            x = make_point(pv[0], qv[0], d)
-            y = make_point(pv[1], qv[1], d)
-            lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
-            if d == 2:
-                rhs = commutation_phase(x, y, d) * weyl.weyl_literal(
-                    [x[0] + y[0]], [x[1] + y[1]], d
-                )
-            else:
-                rhs = commutation_phase(x, y, d) * weyl.weyl_operator(
-                    make_point(x[0] + y[0], x[1] + y[1], d), d
-                )
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    for x, y in pairs:
+        n = len(x) // 2
+        lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
+        if d == 2:
+            rhs = commutation_phase(x, y, d) * weyl.weyl_literal(x[:n] + y[:n], x[n:] + y[n:], d)
+        else:
+            rhs = commutation_phase(x, y, d) * weyl.weyl_operator((x + y) % d, d)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
@@ -48,8 +42,9 @@ def _parity_gap_loop(d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_batched_weyl_checks_match_loops(d):
     stack = verify._weyl_stack(d, 1)
-    ref = _commutation_worst_loop(d)
-    assert abs(verify._commutation_worst(stack, d) - ref) <= 1e-15
+    points = np.indices((d, d)).reshape(2, -1).T
+    ref = _commutation_worst_loop([(x, y) for x in points for y in points], d)
+    assert abs(verify._commutation_worst(stack, points[:, None], points[None, :], d) - ref) <= 1e-15
     checks = verify.suite_weyl(d, 1, 10)
     names = ["weyl.commutation_exhaustive_n1", "weyl.orthonormality", "weyl.key_unitary_generators"]
     if d != 2:
@@ -61,6 +56,31 @@ def test_batched_weyl_checks_match_loops(d):
     assert abs(slack["weyl.commutation_exhaustive_n1"] - (1e-12 - ref)) <= 1e-15
     if d != 2:
         assert abs(slack["weyl.parity_sum"] - (1e-12 - _parity_gap_loop(d))) <= 1e-15
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_sampled_commutation_matches_loop(d, n):
+    checks = verify.suite_weyl(d, n, 2)
+    assert all(c.passed for c in checks)
+    x, y = np.random.default_rng(21_000 + d).integers(0, d, size=(2, 64, 2 * n))
+    ref = _commutation_worst_loop(zip(x, y), d)
+    slack = {c.name: c.slack for c in checks}
+    assert abs(slack["weyl.commutation_sampled"] - (1e-12 - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weyl_suite_sees_a_negated_multi_site_phase(d, monkeypatch):
+    # -w(x) for every x != 0 at n >= 2 keeps orthonormality and every one-site check
+    real = weyl.weyl_operator
+
+    def negated(point, d):
+        w = real(point, d)
+        return -w if len(point) > 2 and (np.asarray(point) % d).any() else w
+
+    monkeypatch.setattr(weyl, "weyl_operator", negated)
+    failed = [c.name for c in verify.run_suite("weyl", d, 2, 2) if not c.passed]
+    assert failed == ["weyl.commutation_sampled"]
+    assert main(["verify", "--suite", "weyl", "--d", str(d), "--n", "2", "--seeds", "2"]) == 1
 
 
 def _sample_parity_matrix_loop(rng, d, klass):

@@ -57,11 +57,12 @@ def test_dft_kernel_matches_fft(d, n):
     rng = np.random.default_rng(d * 10 + n)
     shape = (d,) * (2 * n)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    paxes = tuple(range(n))
-    # _dft_p_axes overwrites its input, so it gets a copy of a
-    assert np.abs(weyl._dft_p_axes(a.copy(), d, n, -1) - np.fft.fftn(a, axes=paxes)).max() < 1e-12
-    inverse = d**n * np.fft.ifftn(a, axes=paxes)
-    assert np.abs(weyl._dft_p_axes(a.copy(), d, n, 1) - inverse).max() < 1e-12
+    # _dft_axes overwrites its input, so it gets a copy of a
+    for axes in (range(n), range(n, 2 * n), range(2 * n)):
+        forward = np.fft.fftn(a, axes=tuple(axes))
+        assert np.abs(weyl._dft_axes(a.copy(), d, axes, -1) - forward).max() < 1e-12
+        inverse = d ** len(axes) * np.fft.ifftn(a, axes=tuple(axes))
+        assert np.abs(weyl._dft_axes(a.copy(), d, axes, 1) - inverse).max() < 1e-12
     mat = a.reshape(d**n, d**n)
     table = weyl.weyl_coefficient_table(mat, d, n)
     assert np.abs(weyl.matrix_from_weyl_table(table, d, n) - mat).max() < 1e-12
