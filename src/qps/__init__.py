@@ -53,9 +53,8 @@ _MODULES = {
     ),
     "states": (
         "State", "basis_state", "char_function", "enumerate_msps",
-        "enumerate_pure_stabilizers", "make_state", "maximally_mixed",
-        "msps_from_group", "pure_state", "random_pure", "random_state",
-        "state_from_char", "tensor", "wigner",
+        "enumerate_pure_stabilizers", "make_state", "maximally_mixed", "pure_state",
+        "random_pure", "random_state", "state_from_char", "tensor", "wigner",
     ),
     "weyl": (
         "is_clifford", "is_weyl_up_to_phase", "key_unitary",

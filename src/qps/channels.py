@@ -38,7 +38,7 @@ from .weyl import digit_table, encode_digits, key_index_map, weyl_operator
 EXACT_MAX_DIM = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """An n-qudit channel represented by its Choi state."""
 
@@ -209,7 +209,7 @@ class ChannelCltRow:
     diamond_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelCltReport:
     rows: tuple
     magic_gap: float

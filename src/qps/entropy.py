@@ -21,6 +21,7 @@ from .convolution import (
     as_param_matrix,
     char_powers,
     convolve,
+    convolve_char,
     transformed_stabilizer_group,
 )
 from .errors import (
@@ -33,7 +34,7 @@ from .states import (
     State,
     basis_state,
     char_function,
-    enumerate_pure_stabilizers,
+    iter_msps,
     maximally_mixed,
     msps_char,
     random_state,
@@ -175,7 +176,7 @@ def majorizes(a, b) -> bool:
     return majorization_slack(a, b) >= -1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondLawReport:
     alphas: tuple
     table: np.ndarray  # (N+1, len(alphas)) entropies along the trajectory
@@ -235,7 +236,7 @@ def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = D
     weights = rng.dirichlet(np.ones(d**s_trans.rank)) if s_trans.rank else np.array([1.0])
     mix = sum(w * msps_char(s_trans, chars)
               for w, chars in zip(weights, product(range(d), repeat=s_trans.rank)))
-    rho = state_from_char(mix)
+    rho = state_from_char(mix, spectrum=True)
     h_in = renyi_entropy(rho, alpha)
     h_out = renyi_entropy(convolve(rho, sigma, pm), alpha)
     outside = random_state(n, d, seed=rng.integers(2**31))
@@ -284,21 +285,28 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
 
     H(rho ⊠ sigma) vanishes exactly on pairs whose stabilizer groups
     satisfy S_rho = transformed(S_sigma); every other pair (and random
-    magic pairs) must come out strictly positive.
+    magic pairs) must come out strictly positive.  The stabilizers are their
+    ``iter_msps`` tables: each output is ``state_from_char`` of the ``convolve_char``
+    of two of them with ``spectrum=True``, so the one ``eigvalsh`` its entropy reads
+    decides its positivity.  The sigmas matched to rho are read from one dict keyed
+    by the transformed group.
     """
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the minimal-output-entropy law needs positive G")
-    stabs = enumerate_pure_stabilizers(n, d)
-    targets = [transformed_stabilizer_group(g_sig, pm) for _, g_sig in stabs]  # one per sigma
+    stabs = [(xi, group) for xi, group, _ in iter_msps(n, d) if group.size == d**n]
+    matches = {}  # transformed(S_sigma) -> the indices of those sigmas
+    for j, (_, g_sig) in enumerate(stabs):
+        matches.setdefault(transformed_stabilizer_group(g_sig, pm), set()).add(j)
     matched_max = 0.0
     unmatched_min = math.inf
     n_matched = 0
     ok = True
-    for rho, g_rho in stabs:
-        for (sig, _), target in zip(stabs, targets):
-            h = renyi_entropy(convolve(rho, sig, pm), 1)
-            if g_rho == target:
+    for t_rho, g_rho in stabs:
+        matched = matches.get(g_rho, set())
+        for j, (t_sig, _) in enumerate(stabs):
+            h = renyi_entropy(state_from_char(convolve_char(t_rho, t_sig, pm), spectrum=True), 1)
+            if j in matched:
                 n_matched += 1
                 matched_max = max(matched_max, h)
                 ok = ok and h <= 1e-8

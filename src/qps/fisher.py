@@ -206,7 +206,7 @@ def de_bruijn_check(state: State, h: float = 1e-5) -> tuple[float, float]:
     table = char_function(state)
 
     def entropy_at(t):
-        return renyi_entropy(state_from_char(_semigroup_values(table, t)), 1)
+        return renyi_entropy(state_from_char(_semigroup_values(table, t), spectrum=True), 1)
 
     lhs = (entropy_at(+h) - entropy_at(-h)) / (2 * h)
     return float(lhs), float(rhs)

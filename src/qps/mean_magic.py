@@ -39,7 +39,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdReading:
     """What the two thresholds of a ``Tolerances`` say about one table Xi."""
 

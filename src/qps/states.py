@@ -5,7 +5,10 @@ operator by ``make_state``: positivity by a Cholesky factorization, or,
 for a caller that reads the spectrum anyway, by the one ``eigvalsh`` that
 gives it.  ``state_from_char`` is the one route from a characteristic table
 back to a State and the one check of a table no matrix gave; the State
-holds that table.  MSPS are built from theirs (``msps_char``).  Characteristic
+holds that table.  An MSPS is its table: ``iter_msps`` is the one loop over
+(isotropic group, characters) and yields each ``msps_char`` table, which the
+readers that need no matrix (the hudson suite, the minimal-output-entropy scan)
+read as it is, and ``enumerate_msps`` builds States from.  Characteristic
 tables are complex ndarrays holding Xi(x) = Tr[rho w(-x)] over all of V^n,
 shape (d,)*2n with the p coordinates on the first n axes; Wigner tables are
 real arrays of that shape.  d and n are read off a table as shape[0] and ndim // 2.
@@ -34,7 +37,7 @@ from .weyl import _dft_axes, chi, encode_digits, matrix_from_weyl_table, weyl_co
 XI_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """A validated n-qudit density operator.
 
@@ -48,14 +51,15 @@ class State:
     likewise held once: a State built by ``state_from_char`` holds the
     table it was built from, and ``char_function`` computes the table of
     any other State on first use.  Either passes ``_check_char`` once.
+    Equality and hashing are by identity.
     """
 
     d: int
     n: int
     mat: np.ndarray
-    _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _eigh: tuple | None = field(default=None, repr=False, compare=False)
-    _char: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _eigvals: np.ndarray | None = field(default=None, repr=False)
+    _eigh: tuple | None = field(default=None, repr=False)
+    _char: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -206,14 +210,16 @@ def state_from_char(xi: np.ndarray, spectrum: bool = False) -> State:
     return state
 
 
-def wigner(state: State) -> np.ndarray:
-    """W_rho(u, v) = (1/d^n) Tr[rho T(u, v)] (read-only): the symplectic transform
-    (1/d^2n) sum_{p,q} Xi(p, q) chi(p.v - q.u), taken by ``weyl._dft_axes`` over
-    the p axes (sign +1, p -> v), then the q axes (sign -1, q -> u)."""
-    d, n = state.d, state.n
+def wigner(state) -> np.ndarray:
+    """W_rho(u, v) = (1/d^n) Tr[rho T(u, v)] (read-only) of a State or of its
+    characteristic table: the symplectic transform (1/d^2n) sum_{p,q} Xi(p, q)
+    chi(p.v - q.u), taken by ``weyl._dft_axes`` over the p axes (sign +1, p -> v),
+    then the q axes (sign -1, q -> u)."""
+    xi = char_function(state) if isinstance(state, State) else state
+    d, n = xi.shape[0], xi.ndim // 2
     if d == 2:
         raise UnsupportedDimensionError("discrete Wigner functions need odd d")
-    r = _dft_axes(_dft_axes(char_function(state).copy(), d, range(n), 1), d, range(n, 2 * n), -1)
+    r = _dft_axes(_dft_axes(xi.copy(), d, range(n), 1), d, range(n, 2 * n), -1)
     qaxes, paxes = tuple(range(n, 2 * n)), tuple(range(n))
     vals = np.moveaxis(r, qaxes + paxes, paxes + qaxes) / d ** (2 * n)  # reorder to (u, v)
     if np.abs(vals.imag).max() > 1e-9:
@@ -269,7 +275,7 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
 
 
 def msps_char(group: PhaseSubgroup, chars) -> np.ndarray:
-    """Xi of the MSPS fixed by a subgroup S and one character tuple.
+    """Xi of the MSPS fixed by a subgroup S and one character tuple (read-only).
 
     chars[i] selects the chi(chars[i]) eigenspace of w(x_i) for generator x_i,
     so Xi is a character of S: Xi(s) = chi(-k.m) c(m) at s = sum_i m_i x_i and
@@ -293,6 +299,7 @@ def msps_char(group: PhaseSubgroup, chars) -> np.ndarray:
         points = t.reshape(-1, 2 * n)
     table = np.zeros((d,) * (2 * n), dtype=complex)
     table[tuple(points.T)] = vals
+    table.setflags(write=False)
     return table
 
 
@@ -302,28 +309,25 @@ def _pq(v: np.ndarray) -> np.ndarray:
     return (v[..., :n] * v[..., n:]).sum(axis=-1)
 
 
-def msps_from_group(group: PhaseSubgroup, chars) -> State:
-    """The MSPS fixed by a subgroup and one character tuple, built from its table
-    ``msps_char``.  Every MSPS but I/D is rank-deficient, so its positivity is
-    decided by ``eigvalsh`` (``spectrum=True``) rather than a failing Cholesky."""
-    return state_from_char(msps_char(group, chars), spectrum=True)
-
-
 def iter_msps(n: int, d: int):
-    """Yield (state, group, chars) for every MSPS, deterministically."""
+    """Yield (xi, group, chars) for every MSPS, deterministically: the one loop over
+    (isotropic group, characters).  xi is ``msps_char(group, chars)``; no State is
+    built."""
     for group in enumerate_isotropic_subgroups(n, d):
         for chars in product(range(d), repeat=group.rank):
-            yield msps_from_group(group, chars), group, chars
+            yield msps_char(group, chars), group, chars
 
 
 def enumerate_msps(n: int, d: int) -> list[State]:
-    """All minimal stabilizer-projection states at (n, d)."""
-    return [s for s, _, _ in iter_msps(n, d)]
+    """All minimal stabilizer-projection states at (n, d), in ``iter_msps`` order, each
+    built from its table with ``spectrum=True``: every MSPS but I/D is rank-deficient,
+    so ``eigvalsh`` decides its positivity rather than a failing Cholesky."""
+    return [state_from_char(xi, spectrum=True) for xi, _, _ in iter_msps(n, d)]
 
 
 def enumerate_pure_stabilizers(n: int, d: int) -> list[tuple[State, PhaseSubgroup]]:
-    """The pure stabilizer states with their (maximal isotropic) groups, in
-    ``iter_msps`` order; no other group's states are built."""
-    return [(msps_from_group(group, chars), group)
-            for group in enumerate_isotropic_subgroups(n, d) if group.size == d**n
-            for chars in product(range(d), repeat=n)]
+    """The pure stabilizer states with their groups, in ``iter_msps`` order: the
+    MSPS of the maximal isotropic groups (size d^n), built as ``enumerate_msps``
+    builds them; no other group's States are built."""
+    return [(state_from_char(xi, spectrum=True), group)
+            for xi, group, _ in iter_msps(n, d) if group.size == d**n]

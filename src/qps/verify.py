@@ -103,20 +103,19 @@ def _commutation_worst(stack: np.ndarray, x: np.ndarray, y: np.ndarray, d: int) 
     """max |w(x) w(y) - c(x, y) w(x + y)| over the pairs that the point arrays x and y
     (last axis [p | q]) broadcast to, c = chi(2^{-1} <x, y>_s).
 
-    stack is `_weyl_stack(d, n)`; d = 2 takes c = i^{<x, y>_s}, the form taken over
-    the integers, and reads w(x + y) literally at the unreduced label (``weyl_literal``).
+    stack is `_weyl_stack(d, n)`, which gives both sides.  d = 2 takes c = i^{<x, y>_s},
+    the form taken over the integers, with w(x + y) at the unreduced label t = x + y:
+    stack[t mod 2] times (-i)^{sum t_p t_q - sum (t_p mod 2)(t_q mod 2)}.
     Over all pairs of V^1 the arrays hold d^6 entries.
     """
     n = x.shape[-1] // 2
     s_int = (x[..., :n] * y[..., n:] - x[..., n:] * y[..., :n]).sum(axis=-1)
     t = x + y
     if d == 2:
-        phase = np.array([1, 1j, -1, -1j])[s_int % 4]
-        literal = [weyl.weyl_literal(z[:n], z[n:], 2) for z in t.reshape(-1, 2 * n)]
-        rhs = np.reshape(literal, t.shape[:-1] + stack.shape[1:])
+        phase = np.array([1, 1j, -1, -1j])[(s_int - st._pq(t) + st._pq(t % 2)) % 4]
     else:
         phase = weyl.chi(field_inv(2, d) * s_int, d)
-        rhs = stack[weyl.encode_digits(t % d, d)]
+    rhs = stack[weyl.encode_digits(t % d, d)]
     rhs *= phase[..., None, None]
     diff = np.matmul(stack[weyl.encode_digits(x, d)], stack[weyl.encode_digits(y, d)])
     diff -= rhs
@@ -371,11 +370,14 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
 
 def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
-    """Hudson checks on one qudit: `run_suite` refuses this suite at n > 1."""
+    """Hudson checks on one qudit: `run_suite` refuses this suite at n > 1.  Each pure
+    stabilizer's Wigner minimum is read from its ``st.iter_msps`` table; no State is
+    built for it."""
     out = []
     worst = 0.0
-    for state, _ in st.enumerate_pure_stabilizers(1, d):
-        worst = min(worst, float(st.wigner(state).min()))
+    for xi, group, _ in st.iter_msps(1, d):
+        if group.size == d:
+            worst = min(worst, float(st.wigner(xi).min()))
     out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
     trials = max(seeds, 100)
     negative = 0

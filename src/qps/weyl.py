@@ -3,8 +3,9 @@
 Single-site Weyl operators are chi(-2^{-1} p q) Z^p X^q for odd prime d
 and i^{-pq} Z^p X^q for d = 2, with X|k> = |k+1> and Z|k> = chi(k)|k>;
 multi-site operators are tensor products.  The qubit convention is taken
-literally: phases of products are governed by integer exponents of i
-(see ``weyl_literal``).
+literally: phases of products are governed by integer exponents of i, so
+w at an unreduced label t is (-i)^{sum t_p t_q - sum (t_p mod 2)(t_q mod 2)}
+w(t mod 2), the form in which the commutation relation holds.
 
 A point of V^n is the vector [p | q] of ``phase_space``, and every
 function here takes it in that form.  Register operators are returned as
@@ -121,30 +122,6 @@ def weyl_operator(point, d: int) -> np.ndarray:
         vals = (vals[:, None] * site_vals).reshape(-1)
     out = np.zeros((rows.size, rows.size), dtype=complex)
     out[rows, np.arange(rows.size)] = vals
-    return out
-
-
-def weyl_literal(p_ints, q_ints, d: int) -> np.ndarray:
-    """w at unreduced integer labels, following the defining formula.
-
-    For odd d this equals weyl_operator at the reduced label, and its phase
-    is read from ``weyl_phase_exponents``.  For d = 2 the phase i^{-pq} uses
-    the integer products, so e.g. the label (1, 2) gives -Z rather than Z;
-    the commutation relation holds in this form.
-    """
-    out = np.array([[1.0 + 0j]])
-    Z, X = zmat(d), xmat(d)
-    roots, e = weyl_phase_exponents(d, 1)
-    for pk, qk in zip(np.atleast_1d(p_ints), np.atleast_1d(q_ints)):
-        pk, qk = int(pk), int(qk)
-        if d == 2:
-            phase = (-1j) ** (pk * qk)
-        else:
-            phase = roots[e[pk % d, qk % d]]
-        site = phase * (
-            np.linalg.matrix_power(Z, pk % d) @ np.linalg.matrix_power(X, qk % d)
-        )
-        out = np.kron(out, site)
     return out
 
 

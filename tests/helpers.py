@@ -1,6 +1,6 @@
 """Channel constructions, the Choi action and its Weyl images, subgroup predicates,
-Weyl commutation phases, the reference Weyl transforms, a point-by-point
-threshold reading, MSPS-ness by matrices, a decimal subentropy and
+Weyl commutation phases, w at unreduced labels, the reference Weyl transforms, a
+point-by-point threshold reading, MSPS-ness by matrices, a decimal subentropy and
 Hermitization, kept for the tests only."""
 
 import cmath
@@ -15,7 +15,16 @@ from qps.errors import InternalInconsistencyError
 from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
 from qps.mean_magic import mean_state, read_thresholds
 from qps.states import State, char_function, make_state
-from qps.weyl import _dft_matrix, chi, digit_table, weyl_coefficient_table, weyl_operator
+from qps.weyl import (
+    _dft_matrix,
+    chi,
+    digit_table,
+    weyl_coefficient_table,
+    weyl_operator,
+    weyl_phase_exponents,
+    xmat,
+    zmat,
+)
 
 
 def identity_channel(d: int, n: int) -> Channel:
@@ -77,6 +86,31 @@ def commutation_phase(x, y, d: int) -> complex:
     if d == 2:
         return 1j ** symplectic_inner(x, y, 4)
     return complex(chi(field_inv(2, d) * symplectic_inner(x, y, d), d))
+
+
+def weyl_literal(p_ints, q_ints, d: int) -> np.ndarray:
+    """w at unreduced integer labels, following the defining formula: the oracle
+    for the unreduced-label form of w that ``verify._commutation_worst`` takes.
+
+    For odd d this equals weyl_operator at the reduced label, and its phase
+    is read from ``weyl_phase_exponents``.  For d = 2 the phase i^{-pq} uses
+    the integer products, so e.g. the label (1, 2) gives -Z rather than Z;
+    the commutation relation holds in this form.
+    """
+    out = np.array([[1.0 + 0j]])
+    Z, X = zmat(d), xmat(d)
+    roots, e = weyl_phase_exponents(d, 1)
+    for pk, qk in zip(np.atleast_1d(p_ints), np.atleast_1d(q_ints)):
+        pk, qk = int(pk), int(qk)
+        if d == 2:
+            phase = (-1j) ** (pk * qk)
+        else:
+            phase = roots[e[pk % d, qk % d]]
+        site = phase * (
+            np.linalg.matrix_power(Z, pk % d) @ np.linalg.matrix_power(X, qk % d)
+        )
+        out = np.kron(out, site)
+    return out
 
 
 # The Weyl transforms as plain numpy expressions over a complex phase grid

@@ -19,7 +19,7 @@ from qps import states, weyl
 from qps.phase_space import make_point
 from qps.verify import sample_parity_matrix
 
-from helpers import commutation_phase, random_mixed_unitary_channel
+from helpers import commutation_phase, random_mixed_unitary_channel, weyl_literal
 
 PRIMES_TO_97 = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -38,7 +38,7 @@ def test_01_weyl_commutation():
                 lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
                 phase = commutation_phase(x, y, d)
                 if d == 2:
-                    rhs = phase * weyl.weyl_literal(
+                    rhs = phase * weyl_literal(
                         [x[0] + y[0]], [x[1] + y[1]], d
                     )
                 else:

@@ -295,6 +295,19 @@ def _min_output_entropy_per_pair(pm, d, n, seed):
     )
 
 
+@pytest.mark.parametrize("d,n_pairs,n_matched,matched_max,unmatched_min", [
+    (3, 144, 36, 3.2034265038149176e-16, 1.0232679259454094),
+    (5, 900, 150, 3.2034265038149176e-16, 1.6269883905925158),
+    (7, 3136, 392, 6.406853007629834e-16, 2.11485332353775),
+])
+def test_min_output_entropy_reports_are_fixed(d, n_pairs, n_matched, matched_max, unmatched_min):
+    # field for field as the scan over States read them, to the last bit
+    assert ent.check_min_output_entropy(cv.hadamard_params(d), d, 1) == ent.MinOutputEntropyReport(
+        ok=True, n_pairs=n_pairs, n_matched=n_matched,
+        max_entropy_on_matched=matched_max, min_entropy_on_unmatched=unmatched_min,
+    )
+
+
 @pytest.mark.parametrize("d,seed", [(3, 0), (5, 1)])
 def test_min_output_entropy_matches_per_pair_scan(d, seed):
     pm = cv.hadamard_params(d)

@@ -21,7 +21,7 @@ from qps.config import DEFAULT, Tolerances  # noqa: E402
 from qps.errors import InternalInconsistencyError, PhaseNotRootOfUnityError  # noqa: E402
 from qps.phase_space import make_point  # noqa: E402
 
-from helpers import commutation_phase, threshold_reading_by_points  # noqa: E402
+from helpers import commutation_phase, threshold_reading_by_points, weyl_literal  # noqa: E402
 
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -46,7 +46,7 @@ def test_commutation_relation(case):
     n = len(x) // 2
     ps, qs = (x + y)[:n], (x + y)[n:]
     if d == 2:
-        total = weyl.weyl_literal(ps, qs, d)
+        total = weyl_literal(ps, qs, d)
     else:
         total = weyl.weyl_operator(make_point(ps, qs, d), d)
     assert np.abs(lhs - commutation_phase(x, y, d) * total).max() < 1e-12
@@ -162,7 +162,7 @@ MSPS_SYSTEMS = [(2, 1), (2, 2), (3, 1), (5, 1)]
 
 @lru_cache(maxsize=None)
 def _msps(d, n):
-    return [state for state, _, _ in states.iter_msps(n, d)]
+    return states.enumerate_msps(n, d)
 
 
 def _assert_reading_matches_points(xi, tol):

@@ -309,7 +309,7 @@ def _msps_power_loop(group, chars, d):
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_msps_from_group_matches_power_loop(d, n):
     # the table, the sign at d = 2 included, and the matrix built from it
-    for state, group, chars in states.iter_msps(n, d):
+    for state, (_, group, chars) in zip(states.enumerate_msps(n, d), states.iter_msps(n, d)):
         want = _msps_power_loop(group, chars, d)
         assert np.abs(state.mat - want).max() <= 1e-12
         table = weyl.weyl_coefficient_table(want, d, n)
@@ -321,7 +321,23 @@ def test_msps_from_group_refuses_a_group_that_is_not_isotropic():
     group = subgroup_generators([[1, 0, 0, 0], [0, 0, 1, 0]], 3, 2)
     assert not is_isotropic(group)
     with pytest.raises(NotStateError):
-        states.msps_from_group(group, (0, 0))
+        states.state_from_char(states.msps_char(group, (0, 0)), spectrum=True)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_iter_msps_tables_are_the_enumerated_states_tables(d, n):
+    # iter_msps yields read-only tables and builds no State; enumerate_msps builds from them
+    tables = [xi for xi, _, _ in states.iter_msps(n, d)]
+    built = states.enumerate_msps(n, d)
+    assert len(tables) == len(built)
+    for xi, state in zip(tables, built):
+        assert not xi.flags.writeable
+        assert np.array_equal(xi, states.char_function(state))
+
+
+def test_wigner_reads_a_table_as_its_state():
+    rho = states.random_state(1, 5, seed=3)
+    assert np.array_equal(states.wigner(states.char_function(rho)), states.wigner(rho))
 
 
 def test_state_from_char_holds_its_table():
@@ -348,3 +364,24 @@ def test_random_state_contracts():
     assert abs(np.trace(mixed.mat).real - 1) < 1e-12
     again = states.random_state(1, 5, seed=0)
     assert mixed.mat.tobytes() == again.mat.tobytes()
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    from qps import channels, convolution, entropy, mean_magic
+
+    def pair(make):
+        return make(), make()
+
+    rho = states.random_state(1, 3, seed=1)
+    channel = channels.random_channel(1, 3, seed=2)
+    cases = [
+        pair(lambda: states.random_state(1, 3, seed=1)),
+        pair(lambda: channels.random_channel(1, 3, seed=2)),
+        pair(lambda: mean_magic.read_thresholds(states.char_function(rho))),
+        pair(lambda: mean_magic.mean_state(rho)),
+        pair(lambda: entropy.check_second_law(rho, convolution.hadamard_params(3), 2, (1,))),
+        pair(lambda: channels.channel_clt(channel, convolution.hadamard_params(3), 2)),
+    ]
+    for a, b in cases:
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert b in [a, b] and len({a, b, a}) == 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qps import convolution as cv
-from qps import verify, weyl
+from qps import entropy as ent
+from qps import states, verify, weyl
 from qps.cli import main
 from qps.errors import (
     IncompatibleError,
@@ -16,7 +17,7 @@ from qps.errors import (
 )
 from qps.phase_space import make_point
 
-from helpers import commutation_phase
+from helpers import commutation_phase, weyl_literal
 
 
 def _commutation_worst_loop(pairs, d):
@@ -26,7 +27,7 @@ def _commutation_worst_loop(pairs, d):
         n = len(x) // 2
         lhs = weyl.weyl_operator(x, d) @ weyl.weyl_operator(y, d)
         if d == 2:
-            rhs = commutation_phase(x, y, d) * weyl.weyl_literal(x[:n] + y[:n], x[n:] + y[n:], d)
+            rhs = commutation_phase(x, y, d) * weyl_literal(x[:n] + y[:n], x[n:] + y[n:], d)
         else:
             rhs = commutation_phase(x, y, d) * weyl.weyl_operator((x + y) % d, d)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -81,6 +82,43 @@ def test_weyl_suite_sees_a_negated_multi_site_phase(d, monkeypatch):
     failed = [c.name for c in verify.run_suite("weyl", d, 2, 2) if not c.passed]
     assert failed == ["weyl.commutation_sampled"]
     assert main(["verify", "--suite", "weyl", "--d", str(d), "--n", "2", "--seeds", "2"]) == 1
+
+
+def test_qubit_commutation_sees_a_negation_through_pairs_without_a_zero_point(monkeypatch):
+    # both sides come from the stack: with every w(x != 0) negated, a pair of non-zero
+    # points with x != y leaves w(x) w(y) unchanged but negates the right side
+    real = weyl.weyl_operator
+    monkeypatch.setattr(weyl, "weyl_operator",
+                        lambda point, d: -real(point, d) if np.any(point) else real(point, d))
+    x, y = np.random.default_rng(21_000 + 2).integers(0, 2, size=(2, 64, 4))
+    keep = x.any(axis=1) & y.any(axis=1)
+    assert keep.sum() == 56  # the 8 pairs with a zero point are removed
+    stack = verify._weyl_stack(2, 2)
+    assert verify._commutation_worst(stack, x[keep], y[keep], 2) > 1.0
+    monkeypatch.setattr(weyl, "weyl_operator", real)
+    assert verify._commutation_worst(verify._weyl_stack(2, 2), x[keep], y[keep], 2) <= 1e-12
+
+
+def test_hudson_and_the_scan_build_no_state_from_a_stabilizer_table(monkeypatch):
+    # each stabilizer is read as its msps_char table; only the scan's ⊠ outputs are built
+    tables, built = [], []
+    real_char, real_build = states.msps_char, states.state_from_char
+
+    def char(*args):
+        tables.append(real_char(*args))
+        return tables[-1]
+
+    def build(xi, *args, **kwargs):
+        built.extend(xi for t in tables if t is xi)
+        return real_build(xi, *args, **kwargs)
+
+    monkeypatch.setattr(states, "msps_char", char)
+    for module in (states, ent):
+        monkeypatch.setattr(module, "state_from_char", build)
+    assert all(c.passed for c in verify.run_suite("hudson", 5, 1, 10))
+    assert built == [] and len(tables) == 31
+    assert ent.check_min_output_entropy(cv.hadamard_params(3), 3, 1).ok
+    assert built == [] and len(tables) == 31 + 13
 
 
 def _sample_parity_matrix_loop(rng, d, klass):
@@ -145,7 +183,7 @@ def test_hudson_at_d2_is_refused_before_any_enumeration(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the hudson suite started")
 
-    monkeypatch.setattr(verify.st, "enumerate_pure_stabilizers", fail)
+    monkeypatch.setattr(verify.st, "iter_msps", fail)
     monkeypatch.setattr(verify.st, "wigner", fail)
     with pytest.raises(UnsupportedDimensionError):
         verify.run_suite("hudson", 2, 1, 3)

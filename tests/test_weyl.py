@@ -17,6 +17,7 @@ from helpers import (
     reference_coefficient_table,
     reference_matrix_from_table,
     reference_stripe_index,
+    weyl_literal,
 )
 
 
@@ -82,7 +83,7 @@ def test_commutation_odd(d):
 
 def test_commutation_qubit_literal():
     # the qubit formula needs unreduced integer labels: w(1,2) = -Z, not Z
-    assert np.abs(weyl.weyl_literal([1], [2], 2) + weyl.zmat(2)).max() < 1e-12
+    assert np.abs(weyl_literal([1], [2], 2) + weyl.zmat(2)).max() < 1e-12
     for n in (1, 2):
         rng = np.random.default_rng(n)
         for _ in range(40):
@@ -90,7 +91,7 @@ def test_commutation_qubit_literal():
             y = rng.integers(0, 2, 2 * n)
             lhs = weyl.weyl_operator(x, 2) @ weyl.weyl_operator(y, 2)
             ps, qs = (x + y)[:n], (x + y)[n:]
-            rhs = commutation_phase(x, y, 2) * weyl.weyl_literal(ps, qs, 2)
+            rhs = commutation_phase(x, y, 2) * weyl_literal(ps, qs, 2)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
