@@ -2,18 +2,25 @@
 
 J(rho; H) = Tr[rho [H, [H, log rho]]] with base-2 logarithms, so the de
 Bruijn identity dH/dt = J/4 holds with the package-wide entropy
-convention.  ``fisher_total`` evaluates the trace form
-J(rho; P) = 2 Tr[P rho L] - 2 Tr[P rho P L] (L = log2 rho) over the site
-projectors P from rho's cached eigendecomposition; the dephasing route
-``_fisher_total_dephasing`` is the oracle the tests compare it with.
-Rank-deficient states are rejected rather than silently regularized
-(use smooth()).
+convention.  Every map here other than ``fisher_single`` is diagonal in
+the Weyl basis and acts on the characteristic table Xi through one helper,
+``_coordinate_weight``: the number of nonzero coordinates of x = [p | q].
+Dephasing a site keeps Xi where one coordinate is 0; the Liouvillean
+L = -n + (1/2) sum_k (Delta_{X_k} + Delta_{Z_k}) multiplies Xi(x) by
+-|x|/2, with |x| the weight over all 2n coordinates; the heat semigroup
+e^{tL} by exp(-|x| t / 2).  ``fisher_total`` is the weighted Parseval sum
+J(rho) = -4 Tr[L(rho) log2 rho] = (2/D) sum_x |x| Re[Xi_rho(x) conj(Xi_log(x))].
+The dense route, which conjugates by site gates and sums the relative
+entropies to the dephased states, lives in ``tests/helpers.py`` as the
+oracle these are compared with.  Rank-deficient states are rejected
+rather than silently regularized (use smooth()).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .errors import (
     SingularStateError,
 )
 from .states import State, char_function, make_state, maximally_mixed, state_from_char
-from .weyl import conjugate_site_gate, digit_table, fourier_gate
+from .weyl import matrix_from_weyl_table, weyl_coefficient_table
 
 
 def smooth(state: State, eta: float) -> State:
@@ -34,56 +41,52 @@ def smooth(state: State, eta: float) -> State:
     return make_state((1 - eta) * state.mat + eta * mixed.mat, state.d, state.n)
 
 
-def _site_basis(axis: str, d: int) -> np.ndarray:
-    """Columns = the rank-1 eigenbasis of the site operator (Z or X)."""
-    if axis == "Z":
-        return np.eye(d, dtype=complex)
-    if axis == "X":
-        # |j>_X = d^{-1/2} sum_k chi(-jk) |k> = F^dag |j>
-        return fourier_gate(d).conj().T
-    raise IncompatibleError(f"axis must be 'X' or 'Z', got {axis!r}")
+def _coordinate_weight(d: int, n: int, coords) -> np.ndarray:
+    """How many of the coordinates ``coords`` of x = [p | q] are nonzero, for every x.
 
-
-def _site_shape(d: int, n: int, site: int) -> tuple:
-    """The register index split as (sites before, this site, sites after)."""
-    return (d**site, d, d ** (n - site - 1))
-
-
-def _dephase_mat(mat: np.ndarray, d: int, n: int, axis: str, site: int) -> np.ndarray:
-    """sum_j P_j mat P_j for the site projectors P_j of ``_site_basis(axis)``.
-
-    In the site basis B the entries whose row and column digits differ at
-    the site are zeroed.  On axis Z, B is the identity and this mask is the
-    whole map; on axis X, mat is conjugated into B first (B^dag mat B by
-    ``conjugate_site_gate``) and back by B after.  No D x D embedding is built.
+    The result broadcasts against a (d,)*2n table: it has length d along
+    each axis in ``coords`` and length 1 along the others.  Over all 2n
+    coordinates it is the weight |x| (``weyl_weight_grid``); over one
+    coordinate c, the points where it is 0 are those that dephasing keeps.
     """
-    basis = _site_basis(axis, d)
-    if axis == "X":
-        mat = conjugate_site_gate(mat, basis.conj().T, [site], d, n)
-    t = mat.reshape(_site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
-    t = t.reshape(mat.shape)
-    return conjugate_site_gate(t, basis, [site], d, n) if axis == "X" else t
+    out = np.zeros((1,) * (2 * n), dtype=np.int64)
+    for c in coords:
+        shape = [1] * (2 * n)
+        shape[c] = d
+        out = out + (np.arange(d) != 0).reshape(shape)
+    return out
+
+
+@lru_cache(maxsize=None)
+def weyl_weight_grid(d: int, n: int) -> np.ndarray:
+    """|x|, the number of nonzero coordinates of x = [p | q], shape (d,)*2n."""
+    w = _coordinate_weight(d, n, range(2 * n))
+    w.setflags(write=False)
+    return w
 
 
 def dephase(state: State, axis: str, site: int = 0) -> State:
-    """The completely dephasing channel Delta_R in the X or Z site basis."""
-    out = _dephase_mat(state.mat, state.d, state.n, axis, site)
-    return make_state(out, state.d, state.n)
+    """The completely dephasing channel Delta_R in the X or Z basis of one site.
+
+    Z-dephasing of site k keeps Xi(x) where q_k = 0 and X-dephasing keeps it
+    where p_k = 0; every other characteristic value is set to 0.
+    """
+    if axis not in ("X", "Z"):
+        raise IncompatibleError(f"axis must be 'X' or 'Z', got {axis!r}")
+    if not isinstance(site, Integral) or not 0 <= site < state.n:
+        raise IncompatibleError(f"site must be one of 0..{state.n - 1}, got {site!r}")
+    coord = site if axis == "X" else state.n + site
+    keep = _coordinate_weight(state.d, state.n, [coord]) == 0
+    return state_from_char(char_function(state) * keep)
 
 
-def _spectrum(state: State):
-    """(eigenvalues, eigenvectors) of rho, cached on the State; errors below the spectrum floor."""
+def _log_state(state: State) -> np.ndarray:
+    """log2(rho) from the cached eigendecomposition; errors below the spectrum floor."""
     vals, vecs = state.eigh
     if vals.min() <= TOL_SPEC:
         raise SingularStateError(
             f"state has eigenvalue {vals.min():.2e} at/below the floor; smooth() it first"
         )
-    return vals, vecs
-
-
-def _log_state(state: State) -> np.ndarray:
-    """log2(rho) from the cached eigendecomposition; errors below the spectrum floor."""
-    vals, vecs = _spectrum(state)
     return (vecs * np.log2(vals)) @ vecs.conj().T
 
 
@@ -98,75 +101,20 @@ def fisher_single(state: State, H: np.ndarray) -> float:
     return float(val.real)
 
 
-def _fisher_total_dephasing(state: State) -> float:
-    # 2 sum_k [ D(rho || Delta rho) + D(Delta rho || rho) ] over both axes
-    from .entropy import renyi_relative
-
-    total = 0.0
-    for site in range(state.n):
-        for axis in ("X", "Z"):
-            deph = dephase(state, axis, site)
-            total += 2.0 * (renyi_relative(state, deph, 1) + renyi_relative(deph, state, 1))
-    return total
-
-
-def _site_digit_pairs(mat: np.ndarray, d: int, n: int, site: int) -> np.ndarray:
-    """mat as a (d^2, D^2/d^2) array whose rows are its (row, column) digit pairs at the site."""
-    t = mat.reshape(_site_shape(d, n, site) * 2)
-    return t.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, -1)
-
-
-@lru_cache(maxsize=None)
-def _site_pair_rotation(d: int) -> np.ndarray:
-    """R[(axis, m, m'), (j, j')] = conj(b_m[j]) b_m'[j'] for the X, then the Z, site basis {b_m}."""
-    blocks = []
-    for axis in ("X", "Z"):
-        basis = _site_basis(axis, d)
-        blocks.append(np.einsum("jm,kn->mnjk", basis.conj(), basis).reshape(d * d, d * d))
-    rot = np.concatenate(blocks)
-    rot.setflags(write=False)
-    return rot
-
-
 def fisher_total(state: State) -> float:
-    """Total Fisher information: J(rho; P) summed over the 2 n d site projectors.
+    """Total Fisher information J(rho) = -4 Tr[L(rho) log2 rho], L the Liouvillean.
 
-    For a projector P, [rho, L] = 0 with L = log2(rho) gives
-    J(rho; P) = 2 Tr[P rho L] - 2 Tr[P rho P L].  The d projectors of one
-    site and axis sum to I, so their total is 2 (Tr[rho L] - Tr[Delta(rho) L])
-    with Delta the dephasing of that site in that basis: twice the sum of
-    rho'_ik conj(L'_ik) over the index pairs (i, k) whose site digits
-    differ, where ' denotes rotation into the site basis along the site
-    axis.  Per site, the sums over the other digits,
-    K[(j, j'), (k, k')] = sum rho[.j., .j'.] conj(L[.k., .k'.]), are one
-    (d^2, D^2/d^2) product, and the rotation into both bases acts on K's
-    d^2 x d^2 indices (``_site_pair_rotation``).  L costs one D^3 product
-    on the cached eigendecomposition, and each site O(d^2 D^2).  Since
-    Tr[rho - Delta(rho)] = 0, L may be shifted by any multiple of I; it
-    is shifted by the mean of log2(lam), which keeps the sums from
-    cancelling when rho is close to maximally mixed.
+    This is J(rho; P) summed over the 2 n d site projectors P.  L is
+    diagonal in the Weyl basis with eigenvalue -|x|/2, so by Parseval
+    J(rho) = (2/D) sum_x |x| Re[Xi_rho(x) conj(Xi_log(x))], with Xi_log
+    the table of log2 rho built from the cached eigendecomposition (one
+    D^3 product and one transform).  A multiple of I added to log2 rho
+    moves only Xi_log(0), where the weight |0| is 0.
     """
-    vals, vecs = _spectrum(state)
-    logs = np.log2(vals)
-    L = (vecs * (logs - logs.mean())) @ vecs.conj().T
     d, n = state.d, state.n
-    rot = _site_pair_rotation(d)
-    off_site = np.tile((1.0 - np.eye(d)).ravel(), 2)
-    total = 0.0
-    for site in range(n):
-        k = _site_digit_pairs(state.mat, d, n, site) @ _site_digit_pairs(L, d, n, site).conj().T
-        rotated = ((rot @ k) * rot.conj()).sum(axis=1)
-        total += 2.0 * float(rotated.real @ off_site)
-    return total
-
-
-@lru_cache(maxsize=None)
-def weyl_weight_grid(d: int, n: int) -> np.ndarray:
-    """Number of nonzero coordinates of (p, q), shape (d,)*2n."""
-    count = (digit_table(d, n) != 0).sum(axis=1)
-    w = (count[:, None] + count[None, :]).reshape((d,) * (2 * n))
-    w.setflags(write=False)
-    return w
+    xi_log = weyl_coefficient_table(_log_state(state), d, n)
+    overlap = (char_function(state) * xi_log.conj()).real
+    return 2.0 * float(np.vdot(weyl_weight_grid(d, n), overlap)) / d**n
 
 
 def _semigroup_values(table: np.ndarray, t: float) -> np.ndarray:
@@ -182,12 +130,12 @@ def heat_semigroup(state: State, t: float) -> State:
 
 
 def liouvillean(mat: np.ndarray, d: int, n: int) -> np.ndarray:
-    """L(A) = -n A + (1/2) sum_k (Delta_{X_k} A + Delta_{Z_k} A)."""
-    out = -n * mat.astype(complex)
-    for site in range(n):
-        for axis in ("X", "Z"):
-            out += 0.5 * _dephase_mat(mat, d, n, axis, site)
-    return out
+    """L(A) = -n A + (1/2) sum_k (Delta_{X_k} A + Delta_{Z_k} A).
+
+    L multiplies the Weyl coefficient of A at x by -|x|/2.
+    """
+    table = weyl_coefficient_table(np.asarray(mat, dtype=complex), d, n)
+    return matrix_from_weyl_table(-0.5 * weyl_weight_grid(d, n) * table, d, n)
 
 
 def de_bruijn_check(state: State, h: float = 1e-5) -> tuple[float, float]:

@@ -55,8 +55,8 @@ UNITARY_TOL = 1e-10
 
 @lru_cache(maxsize=None)
 def omega_table(d: int) -> np.ndarray:
-    """The d-th roots of unity chi(k) = exp(2 pi i k / d), k = 0..d-1."""
-    table = np.exp(2j * np.pi * np.arange(d) / d)
+    """The d-th roots of unity chi(k) = exp(2 pi i k / d), k = 0..d-1; exactly [1, -1] at d = 2."""
+    table = np.exp(2j * np.pi * np.arange(d) / d) if d > 2 else np.array([1, -1], dtype=complex)
     table.setflags(write=False)
     return table
 

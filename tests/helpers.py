@@ -1,7 +1,8 @@
 """Channel constructions, the Choi action and its Weyl images, subgroup predicates,
 Weyl commutation phases, w at unreduced labels, the reference Weyl transforms, a
-point-by-point threshold reading, MSPS-ness by matrices, a decimal subentropy and
-Hermitization, kept for the tests only."""
+point-by-point threshold reading, MSPS-ness by matrices, a decimal subentropy,
+Hermitization and the dense dephasing route of Fisher information, kept for the
+tests only."""
 
 import cmath
 import decimal
@@ -11,6 +12,7 @@ import numpy as np
 
 from qps.channels import Channel, choi_from_kraus
 from qps.config import DEFAULT, PHASE_RESIDUAL
+from qps.entropy import renyi_relative
 from qps.errors import InternalInconsistencyError
 from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
 from qps.mean_magic import mean_state, read_thresholds
@@ -18,7 +20,9 @@ from qps.states import State, char_function, make_state
 from qps.weyl import (
     _dft_matrix,
     chi,
+    conjugate_site_gate,
     digit_table,
+    fourier_gate,
     weyl_coefficient_table,
     weyl_operator,
     weyl_phase_exponents,
@@ -219,3 +223,56 @@ def subentropy_lagrange(spec) -> float:
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """(mat + mat^dag) / 2, bit for bit as ``make_state`` Hermitizes."""
     return (mat + np.conj(mat.T)) / 2
+
+
+# The dense dephasing route of Fisher information: the oracle for the
+# characteristic-table masks of ``qps.fisher``.
+
+def site_basis(axis: str, d: int) -> np.ndarray:
+    """Columns = the rank-1 eigenbasis of the site operator (Z or X)."""
+    if axis == "Z":
+        return np.eye(d, dtype=complex)
+    # |j>_X = d^{-1/2} sum_k chi(-jk) |k> = F^dag |j>
+    return fourier_gate(d).conj().T
+
+
+def site_shape(d: int, n: int, site: int) -> tuple:
+    """The register index split as (sites before, this site, sites after)."""
+    return (d**site, d, d ** (n - site - 1))
+
+
+def dephase_mat(mat: np.ndarray, d: int, n: int, axis: str, site: int) -> np.ndarray:
+    """sum_j P_j mat P_j for the site projectors P_j of ``site_basis(axis)``.
+
+    In the site basis B the entries whose row and column digits differ at
+    the site are zeroed.  On axis Z, B is the identity and this mask is the
+    whole map; on axis X, mat is conjugated into B first (B^dag mat B by
+    ``conjugate_site_gate``) and back by B after.
+    """
+    basis = site_basis(axis, d)
+    if axis == "X":
+        mat = conjugate_site_gate(mat, basis.conj().T, [site], d, n)
+    t = mat.reshape(site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
+    t = t.reshape(mat.shape)
+    return conjugate_site_gate(t, basis, [site], d, n) if axis == "X" else t
+
+
+def liouvillean_dense(mat: np.ndarray, d: int, n: int) -> np.ndarray:
+    """-n mat + (1/2) sum_k (Delta_{X_k} mat + Delta_{Z_k} mat) by dense dephasings."""
+    out = -n * np.asarray(mat, dtype=complex)
+    for site in range(n):
+        for axis in ("X", "Z"):
+            out += 0.5 * dephase_mat(mat, d, n, axis, site)
+    return out
+
+
+def fisher_total_dephasing(state: State) -> float:
+    """2 sum [D(rho || Delta rho) + D(Delta rho || rho)] over every site and both axes,
+    Delta by ``dephase_mat``: the oracle for ``fisher.fisher_total``."""
+    total = 0.0
+    for site in range(state.n):
+        for axis in ("X", "Z"):
+            deph = make_state(dephase_mat(state.mat, state.d, state.n, axis, site),
+                              state.d, state.n)
+            total += 2.0 * (renyi_relative(state, deph, 1) + renyi_relative(deph, state, 1))
+    return total

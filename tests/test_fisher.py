@@ -8,10 +8,12 @@ from qps import states, verify, weyl
 from qps.errors import IncompatibleError, NegativeTimeError, SingularStateError
 from qps.phase_space import make_point
 
+from helpers import dephase_mat, fisher_total_dephasing, liouvillean_dense, site_basis, site_shape
+
 
 def _site_projector(axis, site, j, d, n):
-    """|j><j| in the site basis of ``fi._site_basis(axis)`` on one site, identity elsewhere."""
-    col = fi._site_basis(axis, d)[:, j]
+    """|j><j| in the site basis of ``site_basis(axis)`` on one site, identity elsewhere."""
+    col = site_basis(axis, d)[:, j]
     out = np.eye(1)
     for k in range(n):
         out = np.kron(out, np.outer(col, col.conj()) if k == site else np.eye(d))
@@ -44,9 +46,9 @@ def test_dephase():
 
 def _dephase_by_conjugation(mat, d, n, axis, site):
     """Dephasing that conjugates into the site basis and back on both axes."""
-    basis = fi._site_basis(axis, d)
+    basis = site_basis(axis, d)
     t = weyl.conjugate_site_gate(mat, basis.conj().T, [site], d, n)
-    t = t.reshape(fi._site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
+    t = t.reshape(site_shape(d, n, site) * 2) * np.eye(d)[None, :, None, None, :, None]
     return weyl.conjugate_site_gate(t.reshape(mat.shape), basis, [site], d, n)
 
 
@@ -55,9 +57,33 @@ def test_dephase_z_is_the_digit_mask_alone():
     for site in range(3):
         for axis in ("X", "Z"):
             want = _dephase_by_conjugation(mat, 3, 3, axis, site)
-            assert np.array_equal(fi._dephase_mat(mat, 3, 3, axis, site), want)
+            assert np.array_equal(dephase_mat(mat, 3, 3, axis, site), want)
     with pytest.raises(IncompatibleError):
-        fi._dephase_mat(mat, 3, 3, "Y", 0)
+        fi.dephase(states.random_state(3, 3, seed=2), "Y", 0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_dephase_mask_matches_dense_route(d, n):
+    # keeping Xi where q_k = 0 (Z) or p_k = 0 (X) is sum_j P_j rho P_j
+    for seed in range(2):
+        rho = states.random_state(n, d, seed=seed)
+        for site in range(n):
+            for axis in ("X", "Z"):
+                want = dephase_mat(rho.mat, d, n, axis, site)
+                assert np.abs(fi.dephase(rho, axis, site).mat - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("axis,site", [("Z", 2), ("Z", -1), ("Z", 5), ("X", 2), ("Y", 0),
+                                       ("z", 0), ("Z", 1.0)])
+def test_dephase_refuses_a_site_or_axis_it_does_not_have(monkeypatch, axis, site):
+    rho = states.random_state(2, 3, seed=3)
+
+    def no_work(state):
+        raise AssertionError("dephase read the table before checking its input")
+
+    monkeypatch.setattr(fi, "char_function", no_work)
+    with pytest.raises(IncompatibleError):
+        fi.dephase(rho, axis, site)
 
 
 def test_fisher_single():
@@ -94,7 +120,7 @@ def test_fisher_total_routes_and_monotone_smoothing():
             smoothed = fi.smooth(rho, eta)
             j = fi.fisher_total(smoothed)
             assert np.isfinite(j) and j >= -1e-12
-            assert abs(j - fi._fisher_total_dephasing(smoothed)) <= 1e-8 * max(1.0, abs(j))
+            assert abs(j - fisher_total_dephasing(smoothed)) <= 1e-8 * max(1.0, abs(j))
             if prev is not None:
                 assert j < prev
             prev = j
@@ -161,6 +187,39 @@ def test_liouvillean():
     lhs = np.trace(fi.liouvillean(a, 3, 2) @ b)
     rhs = np.trace(a @ fi.liouvillean(b, 3, 2))
     assert abs(lhs - rhs) < 1e-9
+
+
+SEMIGROUP_SYSTEMS = [(2, 2), (3, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("d,n", SEMIGROUP_SYSTEMS)
+def test_heat_semigroup_is_generated_by_the_liouvillean(d, n):
+    # (e^{hL} rho - e^{-hL} rho) / 2h at h = 1e-5 against L(rho)
+    rho = states.random_state(n, d, seed=20)
+    h = 1e-5
+    table = states.char_function(rho)
+    plus = states.from_char(fi._semigroup_values(table, h))
+    minus = states.from_char(fi._semigroup_values(table, -h))
+    assert np.array_equal(fi.heat_semigroup(rho, h).mat, states.make_state(plus, d, n).mat)
+    assert np.abs((plus - minus) / (2 * h) - fi.liouvillean(rho.mat, d, n)).max() < 1e-9
+
+
+@pytest.mark.parametrize("d,n", SEMIGROUP_SYSTEMS)
+def test_liouvillean_mask_matches_sum_of_dense_dephasings(d, n):
+    for seed in range(3):
+        mat = states.random_state(n, d, seed=seed).mat
+        assert np.abs(fi.liouvillean(mat, d, n) - liouvillean_dense(mat, d, n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", SEMIGROUP_SYSTEMS)
+def test_fisher_total_is_the_liouvillean_against_the_log(d, n):
+    # J(rho) = -4 Tr[L(rho) log2 rho], with L by dense dephasings and log2 by a fresh eigh
+    for eta in (1e-3, 0.1, 0.9):
+        rho = fi.smooth(states.random_state(n, d, seed=21), eta)
+        vals, vecs = np.linalg.eigh(rho.mat)
+        log = (vecs * np.log2(vals)) @ vecs.conj().T
+        want = -4 * np.trace(liouvillean_dense(rho.mat, d, n) @ log).real
+        assert abs(fi.fisher_total(rho) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_de_bruijn():

@@ -21,7 +21,14 @@ from qps.config import DEFAULT, Tolerances  # noqa: E402
 from qps.errors import InternalInconsistencyError, PhaseNotRootOfUnityError  # noqa: E402
 from qps.phase_space import make_point  # noqa: E402
 
-from helpers import commutation_phase, threshold_reading_by_points, weyl_literal  # noqa: E402
+from helpers import (  # noqa: E402
+    commutation_phase,
+    fisher_total_dephasing,
+    site_basis,
+    site_shape,
+    threshold_reading_by_points,
+    weyl_literal,
+)
 
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -83,7 +90,7 @@ def test_fisher_total_matches_dephasing_oracle(system, seed, eta):
     d, n = system
     rho = fi.smooth(states.random_state(n, d, seed=seed), eta)
     j = fi.fisher_total(rho)
-    assert abs(j - fi._fisher_total_dephasing(rho)) <= 1e-8 * max(1.0, abs(j))
+    assert abs(j - fisher_total_dephasing(rho)) <= 1e-8 * max(1.0, abs(j))
 
 
 def _fisher_total_eigenbasis(state):
@@ -96,8 +103,8 @@ def _fisher_total_eigenbasis(state):
     total = 0.0
     for site in range(n):
         for axis in ("X", "Z"):
-            w = weyl.apply_site_gate(vecs, fi._site_basis(axis, d).conj().T, [site], d, n)
-            w = w.reshape(fi._site_shape(d, n, site) + (D,))
+            w = weyl.apply_site_gate(vecs, site_basis(axis, d).conj().T, [site], d, n)
+            w = w.reshape(site_shape(d, n, site) + (D,))
             for j in range(d):
                 wj = w[:, j].reshape(-1, D)
                 h = wj.conj().T @ wj

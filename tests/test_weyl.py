@@ -31,6 +31,19 @@ def test_weyl_operator_basics():
     assert np.abs(y - np.array([[0, -1j], [1j, 0]])).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qubit_weyl_operators_are_exact(n):
+    # chi(1) = -1 exactly at d = 2, so w(p, q) = (-i)^{p.q} Z^p X^q carries no rounding:
+    # real when p.q is even, imaginary when it is odd, every entry in {0, +-1, +-i}
+    assert weyl.chi(1, 2) == -1
+    assert np.array_equal(weyl.omega_table(2), [1, -1])
+    for x in itertools.product(range(2), repeat=2 * n):
+        w = weyl.weyl_operator(x, 2)
+        assert set(np.unique(w).tolist()) <= {0, 1, -1, 1j, -1j}
+        odd = np.dot(x[:n], x[n:]) % 2
+        assert not (w.imag if not odd else w.real).any()
+
+
 def _weyl_operator_kron(point, d):
     """Reference w(p, q): the chained Kronecker product of the one-site operators."""
     out = np.array([[1.0 + 0j]])
