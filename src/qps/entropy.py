@@ -17,29 +17,13 @@ from itertools import product
 import numpy as np
 
 from .config import DEFAULT, TOL_SPEC, TOL_STATE, Tolerances
-from .convolution import (
-    as_param_matrix,
-    char_powers,
-    convolve,
-    convolve_char,
-    transformed_stabilizer_group,
-)
-from .errors import (
-    NotComparableError,
-    UnsupportedAlphaError,
-    UnsupportedGError,
-)
+from .convolution import as_param_matrix, char_powers, convolve, transformed_stabilizer_group
+from .errors import NotComparableError, UnsupportedAlphaError, UnsupportedGError
 from .mean_magic import mean_state, msps_group
-from .states import (
-    State,
-    basis_state,
-    char_function,
-    iter_msps,
-    maximally_mixed,
-    msps_char,
-    random_state,
-    state_from_char,
-)
+from .phase_space import field_inv
+from .states import (State, basis_state, char_function, enumerate_lagrangian_subgroups,
+                     maximally_mixed, msps_char, random_state, state_from_char)
+from .weyl import encode_digits
 
 
 def clean_spectrum(state_or_values) -> np.ndarray:
@@ -81,11 +65,6 @@ def renyi_entropy(state: State, alpha) -> float:
     return renyi_entropy_spectrum(clean_spectrum(state), alpha)
 
 
-def _support_projector(vals, vecs):
-    mask = vals > TOL_SPEC
-    return vecs[:, mask], vals[mask]
-
-
 def renyi_relative(rho: State, sigma: State, alpha) -> float:
     """Sandwiched Renyi relative entropy D_alpha(rho || sigma), alpha >= 1/2.
 
@@ -96,7 +75,7 @@ def renyi_relative(rho: State, sigma: State, alpha) -> float:
     if alpha < 0.5:
         raise UnsupportedAlphaError("sandwiched divergence needs alpha >= 1/2")
     svals, svecs = sigma.eigh
-    vb, lb = _support_projector(svals, svecs)
+    vb, lb = svecs[:, svals > TOL_SPEC], svals[svals > TOL_SPEC]  # supp(sigma)
     # rho compressed onto supp(sigma); support violation = trace deficit
     r_in = vb.conj().T @ rho.mat @ vb
     deficit = 1.0 - np.trace(r_in).real
@@ -281,38 +260,33 @@ class MinOutputEntropyReport:
 
 
 def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEntropyReport:
-    """Exhaustive pure-stabilizer scan of the minimal-output-entropy law.
+    """Exhaustive pure-stabilizer scan of the minimal-output-entropy law, by group counts.
 
-    H(rho ⊠ sigma) vanishes exactly on pairs whose stabilizer groups
-    satisfy S_rho = transformed(S_sigma); every other pair (and random
-    magic pairs) must come out strictly positive.  The stabilizers are their
-    ``iter_msps`` tables: each output is ``state_from_char`` of the ``convolve_char``
-    of two of them with ``spectrum=True``, so the one ``eigvalsh`` its entropy reads
-    decides its positivity.  The sigmas matched to rho are read from one dict keyed
-    by the transformed group.
+    H(rho ⊠ sigma) vanishes exactly on pairs whose stabilizer groups satisfy
+    S_rho = transformed(S_sigma), read from one dict of the groups; every other pair
+    (and 5 random magic pairs, run by ``convolve``) must come out strictly positive.
+    The stabilizers are the m Lagrangians with d^n characters each.  By closure, ⊠ of
+    two is an MSPS of the group A^-1 S_rho ∩ B^-1 S_sigma, A and B the scalings of
+    ``convolve_char``: of C elements, so H = log2(d^n / C) exactly for every character
+    pair.  C over all group pairs is one product of 0/1 indicator stacks; no table is built.
     """
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the minimal-output-entropy law needs positive G")
-    stabs = [(xi, group) for xi, group, _ in iter_msps(n, d) if group.size == d**n]
-    matches = {}  # transformed(S_sigma) -> the indices of those sigmas
-    for j, (_, g_sig) in enumerate(stabs):
-        matches.setdefault(transformed_stabilizer_group(g_sig, pm), set()).add(j)
-    matched_max = 0.0
-    unmatched_min = math.inf
-    n_matched = 0
-    ok = True
-    for t_rho, g_rho in stabs:
-        matched = matches.get(g_rho, set())
-        for j, (t_sig, _) in enumerate(stabs):
-            h = renyi_entropy(state_from_char(convolve_char(t_rho, t_sig, pm), spectrum=True), 1)
-            if j in matched:
-                n_matched += 1
-                matched_max = max(matched_max, h)
-                ok = ok and h <= 1e-8
-            else:
-                unmatched_min = min(unmatched_min, h)
-                ok = ok and h > 1e-6
+    groups = enumerate_lagrangian_subgroups(n, d)
+    elements = np.stack([g.elements for g in groups])
+    stacks = np.zeros((2, len(groups), d ** (2 * n)))  # 0/1 rows of each A^-1 S, then B^-1 S
+    for stack, cp, cq in zip(stacks, (pm.n_inv * pm.g11, -pm.n_inv * pm.g10), (pm.g00, pm.g01)):
+        scaled = elements * np.repeat([field_inv(cp, d), field_inv(cq, d)], n) % d
+        np.put_along_axis(stack, encode_digits(scaled, d), 1.0, axis=1)
+    counts = stacks[0] @ stacks[1].T
+    entropies = np.log2(d**n / counts)
+    index = {g: i for i, g in enumerate(groups)}
+    rhos = [index[transformed_stabilizer_group(g_sig, pm)] for g_sig in groups]
+    matched = np.arange(len(groups))[:, None] == rhos  # [rho, sigma]: S_rho = transformed(S_sigma)
+    on, off = entropies[matched], entropies[~matched]
+    ok = bool((on <= 1e-8).all() and (off > 1e-6).all())
+    unmatched_min = float(off.min(initial=math.inf))
     rng = np.random.default_rng(seed)
     for _ in range(5):
         a = random_state(n, d, seed=rng.integers(2**31), rank=1)
@@ -322,8 +296,8 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
         ok = ok and h > 1e-6
     return MinOutputEntropyReport(
         ok=ok,
-        n_pairs=len(stabs) ** 2,
-        n_matched=n_matched,
-        max_entropy_on_matched=matched_max,
+        n_pairs=(len(groups) * d**n) ** 2,
+        n_matched=int(matched.sum()) * d ** (2 * n),
+        max_entropy_on_matched=float(on.max(initial=0.0)),
         min_entropy_on_unmatched=unmatched_min,
     )

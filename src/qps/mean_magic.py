@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, PHASE_RESIDUAL, Tolerances
-from .errors import (
-    InternalInconsistencyError,
-    PhaseNotRootOfUnityError,
-    UnsupportedDimensionError,
-)
+from .errors import (IncompatibleError, InternalInconsistencyError, PhaseNotRootOfUnityError,
+                     UnsupportedAlphaError, UnsupportedDimensionError)
 from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generators
 from .states import State, char_function, enumerate_msps, make_state, state_from_char
 from .weyl import (
@@ -250,7 +247,7 @@ def closest_msps(state: State, alpha: float):
     from .entropy import renyi_relative
 
     if alpha < 1:
-        raise UnsupportedDimensionError("extremality is stated for alpha >= 1")
+        raise UnsupportedAlphaError("extremality is stated for alpha >= 1")
     best = None
     best_val = np.inf
     for sigma in enumerate_msps(state.n, state.d):
@@ -284,7 +281,7 @@ def apply_qubit_word(state: State, word) -> State:
     mat = state.mat
     for name, *sites in word:
         if name not in gates:
-            raise ValueError(f"unknown gate {name}")
+            raise IncompatibleError(f"unknown gate {name}")
         mat = conjugate_site_gate(mat, gates[name], sites, 2, state.n)
     return make_state(mat, 2, state.n)
 

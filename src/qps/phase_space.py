@@ -2,12 +2,14 @@
 
 V^n = Z_d^n x Z_d^n indexes the Weyl basis.  A point is the int64 vector
 [p | q] of length 2n with entries reduced into [0, d), and a stack of
-points is an array with that last axis.  A subgroup is held as its
-reduced row echelon basis, which fixes it uniquely.  Everything here is
-exact integer arithmetic - no floats.
+points is an array with that last axis.  A subgroup is held as its reduced
+row echelon basis, which fixes it uniquely; ``rref_subspaces`` lists every
+subspace of Z_d^k by that basis.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -95,6 +97,21 @@ def rref_mod(A: np.ndarray, d: int):
         if r == rows:
             break
     return A, pivots
+
+
+def rref_subspaces(k: int, d: int):
+    """Yield every subspace of Z_d^k as its reduced row echelon basis: one (d^f, r, k)
+    batch per pivot set c_0 < ... < c_{r-1}, r ascending.  Row i is 1 at c_i, 0 at the
+    other pivots and before c_i, and any of d values at each of the f other entries."""
+    for r in range(k + 1):
+        for piv in map(list, combinations(range(k), r)):
+            free = np.arange(k) > np.array(piv, dtype=int)[:, None]
+            free[:, piv] = False
+            rows, cols = np.nonzero(free)
+            batch = np.zeros((d ** len(rows), r, k), dtype=np.int64)
+            batch[:, range(r), piv] = 1
+            batch[:, rows, cols] = np.indices((d,) * len(rows)).reshape(len(rows), len(batch)).T
+            yield batch
 
 
 def solve_linear_mod(A, b, d: int):

@@ -7,8 +7,8 @@ gives it.  ``state_from_char`` is the one route from a characteristic table
 back to a State and the one check of a table no matrix gave; the State
 holds that table.  An MSPS is its table: ``iter_msps`` is the one loop over
 (isotropic group, characters) and yields each ``msps_char`` table, which the
-readers that need no matrix (the hudson suite, the minimal-output-entropy scan)
-read as it is, and ``enumerate_msps`` builds States from.  Characteristic
+hudson suite reads as it is and ``enumerate_msps`` builds States from; the groups
+are built from subspaces and symmetric matrices, not searched for.  Characteristic
 tables are complex ndarrays holding Xi(x) = Tr[rho w(-x)] over all of V^n,
 shape (d,)*2n with the p coordinates on the first n axes; Wigner tables are
 real arrays of that shape.  d and n are read off a table as shape[0] and ndim // 2.
@@ -24,14 +24,9 @@ from itertools import product
 import numpy as np
 
 from .config import MAX_ENUMERATION, TOL_STATE
-from .errors import (
-    IncompatibleError,
-    NotStateError,
-    TooLargeError,
-    UnsupportedDimensionError,
-)
-from .phase_space import PhaseSubgroup, check_prime, subgroup_generators, symplectic_inner
-from .weyl import _dft_axes, chi, encode_digits, matrix_from_weyl_table, weyl_coefficient_table
+from .errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
+from .phase_space import PhaseSubgroup, check_prime, rref_subspaces, subgroup_generators
+from .weyl import _dft_axes, chi, matrix_from_weyl_table, weyl_coefficient_table
 
 # Absolute slack of the checks Xi(0) = 1 and |Xi| <= 1 on every cached table.
 XI_CHECK_TOL = 1e-9
@@ -248,30 +243,44 @@ def random_pure(n: int, d: int, seed) -> State:
     return random_state(n, d, seed, rank=1)
 
 
-def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
-    """All isotropic (abelian-Weyl) subgroups of V^n, deterministically ordered.
+def _group_order(group: PhaseSubgroup):
+    return group.size, group.elements.tobytes()
 
-    Breadth-first closure over the subgroup lattice: each group grows by
-    every point outside it that is orthogonal to its generators, one
-    broadcast test over V^n.  Capped at d^{2n} <= ``config.MAX_ENUMERATION``.
-    """
+
+def enumerate_lagrangian_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
+    """The Lagrangian (maximal isotropic) subgroups of V^n, ordered by size, then by
+    their elements' bytes, under the cap d^{2n} <= ``config.MAX_ENUMERATION``.  Each is
+    one pair (V, S) (Dehaene and De Moor, PRA 68, 042318; Gross, JMP 47, 122107): V a
+    subspace of Z_d^n with reduced basis rows b_i and pivots c_i, S symmetric over Z_d.
+    It is spanned by (sum_j S_ij e_{c_j} | b_i) and by (u | 0) for u = e_c - sum_i b_ic
+    e_{c_i}, c no pivot, the basis of V's orthogonal complement; S = S^T makes it isotropic."""
     if d ** (2 * n) > MAX_ENUMERATION:
         raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
-    points = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T  # row i is the point encoded as i
-    frontier = [subgroup_generators([], d, n)]
-    found = set(frontier)
-    while frontier:
-        nxt = []
-        for grp in frontier:
-            grows = ~symplectic_inner(points[:, None], grp.generators, d).any(axis=1)
-            grows[encode_digits(grp.elements, d)] = False
-            for x in points[grows]:
-                bigger = subgroup_generators(np.vstack([grp.generators, x]), d, n)
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(found, key=lambda g: (g.size, g.elements.tobytes()))
+    groups = []
+    for basis in rref_subspaces(n, d):  # one batch of V per pivot set
+        k = basis.shape[1]
+        piv = (basis[0] != 0).argmax(1)
+        rest = np.delete(np.arange(n), piv)
+        i, j = np.triu_indices(k)
+        sym = np.zeros((d ** len(i), k, k), dtype=np.int64)  # every symmetric S
+        sym[:, i, j] = sym[:, j, i] = np.indices((d,) * len(i)).reshape(len(i), len(sym)).T
+        gens = np.zeros((len(basis), len(sym), n, 2 * n), dtype=np.int64)
+        gens[:, :, :k, n:] = basis[:, None]  # rows (sum_j S_ij e_{c_j} | b_i)
+        gens[:, :, :k, piv] = sym
+        gens[:, :, k:, piv] = -basis[:, None][..., rest].swapaxes(-1, -2)  # rows (u | 0)
+        gens[:, :, range(k, n), rest] = 1
+        groups += [subgroup_generators(g, d, n) for g in gens.reshape(-1, n, 2 * n)]
+    return sorted(groups, key=_group_order)
+
+
+def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
+    """All isotropic (abelian-Weyl) subgroups of V^n, ordered and capped as the
+    Lagrangians: the distinct spans of K L over each Lagrangian's basis L and each
+    subspace basis K of Z_d^n, since every isotropic group lies in a Lagrangian."""
+    coeffs = [K for batch in rref_subspaces(n, d) for K in batch]
+    return sorted({subgroup_generators(K @ lag.generators, d, n)
+                   for lag in enumerate_lagrangian_subgroups(n, d) for K in coeffs},
+                  key=_group_order)
 
 
 def msps_char(group: PhaseSubgroup, chars) -> np.ndarray:
@@ -309,25 +318,25 @@ def _pq(v: np.ndarray) -> np.ndarray:
     return (v[..., :n] * v[..., n:]).sum(axis=-1)
 
 
-def iter_msps(n: int, d: int):
-    """Yield (xi, group, chars) for every MSPS, deterministically: the one loop over
-    (isotropic group, characters).  xi is ``msps_char(group, chars)``; no State is
-    built."""
-    for group in enumerate_isotropic_subgroups(n, d):
-        for chars in product(range(d), repeat=group.rank):
+def iter_msps(groups):
+    """Yield (xi, group, chars) for every MSPS of the given isotropic groups, in their
+    order: the one loop over (group, characters).  xi is ``msps_char(group, chars)``;
+    no State is built."""
+    for group in groups:
+        for chars in product(range(group.d), repeat=group.rank):
             yield msps_char(group, chars), group, chars
 
 
 def enumerate_msps(n: int, d: int) -> list[State]:
-    """All minimal stabilizer-projection states at (n, d), in ``iter_msps`` order, each
-    built from its table with ``spectrum=True``: every MSPS but I/D is rank-deficient,
+    """All minimal stabilizer-projection states at (n, d), in ``iter_msps`` order over the
+    isotropic groups, built with ``spectrum=True``: every MSPS but I/D is rank-deficient,
     so ``eigvalsh`` decides its positivity rather than a failing Cholesky."""
-    return [state_from_char(xi, spectrum=True) for xi, _, _ in iter_msps(n, d)]
+    return [state_from_char(xi, spectrum=True)
+            for xi, _, _ in iter_msps(enumerate_isotropic_subgroups(n, d))]
 
 
 def enumerate_pure_stabilizers(n: int, d: int) -> list[tuple[State, PhaseSubgroup]]:
-    """The pure stabilizer states with their groups, in ``iter_msps`` order: the
-    MSPS of the maximal isotropic groups (size d^n), built as ``enumerate_msps``
-    builds them; no other group's States are built."""
+    """The pure stabilizer states with their groups, in ``iter_msps`` order over the
+    Lagrangians, built as ``enumerate_msps`` builds them."""
     return [(state_from_char(xi, spectrum=True), group)
-            for xi, group, _ in iter_msps(n, d) if group.size == d**n]
+            for xi, group, _ in iter_msps(enumerate_lagrangian_subgroups(n, d))]

@@ -371,13 +371,12 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
 def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
     """Hudson checks on one qudit: `run_suite` refuses this suite at n > 1.  Each pure
-    stabilizer's Wigner minimum is read from its ``st.iter_msps`` table; no State is
-    built for it."""
+    stabilizer's Wigner minimum is read from its ``st.iter_msps`` table over the
+    Lagrangians; no State is built for it, and no other group's table."""
     out = []
     worst = 0.0
-    for xi, group, _ in st.iter_msps(1, d):
-        if group.size == d:
-            worst = min(worst, float(st.wigner(xi).min()))
+    for xi, _, _ in st.iter_msps(st.enumerate_lagrangian_subgroups(1, d)):
+        worst = min(worst, float(st.wigner(xi).min()))
     out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
     trials = max(seeds, 100)
     negative = 0

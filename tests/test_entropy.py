@@ -295,22 +295,62 @@ def _min_output_entropy_per_pair(pm, d, n, seed):
     )
 
 
-@pytest.mark.parametrize("d,n_pairs,n_matched,matched_max,unmatched_min", [
-    (3, 144, 36, 3.2034265038149176e-16, 1.0232679259454094),
-    (5, 900, 150, 3.2034265038149176e-16, 1.6269883905925158),
-    (7, 3136, 392, 6.406853007629834e-16, 2.11485332353775),
+@pytest.mark.parametrize("d,n_pairs,n_matched,unmatched_min", [
+    (3, 144, 36, 1.0232679259454094),
+    (5, 900, 150, 1.6269883905925158),
+    (7, 3136, 392, 2.11485332353775),
 ])
-def test_min_output_entropy_reports_are_fixed(d, n_pairs, n_matched, matched_max, unmatched_min):
-    # field for field as the scan over States read them, to the last bit
+def test_min_output_entropy_reports_are_fixed(d, n_pairs, n_matched, unmatched_min):
+    # exactly 0 on matched pairs by the group counts; the other fields to the last bit
+    # as the per-pair spectral scan reads them
     assert ent.check_min_output_entropy(cv.hadamard_params(d), d, 1) == ent.MinOutputEntropyReport(
         ok=True, n_pairs=n_pairs, n_matched=n_matched,
-        max_entropy_on_matched=matched_max, min_entropy_on_unmatched=unmatched_min,
+        max_entropy_on_matched=0.0, min_entropy_on_unmatched=unmatched_min,
     )
+
+
+def _assert_matches_per_pair_scan(pm, d, seed):
+    got = ent.check_min_output_entropy(pm, d, 1, seed)
+    want = _min_output_entropy_per_pair(pm, d, 1, seed)
+    assert (got.ok, got.n_pairs, got.n_matched, got.min_entropy_on_unmatched) == (
+        want.ok, want.n_pairs, want.n_matched, want.min_entropy_on_unmatched)
+    assert got.max_entropy_on_matched == 0.0
+    assert want.max_entropy_on_matched <= 1e-15
 
 
 @pytest.mark.parametrize("d,seed", [(3, 0), (5, 1)])
 def test_min_output_entropy_matches_per_pair_scan(d, seed):
+    _assert_matches_per_pair_scan(cv.hadamard_params(d), d, seed)
+
+
+def test_min_output_entropy_matches_per_pair_scan_for_an_asymmetric_g():
+    # g00 != g01 and g10 != g11: the scalings of rho and sigma cannot stand in for each other
+    pm = cv.classify([[1, 2], [1, 1]], 5)
+    assert pm.positive
+    _assert_matches_per_pair_scan(pm, 5, 2)
+
+
+def test_min_output_entropy_group_counts_match_spectra_on_a_sample():
+    # H(rho ⊠ sigma) of two pure stabilizers is log2(d^n / C), C = |A^-1 S_rho ∩ B^-1 S_sigma|
+    # with A, B the scalings convolve_char applies; half the draws are matched pairs
+    d, n = 3, 2
     pm = cv.hadamard_params(d)
-    assert ent.check_min_output_entropy(pm, d, 1, seed) == _min_output_entropy_per_pair(
-        pm, d, 1, seed
-    )
+    groups = states.enumerate_lagrangian_subgroups(n, d)
+    rng = np.random.default_rng(5)
+    points = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+    a_x = [tuple(x) for x in (points * np.repeat([pm.n_inv * pm.g11, pm.g00], n) % d).tolist()]
+    b_x = [tuple(x) for x in (points * np.repeat([-pm.n_inv * pm.g10, pm.g01], n) % d).tolist()]
+    matched = 0
+    for k in range(200):
+        g_rho, g_sig = (groups[m] for m in rng.integers(len(groups), size=2))
+        if k % 2:
+            g_rho = cv.transformed_stabilizer_group(g_sig, pm)
+        in_rho = {tuple(x) for x in g_rho.elements.tolist()}
+        in_sig = {tuple(x) for x in g_sig.elements.tolist()}
+        count = sum(a in in_rho and b in in_sig for a, b in zip(a_x, b_x))
+        xr = states.msps_char(g_rho, rng.integers(d, size=n))
+        xs = states.msps_char(g_sig, rng.integers(d, size=n))
+        out = states.state_from_char(cv.convolve_char(xr, xs, pm), spectrum=True)
+        assert abs(ent.renyi_entropy(out, 1) - math.log2(d**n / count)) <= 1e-12
+        matched += count == d**n
+    assert matched >= 100

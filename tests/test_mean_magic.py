@@ -13,7 +13,7 @@ from qps import mean_magic as mm
 from qps import states, weyl
 from qps.cli import main
 from qps.config import PHASE_RESIDUAL
-from qps.errors import UnsupportedDimensionError
+from qps.errors import IncompatibleError, UnsupportedAlphaError, UnsupportedDimensionError
 from qps.phase_space import make_point, subgroup_generators
 
 from helpers import is_isotropic, msps_group_by_matrix
@@ -403,3 +403,13 @@ def test_apply_qubit_word_gates():
     # control on the first listed site, on a non-adjacent pair: |100> -> |101>
     out = mm.apply_qubit_word(states.basis_state(4, 2, n=3), [("CNOT", 0, 2)])
     assert np.abs(out.mat - states.basis_state(5, 2, n=3).mat).max() < 1e-12
+
+
+def test_apply_qubit_word_refuses_an_unknown_gate():
+    with pytest.raises(IncompatibleError, match="unknown gate Y"):
+        mm.apply_qubit_word(states.basis_state(0, 2), [("Y", 0)])
+
+
+def test_closest_msps_refuses_alpha_below_one():
+    with pytest.raises(UnsupportedAlphaError, match="alpha >= 1"):
+        mm.closest_msps(states.basis_state(0, 3), 0.5)

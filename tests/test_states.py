@@ -280,7 +280,7 @@ def _isotropic_subgroups_loop(n, d):
     return sorted(found.values(), key=lambda g: (g.size, g.elements.tobytes()))
 
 
-@pytest.mark.parametrize("n,d", [(1, 3), (1, 5), (1, 7), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n,d", [(1, 3), (1, 5), (1, 7), (2, 2), (2, 3), (3, 2)])
 def test_isotropic_enumeration_matches_loop(n, d):
     got = states.enumerate_isotropic_subgroups(n, d)
     want = _isotropic_subgroups_loop(n, d)
@@ -289,6 +289,25 @@ def test_isotropic_enumeration_matches_loop(n, d):
         assert np.array_equal(a.generators, b.generators)
         assert np.array_equal(a.elements, b.elements)
         assert is_isotropic(a)
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3),
+                                 (1, 5), (2, 5), (2, 7)])
+def test_lagrangian_count_and_isotropy(n, d):
+    # prod_k (d^k + 1) groups, each isotropic and of size d^n, distinct and sorted
+    got = states.enumerate_lagrangian_subgroups(n, d)
+    assert len(got) == np.prod([d**k + 1 for k in range(1, n + 1)])
+    assert len(set(got)) == len(got)
+    assert [g.elements.tobytes() for g in got] == sorted(g.elements.tobytes() for g in got)
+    for g in got:
+        assert g.size == d**n and g.rank == n
+        assert not symplectic_inner(g.generators[:, None], g.generators, d).any()
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 2), (2, 3)])
+def test_lagrangians_are_the_maximal_isotropic_groups(n, d):
+    maximal = [g for g in _isotropic_subgroups_loop(n, d) if g.size == d**n]
+    assert states.enumerate_lagrangian_subgroups(n, d) == maximal
 
 
 def _msps_power_loop(group, chars, d):
@@ -309,7 +328,8 @@ def _msps_power_loop(group, chars, d):
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_msps_from_group_matches_power_loop(d, n):
     # the table, the sign at d = 2 included, and the matrix built from it
-    for state, (_, group, chars) in zip(states.enumerate_msps(n, d), states.iter_msps(n, d)):
+    groups = states.enumerate_isotropic_subgroups(n, d)
+    for state, (_, group, chars) in zip(states.enumerate_msps(n, d), states.iter_msps(groups)):
         want = _msps_power_loop(group, chars, d)
         assert np.abs(state.mat - want).max() <= 1e-12
         table = weyl.weyl_coefficient_table(want, d, n)
@@ -327,7 +347,7 @@ def test_msps_from_group_refuses_a_group_that_is_not_isotropic():
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
 def test_iter_msps_tables_are_the_enumerated_states_tables(d, n):
     # iter_msps yields read-only tables and builds no State; enumerate_msps builds from them
-    tables = [xi for xi, _, _ in states.iter_msps(n, d)]
+    tables = [xi for xi, _, _ in states.iter_msps(states.enumerate_isotropic_subgroups(n, d))]
     built = states.enumerate_msps(n, d)
     assert len(tables) == len(built)
     for xi, state in zip(tables, built):

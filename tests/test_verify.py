@@ -100,7 +100,7 @@ def test_qubit_commutation_sees_a_negation_through_pairs_without_a_zero_point(mo
 
 
 def test_hudson_and_the_scan_build_no_state_from_a_stabilizer_table(monkeypatch):
-    # each stabilizer is read as its msps_char table; only the scan's ⊠ outputs are built
+    # hudson reads each pure stabilizer as its msps_char table and builds no State
     tables, built = [], []
     real_char, real_build = states.msps_char, states.state_from_char
 
@@ -116,9 +116,9 @@ def test_hudson_and_the_scan_build_no_state_from_a_stabilizer_table(monkeypatch)
     for module in (states, ent):
         monkeypatch.setattr(module, "state_from_char", build)
     assert all(c.passed for c in verify.run_suite("hudson", 5, 1, 10))
-    assert built == [] and len(tables) == 31
+    assert built == [] and len(tables) == 30  # the pure stabilizers only
     assert ent.check_min_output_entropy(cv.hadamard_params(3), 3, 1).ok
-    assert built == [] and len(tables) == 31 + 13
+    assert built == [] and len(tables) == 30  # the scan reads groups, not tables
 
 
 def _sample_parity_matrix_loop(rng, d, klass):
