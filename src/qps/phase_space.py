@@ -3,8 +3,9 @@
 V^n = Z_d^n x Z_d^n indexes the Weyl basis.  A point is the int64 vector
 [p | q] of length 2n with entries reduced into [0, d), and a stack of
 points is an array with that last axis.  A subgroup is held as its reduced
-row echelon basis, which fixes it uniquely; ``rref_subspaces`` lists every
-subspace of Z_d^k by that basis.  Everything here is exact integer arithmetic.
+row echelon basis, which fixes it uniquely; ``rref_subspaces`` lists the
+subspaces of Z_d^k of given ranks by it, and B = [B_p | B_q] is isotropic iff
+B_p B_q^T - B_q B_p^T = 0 mod d.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def rref_mod(A: np.ndarray, d: int):
     return A, pivots
 
 
-def rref_subspaces(k: int, d: int):
-    """Yield every subspace of Z_d^k as its reduced row echelon basis: one (d^f, r, k)
-    batch per pivot set c_0 < ... < c_{r-1}, r ascending.  Row i is 1 at c_i, 0 at the
-    other pivots and before c_i, and any of d values at each of the f other entries."""
-    for r in range(k + 1):
+def rref_subspaces(k: int, d: int, ranks):
+    """Yield the subspaces of Z_d^k of each rank r in ``ranks`` as reduced row echelon bases,
+    one (d^f, r, k) batch per pivot set c_0 < ... < c_{r-1}: row i is 1 at c_i, 0 at the other
+    pivots and before c_i, and any of d values at the f other entries; f <= r (k - r)."""
+    for r in ranks:
         for piv in map(list, combinations(range(k), r)):
             free = np.arange(k) > np.array(piv, dtype=int)[:, None]
             free[:, piv] = False

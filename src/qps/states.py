@@ -7,8 +7,9 @@ gives it.  ``state_from_char`` is the one route from a characteristic table
 back to a State and the one check of a table no matrix gave; the State
 holds that table.  An MSPS is its table: ``iter_msps`` is the one loop over
 (isotropic group, characters) and yields each ``msps_char`` table, which the
-hudson suite reads as it is and ``enumerate_msps`` builds States from; the groups
-are built from subspaces and symmetric matrices, not searched for.  Characteristic
+hudson suite reads as it is and ``enumerate_msps`` builds States from.  The groups are
+the reduced bases [B_p | B_q] with B_p B_q^T symmetric mod d, kept from each batch of
+``phase_space.rref_subspaces`` up to d^{n^2} bases (``config.MAX_GROUP``).  Characteristic
 tables are complex ndarrays holding Xi(x) = Tr[rho w(-x)] over all of V^n,
 shape (d,)*2n with the p coordinates on the first n axes; Wigner tables are
 real arrays of that shape.  d and n are read off a table as shape[0] and ndim // 2.
@@ -23,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import MAX_ENUMERATION, TOL_STATE
+from .config import MAX_ENUMERATION, MAX_GROUP, TOL_STATE
 from .errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
 from .phase_space import PhaseSubgroup, check_prime, rref_subspaces, subgroup_generators
 from .weyl import _dft_axes, chi, matrix_from_weyl_table, weyl_coefficient_table
@@ -243,44 +244,37 @@ def random_pure(n: int, d: int, seed) -> State:
     return random_state(n, d, seed, rank=1)
 
 
-def _group_order(group: PhaseSubgroup):
-    return group.size, group.elements.tobytes()
+def _isotropic_subgroups(n: int, d: int, ranks) -> list[PhaseSubgroup]:
+    """The isotropic subgroups of V^n of the given ranks; see the two callers."""
+    check_prime(d)
+    if n < 1:
+        raise IncompatibleError(f"n must be >= 1, got {n}")
+    if d ** (2 * n) > MAX_ENUMERATION:
+        raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
+    if d ** (n * n) > MAX_GROUP:  # the rows of the largest batch, rank n at pivots 0..n-1
+        raise TooLargeError(f"d^(n^2) = {d}^{n * n} candidate bases exceed the cap {MAX_GROUP}")
+    groups = []
+    for basis in rref_subspaces(2 * n, d, ranks):
+        form = basis[..., :n] @ basis[..., n:].swapaxes(-1, -2)
+        keep = ((form - form.swapaxes(-1, -2)) % d == 0).all(axis=(-1, -2))
+        groups += [subgroup_generators(b, d, n) for b in basis[keep]]
+    return sorted(groups, key=lambda g: (g.size, g.elements.tobytes()))
 
 
 def enumerate_lagrangian_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
-    """The Lagrangian (maximal isotropic) subgroups of V^n, ordered by size, then by
-    their elements' bytes, under the cap d^{2n} <= ``config.MAX_ENUMERATION``.  Each is
-    one pair (V, S) (Dehaene and De Moor, PRA 68, 042318; Gross, JMP 47, 122107): V a
-    subspace of Z_d^n with reduced basis rows b_i and pivots c_i, S symmetric over Z_d.
-    It is spanned by (sum_j S_ij e_{c_j} | b_i) and by (u | 0) for u = e_c - sum_i b_ic
-    e_{c_i}, c no pivot, the basis of V's orthogonal complement; S = S^T makes it isotropic."""
-    if d ** (2 * n) > MAX_ENUMERATION:
-        raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
-    groups = []
-    for basis in rref_subspaces(n, d):  # one batch of V per pivot set
-        k = basis.shape[1]
-        piv = (basis[0] != 0).argmax(1)
-        rest = np.delete(np.arange(n), piv)
-        i, j = np.triu_indices(k)
-        sym = np.zeros((d ** len(i), k, k), dtype=np.int64)  # every symmetric S
-        sym[:, i, j] = sym[:, j, i] = np.indices((d,) * len(i)).reshape(len(i), len(sym)).T
-        gens = np.zeros((len(basis), len(sym), n, 2 * n), dtype=np.int64)
-        gens[:, :, :k, n:] = basis[:, None]  # rows (sum_j S_ij e_{c_j} | b_i)
-        gens[:, :, :k, piv] = sym
-        gens[:, :, k:, piv] = -basis[:, None][..., rest].swapaxes(-1, -2)  # rows (u | 0)
-        gens[:, :, range(k, n), rest] = 1
-        groups += [subgroup_generators(g, d, n) for g in gens.reshape(-1, n, 2 * n)]
-    return sorted(groups, key=_group_order)
+    """The Lagrangian (maximal isotropic) subgroups of V^n, ordered by size, then by their
+    elements' bytes: the rank-n subspaces of Z_d^{2n} whose reduced basis [B_p | B_q] has
+    B_p B_q^T symmetric mod d.  A non-prime d and n < 1 are refused, and so, before any
+    basis is built, are d^{2n} > ``config.MAX_ENUMERATION`` and d^{n^2} (the largest batch
+    of candidate bases) > ``config.MAX_GROUP``, which alone refuses (5, 2), (6, 2), (4, 3)."""
+    return _isotropic_subgroups(n, d, [n])
 
 
 def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
-    """All isotropic (abelian-Weyl) subgroups of V^n, ordered and capped as the
-    Lagrangians: the distinct spans of K L over each Lagrangian's basis L and each
-    subspace basis K of Z_d^n, since every isotropic group lies in a Lagrangian."""
-    coeffs = [K for batch in rref_subspaces(n, d) for K in batch]
-    return sorted({subgroup_generators(K @ lag.generators, d, n)
-                   for lag in enumerate_lagrangian_subgroups(n, d) for K in coeffs},
-                  key=_group_order)
+    """All isotropic (abelian-Weyl) subgroups of V^n: the subspaces of Z_d^{2n} of rank
+    r <= n whose reduced basis [B_p | B_q] has B_p B_q^T symmetric mod d, ordered, refused
+    and capped as ``enumerate_lagrangian_subgroups`` says."""
+    return _isotropic_subgroups(n, d, range(n + 1))
 
 
 def msps_char(group: PhaseSubgroup, chars) -> np.ndarray:

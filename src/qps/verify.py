@@ -370,18 +370,18 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
 
 def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
-    """Hudson checks on one qudit: `run_suite` refuses this suite at n > 1.  Each pure
-    stabilizer's Wigner minimum is read from its ``st.iter_msps`` table over the
-    Lagrangians; no State is built for it, and no other group's table."""
+    """Hudson checks at (d, n), under the caps of ``st.enumerate_lagrangian_subgroups``.
+    Each pure stabilizer's Wigner minimum is read from its ``st.iter_msps`` table over
+    the Lagrangians; no State is built for it, and no other group's table."""
     out = []
     worst = 0.0
-    for xi, _, _ in st.iter_msps(st.enumerate_lagrangian_subgroups(1, d)):
+    for xi, _, _ in st.iter_msps(st.enumerate_lagrangian_subgroups(n, d)):
         worst = min(worst, float(st.wigner(xi).min()))
     out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
     trials = max(seeds, 100)
     negative = 0
     for s in range(seed, seed + trials):
-        psi = st.random_pure(1, d, seed=s)
+        psi = st.random_pure(n, d, seed=s)
         if st.wigner(psi).min() < -1e-10:
             negative += 1
     out.append(
@@ -458,8 +458,8 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     channels run (alone or within 'all') past the exact channel oracle's
     size cap, a weyl or entropy run (alone or within 'all') past the table
     cap or a fisher run with d^{2n} past it is refused before any suite
-    runs, and so is hudson at d = 2 or n > 1: it checks one qudit's discrete
-    Wigner functions, and 'all' skips it there.
+    runs, and so is hudson at d = 2 ('all' skips it there).  Hudson's first
+    step refuses d^{2n} > ``config.MAX_ENUMERATION`` and d^{n^2} > ``config.MAX_GROUP``.
     """
     for key, value in (("n", n), ("seeds", seeds), ("jobs", jobs)):
         if value < 1:
@@ -474,12 +474,10 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
     if name == "hudson" and d == 2:
         raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
                                         "which need odd d")
-    if name == "hudson" and n > 1:
-        raise IncompatibleError(f"the hudson suite checks one qudit: n must be 1, got {n}")
     if name == "all":
         out = []
         for key in SUITES:
-            if key == "hudson" and (d == 2 or n > 1):
+            if key == "hudson" and d == 2:
                 continue
             out.extend(_SUITE_FNS[key](d, n, seeds, jobs, seed, tol))
         return out

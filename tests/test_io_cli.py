@@ -615,10 +615,13 @@ def test_cli_main_keeps_openssl_without_the_builtin_hashes():
 
 @pytest.mark.parametrize("args,named", [
     (("--suite", "entropy", "--d", "3", "--n", "4"), "d^4n = 3^16 entries"),
-    (("--suite", "hudson", "--d", "3", "--n", "2"), "n must be 1, got 2"),
-])
-def test_cli_verify_refuses_entropy_past_the_cap_and_hudson_past_one_qudit(args, named):
+    (("--suite", "hudson", "--d", "3", "--n", "4"), "d^(n^2) = 3^16 candidate bases"),
+], ids=["entropy-d3n4", "hudson-d3n4"])
+def test_cli_verify_refuses_entropy_and_hudson_past_their_caps(args, named):
+    # at (3, 4) hudson's rank-4 bases would fill a 3^16-row batch; it is refused first
+    start = time.perf_counter()
     r = run_cli("verify", *args)
+    assert time.perf_counter() - start < 1.0
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.startswith("error:") and named in r.stderr
     assert "Traceback" not in r.stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qps.phase_space import (
     lex_smallest_solution,
     make_point,
     rref_mod,
+    rref_subspaces,
     solve_linear_mod,
     subgroup_generators,
     symplectic_inner,
@@ -129,6 +132,20 @@ def test_rref_deterministic():
     r1, p1 = rref_mod(A, 5)
     r2, p2 = rref_mod(A, 5)
     assert np.array_equal(r1, r2) and p1 == p2 == [0]
+
+
+@pytest.mark.parametrize("k,d", [(4, 2), (4, 3), (2, 5)])
+def test_rref_subspaces_yields_each_subspace_of_the_ranks_asked_for(k, d):
+    # the Gaussian binomial [k, r]_d distinct bases of rank r, each its own RREF
+    for r in range(k + 1):
+        batches = list(rref_subspaces(k, d, [r]))
+        assert all(b.shape[1:] == (r, k) for b in batches)
+        bases = np.concatenate(batches)
+        count = math.prod(d ** (k - i) - 1 for i in range(r)) // math.prod(
+            d ** (i + 1) - 1 for i in range(r))
+        assert len(bases) == len({b.tobytes() for b in bases}) == count
+        for b in bases:
+            assert np.array_equal(rref_mod(b, d)[0], b)
 
 
 def test_solve_linear_examples():

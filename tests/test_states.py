@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 
 from qps import states, weyl
 from qps.config import TOL_STATE
-from qps.errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
+from qps.convolution import hadamard_params
+from qps.entropy import check_min_output_entropy
+from qps.errors import (IncompatibleError, NotPrimeError, NotStateError, TooLargeError,
+                        UnsupportedDimensionError)
 from qps.mean_magic import is_msps, pauli_rank
 from qps.phase_space import make_point, subgroup_generators, symplectic_inner
 
@@ -308,6 +312,62 @@ def test_lagrangian_count_and_isotropy(n, d):
 def test_lagrangians_are_the_maximal_isotropic_groups(n, d):
     maximal = [g for g in _isotropic_subgroups_loop(n, d) if g.size == d**n]
     assert states.enumerate_lagrangian_subgroups(n, d) == maximal
+
+
+@pytest.mark.parametrize("n,d,groups", [(3, 2, 514), (2, 5, 313)])
+def test_each_isotropic_group_is_built_once(monkeypatch, n, d, groups):
+    # one subgroup_generators call per group: no span is built twice and dropped
+    calls = []
+    real = states.subgroup_generators
+    monkeypatch.setattr(states, "subgroup_generators", lambda *a: calls.append(a) or real(*a))
+    assert len(states.enumerate_isotropic_subgroups(n, d)) == len(calls) == groups
+    calls.clear()
+    assert len(states.enumerate_lagrangian_subgroups(n, d)) == len(calls)
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (6, 2), (4, 3)])
+def test_enumerations_past_the_batch_cap_are_refused_before_any_batch(monkeypatch, n, d):
+    # d^(n^2) candidate bases of rank n exceed MAX_GROUP, though d^2n is under MAX_ENUMERATION
+    yielded = []
+    real = states.rref_subspaces
+
+    def spy(*args):
+        for batch in real(*args):
+            yielded.append(batch.shape)
+            yield batch
+
+    monkeypatch.setattr(states, "rref_subspaces", spy)
+    start = time.perf_counter()
+    for enumerate_groups in (states.enumerate_isotropic_subgroups,
+                             states.enumerate_lagrangian_subgroups):
+        with pytest.raises(TooLargeError, match=f"d\\^\\(n\\^2\\) = {d}\\^{n * n}"):
+            enumerate_groups(n, d)
+    if d == 3:
+        with pytest.raises(TooLargeError):
+            check_min_output_entropy(hadamard_params(3), 3, n)
+    assert yielded == [] and time.perf_counter() - start < 1.0
+
+
+_LAG, _ISO = states.enumerate_lagrangian_subgroups, states.enumerate_isotropic_subgroups
+
+
+@pytest.mark.parametrize("call,args,error", [
+    (_LAG, (0, 3), IncompatibleError),
+    (_ISO, (0, 3), IncompatibleError),
+    (states.enumerate_msps, (0, 3), IncompatibleError),
+    (check_min_output_entropy, (hadamard_params(3), 3, 0), IncompatibleError),
+    (_LAG, (-1, 3), IncompatibleError),
+    (_ISO, (-1, 3), IncompatibleError),
+    (_LAG, (1, 4), NotPrimeError),
+    (_ISO, (2, 4), NotPrimeError),
+    (_LAG, (1, 1), NotPrimeError),
+    (_ISO, (1, 1), NotPrimeError),
+], ids=["lagrangians-n0", "isotropic-n0", "msps-n0", "scan-n0", "lagrangians-n-1",
+        "isotropic-n-1", "lagrangians-d4", "isotropic-d4", "lagrangians-d1", "isotropic-d1"])
+def test_enumerations_refuse_malformed_sizes(call, args, error):
+    # n < 1 crashed, or returned [], and d = 4 or d = 1 went unchecked
+    with pytest.raises(error):
+        call(*args)
 
 
 def _msps_power_loop(group, chars, d):

@@ -195,15 +195,17 @@ def test_hudson_at_d2_is_refused_before_any_enumeration(monkeypatch):
     assert ran == [k for k in verify.SUITES if k != "hudson"]
 
 
-def test_hudson_past_one_qudit_is_refused_and_skipped_by_all(monkeypatch):
+def test_hudson_passes_past_one_qudit_and_all_runs_it(monkeypatch):
+    # the 360 pure stabilizers of (3, 2) are nonnegative; random pure states are not
+    checks = verify.run_suite("hudson", 3, 2, 3)
+    assert [c.name for c in checks] == ["hudson.stabilizers_nonnegative",
+                                        "hudson.random_pure_negative"]
+    assert all(c.passed for c in checks)
     ran = []
     suites = {k: (lambda *args, k=k: ran.append(k) or []) for k in verify.SUITES}
     monkeypatch.setattr(verify, "_SUITE_FNS", suites)
-    with pytest.raises(IncompatibleError, match="n must be 1, got 2"):
-        verify.run_suite("hudson", 3, 2, 3)
-    assert ran == []
     verify.run_suite("all", 3, 2, 3)
-    assert ran == [k for k in verify.SUITES if k != "hudson"]
+    assert ran == list(verify.SUITES)
 
 
 def test_entropy_past_the_table_cap_is_refused_before_any_suite_runs(monkeypatch):
