@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -21,8 +20,9 @@ from .convolution import as_param_matrix, char_powers, convolve, transformed_sta
 from .errors import NotComparableError, UnsupportedAlphaError, UnsupportedGError
 from .mean_magic import mean_state, msps_group
 from .phase_space import field_inv
-from .states import (State, basis_state, char_function, enumerate_lagrangian_subgroups,
-                     maximally_mixed, msps_char, random_state, state_from_char)
+from .states import (State, _msps_values, basis_state, char_function,
+                     enumerate_lagrangian_subgroups, maximally_mixed, random_state,
+                     state_from_char)
 from .weyl import encode_digits
 
 
@@ -213,8 +213,8 @@ def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = D
     s_trans = transformed_stabilizer_group(group, pm)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(d**s_trans.rank)) if s_trans.rank else np.array([1.0])
-    mix = sum(w * msps_char(s_trans, chars)
-              for w, chars in zip(weights, product(range(d), repeat=s_trans.rank)))
+    mix = np.zeros((d,) * (2 * n), dtype=complex)  # one table, not the d^r of the stack
+    mix[tuple(s_trans.elements.T)] = sum(w * v for w, v in zip(weights, _msps_values(s_trans)))
     rho = state_from_char(mix, spectrum=True)
     h_in = renyi_entropy(rho, alpha)
     h_out = renyi_entropy(convolve(rho, sigma, pm), alpha)

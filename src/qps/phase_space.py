@@ -5,7 +5,10 @@ V^n = Z_d^n x Z_d^n indexes the Weyl basis.  A point is the int64 vector
 points is an array with that last axis.  A subgroup is held as its reduced
 row echelon basis, which fixes it uniquely; ``rref_subspaces`` lists the
 subspaces of Z_d^k of given ranks by it, and B = [B_p | B_q] is isotropic iff
-B_p B_q^T - B_q B_p^T = 0 mod d.  Everything here is exact integer arithmetic.
+B_p B_q^T - B_q B_p^T = 0 mod d.  ``PhaseSubgroup`` takes such a basis and
+builds its d^r elements as one product, sorted by construction;
+``subgroup_generators`` reduces any other spanning set first, by ``rref_mod``.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -73,29 +76,23 @@ def rref_mod(A: np.ndarray, d: int):
     Deterministic pivoting: first nonzero entry in column order, rows
     swapped.  Returns (R, pivot_columns) with R in reduced row echelon form:
     every pivot is 1 and is the only nonzero entry of its column, so the
-    nonzero rows of R depend only on the row space of A.
+    nonzero rows of R depend only on the row space of A.  Each pivot is one
+    swap, one scaling and one rank-one update of every other row.
     """
     A = np.array(A, dtype=np.int64) % d
-    rows, cols = A.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if A[i, c] % d:
-                pr = i
-                break
-        if pr is None:
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(A[r:, c])
+        if not below.size:
             continue
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = (A[r] * field_inv(int(A[r, c]), d)) % d
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % d
+        A[[r, r + below[0]]] = A[[r + below[0], r]]
+        A[r] = A[r] * field_inv(int(A[r, c]), d) % d
+        factors = A[:, c].copy()
+        factors[r] = 0
+        A = (A - factors[:, None] * A[r]) % d
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == len(A):
             break
     return A, pivots
 
@@ -151,17 +148,22 @@ def lex_smallest_solution(A, b, d: int):
 class PhaseSubgroup:
     """An additive subgroup of V^n, held as its reduced basis.
 
-    ``generators`` is the (r, 2n) reduced row echelon basis over Z_d that
-    ``subgroup_generators`` computes; it is unique for the subgroup, so
-    ``==`` and ``hash`` read it alone.  ``elements`` holds the d^r points
-    [p | q] in lexicographic order.  Both arrays are read-only.
+    ``generators`` is an (r, 2n) reduced row echelon basis over Z_d, as ``rref_subspaces``
+    yields it and ``subgroup_generators`` computes it; it is unique for the subgroup, so
+    ``==`` and ``hash`` read it alone.  ``elements`` holds the d^r points m . generators for
+    m in lexicographic order, which sorts them too: coordinate c_i (pivot i) of a point is
+    m_i, and the coordinates before it read only m_0..m_{i-1}.  Both arrays are read-only;
+    d^r > ``config.MAX_GROUP`` is refused before any element is built.
     """
 
-    def __init__(self, d: int, n: int, generators: np.ndarray, elements: np.ndarray):
+    def __init__(self, d: int, n: int, generators: np.ndarray):
         self.d = int(d)
         self.n = int(n)
+        r = len(generators)
+        if self.d**r > MAX_GROUP:
+            raise TooLargeError(f"subgroup of size {self.d}^{r} exceeds the cap {MAX_GROUP}")
         self.generators = generators
-        self.elements = elements[np.lexsort(elements.T[::-1])]
+        self.elements = np.indices((self.d,) * r).reshape(r, self.d**r).T @ generators % self.d
         self.generators.setflags(write=False)
         self.elements.setflags(write=False)
 
@@ -188,18 +190,8 @@ class PhaseSubgroup:
 
 
 def subgroup_generators(points, d: int, n: int) -> PhaseSubgroup:
-    """Additive span of the given points [p | q] with its reduced basis.
-
-    points is an array-like of length-2n vectors (possibly empty).
-    Gaussian elimination over Z_d yields the reduced row echelon basis;
-    the span is materialized (size d^r).
-    """
-    vecs = np.asarray(points, dtype=np.int64).reshape(-1, 2 * n) % d
-    R, pivots = rref_mod(vecs, d)
-    basis = R[: len(pivots)]
-    if d ** len(basis) > MAX_GROUP:
-        raise TooLargeError(f"subgroup of size {d}^{len(basis)} exceeds the cap {MAX_GROUP}")
-    elements = np.zeros((1, 2 * n), dtype=np.int64)
-    for b in basis:
-        elements = ((elements[:, None, :] + np.arange(d)[:, None] * b) % d).reshape(-1, 2 * n)
-    return PhaseSubgroup(d, n, basis, elements)
+    """Additive span of the given points [p | q] (an array-like of length-2n
+    vectors, possibly empty): the ``PhaseSubgroup`` of the nonzero rows of
+    their ``rref_mod`` over Z_d."""
+    R, pivots = rref_mod(np.asarray(points, dtype=np.int64).reshape(-1, 2 * n), d)
+    return PhaseSubgroup(d, n, R[: len(pivots)])

@@ -5,28 +5,27 @@ operator by ``make_state``: positivity by a Cholesky factorization, or,
 for a caller that reads the spectrum anyway, by the one ``eigvalsh`` that
 gives it.  ``state_from_char`` is the one route from a characteristic table
 back to a State and the one check of a table no matrix gave; the State
-holds that table.  An MSPS is its table: ``iter_msps`` is the one loop over
-(isotropic group, characters) and yields each ``msps_char`` table, which the
-hudson suite reads as it is and ``enumerate_msps`` builds States from.  The groups are
-the reduced bases [B_p | B_q] with B_p B_q^T symmetric mod d, kept from each batch of
-``phase_space.rref_subspaces`` up to d^{n^2} bases (``config.MAX_GROUP``).  Characteristic
-tables are complex ndarrays holding Xi(x) = Tr[rho w(-x)] over all of V^n,
-shape (d,)*2n with the p coordinates on the first n axes; Wigner tables are
-real arrays of that shape.  d and n are read off a table as shape[0] and ndim // 2.
-Stabilizer groups are ``phase_space.PhaseSubgroup``s, each one a reduced
-basis of [p | q] vectors with its sorted elements.
+holds that table.  An MSPS is its table: ``msps_tables`` stacks the d^r tables of
+an isotropic group of rank r, which the hudson suite transforms in one ``wigner`` and
+``enumerate_msps`` builds States from.  The groups are the reduced bases [B_p | B_q]
+with B_p B_q^T symmetric mod d, kept from each batch of ``phase_space.rref_subspaces``
+(up to d^{n^2} bases, ``config.MAX_GROUP``) as ``PhaseSubgroup``s.  Characteristic
+tables are complex ndarrays holding Xi(x) = Tr[rho w(-x)] over all of V^n, shape
+(d,)*2n with the p coordinates on the first n axes (a stack adds one leading axis);
+Wigner tables are real arrays of that shape.  d and n are read off a table as
+shape[0] and ndim // 2.  Stabilizer groups are ``phase_space.PhaseSubgroup``s, each
+one a reduced basis of [p | q] vectors with its sorted elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .config import MAX_ENUMERATION, MAX_GROUP, TOL_STATE
 from .errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
-from .phase_space import PhaseSubgroup, check_prime, rref_subspaces, subgroup_generators
+from .phase_space import PhaseSubgroup, check_prime, rref_subspaces
 from .weyl import _dft_axes, chi, matrix_from_weyl_table, weyl_coefficient_table
 
 # Absolute slack of the checks Xi(0) = 1 and |Xi| <= 1 on every cached table.
@@ -207,21 +206,22 @@ def state_from_char(xi: np.ndarray, spectrum: bool = False) -> State:
 
 
 def wigner(state) -> np.ndarray:
-    """W_rho(u, v) = (1/d^n) Tr[rho T(u, v)] (read-only) of a State or of its
-    characteristic table: the symplectic transform (1/d^2n) sum_{p,q} Xi(p, q)
-    chi(p.v - q.u), taken by ``weyl._dft_axes`` over the p axes (sign +1, p -> v),
-    then the q axes (sign -1, q -> u)."""
+    """W_rho(u, v) = (1/d^n) Tr[rho T(u, v)] (read-only) of a State, of its characteristic
+    table, or of a stack of tables on one leading axis (an ``msps_tables`` stack gives the
+    stack of their Wigner tables): the symplectic transform (1/d^2n) sum_{p,q} Xi(p, q)
+    chi(p.v - q.u), taken by ``weyl._dft_axes`` over the p axes (sign +1, p -> v), then the
+    q axes (sign -1, q -> u).  Each table must be real and sum to 1 within 1e-9."""
     xi = char_function(state) if isinstance(state, State) else state
-    d, n = xi.shape[0], xi.ndim // 2
+    d, n, lead = xi.shape[-1], xi.ndim // 2, xi.ndim % 2
     if d == 2:
         raise UnsupportedDimensionError("discrete Wigner functions need odd d")
-    r = _dft_axes(_dft_axes(xi.copy(), d, range(n), 1), d, range(n, 2 * n), -1)
-    qaxes, paxes = tuple(range(n, 2 * n)), tuple(range(n))
+    paxes, qaxes = tuple(range(lead, lead + n)), tuple(range(lead + n, lead + 2 * n))
+    r = _dft_axes(_dft_axes(xi.copy(), d, paxes, 1), d, qaxes, -1)
     vals = np.moveaxis(r, qaxes + paxes, paxes + qaxes) / d ** (2 * n)  # reorder to (u, v)
     if np.abs(vals.imag).max() > 1e-9:
         raise NotStateError("Wigner table has a non-real entry")
     out = vals.real
-    if abs(out.sum() - 1.0) > 1e-9:
+    if (np.abs(out.sum(axis=paxes + qaxes) - 1.0) > 1e-9).any():
         raise NotStateError("Wigner table does not sum to 1")
     out.setflags(write=False)
     return out
@@ -257,7 +257,7 @@ def _isotropic_subgroups(n: int, d: int, ranks) -> list[PhaseSubgroup]:
     for basis in rref_subspaces(2 * n, d, ranks):
         form = basis[..., :n] @ basis[..., n:].swapaxes(-1, -2)
         keep = ((form - form.swapaxes(-1, -2)) % d == 0).all(axis=(-1, -2))
-        groups += [subgroup_generators(b, d, n) for b in basis[keep]]
+        groups += [PhaseSubgroup(d, n, b) for b in basis[keep]]
     return sorted(groups, key=lambda g: (g.size, g.elements.tobytes()))
 
 
@@ -277,33 +277,41 @@ def enumerate_isotropic_subgroups(n: int, d: int) -> list[PhaseSubgroup]:
     return _isotropic_subgroups(n, d, range(n + 1))
 
 
-def msps_char(group: PhaseSubgroup, chars) -> np.ndarray:
-    """Xi of the MSPS fixed by a subgroup S and one character tuple (read-only).
+def msps_tables(group: PhaseSubgroup) -> np.ndarray:
+    """Xi of every MSPS of an isotropic group S, as one read-only (d^r,) + (d,)*2n stack:
+    the rows of ``_msps_values(group)`` placed at the group's elements, 0 off S."""
+    vals = _msps_values(group)
+    tables = np.zeros((len(vals),) + (group.d,) * (2 * group.n), dtype=complex)
+    tables[(slice(None),) + tuple(group.elements.T)] = vals
+    tables.setflags(write=False)
+    return tables
 
-    chars[i] selects the chi(chars[i]) eigenspace of w(x_i) for generator x_i,
-    so Xi is a character of S: Xi(s) = chi(-k.m) c(m) at s = sum_i m_i x_i and
-    0 off S, with w(m_1 x_1) ... w(m_r x_r) = c(m) w(s).  c = 1 at odd d, as
-    <s, x>_s = 0; at d = 2, w(s) w(x) = i^{t_p.t_q - s_p.s_q - x_p.x_q}
-    (-1)^{s_q.x_p} w(t) with t = s + x mod 2.  A group that is not isotropic
-    gives a table that ``state_from_char`` refuses.
+
+def _msps_values(group: PhaseSubgroup) -> np.ndarray:
+    """The (d^r, d^r) values Xi_k(s_j) of the MSPS of an isotropic group S on its elements
+    s_j = m_j . generators (the order of ``group.elements``), one row per character tuple k
+    in ``product(range(d), repeat=r)`` order.
+
+    k_i selects the chi(k_i) eigenspace of w(x_i) for each generator x_i, so Xi_k is a
+    character of S: Xi_k(s) = chi(-k.m) c(m) at s = sum_i m_i x_i, with w(m_1 x_1) ...
+    w(m_r x_r) = c(m) w(s).  c = 1 at odd d, as <s, x>_s = 0; at d = 2, w(s) w(x) =
+    i^{t_p.t_q - s_p.s_q - x_p.x_q} (-1)^{s_q.x_p} w(t) with t = s + x mod 2.  A group that
+    is not isotropic gives tables that ``state_from_char`` refuses.
     """
     d, n = group.d, group.n
     m = np.arange(d)
     points = np.zeros((1, 2 * n), dtype=np.int64)
-    vals = np.ones(1, dtype=complex)
-    for gen, k in zip(group.generators, chars):
+    vals = np.ones((1, 1), dtype=complex)  # [characters so far, points so far]
+    for gen in group.generators:
         s, x = points[:, None], m[:, None] * gen % d  # the points so far; the d points m x
         t = (s + x) % d
-        phase = chi(-int(k) * m, d)
+        phase = chi(-np.outer(m, m), d)[:, None]  # [k, 1, m]
         if d == 2:
             e = _pq(t) - _pq(s) - _pq(x) + 2 * (s[..., n:] * x[..., :n]).sum(axis=-1)
             phase = phase * np.array([1, 1j, -1, -1j])[e % 4]
-        vals = (vals[:, None] * phase).reshape(-1)
+        vals = (vals[:, None, :, None] * phase).reshape(d * len(vals), -1)
         points = t.reshape(-1, 2 * n)
-    table = np.zeros((d,) * (2 * n), dtype=complex)
-    table[tuple(points.T)] = vals
-    table.setflags(write=False)
-    return table
+    return vals
 
 
 def _pq(v: np.ndarray) -> np.ndarray:
@@ -312,25 +320,17 @@ def _pq(v: np.ndarray) -> np.ndarray:
     return (v[..., :n] * v[..., n:]).sum(axis=-1)
 
 
-def iter_msps(groups):
-    """Yield (xi, group, chars) for every MSPS of the given isotropic groups, in their
-    order: the one loop over (group, characters).  xi is ``msps_char(group, chars)``;
-    no State is built."""
-    for group in groups:
-        for chars in product(range(group.d), repeat=group.rank):
-            yield msps_char(group, chars), group, chars
-
-
 def enumerate_msps(n: int, d: int) -> list[State]:
-    """All minimal stabilizer-projection states at (n, d), in ``iter_msps`` order over the
-    isotropic groups, built with ``spectrum=True``: every MSPS but I/D is rank-deficient,
-    so ``eigvalsh`` decides its positivity rather than a failing Cholesky."""
+    """All minimal stabilizer-projection states at (n, d): the rows of each isotropic
+    group's ``msps_tables``, in group order, built with ``spectrum=True``: every MSPS but
+    I/D is rank-deficient, so ``eigvalsh`` decides its positivity rather than a failing
+    Cholesky."""
     return [state_from_char(xi, spectrum=True)
-            for xi, _, _ in iter_msps(enumerate_isotropic_subgroups(n, d))]
+            for group in enumerate_isotropic_subgroups(n, d) for xi in msps_tables(group)]
 
 
 def enumerate_pure_stabilizers(n: int, d: int) -> list[tuple[State, PhaseSubgroup]]:
-    """The pure stabilizer states with their groups, in ``iter_msps`` order over the
-    Lagrangians, built as ``enumerate_msps`` builds them."""
+    """The pure stabilizer states with their groups, from the Lagrangians' ``msps_tables``,
+    built and ordered as ``enumerate_msps`` builds and orders them."""
     return [(state_from_char(xi, spectrum=True), group)
-            for xi, group, _ in iter_msps(enumerate_lagrangian_subgroups(n, d))]
+            for group in enumerate_lagrangian_subgroups(n, d) for xi in msps_tables(group)]

@@ -371,12 +371,12 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
 def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
     """Hudson checks at (d, n), under the caps of ``st.enumerate_lagrangian_subgroups``.
-    Each pure stabilizer's Wigner minimum is read from its ``st.iter_msps`` table over
-    the Lagrangians; no State is built for it, and no other group's table."""
+    The pure stabilizers' Wigner minimum is one ``st.wigner`` of each Lagrangian's
+    ``st.msps_tables`` stack; no State is built for them, and no other group's tables."""
     out = []
     worst = 0.0
-    for xi, _, _ in st.iter_msps(st.enumerate_lagrangian_subgroups(n, d)):
-        worst = min(worst, float(st.wigner(xi).min()))
+    for group in st.enumerate_lagrangian_subgroups(n, d):
+        worst = min(worst, float(st.wigner(st.msps_tables(group)).min()))
     out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
     trials = max(seeds, 100)
     negative = 0

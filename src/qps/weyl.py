@@ -177,20 +177,22 @@ def _dft_matrix(d: int, sign: int) -> np.ndarray:
     return out
 
 
-def _dft_axes(a: np.ndarray, d: int, axes: range, sign: int) -> np.ndarray:
-    """sum_j a[.., j, ..] chi(sign * j . k) over a run of axes of a C-contiguous (d,)*m array.
+def _dft_axes(a: np.ndarray, d: int, axes, sign: int) -> np.ndarray:
+    """sum_j a[.., j, ..] chi(sign * j . k) over a run of axes of a C-contiguous (d,)*m array
+    or a stack of them on one leading axis; ``axes`` index a itself.
 
     The one d-point DFT of ``qps``: sign = -1 is ``np.fft.fftn`` over those
     axes and sign = +1 is d^len(axes) times ``np.fft.ifftn``.  Axis k is one
-    ``matmul`` of the d x d DFT matrix into a (d^k, d, -1) view, which for
-    axes this short costs less than ``np.fft`` does.  The passes, in axis
-    order, write alternately into one spare array and into a itself, so a
-    is overwritten; the result is whichever of the two the last pass wrote.
+    ``matmul`` of the d x d DFT matrix into a (-1, d, d^(ndim-1-k)) view, which
+    for axes this short costs less than ``np.fft`` does.  The passes, in axis
+    order, write alternately into one spare array and into a itself, so a is
+    overwritten; the result is whichever of the two the last pass wrote.
     """
     F = _dft_matrix(d, sign)
     src, dst = a, np.empty_like(a)
     for k in axes:
-        np.matmul(F, src.reshape(d**k, d, -1), out=dst.reshape(d**k, d, -1))
+        tail = d ** (a.ndim - 1 - k)
+        np.matmul(F, src.reshape(-1, d, tail), out=dst.reshape(-1, d, tail))
         src, dst = dst, src
     return src
 

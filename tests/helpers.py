@@ -1,8 +1,9 @@
 """Channel constructions, the Choi action and its Weyl images, subgroup predicates,
 Weyl commutation phases, w at unreduced labels, the reference Weyl transforms, a
 point-by-point threshold reading, MSPS-ness by matrices, a decimal subentropy,
-Hermitization and the dense dephasing route of Fisher information, kept for the
-tests only."""
+Hermitization, the dense dephasing route of Fisher information, and the
+row-by-row forms of the stabilizer layer (row reduction, group elements, MSPS
+tables), kept for the tests only."""
 
 import cmath
 import decimal
@@ -16,7 +17,7 @@ from qps.entropy import renyi_relative
 from qps.errors import InternalInconsistencyError
 from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
 from qps.mean_magic import mean_state, read_thresholds
-from qps.states import State, char_function, make_state
+from qps.states import State, _pq, char_function, make_state
 from qps.weyl import (
     _dft_matrix,
     chi,
@@ -276,3 +277,63 @@ def fisher_total_dephasing(state: State) -> float:
                               state.d, state.n)
             total += 2.0 * (renyi_relative(state, deph, 1) + renyi_relative(deph, state, 1))
     return total
+
+
+def rref_mod_by_rows(A, d: int):
+    """``phase_space.rref_mod`` one row at a time: the pivot search and each
+    elimination a Python loop over rows."""
+    A = np.array(A, dtype=np.int64) % d
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if A[i, c] % d:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        A[r] = (A[r] * field_inv(int(A[r, c]), d)) % d
+        for i in range(rows):
+            if i != r and A[i, c]:
+                A[i] = (A[i] - A[i, c] * A[r]) % d
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, pivots
+
+
+def group_elements_by_loop(generators: np.ndarray, d: int) -> np.ndarray:
+    """The span of the generators, one generator at a time, then lexsorted."""
+    elements = np.zeros((1, generators.shape[1]), dtype=np.int64)
+    for b in generators:
+        elements = ((elements[:, None, :] + np.arange(d)[:, None] * b) % d).reshape(
+            -1, generators.shape[1])
+    return elements[np.lexsort(elements.T[::-1])]
+
+
+def msps_char_by_loop(group: PhaseSubgroup, chars) -> np.ndarray:
+    """One row of ``states.msps_tables``: the table of one character tuple (one
+    entry per generator), built generator by generator."""
+    d, n = group.d, group.n
+    if len(chars) != group.rank:
+        raise ValueError(f"{len(chars)} characters for a group of rank {group.rank}")
+    m = np.arange(d)
+    points = np.zeros((1, 2 * n), dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
+    for gen, k in zip(group.generators, chars):
+        s, x = points[:, None], m[:, None] * gen % d
+        t = (s + x) % d
+        phase = chi(-int(k) * m, d)
+        if d == 2:
+            e = _pq(t) - _pq(s) - _pq(x) + 2 * (s[..., n:] * x[..., :n]).sum(axis=-1)
+            phase = phase * np.array([1, 1j, -1, -1j])[e % 4]
+        vals = (vals[:, None] * phase).reshape(-1)
+        points = t.reshape(-1, 2 * n)
+    table = np.zeros((d,) * (2 * n), dtype=complex)
+    table[tuple(points.T)] = vals
+    return table

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,19 @@ def test_equality_case():
         ent.check_equality_case(states.basis_state(0, 3), [[1, 1], [0, 1]], 2)
 
 
+def test_equality_case_mixes_in_one_table_not_the_groups_stack():
+    # at (3, 4) the mixed group has rank 4: its msps_tables stack would be 81 tables, 8.5 MB
+    sigma = states.basis_state(0, 3, 4)
+    stack_bytes = 3**4 * 3**8 * 16
+    tracemalloc.start()
+    try:
+        assert ent.check_equality_case(sigma, cv.hadamard_params(3), 2, seed=3)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2
+
+
 def test_holevo_bounds(t_state):
     h = cv.hadamard_params(3)
     lo, up = ent.holevo_bounds(states.maximally_mixed(3, 1), h)
@@ -348,8 +362,8 @@ def test_min_output_entropy_group_counts_match_spectra_on_a_sample():
         in_rho = {tuple(x) for x in g_rho.elements.tolist()}
         in_sig = {tuple(x) for x in g_sig.elements.tolist()}
         count = sum(a in in_rho and b in in_sig for a, b in zip(a_x, b_x))
-        xr = states.msps_char(g_rho, rng.integers(d, size=n))
-        xs = states.msps_char(g_sig, rng.integers(d, size=n))
+        xr = states.msps_tables(g_rho)[np.ravel_multi_index(rng.integers(d, size=n), (d,) * n)]
+        xs = states.msps_tables(g_sig)[np.ravel_multi_index(rng.integers(d, size=n), (d,) * n)]
         out = states.state_from_char(cv.convolve_char(xr, xs, pm), spectrum=True)
         assert abs(ent.renyi_entropy(out, 1) - math.log2(d**n / count)) <= 1e-12
         matched += count == d**n

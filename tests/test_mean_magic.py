@@ -205,7 +205,7 @@ def test_zero_mean_shift_matches_dense_conjugation():
         states.basis_state(1, 3),
         states.basis_state(5, 3, 2),
         states.basis_state(1, 2, 2),
-        states.state_from_char(states.msps_char(z, (1,)), spectrum=True),
+        states.state_from_char(states.msps_tables(z)[1], spectrum=True),
         chn.weyl_conjugation_channel([1, 2], 5).choi,
     ]
     for rho in cases:
@@ -222,7 +222,7 @@ def test_zero_mean_shift_matches_dense_conjugation():
 def test_read_thresholds_gives_mean_states_group(monkeypatch):
     z = subgroup_generators([[1, 0, 0, 0]], 3, 2)  # Z on site 0
     cases = [states.basis_state(5, 3, 2), states.random_state(2, 3, seed=1),
-             states.state_from_char(states.msps_char(z, (2,)), spectrum=True)]
+             states.state_from_char(states.msps_tables(z)[2], spectrum=True)]
     reports = [mm.mean_state(rho) for rho in cases]
 
     def never(*args, **kwargs):

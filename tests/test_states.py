@@ -1,10 +1,11 @@
 import time
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qps import states, weyl
+from qps import phase_space, states, weyl
 from qps.config import TOL_STATE
 from qps.convolution import hadamard_params
 from qps.entropy import check_min_output_entropy
@@ -13,7 +14,8 @@ from qps.errors import (IncompatibleError, NotPrimeError, NotStateError, TooLarg
 from qps.mean_magic import is_msps, pauli_rank
 from qps.phase_space import make_point, subgroup_generators, symplectic_inner
 
-from helpers import group_contains, hermitize, is_isotropic
+from helpers import (group_contains, group_elements_by_loop, hermitize, is_isotropic,
+                     msps_char_by_loop, rref_mod_by_rows)
 
 
 def test_make_state_validation():
@@ -316,13 +318,16 @@ def test_lagrangians_are_the_maximal_isotropic_groups(n, d):
 
 @pytest.mark.parametrize("n,d,groups", [(3, 2, 514), (2, 5, 313)])
 def test_each_isotropic_group_is_built_once(monkeypatch, n, d, groups):
-    # one subgroup_generators call per group: no span is built twice and dropped
-    calls = []
-    real = states.subgroup_generators
-    monkeypatch.setattr(states, "subgroup_generators", lambda *a: calls.append(a) or real(*a))
+    # one PhaseSubgroup per group, from its reduced basis: no span is built twice and
+    # dropped, and no basis is row-reduced again
+    calls, reductions = [], []
+    real, real_rref = states.PhaseSubgroup, phase_space.rref_mod
+    monkeypatch.setattr(states, "PhaseSubgroup", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(phase_space, "rref_mod", lambda *a: reductions.append(a) or real_rref(*a))
     assert len(states.enumerate_isotropic_subgroups(n, d)) == len(calls) == groups
     calls.clear()
     assert len(states.enumerate_lagrangian_subgroups(n, d)) == len(calls)
+    assert reductions == []
 
 
 @pytest.mark.parametrize("n,d", [(5, 2), (6, 2), (4, 3)])
@@ -388,8 +393,9 @@ def _msps_power_loop(group, chars, d):
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_msps_from_group_matches_power_loop(d, n):
     # the table, the sign at d = 2 included, and the matrix built from it
-    groups = states.enumerate_isotropic_subgroups(n, d)
-    for state, (_, group, chars) in zip(states.enumerate_msps(n, d), states.iter_msps(groups)):
+    labels = [(group, chars) for group in states.enumerate_isotropic_subgroups(n, d)
+              for chars in product(range(d), repeat=group.rank)]
+    for state, (group, chars) in zip(states.enumerate_msps(n, d), labels, strict=True):
         want = _msps_power_loop(group, chars, d)
         assert np.abs(state.mat - want).max() <= 1e-12
         table = weyl.weyl_coefficient_table(want, d, n)
@@ -401,23 +407,83 @@ def test_msps_from_group_refuses_a_group_that_is_not_isotropic():
     group = subgroup_generators([[1, 0, 0, 0], [0, 0, 1, 0]], 3, 2)
     assert not is_isotropic(group)
     with pytest.raises(NotStateError):
-        states.state_from_char(states.msps_char(group, (0, 0)), spectrum=True)
+        states.state_from_char(states.msps_tables(group)[0], spectrum=True)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
 def test_iter_msps_tables_are_the_enumerated_states_tables(d, n):
-    # iter_msps yields read-only tables and builds no State; enumerate_msps builds from them
-    tables = [xi for xi, _, _ in states.iter_msps(states.enumerate_isotropic_subgroups(n, d))]
+    # the groups' msps_tables stacks are read-only; enumerate_msps builds from their rows
+    stacks = [states.msps_tables(g) for g in states.enumerate_isotropic_subgroups(n, d)]
+    assert not any(stack.flags.writeable for stack in stacks)
     built = states.enumerate_msps(n, d)
-    assert len(tables) == len(built)
-    for xi, state in zip(tables, built):
-        assert not xi.flags.writeable
+    for xi, state in zip((xi for stack in stacks for xi in stack), built, strict=True):
         assert np.array_equal(xi, states.char_function(state))
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3),
+                                 (4, 2), (2, 7)])
+def test_groups_and_stacks_match_their_loops_bit_for_bit(n, d):
+    # generators, elements and order against the row-by-row forms; tables where d^2n <= 729,
+    # all rows of up to 2000 groups (a seeded sample of the 5125 at (3, 3), 19 381 at (4, 2))
+    groups = states.enumerate_isotropic_subgroups(n, d)
+    for g in groups:
+        assert np.array_equal(g.generators, rref_mod_by_rows(g.generators, d)[0])
+        assert np.array_equal(g.elements, group_elements_by_loop(g.generators, d))
+    keys = [(g.size, g.elements.tobytes()) for g in groups]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    if d ** (2 * n) <= 729:
+        for i in sorted(np.random.default_rng(0).permutation(len(groups))[:2000]):
+            g = groups[i]
+            stack = states.msps_tables(g)
+            assert stack.shape == (d**g.rank,) + (d,) * (2 * n)
+            for xi, chars in zip(stack, product(range(d), repeat=g.rank), strict=True):
+                assert np.array_equal(xi, msps_char_by_loop(g, chars))
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 5)])
+def test_each_stack_has_one_distinct_row_per_character(n, d):
+    # d^rank rows, all distinct, each nonzero on exactly the |S| points of its group
+    for g in states.enumerate_isotropic_subgroups(n, d):
+        stack = states.msps_tables(g)
+        assert len(stack) == d**g.rank
+        assert len({xi.tobytes() for xi in stack}) == len(stack)
+        on_group = np.zeros((d,) * (2 * n), dtype=bool)
+        on_group[tuple(g.elements.T)] = True
+        assert ((stack != 0) == on_group).all()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_rref_mod_matches_the_row_loop(d):
+    # full-rank and rank-deficient integer matrices, negative entries and entries >= d
+    rng = np.random.default_rng(d)
+    for _ in range(300):
+        rows, cols, rank = rng.integers(0, 7), rng.integers(1, 9), rng.integers(0, 5)
+        A = rng.integers(-2 * d, 2 * d, size=(rows, cols))
+        if rng.integers(2):
+            A = rng.integers(-d, d, size=(rows, rank)) @ rng.integers(-d, d, size=(rank, cols))
+        R, pivots = phase_space.rref_mod(A, d)
+        want, want_pivots = rref_mod_by_rows(A, d)
+        assert np.array_equal(R, want) and R.dtype == want.dtype and pivots == want_pivots
 
 
 def test_wigner_reads_a_table_as_its_state():
     rho = states.random_state(1, 5, seed=3)
     assert np.array_equal(states.wigner(states.char_function(rho)), states.wigner(rho))
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+def test_wigner_of_a_stack_is_the_stack_of_its_tables_wigner(d, n):
+    # bit for bit, for a stabilizer stack and for a stack of random states' tables
+    group = states.enumerate_lagrangian_subgroups(n, d)[-1]
+    randoms = np.stack([states.char_function(states.random_state(n, d, seed=s)) for s in range(4)])
+    for stack in (states.msps_tables(group), randoms):
+        w = states.wigner(stack)
+        assert w.shape == stack.shape and not w.flags.writeable
+        assert np.array_equal(w, np.stack([states.wigner(xi) for xi in stack]))
+    bad = randoms.copy()
+    bad[2, (0,) * (2 * n)] = 2.0  # one table of the stack does not sum to 1
+    with pytest.raises(NotStateError, match="sum to 1"):
+        states.wigner(bad)
 
 
 def test_state_from_char_holds_its_table():

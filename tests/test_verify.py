@@ -100,25 +100,32 @@ def test_qubit_commutation_sees_a_negation_through_pairs_without_a_zero_point(mo
 
 
 def test_hudson_and_the_scan_build_no_state_from_a_stabilizer_table(monkeypatch):
-    # hudson reads each pure stabilizer as its msps_char table and builds no State
-    tables, built = [], []
-    real_char, real_build = states.msps_char, states.state_from_char
+    # hudson reads the pure stabilizers as one msps_tables stack per Lagrangian, transforms
+    # each stack in one wigner call, and builds no State from a stack
+    stacks, transformed, built = [], [], []
+    real_tables, real_wigner, real_build = states.msps_tables, states.wigner, states.state_from_char
 
-    def char(*args):
-        tables.append(real_char(*args))
-        return tables[-1]
+    def tables(*args):
+        stacks.append(real_tables(*args))
+        return stacks[-1]
+
+    def wigner(xi):
+        transformed.extend(xi for t in stacks if xi is t)
+        return real_wigner(xi)
 
     def build(xi, *args, **kwargs):
-        built.extend(xi for t in tables if t is xi)
+        built.extend(xi for t in stacks if np.shares_memory(xi, t))
         return real_build(xi, *args, **kwargs)
 
-    monkeypatch.setattr(states, "msps_char", char)
+    monkeypatch.setattr(states, "msps_tables", tables)
+    monkeypatch.setattr(states, "wigner", wigner)
     for module in (states, ent):
         monkeypatch.setattr(module, "state_from_char", build)
     assert all(c.passed for c in verify.run_suite("hudson", 5, 1, 10))
-    assert built == [] and len(tables) == 30  # the pure stabilizers only
+    assert built == [] and len(stacks) == len(transformed) == 6  # one per Lagrangian
+    assert sum(len(t) for t in stacks) == 30  # the pure stabilizers only
     assert ent.check_min_output_entropy(cv.hadamard_params(3), 3, 1).ok
-    assert built == [] and len(tables) == 30  # the scan reads groups, not tables
+    assert built == [] and len(stacks) == 6  # the scan reads groups, not tables
 
 
 def _sample_parity_matrix_loop(rng, d, klass):
@@ -183,7 +190,8 @@ def test_hudson_at_d2_is_refused_before_any_enumeration(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the hudson suite started")
 
-    monkeypatch.setattr(verify.st, "iter_msps", fail)
+    monkeypatch.setattr(verify.st, "enumerate_lagrangian_subgroups", fail)
+    monkeypatch.setattr(verify.st, "msps_tables", fail)
     monkeypatch.setattr(verify.st, "wigner", fail)
     with pytest.raises(UnsupportedDimensionError):
         verify.run_suite("hudson", 2, 1, 3)
