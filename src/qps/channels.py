@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, ensure_table_size
 from .convolution import as_param_matrix, clt_trajectory, convolve
 from .errors import (
     IncompatibleError,
@@ -297,6 +297,7 @@ def check_unitary_min_entropy(params, d: int, n: int = 1, seed=0, pairs: int = 5
 
 def random_channel(n: int, d: int, seed, n_kraus: int | None = None) -> Channel:
     """Seeded random channel from a Haar-ish isometry (Stinespring cut)."""
+    ensure_table_size(d, 2 * n)  # the Choi matrix, refused before the draw
     D = d**n
     if n_kraus is None:
         n_kraus = D

@@ -90,23 +90,7 @@ def _resolve_params(args, d: int):
     if getattr(args, "g", None):
         return cv.classify(_parse_g(args.g), d)
     family = getattr(args, "family", None)
-    if family is None:
-        return cv.default_params(d)
-    if family == "beam-splitter":
-        classes = cv.solve_params(d, "circle")
-        if not classes:
-            raise UsageError(f"no (s,t) classes for d={d}")
-        s, t = classes[0].representative
-        return cv.beam_splitter_params(s, t, d)
-    if family == "amplifier":
-        classes = cv.solve_params(d, "hyperbola")
-        if not classes:
-            raise UsageError(f"no (l,m) classes for d={d}")
-        l, m = classes[0].representative
-        return cv.amplifier_params(l, m, d)
-    if family == "hadamard":
-        return cv.hadamard_params(d)
-    raise UsageError(f"unknown family {family!r}")
+    return cv.default_params(d) if family is None else cv.family_params(family, d)
 
 
 def _clt_params(args, d: int):
@@ -247,13 +231,10 @@ def cmd_conv(args, tol: Tolerances) -> int:
 def cmd_verify(args, tol: Tolerances) -> int:
     from . import verify
 
-    suite = args.suite
-    if suite != "all" and suite not in verify.SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {('all',) + verify.SUITES}")
-    checks = verify.run_suite(suite, args.d, args.n, args.seeds, args.jobs, args.seed, tol)
+    checks = verify.run_suite(args.suite, args.d, args.n, args.seeds, args.jobs, args.seed, tol)
     passed = all(c.passed for c in checks)
     report = {
-        "suite": suite,
+        "suite": args.suite,
         "config": {
             "d": args.d,
             "n": args.n,
@@ -348,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_counts(args) -> None:
     """Refuse an integer count flag below its least value, naming the flag:
-    --n, --seeds and --jobs below 1, --N (the last CLT or sweep power) below 0."""
-    for flag, least in (("n", 1), ("seeds", 1), ("jobs", 1), ("N", 0)):
+    --n, --seeds and --jobs below 1, --N (the last CLT or sweep power) and --seed below 0."""
+    for flag, least in (("n", 1), ("seeds", 1), ("jobs", 1), ("N", 0), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise UsageError(f"--{flag} must be >= {least}, got {value}")

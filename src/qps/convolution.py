@@ -58,6 +58,13 @@ class ParamMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[self.g00, self.g01], [self.g10, self.g11]], dtype=np.int64)
 
+    @property
+    def scalings(self) -> tuple:
+        """⊠'s phase-space scalings mod d, ((A_p, A_q), (B_p, B_q)) = ((N g11, g00),
+        (-N g10, g01)): Xi_out(p, q) = Xi_rho(A_p p, A_q q) Xi_sigma(B_p p, B_q q)."""
+        d, N = self.d, self.n_inv
+        return ((N * self.g11 % d, self.g00), (-N * self.g10 % d, self.g01))
+
 
 PARITY_CLASSES = ("trivial", "even_only", "odd_only", "positive")
 
@@ -213,9 +220,9 @@ def convolve_char(xr: np.ndarray, xs: np.ndarray, params) -> np.ndarray:
     """Duality route: Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q)."""
     if xr.shape != xs.shape:
         raise IncompatibleError(f"characteristic tables of shapes {xr.shape} and {xs.shape}")
-    pm = as_param_matrix(params, xr.shape[0])
-    vals = _scale_axes(xr, pm.n_inv * pm.g11, pm.g00)  # a fresh array, multiplied in place
-    vals *= _scale_axes(xs, -pm.n_inv * pm.g10, pm.g01)
+    (ap, aq), (bp, bq) = as_param_matrix(params, xr.shape[0]).scalings
+    vals = _scale_axes(xr, ap, aq)  # a fresh array, multiplied in place
+    vals *= _scale_axes(xs, bp, bq)
     vals.setflags(write=False)
     return vals
 
@@ -234,8 +241,9 @@ def convolve_wigner(wr: np.ndarray, ws: np.ndarray, params) -> np.ndarray:
     pm = as_param_matrix(params, d)
     if not pm.positive:
         raise UnsupportedGError("the Wigner convolution formula needs positive G")
-    a = _scale_axes(wr, field_inv(pm.g00, d), field_inv((pm.n_inv * pm.g11) % d, d))
-    b = _scale_axes(ws, field_inv(pm.g01, d), -field_inv((pm.n_inv * pm.g10) % d, d))
+    (ap, aq), (bp, bq) = pm.scalings
+    a = _scale_axes(wr, field_inv(aq, d), field_inv(ap, d))
+    b = _scale_axes(ws, field_inv(bq, d), field_inv(bp, d))
     axes = range(wr.ndim)
     fa = _dft_axes(a.astype(complex), d, axes, -1)
     np.multiply(fa, _dft_axes(b.astype(complex), d, axes, -1), out=fa)
@@ -330,15 +338,29 @@ def solve_params(d: int, family: str) -> list[SolutionClass]:
     return classes
 
 
+def family_params(family: str, d: int) -> ParamMatrix:
+    """G of a named family: "hadamard", or the first (s, t) class of "beam-splitter"
+    (the circle) or of "amplifier" (the hyperbola); a d with no class raises."""
+    if family == "hadamard":
+        return hadamard_params(d)
+    if family not in ("beam-splitter", "amplifier"):
+        raise IncompatibleError(f"unknown family {family!r}")
+    conic, pair, build = {"beam-splitter": ("circle", "(s,t)", beam_splitter_params),
+                          "amplifier": ("hyperbola", "(l,m)", amplifier_params)}[family]
+    classes = solve_params(d, conic)
+    if not classes:
+        raise UnsupportedGError(f"no {pair} classes for d={d}")
+    return build(*classes[0].representative, d)
+
+
 def default_params(d: int) -> ParamMatrix:
     """The G used when none is chosen: the first beam-splitter class, else
     Hadamard for odd d (both positive), else the even-parity ``cnot_family(1)``.
     """
-    classes = solve_params(d, "circle")
-    if classes:
-        s, t = classes[0].representative
-        return beam_splitter_params(s, t, d)
-    return cnot_family(1) if d == 2 else hadamard_params(d)
+    try:
+        return family_params("beam-splitter", d)
+    except UnsupportedGError:  # no (s, t) class
+        return cnot_family(1) if d == 2 else hadamard_params(d)
 
 
 def transformed_stabilizer_group(group: PhaseSubgroup, params) -> PhaseSubgroup:
@@ -349,7 +371,6 @@ def transformed_stabilizer_group(group: PhaseSubgroup, params) -> PhaseSubgroup:
         raise UnsupportedGError(
             f"the group transform needs an odd-parity positive G; {pm.as_array().tolist()} is not"
         )
-    cp = -field_inv(pm.g10, d) * pm.g11
-    cq = field_inv(pm.g01, d) * pm.g00
-    scale = np.repeat([cp, cq], group.n)  # the map is linear: the scaled basis spans the image
+    (ap, aq), (bp, bq) = pm.scalings  # the map is A B^-1, linear: the scaled basis spans the image
+    scale = np.repeat([ap * field_inv(bp, d), aq * field_inv(bq, d)], group.n)
     return subgroup_generators(group.generators * scale, d, group.n)

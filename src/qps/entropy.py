@@ -266,9 +266,9 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
     S_rho = transformed(S_sigma), read from one dict of the groups; every other pair
     (and 5 random magic pairs, run by ``convolve``) must come out strictly positive.
     The stabilizers are the m Lagrangians with d^n characters each.  By closure, ⊠ of
-    two is an MSPS of the group A^-1 S_rho ∩ B^-1 S_sigma, A and B the scalings of
-    ``convolve_char``: of C elements, so H = log2(d^n / C) exactly for every character
-    pair.  C over all group pairs is one product of 0/1 indicator stacks; no table is built.
+    two is an MSPS of the group A^-1 S_rho ∩ B^-1 S_sigma, A and B ``ParamMatrix.scalings``:
+    of C elements, so H = log2(d^n / C) exactly for every character pair.  C over all
+    group pairs is one product of 0/1 indicator stacks; no table is built.
     """
     pm = as_param_matrix(params, d)
     if not pm.positive:
@@ -276,7 +276,7 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
     groups = enumerate_lagrangian_subgroups(n, d)
     elements = np.stack([g.elements for g in groups])
     stacks = np.zeros((2, len(groups), d ** (2 * n)))  # 0/1 rows of each A^-1 S, then B^-1 S
-    for stack, cp, cq in zip(stacks, (pm.n_inv * pm.g11, -pm.n_inv * pm.g10), (pm.g00, pm.g01)):
+    for stack, (cp, cq) in zip(stacks, pm.scalings):
         scaled = elements * np.repeat([field_inv(cp, d), field_inv(cq, d)], n) % d
         np.put_along_axis(stack, encode_digits(scaled, d), 1.0, axis=1)
     counts = stacks[0] @ stacks[1].T

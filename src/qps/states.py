@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_ENUMERATION, MAX_GROUP, TOL_STATE
+from .config import MAX_ENUMERATION, MAX_GROUP, TOL_STATE, ensure_table_size
 from .errors import IncompatibleError, NotStateError, TooLargeError, UnsupportedDimensionError
 from .phase_space import PhaseSubgroup, check_prime, rref_subspaces
 from .weyl import _dft_axes, chi, matrix_from_weyl_table, weyl_coefficient_table
@@ -229,6 +229,7 @@ def wigner(state) -> np.ndarray:
 
 def random_state(n: int, d: int, seed, rank: int | None = None) -> State:
     """Seeded Haar-ish mixed state G G^dag / Tr with G complex Gaussian."""
+    ensure_table_size(d, n)  # a D x D draw has d^{2n} entries, as a table does
     D = d**n
     if rank is None:
         rank = D
@@ -244,8 +245,8 @@ def random_pure(n: int, d: int, seed) -> State:
     return random_state(n, d, seed, rank=1)
 
 
-def _isotropic_subgroups(n: int, d: int, ranks) -> list[PhaseSubgroup]:
-    """The isotropic subgroups of V^n of the given ranks; see the two callers."""
+def _check_enumeration(n: int, d: int) -> None:
+    """Refuse (n, d) as the isotropic-subgroup enumerations do, before any basis is built."""
     check_prime(d)
     if n < 1:
         raise IncompatibleError(f"n must be >= 1, got {n}")
@@ -253,6 +254,11 @@ def _isotropic_subgroups(n: int, d: int, ranks) -> list[PhaseSubgroup]:
         raise TooLargeError(f"d^2n = {d ** (2 * n)} exceeds the enumeration cap")
     if d ** (n * n) > MAX_GROUP:  # the rows of the largest batch, rank n at pivots 0..n-1
         raise TooLargeError(f"d^(n^2) = {d}^{n * n} candidate bases exceed the cap {MAX_GROUP}")
+
+
+def _isotropic_subgroups(n: int, d: int, ranks) -> list[PhaseSubgroup]:
+    """The isotropic subgroups of V^n of the given ranks; see the two callers."""
+    _check_enumeration(n, d)
     groups = []
     for basis in rref_subspaces(2 * n, d, ranks):
         form = basis[..., :n] @ basis[..., n:].swapaxes(-1, -2)

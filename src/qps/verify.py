@@ -5,6 +5,10 @@ before the stated tolerance is violated (negative = failure).  Suites
 fan out over independent seeds; results merge by seed index so reports
 are byte-stable for a fixed configuration.  A process pool starts, and
 its modules load, only when more than one job is asked for.
+
+A suite is its runner in ``_SUITE_FNS`` and its precondition in ``_refuse``.
+``run_suite`` raises each selected suite's refusal before any suite runs, so
+'all' refuses when any suite does, except hudson at d = 2, which it skips.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from . import states as st
 from . import weyl
 from .config import DEFAULT, Tolerances, ensure_table_size, table_cap
 from .errors import (
+    ConfigError,
     IncompatibleError,
     QpsError,
     TooLargeError,
@@ -120,24 +125,6 @@ def _commutation_worst(stack: np.ndarray, x: np.ndarray, y: np.ndarray, d: int) 
     diff = np.matmul(stack[weyl.encode_digits(x, d)], stack[weyl.encode_digits(y, d)])
     diff -= rhs
     return float(np.abs(diff).max())
-
-
-# What each suite with a d^{4n}-entry array does with it.
-_D4N_ARRAYS = {
-    "weyl": "stacks",  # every w(x) at (d, n), for orthonormality
-    "entropy": "diagonalizes a tensor product of",  # rho ⊗ sigma, for additivity
-}
-
-
-def _check_d4n_size(suite: str, d: int, n: int) -> None:
-    """Raise TooLargeError, naming the suite, when its d^{4n}-entry complex array
-    at (d, n) is past the dense-table cap ``config.table_cap()``."""
-    cap = table_cap()
-    if d ** (4 * n) > cap:
-        raise TooLargeError(
-            f"the {suite} suite {_D4N_ARRAYS[suite]} d^4n = {d}^{4 * n} entries, "
-            f"past the dense-table cap {cap}"
-        )
 
 
 def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
@@ -297,7 +284,7 @@ def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     """Entropy checks at (d, n).
 
     The additivity check takes ``eigvalsh`` of rho ⊗ sigma, d^{4n} entries, so
-    `run_suite` refuses this suite past the dense-table cap, as it does weyl.
+    `_refuse` refuses this suite past the dense-table cap, as it does weyl.
     """
     out = _map_tasks(_entropy_task, d, n, seeds, jobs, seed, tol)
     ce = ent.second_law_counterexample(d, n)
@@ -351,7 +338,7 @@ def _fisher_task(args):
 
 def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
                  tol: Tolerances = DEFAULT):
-    """Fisher checks, dense D x D eigendecompositions and ⊠ on d^{2n} tables: `run_suite`
+    """Fisher checks, dense D x D eigendecompositions and ⊠ on d^{2n} tables: `_refuse`
     refuses d^{2n} past the cap ``convolve`` applies ((3, 6) fits; about 6 s a seed)."""
     out = _map_tasks(_fisher_task, d, n, seeds, jobs, seed, tol)
     rng = np.random.default_rng(77)
@@ -437,15 +424,27 @@ def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     return out
 
 
-_SUITE_FNS = {
-    "weyl": suite_weyl,
-    "duality": suite_duality,
-    "majorization": suite_majorization,
-    "entropy": suite_entropy,
-    "fisher": suite_fisher,
-    "hudson": suite_hudson,
-    "channels": suite_channels,
-}
+_SUITE_FNS = {key: globals()[f"suite_{key}"] for key in SUITES}
+
+
+def _refuse(key: str, d: int, n: int) -> None:
+    """Raise the QpsError that refuses suite key at (d, n), if any: the one place a
+    suite's precondition is written.  `run_suite` calls it before any suite runs."""
+    if key == "channels":
+        chn._check_exact_dim(d, n)
+    elif key == "hudson":
+        if d == 2:
+            raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
+                                            "which need odd d")
+        st._check_enumeration(n, d)
+    elif key in ("weyl", "entropy"):  # a d^{4n}-entry complex array
+        cap = table_cap()
+        if d ** (4 * n) > cap:
+            does = "stacks" if key == "weyl" else "diagonalizes a tensor product of"
+            raise TooLargeError(f"the {key} suite {does} d^4n = {d}^{4 * n} entries, "
+                                f"past the dense-table cap {cap}")
+    else:  # duality, majorization and fisher: D x D matrices and d^{2n} tables
+        ensure_table_size(d, n)
 
 
 def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
@@ -454,31 +453,22 @@ def run_suite(name: str, d: int, n: int, seeds: int, jobs: int = 1, seed: int = 
 
     seed offsets the per-seed task indices: the tasks run at seed .. seed +
     seeds - 1 and name their checks after them.  Inputs drawn outside the
-    per-seed tasks are fixed.  n, seeds and jobs below 1 are refused, a
-    channels run (alone or within 'all') past the exact channel oracle's
-    size cap, a weyl or entropy run (alone or within 'all') past the table
-    cap or a fisher run with d^{2n} past it is refused before any suite
-    runs, and so is hudson at d = 2 ('all' skips it there).  Hudson's first
-    step refuses d^{2n} > ``config.MAX_ENUMERATION`` and d^{n^2} > ``config.MAX_GROUP``.
+    per-seed tasks are fixed.  'all' is every suite in SUITES order but hudson
+    at d = 2.  n, seeds and jobs below 1, a negative seed, a non-prime d, an
+    unknown name and each selected suite's `_refuse` (the channel oracle's
+    first) are refused before any suite runs.
     """
-    for key, value in (("n", n), ("seeds", seeds), ("jobs", jobs)):
-        if value < 1:
-            raise IncompatibleError(f"{key} must be >= 1, got {value}")
-    if name in ("all", "channels"):
-        chn._check_exact_dim(d, n)
-    for key in _D4N_ARRAYS:
-        if name in ("all", key):
-            _check_d4n_size(key, d, n)
-    if name == "fisher":  # within 'all', the d^{4n} check above is the stricter
-        ensure_table_size(d, n)
-    if name == "hudson" and d == 2:
-        raise UnsupportedDimensionError("the hudson suite reads discrete Wigner functions, "
-                                        "which need odd d")
+    for key, value, least in (("n", n, 1), ("seeds", seeds, 1), ("jobs", jobs, 1),
+                              ("seed", seed, 0)):
+        if value < least:
+            raise IncompatibleError(f"{key} must be >= {least}, got {value}")
+    check_prime(d)
     if name == "all":
-        out = []
-        for key in SUITES:
-            if key == "hudson" and d == 2:
-                continue
-            out.extend(_SUITE_FNS[key](d, n, seeds, jobs, seed, tol))
-        return out
-    return _SUITE_FNS[name](d, n, seeds, jobs, seed, tol)
+        keys = [key for key in SUITES if not (key == "hudson" and d == 2)]
+    elif name in SUITES:
+        keys = [name]
+    else:
+        raise ConfigError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
+    for key in sorted(keys, key=lambda key: key != "channels"):  # channels, then SUITES order
+        _refuse(key, d, n)
+    return [check for key in keys for check in _SUITE_FNS[key](d, n, seeds, jobs, seed, tol)]

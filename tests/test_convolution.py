@@ -527,6 +527,21 @@ def test_parity_class_and_bounding_inputs_match_old_rules(d):
     assert seen == set(cv.PARITY_CLASSES) - ({"positive"} if d == 2 else set())
 
 
+def test_named_families_take_the_first_class():
+    for d in (7, 13):
+        s, t = cv.solve_params(d, "circle")[0].representative
+        assert cv.family_params("beam-splitter", d) == cv.beam_splitter_params(s, t, d)
+        l, m = cv.solve_params(d, "hyperbola")[0].representative
+        assert cv.family_params("amplifier", d) == cv.amplifier_params(l, m, d)
+        assert cv.family_params("hadamard", d) == cv.hadamard_params(d)
+    with pytest.raises(UnsupportedGError, match="no \\(s,t\\) classes for d=5"):
+        cv.family_params("beam-splitter", 5)
+    with pytest.raises(UnsupportedGError, match="no \\(l,m\\) classes for d=3"):
+        cv.family_params("amplifier", 3)
+    with pytest.raises(IncompatibleError, match="unknown family 'circle'"):
+        cv.family_params("circle", 7)
+
+
 def test_family_constructors_return_classified_matrices():
     assert cv.hadamard_params(5) == cv.classify([[1, 1], [1, -1]], 5)
     assert cv.beam_splitter_params(2, 2, 7) == cv.classify([[2, 2], [2, -2]], 7)

@@ -636,6 +636,35 @@ def test_cli_verify_refuses_fisher_past_the_table_cap_before_any_work():
     assert r.stderr == "error: TooLargeError: d^2n = 3^14 exceeds the dense-table cap 4000000\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("clt", "--d", "3", "--n", "7", "--N", "2"),
+    ("entropy-sweep", "--d", "3", "--n", "7"),
+    ("verify", "--suite", "majorization", "--d", "3", "--n", "7", "--seeds", "1"),
+], ids=["clt", "entropy-sweep", "verify-majorization"])
+def test_cli_refuses_oversized_random_draws_before_any_work(argv):
+    # a 3^7 x 3^7 draw once ran for seconds before the same refusal came
+    start = time.perf_counter()
+    r = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: TooLargeError: d^2n = 3^14 exceeds the dense-table cap 4000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["clt", "--seed", "-1"],
+    ["entropy-sweep", "--seed", "-2"],
+    ["verify", "--suite", "all", "--d", "3", "--seed", "-1", "--seeds", "2"],
+])
+def test_cli_refuses_a_negative_seed(argv, monkeypatch, capsys):
+    # numpy's "expected non-negative integer" named no flag, and verify ran weyl first
+    monkeypatch.setattr(verify, "_SUITE_FNS", {})  # a suite that started would raise KeyError
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = argv[argv.index("--seed") + 1]
+    assert captured.err == f"error: --seed must be >= 0, got {value}\n"
+
+
 def test_fisher_suite_is_refused_before_its_first_task(monkeypatch):
     def never(args):
         raise AssertionError("a fisher task started")

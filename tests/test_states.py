@@ -43,6 +43,20 @@ def test_pure_state_refuses_vectors_with_no_direction(vec):
         states.pure_state(vec, 3)
 
 
+def test_random_draws_past_the_table_cap_are_refused_before_drawing(monkeypatch):
+    # a D x D draw has d^2n entries; a random channel's Choi matrix d^4n
+    from qps import channels
+
+    def never(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(TooLargeError, match="d\\^2n = 3\\^14 exceeds"):
+        states.random_state(7, 3, seed=0)
+    with pytest.raises(TooLargeError, match="d\\^2n = 3\\^16 exceeds"):
+        channels.random_channel(4, 3, seed=0)
+
+
 def test_random_state_refuses_rank_out_of_range():
     for rank in (0, -1, 4):
         with pytest.raises(IncompatibleError):

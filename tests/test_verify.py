@@ -8,6 +8,7 @@ from qps import entropy as ent
 from qps import states, verify, weyl
 from qps.cli import main
 from qps.errors import (
+    ConfigError,
     IncompatibleError,
     NotPrimeError,
     SingularGError,
@@ -216,18 +217,54 @@ def test_hudson_passes_past_one_qudit_and_all_runs_it(monkeypatch):
     assert ran == list(verify.SUITES)
 
 
-def test_entropy_past_the_table_cap_is_refused_before_any_suite_runs(monkeypatch):
-    # the additivity check diagonalizes rho ⊗ sigma, d^4n entries, as weyl stacks them
+# A (d, n) each suite refuses, the QPS_MAX_DIM that makes it refuse (None: a fixed cap)
+# and its message.  weyl stacks d^4n entries and entropy diagonalizes rho ⊗ sigma, as many.
+_REFUSED = {
+    "weyl": (3, 1, 80, "the weyl suite stacks d\\^4n = 3\\^4 entries, past the dense-table cap 80"),
+    "duality": (3, 1, 8, "d\\^2n = 3\\^2 exceeds the dense-table cap 8"),
+    "majorization": (3, 1, 8, "d\\^2n = 3\\^2 exceeds the dense-table cap 8"),
+    "entropy": (3, 1, 80, "the entropy suite .* d\\^4n = 3\\^4 entries"),
+    "fisher": (3, 1, 8, "d\\^2n = 3\\^2 exceeds the dense-table cap 8"),
+    "hudson": (3, 4, None, "d\\^\\(n\\^2\\) = 3\\^16 candidate bases"),
+    "channels": (5, 2, None, "the exact channel oracle needs D = 5\\^2 <= 16"),
+}
+
+
+@pytest.mark.parametrize("key", verify.SUITES)
+def test_every_suite_is_refused_before_any_suite_runs(key, monkeypatch):
+    # by name and within 'all'; one entry more than a QPS_MAX_DIM refusal admits the suite
     ran = []
     monkeypatch.setattr(verify, "_SUITE_FNS",
-                        {key: (lambda *args, key=key: ran.append(key) or []) for key in verify.SUITES})
-    monkeypatch.setenv("QPS_MAX_DIM", "80")
-    with pytest.raises(TooLargeError, match="the entropy suite .* d\\^4n = 3\\^4 entries"):
-        verify.run_suite("entropy", 3, 1, 2)
+                        {k: (lambda *args, k=k: ran.append(k) or []) for k in verify.SUITES})
+    d, n, cap, message = _REFUSED[key]
+    if cap is not None:
+        monkeypatch.setenv("QPS_MAX_DIM", str(cap))
+    with pytest.raises(TooLargeError, match=message):
+        verify.run_suite(key, d, n, 2)
+    with pytest.raises(TooLargeError):
+        verify.run_suite("all", d, n, 2)
     assert ran == []
-    monkeypatch.setenv("QPS_MAX_DIM", "81")
-    verify.run_suite("entropy", 3, 1, 2)
-    assert ran == ["entropy"]
+    if cap is not None:
+        monkeypatch.setenv("QPS_MAX_DIM", str(cap + 1))
+        verify.run_suite(key, d, n, 2)
+        assert ran == [key]
+
+
+def test_run_suite_refuses_an_unknown_name_and_a_non_prime_d(monkeypatch):
+    # "bogus" was a bare KeyError; d = 4 died inside the weyl suite
+    monkeypatch.setattr(verify, "_SUITE_FNS", {})  # a suite that started would raise KeyError
+    with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
+        verify.run_suite("bogus", 3, 1, 2)
+    for name in ("all", "weyl", "duality"):
+        with pytest.raises(NotPrimeError):
+            verify.run_suite(name, 4, 1, 2)
+
+
+def test_run_suite_refuses_a_negative_seed(monkeypatch):
+    # default_rng(-1) once raised numpy's ValueError, after the whole weyl suite had run
+    monkeypatch.setattr(verify, "_SUITE_FNS", {})
+    with pytest.raises(IncompatibleError, match="seed must be >= 0, got -1"):
+        verify.run_suite("all", 3, 1, 2, seed=-1)
 
 
 @pytest.mark.parametrize("n,seeds,jobs", [(0, 2, 1), (1, 0, 1), (1, -2, 1), (1, 2, 0)])
