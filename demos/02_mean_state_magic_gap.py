@@ -15,7 +15,6 @@ from qps import (
     lmg_t_count_check,
     magic_gap,
     mean_state,
-    mean_value_vector,
     pure_state,
     random_state,
     renyi_entropy,
@@ -43,10 +42,10 @@ for alpha in (1, 2, math.inf):
 
 print("\nzero-mean shift: |2><2| on a qutrit has mean-value vector (k) != 0")
 rho = basis_state(2, 3)
-print("  mean-value vector before:", mean_value_vector(rho))
+print("  mean-value vector before:", np.array(mean_state(rho).phases))
 point, shifted = zero_mean_shift(rho)
 print(f"  conjugating by w{tuple(point.tolist())} gives "
-      f"mean-value vector {mean_value_vector(shifted)}")
+      f"mean-value vector {np.array(mean_state(shifted).phases)}")
 
 print("\nT-count bound: LMG(V rho V^dag) <= LMG(rho) + #T/2")
 word = [("H", 0), ("T", 0), ("S", 0), ("T", 0)]

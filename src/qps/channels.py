@@ -29,7 +29,7 @@ from .errors import (
     TooLargeError,
     UnsupportedGError,
 )
-from .mean_magic import is_zero_mean, mean_state, zero_mean_shift
+from .mean_magic import mean_state
 from .states import State, char_function, make_state, maximally_mixed, state_from_char
 from .weyl import digit_table, encode_digits, key_index_map, weyl_operator
 
@@ -45,11 +45,6 @@ class Channel:
     d: int
     n: int
     choi: State
-    kraus: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
 
 
 def choi_marginal_gap(choi: State) -> float:
@@ -59,12 +54,12 @@ def choi_marginal_gap(choi: State) -> float:
     return float(np.abs(marg - np.eye(D) / D).max())
 
 
-def channel_from_choi(choi: State, kraus: tuple = ()) -> Channel:
+def channel_from_choi(choi: State) -> Channel:
     if choi.n % 2 != 0:
         raise IncompatibleError("a Choi state lives on 2n qudits")
     if choi_marginal_gap(choi) > 1e-9:
         raise NotTracePreservingError("Choi marginal Tr_out[J] is not I/d^n")
-    return Channel(d=choi.d, n=choi.n // 2, choi=choi, kraus=tuple(kraus))
+    return Channel(d=choi.d, n=choi.n // 2, choi=choi)
 
 
 def choi_from_kraus(kraus, d: int, n: int) -> Channel:
@@ -79,8 +74,7 @@ def choi_from_kraus(kraus, d: int, n: int) -> Channel:
         # (I ⊗ K)|Φ> as a D x D matrix over (row, out) indices: K^T / sqrt(D)
         v = (k.T / math.sqrt(D)).reshape(-1)
         J += np.outer(v, v.conj())
-    choi = make_state(J, d, 2 * n)
-    return channel_from_choi(choi, kraus=tuple(ks))
+    return channel_from_choi(make_state(J, d, 2 * n))
 
 
 def depolarizing_channel(d: int, n: int) -> Channel:
@@ -167,18 +161,6 @@ def channel_entropy(channel: Channel, alpha) -> float:
     from .entropy import renyi_entropy
 
     return renyi_entropy(channel.choi, alpha) - channel.n * math.log2(channel.d)
-
-
-def is_zero_mean_channel(channel: Channel, tol: Tolerances = DEFAULT) -> bool:
-    """True iff the Choi state has zero mean.  At odd d that holds iff every value of
-    ``weyl_image_char_values`` is 0 or 1; at d = 2 it need not (see there)."""
-    return is_zero_mean(channel.choi, tol)
-
-
-def zero_mean_channel_shift(channel: Channel, tol: Tolerances = DEFAULT):
-    """The shift, a point of the Choi state's V^{2n}, and the shifted channel with zero mean."""
-    shift, shifted = zero_mean_shift(channel.choi, tol)
-    return shift, channel_from_choi(shifted)
 
 
 def weyl_image_char_values(channel: Channel) -> np.ndarray:
@@ -295,14 +277,12 @@ def check_unitary_min_entropy(params, d: int, n: int = 1, seed=0, pairs: int = 5
     )
 
 
-def random_channel(n: int, d: int, seed, n_kraus: int | None = None) -> Channel:
-    """Seeded random channel from a Haar-ish isometry (Stinespring cut)."""
+def random_channel(n: int, d: int, seed) -> Channel:
+    """Seeded random channel from a Haar-ish isometry (Stinespring cut), D Kraus operators."""
     ensure_table_size(d, 2 * n)  # the Choi matrix, refused before the draw
     D = d**n
-    if n_kraus is None:
-        n_kraus = D
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((D * n_kraus, D)) + 1j * rng.standard_normal((D * n_kraus, D))
-    q, _ = np.linalg.qr(m)  # isometry D*n_kraus x D
-    kraus = [q[k * D : (k + 1) * D, :] for k in range(n_kraus)]
+    m = rng.standard_normal((D * D, D)) + 1j * rng.standard_normal((D * D, D))
+    q, _ = np.linalg.qr(m)  # isometry D^2 x D
+    kraus = [q[k * D : (k + 1) * D, :] for k in range(D)]
     return choi_from_kraus(kraus, d, n)

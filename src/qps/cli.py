@@ -239,6 +239,7 @@ def cmd_verify(args, tol: Tolerances) -> int:
             "d": args.d,
             "n": args.n,
             "seeds": args.seeds,
+            "seed": args.seed,
             "jobs": args.jobs,
             "tolerances": snapshot(tol),
         },

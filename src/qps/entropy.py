@@ -150,11 +150,6 @@ def majorization_slack(a, b) -> float:
     return float(np.min(np.cumsum(bv) - np.cumsum(av)))
 
 
-def majorizes(a, b) -> bool:
-    """True iff a is majorized by b, to within 1e-9 (see ``majorization_slack``)."""
-    return majorization_slack(a, b) >= -1e-9
-
-
 @dataclass(frozen=True, eq=False)
 class SecondLawReport:
     alphas: tuple

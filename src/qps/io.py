@@ -95,7 +95,11 @@ def channel_from_json(obj: dict) -> Channel:
     if obj.get("kind") != "choi":
         raise IncompatibleError("channel JSON needs kind = 'choi'")
     d, n = int(obj["d"]), int(obj["n"])
-    body = {"d": d, "n": int(obj.get("n_doubled", 2 * n))}
+    n_doubled = int(obj.get("n_doubled", 2 * n))
+    if n_doubled != 2 * n:
+        raise IncompatibleError(f"channel JSON has n = {n} but n_doubled = {n_doubled}; "
+                                "a Choi state lives on 2n qudits")
+    body = {"d": d, "n": n_doubled}
     for key in ("matrix", "char"):
         if key in obj:
             body[key] = obj[key]

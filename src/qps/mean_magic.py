@@ -25,6 +25,7 @@ from .phase_space import PhaseSubgroup, lex_smallest_solution, subgroup_generato
 from .states import State, char_function, enumerate_msps, make_state, state_from_char
 from .weyl import (
     chi,
+    cnot_gate,
     conjugate_site_gate,
     digit_table,
     encode_digits,
@@ -151,28 +152,14 @@ def mean_state(state: State, tol: Tolerances = DEFAULT) -> MeanStateReport:
 
 
 def msps_group(state: State, tol: Tolerances = DEFAULT) -> PhaseSubgroup | None:
-    """The group S of rho if rho is an MSPS (see ``is_msps``), else None, read off
-    rho's table with no State built: ||rho - M(rho)||_F <= 1e-9 by Parseval."""
+    """The group S of rho if rho is an MSPS, else None, read off rho's table with no
+    State built: every |Xi| is 0 or 1 (within tolerance) and ||rho - M(rho)||_F <= 1e-9
+    by Parseval."""
     table = char_function(state)
     reading = read_thresholds(table, tol)
     if reading.second_max is None and mean_distance(table, reading.group)(table) <= 1e-9:
         return reading.group
     return None
-
-
-def is_msps(state: State, tol: Tolerances = DEFAULT) -> bool:
-    """True iff every |Xi| is 0 or 1 (within tolerance) and rho = M(rho)."""
-    return msps_group(state, tol) is not None
-
-
-def mean_value_vector(state: State, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """(k_1, ..., k_r) with Xi(x_i) = chi(k_i) on the computed generators."""
-    return np.array(read_thresholds(char_function(state), tol).phases, dtype=np.int64)
-
-
-def is_zero_mean(state: State, tol: Tolerances = DEFAULT) -> bool:
-    """True iff Xi takes the value 1 on the whole mean-state group (M(rho) is not built)."""
-    return read_thresholds(char_function(state), tol).zero_mean
 
 
 def zero_mean_table(xi: np.ndarray, reading: ThresholdReading):
@@ -215,11 +202,6 @@ def magic_gap(state: State, tol: Tolerances = DEFAULT) -> MagicGapReport:
     return MagicGapReport.from_reading(read_thresholds(char_function(state), tol))
 
 
-def pauli_rank(state: State, tol: Tolerances = DEFAULT) -> int:
-    """Number of phase-space points where |Xi| exceeds the support threshold."""
-    return read_thresholds(char_function(state), tol).support_size
-
-
 def magic_gap_upper_bound(state: State, tol: Tolerances = DEFAULT):
     """The Pauli-rank bound 1 - sqrt((d^n Tr rho^2 - d^k)/(R_P - d^k)).
 
@@ -259,9 +241,6 @@ def closest_msps(state: State, alpha: float):
 
 # --- qubit Clifford+T words (magic-gap synthesis bound) ---
 
-_QUBIT_GATES = ("H", "S", "T", "X", "Z", "CNOT")
-
-
 def apply_qubit_word(state: State, word) -> State:
     """Apply a Clifford+T gate word to a qubit register.
 
@@ -276,28 +255,15 @@ def apply_qubit_word(state: State, word) -> State:
         "T": t_gate(),
         "X": xmat(2),
         "Z": zmat(2),
-        "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],  # control on the first site
+        "CNOT": cnot_gate(2),  # control on the second site: applied on (target, control)
     }
     mat = state.mat
     for name, *sites in word:
         if name not in gates:
             raise IncompatibleError(f"unknown gate {name}")
-        mat = conjugate_site_gate(mat, gates[name], sites, 2, state.n)
+        mat = conjugate_site_gate(mat, gates[name], sites[::-1] if name == "CNOT" else sites,
+                                  2, state.n)
     return make_state(mat, 2, state.n)
-
-
-def random_clifford_t_word(n: int, length: int, seed) -> list:
-    """A seeded random word over {H, S, T, X, Z, CNOT} on n qubits."""
-    rng = np.random.default_rng(seed)
-    word = []
-    for _ in range(length):
-        name = _QUBIT_GATES[rng.integers(len(_QUBIT_GATES) - (0 if n >= 2 else 1))]
-        if name == "CNOT":
-            c, t = rng.choice(n, size=2, replace=False)
-            word.append(("CNOT", int(c), int(t)))
-        else:
-            word.append((name, int(rng.integers(n))))
-    return word
 
 
 def lmg_t_count_check(state: State, word, tol: Tolerances = DEFAULT):

@@ -56,20 +56,6 @@ def make_point(p, q, d: int) -> np.ndarray:
     return np.concatenate([p, q]).astype(np.int64) % d
 
 
-def symplectic_inner(x, y, d: int):
-    """<x, y>_s = sum_k (p_k q'_k - q_k p'_k) mod d for points [p | q] and [p' | q'].
-
-    Broadcasts over leading axes: two points give an int, stacks of points
-    give an integer array.
-    """
-    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-    if x.shape[-1] != y.shape[-1] or x.shape[-1] % 2:
-        raise IncompatibleError(f"points of length {x.shape[-1]}, {y.shape[-1]} are not in a V^n")
-    n = x.shape[-1] // 2
-    s = (x[..., :n] * y[..., n:] - x[..., n:] * y[..., :n]).sum(axis=-1) % d
-    return int(s) if s.ndim == 0 else s
-
-
 def rref_mod(A: np.ndarray, d: int):
     """Row-reduce A over Z_d.
 

@@ -241,10 +241,6 @@ def random_state(n: int, d: int, seed, rank: int | None = None) -> State:
     return make_state(mat / np.trace(mat).real, d, n, validate=False)
 
 
-def random_pure(n: int, d: int, seed) -> State:
-    return random_state(n, d, seed, rank=1)
-
-
 def _check_enumeration(n: int, d: int) -> None:
     """Refuse (n, d) as the isotropic-subgroup enumerations do, before any basis is built."""
     check_prime(d)

@@ -368,7 +368,7 @@ def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     trials = max(seeds, 100)
     negative = 0
     for s in range(seed, seed + trials):
-        psi = st.random_pure(n, d, seed=s)
+        psi = st.random_state(n, d, seed=s, rank=1)
         if st.wigner(psi).min() < -1e-10:
             negative += 1
     out.append(
@@ -419,7 +419,7 @@ def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     wch = chn.weyl_conjugation_channel((1,) * n + (0,) * n, d)
     vals = chn.weyl_image_char_values(wch)
     in_01 = bool(((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all())
-    agrees = in_01 == chn.is_zero_mean_channel(wch, tol)
+    agrees = in_01 == mm.read_thresholds(st.char_function(wch.choi), tol).zero_mean
     out.append(_result("channels.zero_mean_corollary", 0.0 if agrees else -1.0))
     return out
 

@@ -1,9 +1,10 @@
-"""Channel constructions, the Choi action and its Weyl images, subgroup predicates,
-Weyl commutation phases, w at unreduced labels, the reference Weyl transforms, a
-point-by-point threshold reading, MSPS-ness by matrices, a decimal subentropy,
-Hermitization, the dense dephasing route of Fisher information, and the
-row-by-row forms of the stabilizer layer (row reduction, group elements, MSPS
-tables), kept for the tests only."""
+"""Channel constructions, the Choi action and its Weyl images, the symplectic form,
+subgroup predicates, Weyl commutation phases, w at unreduced labels, seeded
+Clifford+T words, the reference Weyl transforms, a point-by-point threshold
+reading, MSPS-ness by matrices, a decimal subentropy, Hermitization, the dense
+dephasing route of Fisher information, and the row-by-row forms of the
+stabilizer layer (row reduction, group elements, MSPS tables), kept for the
+tests only."""
 
 import cmath
 import decimal
@@ -14,8 +15,8 @@ import numpy as np
 from qps.channels import Channel, choi_from_kraus
 from qps.config import DEFAULT, PHASE_RESIDUAL
 from qps.entropy import renyi_relative
-from qps.errors import InternalInconsistencyError
-from qps.phase_space import PhaseSubgroup, field_inv, symplectic_inner
+from qps.errors import IncompatibleError, InternalInconsistencyError
+from qps.phase_space import PhaseSubgroup, field_inv
 from qps.mean_magic import mean_state, read_thresholds
 from qps.states import State, _pq, char_function, make_state
 from qps.weyl import (
@@ -38,7 +39,7 @@ def identity_channel(d: int, n: int) -> Channel:
 
 def channel_apply(channel: Channel, rho: State) -> State:
     """Λ(rho) = d^n Tr_A[J (rho^T ⊗ I)]."""
-    D = channel.dim
+    D = channel.d**channel.n
     t = channel.choi.mat.reshape(D, D, D, D)
     out = D * np.einsum("iI,ioIO->oO", rho.mat, t)
     return make_state(out, channel.d, channel.n)
@@ -67,6 +68,20 @@ def random_mixed_unitary_channel(n: int, d: int, seed, terms: int = 3) -> Channe
         u, _ = np.linalg.qr(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
         kraus.append(math.sqrt(w) * u)
     return choi_from_kraus(kraus, d, n)
+
+
+def symplectic_inner(x, y, d: int):
+    """<x, y>_s = sum_k (p_k q'_k - q_k p'_k) mod d for points [p | q] and [p' | q'].
+
+    Broadcasts over leading axes: two points give an int, stacks of points
+    give an integer array.
+    """
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if x.shape[-1] != y.shape[-1] or x.shape[-1] % 2:
+        raise IncompatibleError(f"points of length {x.shape[-1]}, {y.shape[-1]} are not in a V^n")
+    n = x.shape[-1] // 2
+    s = (x[..., :n] * y[..., n:] - x[..., n:] * y[..., :n]).sum(axis=-1) % d
+    return int(s) if s.ndim == 0 else s
 
 
 def is_isotropic(group: PhaseSubgroup) -> bool:
@@ -116,6 +131,24 @@ def weyl_literal(p_ints, q_ints, d: int) -> np.ndarray:
         )
         out = np.kron(out, site)
     return out
+
+
+_QUBIT_GATES = ("H", "S", "T", "X", "Z", "CNOT")
+
+
+def random_clifford_t_word(n: int, length: int, seed) -> list:
+    """A seeded random word over {H, S, T, X, Z, CNOT} on n qubits, in the token form
+    of ``mean_magic.apply_qubit_word``."""
+    rng = np.random.default_rng(seed)
+    word = []
+    for _ in range(length):
+        name = _QUBIT_GATES[rng.integers(len(_QUBIT_GATES) - (0 if n >= 2 else 1))]
+        if name == "CNOT":
+            c, t = rng.choice(n, size=2, replace=False)
+            word.append(("CNOT", int(c), int(t)))
+        else:
+            word.append((name, int(rng.integers(n))))
+    return word
 
 
 # The Weyl transforms as plain numpy expressions over a complex phase grid

@@ -19,7 +19,8 @@ from qps import states, weyl
 from qps.phase_space import make_point
 from qps.verify import sample_parity_matrix
 
-from helpers import commutation_phase, random_mixed_unitary_channel, weyl_literal
+from helpers import (commutation_phase, random_clifford_t_word, random_mixed_unitary_channel,
+                     weyl_literal)
 
 PRIMES_TO_97 = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -90,7 +91,7 @@ def test_03_hudson():
     assert floor >= -1e-12
     negative = sum(
         1 for seed in range(100)
-        if states.wigner(states.random_pure(1, 3, seed=seed)).min() < -1e-10
+        if states.wigner(states.random_state(1, 3, seed=seed, rank=1)).min() < -1e-10
     )
     assert negative >= 95, f"only {negative}/100 random pure states had a negative entry"
     report(3, f"12 stabilizers nonnegative (floor {floor:.1e}); {negative}/100 random pure negative")
@@ -157,7 +158,7 @@ def test_07_state_clt_rate():
     for seed in range(25):
         rho = states.random_state(1, 7, seed=700 + seed)
         _, rho = mm.zero_mean_shift(rho)
-        assert mm.is_zero_mean(rho)
+        assert mm.read_thresholds(states.char_function(rho)).zero_mean
         rep = mm.mean_state(rho)
         mg = mm.magic_gap(rho).gap
         base = float(np.linalg.norm(rho.mat - rep.mean.mat))
@@ -251,7 +252,7 @@ def test_13_t_count_bound():
     for seed in range(100):
         n = int(rng.integers(1, 3))
         length = int(rng.integers(1, 13))
-        word = mm.random_clifford_t_word(n, length, seed=rng.integers(2**31))
+        word = random_clifford_t_word(n, length, seed=rng.integers(2**31))
         rho = states.random_state(n, 2, seed=rng.integers(2**31))
         lhs, rhs = mm.lmg_t_count_check(rho, word)
         worst = max(worst, lhs - rhs)

@@ -34,8 +34,13 @@ def test_channel_apply():
     U = weyl.random_clifford(1, 3, 5, seed=1)
     uc = ch.unitary_channel(U, 3, 1)
     assert np.abs(channel_apply(uc, rho).mat - U @ rho.mat @ U.conj().T).max() < 1e-12
+    # random_channel's Kraus operators: the three blocks of a seeded 9 x 3 isometry
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
+    kraus = [q[3 * k:3 * k + 3] for k in range(3)]
     c = ch.random_channel(1, 3, seed=3)
-    direct = sum(k @ rho.mat @ k.conj().T for k in c.kraus)
+    assert np.array_equal(c.choi.mat, ch.choi_from_kraus(kraus, 3, 1).choi.mat)
+    direct = sum(k @ rho.mat @ k.conj().T for k in kraus)
     assert np.abs(channel_apply(c, rho).mat - direct).max() < 1e-10
     r = ch.depolarizing_channel(3, 1)
     assert np.abs(channel_apply(r, rho).mat - np.eye(3) / 3).max() < 1e-12
@@ -146,7 +151,7 @@ def test_identity_convolution_reproduces_state_example():
 def test_mean_channel():
     tch = ch.unitary_channel(weyl.t_gate(), 2, 1)
     mt = ch.mean_channel(tch)
-    assert mm.is_msps(mt.choi)
+    assert mm.msps_group(mt.choi) is not None
     cl = ch.unitary_channel(weyl.random_clifford(1, 3, 6, seed=7), 3, 1)
     assert np.abs(ch.mean_channel(cl).choi.mat - cl.choi.mat).max() < 1e-9
     r = ch.depolarizing_channel(3, 1)
@@ -191,20 +196,20 @@ def test_mean_channel_extremality_proxy():
 
 def test_zero_mean_channel_and_corollary(t_state):
     ident = identity_channel(3, 1)
-    assert ch.is_zero_mean_channel(ident)
+    assert mm.read_thresholds(states.char_function(ident.choi)).zero_mean
     assert mm.magic_gap(ident.choi).gap == 0.0
     tch = ch.unitary_channel(weyl.t_gate(), 2, 1)
     assert abs(mm.magic_gap(tch.choi).gap - (1 - 2**-0.5)) < 1e-12
     wch = ch.weyl_conjugation_channel((1, 0), 3)
-    assert not ch.is_zero_mean_channel(wch)
+    assert not mm.read_thresholds(states.char_function(wch.choi)).zero_mean
     # corollary: zero mean iff all Weyl-image char values in {0, 1}
     for channel, expect in ((ident, True), (wch, False)):
         vals = ch.weyl_image_char_values(channel)
         assert vals.shape == (3,) * 4
         in01 = ((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all()
         assert in01 == expect
-    _, shifted = ch.zero_mean_channel_shift(wch)
-    assert ch.is_zero_mean_channel(shifted)
+    shifted = ch.channel_from_choi(mm.zero_mean_shift(wch.choi)[1])
+    assert mm.read_thresholds(states.char_function(shifted.choi)).zero_mean
 
 
 def test_channel_clt():
@@ -231,14 +236,14 @@ def test_channel_clt_validates_every_later_power(monkeypatch):
     rep = ch.channel_clt(lam, cv.hadamard_params(5), 4)
     assert rep.ok and len(rep.rows) == 5
     assert made == [(5, 2)] * 4
-    work = ch.zero_mean_channel_shift(lam)[1]
+    work = ch.channel_from_choi(mm.zero_mean_shift(lam.choi)[1])
     assert rep.magic_gap == mm.magic_gap(work.choi).gap > 0
 
 
 def test_channel_clt_refuses_a_power_that_is_no_choi_state(monkeypatch):
     # |00><00| is a state on 2 qudits, but Tr_out of it is |0><0|, not I/5
     lam = ch.random_channel(1, 5, seed=1)
-    xi0 = states.char_function(ch.zero_mean_channel_shift(lam)[1].choi)
+    xi0 = states.char_function(ch.channel_from_choi(mm.zero_mean_shift(lam.choi)[1]).choi)
     bad = states.char_function(states.basis_state(0, 5, 2))
     monkeypatch.setattr(ch, "clt_trajectory", lambda rho, G, N, tol: (
         np.zeros(4, dtype=np.int64), 0.5, iter([(xi0, 0.0, 1.0), (bad, 0.0, 0.5)])))
@@ -263,7 +268,7 @@ def test_zero_mean_reading_of_weyl_images_holds_at_odd_d_only(d, zero_mean):
     channel = identity_channel(d, 1)
     vals = ch.weyl_image_char_values(channel)
     assert ((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all()
-    assert ch.is_zero_mean_channel(channel) == zero_mean
+    assert mm.read_thresholds(states.char_function(channel.choi)).zero_mean == zero_mean
 
 
 def test_unitary_min_entropy():

@@ -19,7 +19,7 @@ from qps import mean_magic as mm
 from qps import cli, states, verify
 from qps.cli import main
 from qps.config import Tolerances
-from qps.errors import TooLargeError
+from qps.errors import IncompatibleError, TooLargeError
 
 from helpers import random_mixed_unitary_channel
 
@@ -58,6 +58,17 @@ def test_channel_json_round_trip(tmp_path):
     qio.write_channel(lam, path, form="char")
     back = qio.read_channel(path)
     assert np.abs(back.choi.mat - lam.choi.mat).max() < 1e-10
+
+
+def test_channel_json_refuses_n_doubled_other_than_2n(tmp_path, capsys):
+    # checked before the matrix is read: this one is not even a matrix
+    obj = {"kind": "choi", "d": 3, "n": 3, "n_doubled": 2, "matrix": None}
+    with pytest.raises(IncompatibleError, match="n = 3 but n_doubled = 2"):
+        qio.channel_from_json(obj)
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(obj))
+    assert main(["channel-clt", str(path), "--N", "2"]) == 2
+    assert "n = 3 but n_doubled = 2" in capsys.readouterr().err
 
 
 def test_cli_params():
@@ -179,7 +190,7 @@ def test_cli_channel_clt(tmp_path):
     rows = out.read_text().strip().split("\n")[1:]
     assert all(row.split(",")[4] == "1" for row in rows)
     # the shift is a point of the Choi state's 2n = 2 qudits: p and q get 2 entries each
-    shift, _ = ch.zero_mean_channel_shift(wch)
+    shift, _ = mm.zero_mean_shift(wch.choi)
     assert len(shift) == 4
     want = [".".join(str(v) for v in shift[:2]), ".".join(str(v) for v in shift[2:])]
     assert all(row.split(",")[5:] == want for row in rows)
@@ -348,6 +359,9 @@ def test_cli_verify_seed(tmp_path):
     assert r7["pass"]
     assert {c["name"].rsplit(".", 1)[1] for c in r7["checks"]} == {"seed7", "seed8"}
     assert [c["slack"] for c in r7["checks"]] != [c["slack"] for c in r0["checks"]]
+    # the two seeds run different tasks, so their config blocks differ, in the seed alone
+    assert (r0["config"].pop("seed"), r7["config"].pop("seed")) == (0, 7)
+    assert r0["config"] == r7["config"]
 
 
 def test_cli_verify_jobs(tmp_path):

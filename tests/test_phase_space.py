@@ -13,8 +13,9 @@ from qps.phase_space import (
     rref_subspaces,
     solve_linear_mod,
     subgroup_generators,
-    symplectic_inner,
 )
+
+from helpers import symplectic_inner
 
 
 def test_check_prime():

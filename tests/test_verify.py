@@ -1,5 +1,10 @@
 """The `qps verify` Weyl suite and parity sampler against their loop forms."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -272,3 +277,13 @@ def test_run_suite_refuses_counts_below_one(n, seeds, jobs, monkeypatch):
     monkeypatch.setattr(verify, "_SUITE_FNS", {})  # a suite that started would raise KeyError
     with pytest.raises(IncompatibleError):
         verify.run_suite("weyl", 3, n, seeds, jobs)
+
+
+def test_benchmark_tracer_installs_on_this_tree():
+    # perfbench/tracing.py wraps every TIMED function and every suite where qps binds
+    # it, and raises when one is bound nowhere, so a deletion here would break it
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    r = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Recorder())"],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr

@@ -10,13 +10,14 @@ from qps.errors import (
     SingularGError,
     UnsupportedDimensionError,
 )
-from qps.phase_space import field_inv, make_point, symplectic_inner
+from qps.phase_space import field_inv, make_point
 
 from helpers import (
     commutation_phase,
     reference_coefficient_table,
     reference_matrix_from_table,
     reference_stripe_index,
+    symplectic_inner,
     weyl_literal,
 )
 
