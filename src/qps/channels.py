@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, ensure_table_size
+from .config import CHECK_BOUNDS, DEFAULT, Tolerances, ensure_table_size
 from .convolution import as_param_matrix, clt_trajectory, convolve
 from .errors import (
     IncompatibleError,
@@ -208,7 +208,7 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
     the magic gap come from ``convolution.clt_trajectory`` of the Choi state.
     Every table but Ξ_J, the shifted one and each later power, is checked once
     as a Choi state, by ``channel_from_choi(state_from_char(xi))``.
-    Each step asserts distance <= bound + 1e-9; the diamond column is d^{2n} x bound.
+    ``ok``: distance <= bound + ``CHECK_BOUNDS["clt.rate"]`` at each step; diamond = d^{2n} x bound.
     """
     shift, gap, powers = clt_trajectory(channel.choi, params, N, tol)
     shifted = bool(shift.any())
@@ -223,7 +223,7 @@ def channel_clt(channel: Channel, params, N: int, tol: Tolerances = DEFAULT) -> 
         magic_gap=gap,
         shifted=shifted,
         shift=shift,
-        ok=all(row.distance <= row.bound + 1e-9 for row in rows),
+        ok=all(row.distance <= row.bound + CHECK_BOUNDS["clt.rate"][0] for row in rows),
     )
 
 
@@ -268,9 +268,9 @@ def check_unitary_min_entropy(params, d: int, n: int = 1, seed=0, pairs: int = 5
         absorbed = convolve_channels(r, some, pm)
     absorb_gap = abs(channel_entropy(absorbed, 1) - n * math.log2(d))
     ok = (
-        abs(matched_max - target) <= 1e-8
-        and generic_min > target + 1e-4
-        and absorb_gap <= 1e-8
+        abs(matched_max - target) <= CHECK_BOUNDS["channels.unitary_min_entropy.matched"][0]
+        and generic_min > target + CHECK_BOUNDS["channels.unitary_min_entropy.generic"][0]
+        and absorb_gap <= CHECK_BOUNDS["channels.unitary_min_entropy.absorb"][0]
     )
     return UnitaryMinEntropyReport(
         matched_max=matched_max, generic_min=generic_min, absorb_gap=absorb_gap, ok=ok

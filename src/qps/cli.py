@@ -15,7 +15,7 @@ import sys
 
 from . import convolution as cv
 from . import entropy as ent
-from .config import Tolerances, snapshot
+from .config import CHECK_BOUNDS, Tolerances, snapshot
 from . import mean_magic as mm
 from . import states as st
 from .errors import QpsError, UnsupportedGError
@@ -110,7 +110,8 @@ def cmd_clt(args, tol: Tolerances) -> int:
     ⊠^0 has rho's spectrum, shifted or not.  Every later power is rebuilt
     from its table, and so checked, by ``state_from_char(xi, spectrum=True)``,
     so the ``eigvalsh`` that decides its positivity gives the spectrum its H
-    columns read, and only that spectrum is kept.
+    columns read, and only that spectrum is kept.  The exit code is 1 when a
+    distance exceeds its bound by more than ``CHECK_BOUNDS["clt.rate"]``.
     """
     d, n = args.d, args.n
     params = _clt_params(args, d)
@@ -123,7 +124,7 @@ def cmd_clt(args, tol: Tolerances) -> int:
     for step, (xi, dist, bound) in enumerate(powers):
         if step:
             spectrum = st.state_from_char(xi, spectrum=True).eigvals
-        ok = ok and dist <= bound + 1e-9
+        ok = ok and dist <= bound + CHECK_BOUNDS["clt.rate"][0]
         clean = ent.clean_spectrum(spectrum)
         hs = [ent.renyi_entropy_spectrum(clean, a) for a in _ALPHAS]
         lines.append(

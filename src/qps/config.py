@@ -5,12 +5,17 @@ frozen ``Tolerances``, passed explicitly to every function that reads them.
 Only ``mean_magic.read_thresholds`` compares them with |Xi|, and every reader
 of S, the support or the magic gap takes its answer from that one reading.
 The CLI builds it from --tol-one / --tol-supp; all other values are constants.
+
+``CHECK_BOUNDS`` is the one place a theorem check's bound is written: family ->
+(bound, "at most" | "at least"), read by ``qps verify``, ``qps clt`` and the claim functions
+and set by no flag.  A 0/1 check (marked there) measures 1.0 on failure, against at most 0.0.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ConfigError, TooLargeError
 
@@ -43,6 +48,47 @@ MAX_TABLE = 4_000_000
 MAX_GROUP = 10_000_000
 # MSPS enumeration: d^{2n} cap.
 MAX_ENUMERATION = 10_000
+
+# Theorem-check bounds.  A `verify` check is named after its family plus a suffix such as
+# ".seed3"; a key under a claim function's name bounds one of that function's margins.
+CHECK_BOUNDS = MappingProxyType({
+    "weyl.commutation_exhaustive_n1": (1e-12, "at most"),
+    "weyl.orthonormality": (1e-10, "at most"),
+    "weyl.commutation_sampled": (1e-12, "at most"),
+    "weyl.key_unitary_generators": (1e-12, "at most"),
+    "weyl.parity_sum": (1e-12, "at most"),
+    "weyl.phase_point_hermitian": (1e-12, "at most"),
+    "weyl.random_clifford_closes": (0.0, "at most"),  # 0/1
+    "duality": (1e-10, "at most"),
+    "majorization": (-1e-9, "at least"),
+    "entropy.increase": (-1e-8, "at least"),
+    "entropy.extremality": (1e-8, "at most"),
+    "entropy.additivity": (1e-9, "at most"),
+    "entropy.subentropy_mean": (-1e-6, "at least"),
+    "entropy.counterexample_g10_zero": (1e-6, "at least"),
+    "entropy.second_law": (-1e-8, "at least"),
+    "entropy.equality_case": (0.0, "at most"),  # 0/1: equality_gap and strict_increase
+    "entropy.equality_case.equality_gap": (1e-8, "at most"),
+    "entropy.equality_case.strict_increase": (1e-6, "at least"),  # strictly
+    "entropy.min_output_entropy.matched": (1e-8, "at most"),
+    "entropy.min_output_entropy.unmatched": (1e-6, "at least"),  # strictly
+    "fisher.convolution": (-1e-7, "at least"),
+    "fisher.de_bruijn": (1e-3, "at most"),
+    "fisher.dephase_commutes": (1e-10, "at most"),
+    "fisher.semigroup_intertwines": (1e-9, "at most"),
+    "fisher.liouvillean_hermitian": (1e-9, "at most"),
+    "hudson.stabilizers_nonnegative": (-1e-12, "at least"),
+    "hudson.random_pure_negative": (0.95, "at least"),  # a share of the trials
+    "channels.routes": (0.0, "at most"),  # 0/1: 1.0 when a route raises
+    "channels.routes_marginal": (1e-9, "at most"),
+    "channels.absorb": (1e-10, "at most"),
+    "channels.mean_extremality": (-1e-9, "at least"),
+    "channels.zero_mean_corollary": (0.0, "at most"),  # 0/1
+    "channels.unitary_min_entropy.matched": (1e-8, "at most"),
+    "channels.unitary_min_entropy.generic": (1e-4, "at least"),  # strictly
+    "channels.unitary_min_entropy.absorb": (1e-8, "at most"),
+    "clt.rate": (1e-9, "at most"),  # a distance's excess over its (1 - MG)^N bound
+})
 
 
 def table_cap() -> int:

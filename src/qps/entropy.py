@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, TOL_SPEC, TOL_STATE, Tolerances
+from .config import CHECK_BOUNDS, DEFAULT, TOL_SPEC, TOL_STATE, Tolerances
 from .convolution import as_param_matrix, char_powers, convolve, transformed_stabilizer_group
 from .errors import NotComparableError, UnsupportedAlphaError, UnsupportedGError
 from .mean_magic import mean_state, msps_group
@@ -154,21 +154,22 @@ def majorization_slack(a, b) -> float:
 class SecondLawReport:
     alphas: tuple
     table: np.ndarray  # (N+1, len(alphas)) entropies along the trajectory
-    violations: tuple  # (step, alpha, drop) triples beyond the slack
+    violations: tuple  # (step, alpha, drop) triples below the bound
     ok: bool
 
 
 def check_second_law(rho: State, params, N: int, alphas) -> SecondLawReport:
-    """Entropies H_alpha of the powers ⊠^k rho, k <= N, from ``char_powers``; flags
-    decreases.  Each power after rho is rebuilt by ``state_from_char(xi, spectrum=True)``,
-    so the ``eigvalsh`` its entropies read decides its positivity (no Cholesky)."""
+    """Entropies H_alpha of the powers ⊠^k rho, k <= N, from ``char_powers``; flags steps below
+    ``CHECK_BOUNDS["entropy.second_law"]``.  Each later power is ``state_from_char(xi, spectrum=
+    True)``, so the ``eigvalsh`` its entropies read decides its positivity (no Cholesky)."""
     alphas = tuple(alphas)
     powers = (state_from_char(xi, spectrum=True) if k else rho
               for k, xi in enumerate(char_powers(char_function(rho), params, N)))
     table = np.array([[renyi_entropy(s, a) for a in alphas] for s in powers])
     drops = np.diff(table, axis=0)
+    floor, _ = CHECK_BOUNDS["entropy.second_law"]
     violations = tuple((int(step), alphas[col], float(drops[step, col]))
-                       for step, col in zip(*np.nonzero(drops < -1e-8)))
+                       for step, col in zip(*np.nonzero(drops < floor)))
     return SecondLawReport(alphas=alphas, table=table, violations=violations, ok=not violations)
 
 
@@ -192,11 +193,12 @@ def second_law_counterexample(d: int, n: int = 1, alpha=1):
 
 
 def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = DEFAULT) -> dict:
-    """Equality H_alpha(rho ⊠ sigma) = H_alpha(rho) on the fixed algebra.
+    """The margins of equality H_alpha(rho ⊠ sigma) = H_alpha(rho) on the fixed algebra.
 
-    sigma must be an MSPS; rho is drawn as a random convex mixture of the
-    MSPS associated with the transformed group S, where equality must hold
-    to 1e-8.  A generic random state must show a strict increase > 1e-6.
+    sigma must be an MSPS; rho is drawn as a random convex mixture of the MSPS
+    associated with the transformed group S, where equality must hold (``equality_gap``);
+    a generic random state must increase strictly (``strict_increase``).  Their bounds
+    are the ``entropy.equality_case`` entries of ``CHECK_BOUNDS``.
     """
     d, n = sigma.d, sigma.n
     pm = as_param_matrix(params, d)
@@ -216,13 +218,7 @@ def check_equality_case(sigma: State, params, alpha, seed=0, tol: Tolerances = D
     outside = random_state(n, d, seed=rng.integers(2**31))
     h_in2 = renyi_entropy(outside, alpha)
     h_out2 = renyi_entropy(convolve(outside, sigma, pm), alpha)
-    return {
-        "equality_gap": abs(h_out - h_in),
-        "equality_holds": abs(h_out - h_in) <= 1e-8,
-        "strict_increase": h_out2 - h_in2,
-        "strictly_increases": (h_out2 - h_in2) > 1e-6,
-        "ok": abs(h_out - h_in) <= 1e-8 and (h_out2 - h_in2) > 1e-6,
-    }
+    return {"equality_gap": abs(h_out - h_in), "strict_increase": h_out2 - h_in2}
 
 
 def holevo_bounds(sigma: State, params, tol: Tolerances = DEFAULT) -> tuple[float, float]:
@@ -280,7 +276,9 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
     rhos = [index[transformed_stabilizer_group(g_sig, pm)] for g_sig in groups]
     matched = np.arange(len(groups))[:, None] == rhos  # [rho, sigma]: S_rho = transformed(S_sigma)
     on, off = entropies[matched], entropies[~matched]
-    ok = bool((on <= 1e-8).all() and (off > 1e-6).all())
+    zero, _ = CHECK_BOUNDS["entropy.min_output_entropy.matched"]
+    positive, _ = CHECK_BOUNDS["entropy.min_output_entropy.unmatched"]
+    ok = bool((on <= zero).all() and (off > positive).all())
     unmatched_min = float(off.min(initial=math.inf))
     rng = np.random.default_rng(seed)
     for _ in range(5):
@@ -288,7 +286,7 @@ def check_min_output_entropy(params, d: int, n: int = 1, seed=0) -> MinOutputEnt
         b = random_state(n, d, seed=rng.integers(2**31), rank=1)
         h = renyi_entropy(convolve(a, b, pm), 1)
         unmatched_min = min(unmatched_min, h)
-        ok = ok and h > 1e-6
+        ok = ok and h > positive
     return MinOutputEntropyReport(
         ok=ok,
         n_pairs=(len(groups) * d**n) ** 2,

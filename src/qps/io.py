@@ -48,10 +48,10 @@ def state_to_json(state: State, form: str = "dense", tol: Tolerances = DEFAULT) 
 
 
 def state_from_json(obj: dict) -> State:
-    """The State of a file in either form; n and char labels are checked before allocating."""
-    d, n = int(obj["d"]), int(obj["n"])
-    if n < 1:
-        raise IncompatibleError(f"a state file needs n >= 1 qudits, got n = {n}")
+    """The State of a file in either form; d, n and char labels are checked before allocating."""
+    d, n = obj["d"], obj["n"]
+    if type(d) is not int or type(n) is not int or n < 1:  # 3.7 or true is refused, not truncated
+        raise IncompatibleError(f"a state file needs integer d, n >= 1; got d = {d!r}, n = {n!r}")
     if "matrix" in obj:
         return make_state(_matrix_from_json(obj["matrix"]), d, n)
     if "char" in obj:
@@ -94,11 +94,11 @@ def channel_to_json(channel: Channel, form: str = "dense", tol: Tolerances = DEF
 def channel_from_json(obj: dict) -> Channel:
     if obj.get("kind") != "choi":
         raise IncompatibleError("channel JSON needs kind = 'choi'")
-    d, n = int(obj["d"]), int(obj["n"])
-    n_doubled = int(obj.get("n_doubled", 2 * n))
-    if n_doubled != 2 * n:
-        raise IncompatibleError(f"channel JSON has n = {n} but n_doubled = {n_doubled}; "
-                                "a Choi state lives on 2n qudits")
+    d, n = obj["d"], obj["n"]  # d is checked with the Choi state's
+    n_doubled = obj.get("n_doubled", 2 * n if type(n) is int else None)
+    if type(n) is not int or type(n_doubled) is not int or n_doubled != 2 * n:
+        raise IncompatibleError(f"channel JSON has n = {n!r} but n_doubled = {n_doubled!r}; both "
+                                "must be integers, n_doubled = 2n (the Choi state's qudits)")
     body = {"d": d, "n": n_doubled}
     for key in ("matrix", "char"):
         if key in obj:

@@ -1,14 +1,13 @@
 """Theorem-check suites behind `qps verify`.
 
-Every check returns a CheckResult with a signed slack: the margin left
-before the stated tolerance is violated (negative = failure).  Suites
-fan out over independent seeds; results merge by seed index so reports
-are byte-stable for a fixed configuration.  A process pool starts, and
-its modules load, only when more than one job is asked for.
+Every check is a CheckResult: a value against the bound of its family (its name up to a
+suffix such as ".seed3") in ``config.CHECK_BOUNDS``, with slack bound - value ("at most") or
+value - bound ("at least"); it passes at slack >= 0, never at NaN.  0/1 checks fail at 1.0.
+Suites fan out over independent seeds and merge by seed index, so reports are byte-stable;
+a process pool starts, and its modules load, only when more than one job is asked for.
 
-A suite is its runner in ``_SUITE_FNS`` and its precondition in ``_refuse``.
-``run_suite`` raises each selected suite's refusal before any suite runs, so
-'all' refuses when any suite does, except hudson at d = 2, which it skips.
+A suite is its runner in ``_SUITE_FNS`` and its precondition in ``_refuse``; ``run_suite``
+raises each selected suite's refusal before any suite runs ('all' skips hudson at d = 2).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from . import fisher as fi
 from . import mean_magic as mm
 from . import states as st
 from . import weyl
-from .config import DEFAULT, Tolerances, ensure_table_size, table_cap
+from .config import CHECK_BOUNDS, DEFAULT, Tolerances, ensure_table_size, table_cap
 from .errors import (
     ConfigError,
     IncompatibleError,
@@ -42,16 +41,34 @@ SUITES = ("weyl", "duality", "majorization", "entropy", "fisher", "hudson", "cha
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
-    slack: float
+    value: float
+    bound: float
     detail: str = ""
+
+    @property
+    def family(self) -> str:
+        """The longest CHECK_BOUNDS key that is the name or a dotted prefix of it."""
+        family = self.name
+        while family not in CHECK_BOUNDS:  # ValueError once no dot is left
+            family = family[:family.rindex(".")]
+        return family
+
+    @property
+    def slack(self) -> float:
+        at_most = CHECK_BOUNDS[self.family][1] == "at most"
+        return self.bound - self.value if at_most else self.value - self.bound
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.slack >= 0)
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "slack": self.slack, "detail": self.detail}
 
 
-def _result(name: str, slack: float, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(slack >= 0), slack=float(slack), detail=detail)
+def _result(family: str, value, suffix: str = "", detail: str = "") -> CheckResult:
+    """Check family + suffix: value (a 0/1 check's failure flag) against the family's bound."""
+    return CheckResult(family + suffix, float(value), CHECK_BOUNDS[family][0], detail)
 
 
 def _map_tasks(fn, d: int, n: int, seeds: int, jobs: int, seed: int, tol: Tolerances):
@@ -139,18 +156,18 @@ def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     w1 = _weyl_stack(d, 1)
     points = np.indices((d, d)).reshape(2, -1).T  # V^1 in stack order
     worst = _commutation_worst(w1, points[:, None], points[None, :], d)
-    out.append(_result("weyl.commutation_exhaustive_n1", 1e-12 - worst, f"d={d}"))
+    out.append(_result("weyl.commutation_exhaustive_n1", worst, detail=f"d={d}"))
     # orthonormality of the full basis at (d, n)
     D = d**n
     wn = w1 if n == 1 else _weyl_stack(d, n)
     mats = wn.reshape(d ** (2 * n), -1)
     gram = (mats.conj() @ mats.T) / D
     worst = float(np.abs(gram - np.eye(d ** (2 * n))).max())
-    out.append(_result("weyl.orthonormality", 1e-10 - worst, f"d={d} n={n}"))
+    out.append(_result("weyl.orthonormality", worst, detail=f"d={d} n={n}"))
     if n > 1:  # the commutation relation on seeded pairs of V^n, where the phases are multi-site
         x, y = np.random.default_rng(21_000 + d).integers(0, d, size=(2, 64, 2 * n))
         worst = _commutation_worst(wn, x, y, d)
-        out.append(_result("weyl.commutation_sampled", 1e-12 - worst, f"d={d} n={n}"))
+        out.append(_result("weyl.commutation_sampled", worst, detail=f"d={d} n={n}"))
     # key unitary conjugation identities for sampled G
     rng = np.random.default_rng(20_000 + d)
     worst = 0.0
@@ -166,18 +183,18 @@ def suite_weyl(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
         ]
         for a, b in pairs:
             worst = max(worst, float(np.abs(U @ a @ U.conj().T - b).max()))
-    out.append(_result("weyl.key_unitary_generators", 1e-12 - worst))
+    out.append(_result("weyl.key_unitary_generators", worst))
     if d != 2:
         gap = float(np.abs(w1.sum(axis=0) / d - weyl.parity_operator(d, 1)).max())
-        out.append(_result("weyl.parity_sum", 1e-12 - gap))
+        out.append(_result("weyl.parity_sum", gap))
         worst = 0.0
         for p in range(d):
             for q in range(d):
                 T = weyl.phase_point_operator(make_point(p, q, d), d)
                 worst = max(worst, float(np.abs(T - T.conj().T).max()))
-        out.append(_result("weyl.phase_point_hermitian", 1e-12 - worst))
+        out.append(_result("weyl.phase_point_hermitian", worst))
     U = weyl.random_clifford(n, d, 10, seed=7)
-    out.append(_result("weyl.random_clifford_closes", 0.0 if weyl.is_clifford(U, d, n) else -1.0))
+    out.append(_result("weyl.random_clifford_closes", not weyl.is_clifford(U, d, n)))
     return out
 
 
@@ -199,7 +216,7 @@ def _duality_task(args):
         left = st.char_function(st.make_state(cv._convolve_mats(rho.mat, sig.mat, pm, d, n), d, n))
         right = cv.convolve_char(tr, ts, pm)
         gap = float(np.abs(left - right).max())
-        out.append(_result(f"duality.{klass}.seed{seed}", 1e-10 - gap, f"d={d} n={n}"))
+        out.append(_result("duality", gap, f".{klass}.seed{seed}", f"d={d} n={n}"))
     return out
 
 
@@ -222,16 +239,11 @@ def _majorization_task(args):
         a = ent.clean_spectrum(cv.convolve(rho, sig, pm))
         for tag in cv.bounding_inputs(pm):
             b = ent.clean_spectrum(inputs[tag])
-            slack = ent.majorization_slack(a, b)
-            out.append(
-                _result(f"majorization.{klass}.{tag}.seed{seed}", slack + 1e-9, f"d={d}")
-            )
+            out.append(_result("majorization", ent.majorization_slack(a, b),
+                               f".{klass}.{tag}.seed{seed}", f"d={d}"))
     # generalized extremality: spec(M(rho)) ≺ spec(rho)
-    rep = mm.mean_state(rho, tol)
-    a = ent.clean_spectrum(rep.mean)
-    b = ent.clean_spectrum(rho)
-    slack = ent.majorization_slack(a, b)
-    out.append(_result(f"majorization.mean_state.seed{seed}", slack + 1e-9))
+    a, b = ent.clean_spectrum(mm.mean_state(rho, tol).mean), ent.clean_spectrum(rho)
+    out.append(_result("majorization", ent.majorization_slack(a, b), f".mean_state.seed{seed}"))
     return out
 
 
@@ -255,27 +267,22 @@ def _entropy_task(args):
         conv = cv.convolve(rho, sig, pm)
         for a in alphas:
             h_out = ent.renyi_entropy(conv, a)
-            slack = h_out - max(ent.renyi_entropy(inputs[tag], a) for tag in cv.bounding_inputs(pm))
-            out.append(_result(f"entropy.increase.{klass}.a{a}.seed{seed}", slack + 1e-8))
+            step = h_out - max(ent.renyi_entropy(inputs[tag], a) for tag in cv.bounding_inputs(pm))
+            out.append(_result("entropy.increase", step, f".{klass}.a{a}.seed{seed}"))
     # extremality restatement H_a(M) = H_a + D_a(rho || M)
     rep = mm.mean_state(rho, tol)
     for a in (1.0, 2.0, math.inf):
         lhs = ent.renyi_entropy(rep.mean, a)
         rhs = ent.renyi_entropy(rho, a) + ent.renyi_relative(rho, rep.mean, a)
-        out.append(_result(f"entropy.extremality.a{a}.seed{seed}", 1e-8 - abs(lhs - rhs)))
+        out.append(_result("entropy.extremality", abs(lhs - rhs), f".a{a}.seed{seed}"))
     # additivity, both alphas on the one spectrum of rho ⊗ sigma
     joint = st.tensor(rho, sig)
     for a in (0.5, 2.0):
-        gap = abs(
-            ent.renyi_entropy(joint, a)
-            - ent.renyi_entropy(rho, a)
-            - ent.renyi_entropy(sig, a)
-        )
-        out.append(_result(f"entropy.additivity.a{a}.seed{seed}", 1e-9 - gap))
+        gap = ent.renyi_entropy(joint, a) - ent.renyi_entropy(rho, a) - ent.renyi_entropy(sig, a)
+        out.append(_result("entropy.additivity", abs(gap), f".a{a}.seed{seed}"))
     # subentropy Schur consistency
-    q_rho = ent.subentropy(rho)
-    q_mean = ent.subentropy(rep.mean)
-    out.append(_result(f"entropy.subentropy_mean.seed{seed}", q_mean - q_rho + 1e-6))
+    q_rho, q_mean = ent.subentropy(rho), ent.subentropy(rep.mean)
+    out.append(_result("entropy.subentropy_mean", q_mean - q_rho, f".seed{seed}"))
     return out
 
 
@@ -288,19 +295,18 @@ def suite_entropy(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     """
     out = _map_tasks(_entropy_task, d, n, seeds, jobs, seed, tol)
     ce = ent.second_law_counterexample(d, n)
-    out.append(
-        _result(
-            "entropy.counterexample_g10_zero",
-            ce["h_sigma"] - ce["h_out"] - 1e-6,
-            "H(rho ⊠ sigma) < H(sigma) when G is not odd-parity positive",
-        )
-    )
+    out.append(_result("entropy.counterexample_g10_zero", ce["h_sigma"] - ce["h_out"],
+                       detail="H(rho ⊠ sigma) < H(sigma) when G is not odd-parity positive"))
     params = cv.default_params(d)
     rep = ent.check_second_law(st.random_state(n, d, seed=99), params, 8, (0.5, 1, 2))
-    out.append(_result("entropy.second_law", 0.0 if rep.ok else -1.0))
+    step = np.diff(rep.table, axis=0).min()  # the smallest entropy step over powers and alphas
+    out.append(_result("entropy.second_law", step))
     if d ** (2 * n) <= 100 and params.positive:  # the equality case is stated for positive G
         eq = ent.check_equality_case(st.basis_state(0, d, n), params, 2, seed=3, tol=tol)
-        out.append(_result("entropy.equality_case", 0.0 if eq["ok"] else -1.0))
+        gap_at_most, rise_above = (CHECK_BOUNDS[f"entropy.equality_case.{key}"][0]
+                                   for key in ("equality_gap", "strict_increase"))
+        holds = eq["equality_gap"] <= gap_at_most and eq["strict_increase"] > rise_above
+        out.append(_result("entropy.equality_case", not holds))
     return out
 
 
@@ -315,9 +321,9 @@ def _fisher_task(args):
     out = []
     params = cv.default_params(d)
     rep = fi.check_fisher_convolution(rho, sig, params)
-    out.append(_result(f"fisher.convolution.seed{seed}", rep.slack + 1e-7, f"eta={eta}"))
+    out.append(_result("fisher.convolution", rep.bound - rep.j_out, f".seed{seed}", f"eta={eta}"))
     lhs, rhs = fi.de_bruijn_check(rho)
-    out.append(_result(f"fisher.de_bruijn.seed{seed}", 1e-3 - abs(lhs - rhs)))
+    out.append(_result("fisher.de_bruijn", abs(lhs - rhs), f".seed{seed}"))
     # dephasing commutation for an even-parity G
     pm = sample_parity_matrix(rng, d, "even_only")
     worst = 0.0
@@ -326,13 +332,13 @@ def _fisher_task(args):
         left = fi.dephase(out_state, axis, 0)
         right = cv.convolve(fi.dephase(rho, axis, 0), sig, pm)
         worst = max(worst, float(np.abs(left.mat - right.mat).max()))
-    out.append(_result(f"fisher.dephase_commutes.seed{seed}", 1e-10 - worst))
+    out.append(_result("fisher.dephase_commutes", worst, f".seed{seed}"))
     if d != 2:
         ta, tb = 0.3, 0.7
         left = cv.convolve(fi.heat_semigroup(rho, ta), fi.heat_semigroup(sig, tb), params)
         right = fi.heat_semigroup(cv.convolve(rho, sig, params), ta + tb)
         gap = float(np.abs(left.mat - right.mat).max())
-        out.append(_result(f"fisher.semigroup_intertwines.seed{seed}", 1e-9 - gap))
+        out.append(_result("fisher.semigroup_intertwines", gap, f".seed{seed}"))
     return out
 
 
@@ -346,10 +352,8 @@ def suite_fisher(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     a = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     b = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     a, b = a + a.conj().T, b + b.conj().T
-    gap = abs(
-        np.trace(fi.liouvillean(a, d, n) @ b) - np.trace(a @ fi.liouvillean(b, d, n))
-    )
-    out.append(_result("fisher.liouvillean_hermitian", 1e-9 - float(gap)))
+    gap = abs(np.trace(fi.liouvillean(a, d, n) @ b) - np.trace(a @ fi.liouvillean(b, d, n)))
+    out.append(_result("fisher.liouvillean_hermitian", gap))
     return out
 
 
@@ -364,20 +368,16 @@ def suite_hudson(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     worst = 0.0
     for group in st.enumerate_lagrangian_subgroups(n, d):
         worst = min(worst, float(st.wigner(st.msps_tables(group)).min()))
-    out.append(_result("hudson.stabilizers_nonnegative", worst + 1e-12, f"d={d}"))
+    out.append(_result("hudson.stabilizers_nonnegative", worst, detail=f"d={d}"))
     trials = max(seeds, 100)
     negative = 0
     for s in range(seed, seed + trials):
         psi = st.random_state(n, d, seed=s, rank=1)
         if st.wigner(psi).min() < -1e-10:
             negative += 1
-    out.append(
-        _result(
-            "hudson.random_pure_negative",
-            negative - math.ceil(0.95 * trials),
-            f"{negative}/{trials} with a negative entry",
-        )
-    )
+    least = math.ceil(CHECK_BOUNDS["hudson.random_pure_negative"][0] * trials)  # share -> count
+    out.append(CheckResult("hudson.random_pure_negative", float(negative), float(least),
+                           f"{negative}/{trials} with a negative entry"))
     return out
 
 
@@ -395,19 +395,19 @@ def _channels_task(args):
             conv = chn.convolve_channels(c1, c2, pm)
             exact = chn._convolve_channels_exact(c1, c2, pm)
         except QpsError as exc:
-            out.append(_result(f"channels.routes.{klass}.seed{seed}", -1.0, str(exc)))
+            out.append(_result("channels.routes", True, f".{klass}.seed{seed}", str(exc)))
             continue
         gap = max(chn.choi_marginal_gap(conv.choi),
                   float(np.abs(conv.choi.mat - exact.choi.mat).max()))
-        out.append(_result(f"channels.routes_marginal.{klass}.seed{seed}", 1e-9 - gap))
+        out.append(_result("channels.routes_marginal", gap, f".{klass}.seed{seed}"))
     pm = sample_parity_matrix(rng, d, "odd_only")
     absorbed = chn.convolve_channels(c1, chn.depolarizing_channel(d, n), pm)
     gap = float(np.abs(absorbed.choi.mat - np.eye(d ** (2 * n)) / d ** (2 * n)).max())
-    out.append(_result(f"channels.absorb.seed{seed}", 1e-10 - gap))
+    out.append(_result("channels.absorb", gap, f".seed{seed}"))
     mean = chn.mean_channel(c1, tol)
     for a in (0.5, 1.0, 2.0, math.inf):
-        slack = chn.channel_entropy(mean, a) - chn.channel_entropy(c1, a)
-        out.append(_result(f"channels.mean_extremality.a{a}.seed{seed}", slack + 1e-9))
+        step = chn.channel_entropy(mean, a) - chn.channel_entropy(c1, a)
+        out.append(_result("channels.mean_extremality", step, f".a{a}.seed{seed}"))
     return out
 
 
@@ -420,7 +420,7 @@ def suite_channels(d: int, n: int, seeds: int, jobs: int = 1, seed: int = 0,
     vals = chn.weyl_image_char_values(wch)
     in_01 = bool(((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-6)).all())
     agrees = in_01 == mm.read_thresholds(st.char_function(wch.choi), tol).zero_mean
-    out.append(_result("channels.zero_mean_corollary", 0.0 if agrees else -1.0))
+    out.append(_result("channels.zero_mean_corollary", not agrees))
     return out
 
 

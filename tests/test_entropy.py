@@ -8,6 +8,7 @@ from qps import convolution as cv
 from qps import entropy as ent
 from qps import mean_magic as mm
 from qps import states
+from qps.config import CHECK_BOUNDS
 from qps.errors import NotComparableError, UnsupportedAlphaError, UnsupportedGError
 
 from helpers import subentropy_lagrange
@@ -226,12 +227,20 @@ def test_second_law_sweep_decides_positivity_by_its_spectra(d, n, G, N, monkeypa
     assert np.array_equal(rep.table, np.array(ref))
 
 
+def _equality_holds(rep) -> bool:
+    return rep["equality_gap"] <= CHECK_BOUNDS["entropy.equality_case.equality_gap"][0]
+
+
+def _strictly_increases(rep) -> bool:
+    return rep["strict_increase"] > CHECK_BOUNDS["entropy.equality_case.strict_increase"][0]
+
+
 def test_equality_case():
     h = cv.hadamard_params(3)
     rep = ent.check_equality_case(states.basis_state(0, 3), h, 2, seed=5)
-    assert rep["ok"]
+    assert _equality_holds(rep) and _strictly_increases(rep)
     rep = ent.check_equality_case(states.maximally_mixed(3, 1), h, 2, seed=6)
-    assert rep["equality_holds"]
+    assert _equality_holds(rep)
     with pytest.raises(UnsupportedGError):
         ent.check_equality_case(states.basis_state(0, 3), [[1, 1], [0, 1]], 2)
 
@@ -242,7 +251,8 @@ def test_equality_case_mixes_in_one_table_not_the_groups_stack():
     stack_bytes = 3**4 * 3**8 * 16
     tracemalloc.start()
     try:
-        assert ent.check_equality_case(sigma, cv.hadamard_params(3), 2, seed=3)["ok"]
+        rep = ent.check_equality_case(sigma, cv.hadamard_params(3), 2, seed=3)
+        assert _equality_holds(rep) and _strictly_increases(rep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

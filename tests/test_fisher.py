@@ -5,6 +5,7 @@ from qps import convolution as cv
 from qps import entropy as ent
 from qps import fisher as fi
 from qps import states, verify, weyl
+from qps.config import CHECK_BOUNDS
 from qps.errors import IncompatibleError, NegativeTimeError, SingularStateError
 from qps.phase_space import make_point
 
@@ -246,20 +247,23 @@ def test_de_bruijn_check_passes_at_five_qutrits():
 
 
 def test_fisher_convolution_inequality():
-    assert fi.check_fisher_convolution(
+    least, _ = CHECK_BOUNDS["fisher.convolution"]
+    rep = fi.check_fisher_convolution(
         states.maximally_mixed(3, 1), states.maximally_mixed(3, 1), cv.hadamard_params(3)
-    ).ok
+    )
+    assert rep.bound - rep.j_out >= least
     bs = cv.beam_splitter_params(2, 2, 7)
     for seed in range(3):
         a = fi.smooth(states.random_state(1, 7, seed=seed), 1e-3)
         b = fi.smooth(states.random_state(1, 7, seed=60 + seed), 1e-3)
         rep = fi.check_fisher_convolution(a, b, bs)
-        assert rep.ok and abs(rep.bound - min(rep.j_rho, rep.j_sigma)) < 1e-12
+        assert rep.bound - rep.j_out >= least
+        assert abs(rep.bound - min(rep.j_rho, rep.j_sigma)) < 1e-12
     # even-parity-only CNOT case: bound is J(rho)
     a2 = fi.smooth(states.random_state(1, 2, seed=1), 1e-3)
     b2 = fi.smooth(states.random_state(1, 2, seed=2), 1e-3)
     rep = fi.check_fisher_convolution(a2, b2, cv.cnot_family(1))
-    assert rep.ok and rep.bound == rep.j_rho
+    assert rep.bound - rep.j_out >= least and rep.bound == rep.j_rho
 
 
 def test_dephasing_commutation_lemma():

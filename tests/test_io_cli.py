@@ -71,6 +71,24 @@ def test_channel_json_refuses_n_doubled_other_than_2n(tmp_path, capsys):
     assert "n = 3 but n_doubled = 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, in_state", [
+    ({"d": 3.7}, True), ({"d": "3"}, True), ({"d": 3.0}, True), ({"n": 1.5}, True),
+    ({"n": True}, True), ({"n_doubled": 2.0}, False), ({"n_doubled": True}, False),
+])
+def test_state_and_channel_files_refuse_sizes_that_are_not_integers(tmp_path, sizes, in_state):
+    # int() once read d = 3.7 as 3 and n = 1.5 as 1, and qps gap exited 0 on such a file
+    files = [(qio.channel_to_json(ch.depolarizing_channel(3, 1)), qio.channel_from_json, "channel-clt")]
+    if in_state:  # a state file has no n_doubled
+        files.append((qio.state_to_json(states.maximally_mixed(3, 1)), qio.state_from_json, "gap"))
+    for obj, read, command in files:
+        obj.update(sizes)
+        with pytest.raises(IncompatibleError, match="integer"):
+            read(obj)
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path)]) == 2
+
+
 def test_cli_params():
     r = run_cli("params", "--d", "7")
     assert r.returncode == 0

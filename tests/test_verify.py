@@ -1,5 +1,6 @@
 """The `qps verify` Weyl suite and parity sampler against their loop forms."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -8,14 +9,18 @@ import sys
 import numpy as np
 import pytest
 
+from qps import channels as chn
+from qps import cli
 from qps import convolution as cv
 from qps import entropy as ent
 from qps import states, verify, weyl
 from qps.cli import main
+from qps.config import CHECK_BOUNDS
 from qps.errors import (
     ConfigError,
     IncompatibleError,
     NotPrimeError,
+    NotTracePreservingError,
     SingularGError,
     TooLargeError,
     UnsupportedDimensionError,
@@ -59,10 +64,13 @@ def test_batched_weyl_checks_match_loops(d):
     names.append("weyl.random_clifford_closes")
     assert [c.name for c in checks] == names
     assert all(c.passed for c in checks)
-    slack = {c.name: c.slack for c in checks}
-    assert abs(slack["weyl.commutation_exhaustive_n1"] - (1e-12 - ref)) <= 1e-15
+    check = {c.name: c for c in checks}
+    refs = {"weyl.commutation_exhaustive_n1": ref}
     if d != 2:
-        assert abs(slack["weyl.parity_sum"] - (1e-12 - _parity_gap_loop(d))) <= 1e-15
+        refs["weyl.parity_sum"] = _parity_gap_loop(d)
+    for name, value in refs.items():
+        assert abs(check[name].value - value) <= 1e-15
+        assert check[name].bound == CHECK_BOUNDS[name][0]
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
@@ -71,8 +79,9 @@ def test_sampled_commutation_matches_loop(d, n):
     assert all(c.passed for c in checks)
     x, y = np.random.default_rng(21_000 + d).integers(0, d, size=(2, 64, 2 * n))
     ref = _commutation_worst_loop(zip(x, y), d)
-    slack = {c.name: c.slack for c in checks}
-    assert abs(slack["weyl.commutation_sampled"] - (1e-12 - ref)) <= 1e-15
+    check = {c.name: c for c in checks}["weyl.commutation_sampled"]
+    assert abs(check.value - ref) <= 1e-15
+    assert check.bound == CHECK_BOUNDS["weyl.commutation_sampled"][0]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -287,3 +296,75 @@ def test_benchmark_tracer_installs_on_this_tree():
     r = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Recorder())"],
                        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0, r.stderr
+
+
+class _RecordedBounds(dict):
+    """CHECK_BOUNDS that records each key read by subscript."""
+
+    def __init__(self):
+        super().__init__(CHECK_BOUNDS)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_check_is_a_value_against_its_familys_bound(monkeypatch, tmp_path):
+    bounds = _RecordedBounds()
+    for module in (verify, ent, chn, cli):
+        monkeypatch.setattr(module, "CHECK_BOUNDS", bounds)
+    checks = [c for d, n, seeds in ((5, 1, 2), (3, 2, 1), (2, 2, 1))
+              for c in verify.run_suite("all", d, n, seeds)]
+    assert all(c.passed for c in checks)
+
+    def refuse(*args):
+        raise NotTracePreservingError("refused")
+
+    monkeypatch.setattr(chn, "_convolve_channels_exact", refuse)  # the one way to a routes check
+    routes = [c for c in verify.suite_channels(3, 1, 1) if c.family == "channels.routes"]
+    assert [(c.value, c.slack, c.passed) for c in routes] == [(1.0, -1.0, False)] * 3
+    checks += routes
+    for c in checks:
+        assert c.name == c.family or c.name.startswith(c.family + ".")
+        bound, sense = CHECK_BOUNDS[c.family]
+        if c.family == "hudson.random_pure_negative":  # the share of max(seeds, 100) trials
+            bound = float(math.ceil(bound * 100))
+        assert c.bound == bound
+        slack = c.bound - c.value if sense == "at most" else c.value - c.bound
+        assert np.float64(c.slack).tobytes() == np.float64(slack).tobytes()
+        assert c.passed == (c.slack >= 0)
+    families = {c.family for c in checks}
+    # the bounds that no check is named after are read where a verdict is taken from them
+    suite_reads = bounds.read - families
+    assert suite_reads == {"entropy.equality_case.equality_gap",
+                           "entropy.equality_case.strict_increase"}
+    h = cv.hadamard_params(3)
+    claims = {
+        ent.check_min_output_entropy: lambda: ent.check_min_output_entropy(h, 3, 1),
+        chn.check_unitary_min_entropy: lambda: chn.check_unitary_min_entropy(h, 3, 1, pairs=1),
+        chn.channel_clt: lambda: chn.channel_clt(chn.weyl_conjugation_channel([1, 2], 3), h, 2),
+        cli.cmd_clt: lambda: main(["clt", "--N", "2", "--out", str(tmp_path / "clt.csv")]),
+    }
+    read = {}
+    for fn, call in claims.items():
+        bounds.read.clear()
+        call()
+        read[fn.__name__] = bounds.read.copy()
+    assert read == {
+        "check_min_output_entropy": {"entropy.min_output_entropy.matched",
+                                     "entropy.min_output_entropy.unmatched"},
+        "check_unitary_min_entropy": {"channels.unitary_min_entropy.matched",
+                                      "channels.unitary_min_entropy.generic",
+                                      "channels.unitary_min_entropy.absorb"},
+        "channel_clt": {"clt.rate"},
+        "cmd_clt": {"clt.rate"},
+    }
+    assert families | suite_reads | set().union(*read.values()) == set(CHECK_BOUNDS)
+
+
+@pytest.mark.parametrize("family", ["duality", "majorization"])  # "at most", "at least"
+def test_a_nan_value_fails(family):
+    check = verify._result(family, math.nan, ".seed0")
+    assert math.isnan(check.slack) and not check.passed
+    assert check.to_json()["passed"] is False
